@@ -14,7 +14,8 @@ RACE_PKGS = ./internal/bus ./internal/ca ./internal/dist/netfault \
             ./internal/trace ./internal/vm ./internal/workload/heapscale
 
 .PHONY: all build vet test race verify chaos sweep-bench telemetry-smoke \
-        hostbench hostbench-smoke dist-smoke dist-chaos-smoke obs-smoke
+        hostbench hostbench-smoke dist-smoke dist-chaos-smoke obs-smoke \
+        bench-test
 
 all: verify
 
@@ -103,6 +104,14 @@ hostbench-smoke:
 	$(GO) test ./internal/expt -run TestDocumentIdenticalAcrossKernels -count=1
 	$(GO) test ./internal/expt -run TestDocumentIdenticalAcrossEngines -count=1
 	$(GO) test ./internal/expt -run TestDocumentIdenticalAcrossMemPaths -count=1
+
+# bench-test: the repository benchmark's own tests (bench/ is a separate
+# module, so `go test ./...` skips it). They run the full figure grid and
+# check its simulated digest against bench/golden.json and its tables
+# against BENCH_sweep.json, which a host-only change must leave untouched
+# (~30-45 s).
+bench-test:
+	cd bench && $(GO) test .
 
 # BENCH_sweep.json: one reduced-rep pass over every figure and table,
 # emitted as the machine-readable cornucopia-sweep/v1 document for

@@ -26,7 +26,10 @@
 //   - sim_campaign_kernel: SimCampaignGranule / SimCampaignWord, the full
 //     simulator under each -sweepkernel. Expected ≈1×: the word kernel is
 //     required to replay the granule kernel's exact simulated bus/tick
-//     sequence, and that shared accounting dominates host time.
+//     sequence, so both kernels pay the same cost-model work per visited
+//     capability (two or three bus cache lookups, each with its tick), and
+//     that shared work outweighs what the word kernel saves on tag
+//     iteration. The bus bodies below time that work on its own.
 //
 // plus the speedup of the fast sim engine over the classic one:
 //
@@ -48,6 +51,11 @@
 //     connection-fleet campaign (large per-connection session pools)
 //     under each -mempath. Word-masked tag clears, shadow chunk
 //     recycling and O(1) vpn appends against the flat per-granule paths.
+//
+// BusSweepMix (one swept page's tag-table, data-line and shadow-bitmap
+// accesses in the order the sweep issues them) and BusAccessRange (one
+// page-sized store range) record the bus cache model's absolute ns/op;
+// they have no slow twin and no ratio.
 //
 // -check exits nonzero unless sweep_kernel ≥ 3, campaign ≥ 1.5,
 // sim_campaign ≥ 3, heap_sweep ≥ 5 and fleet_setup ≥ 2, the acceptance

@@ -11,7 +11,10 @@
 // application is about to use.
 package bus
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Agent attributes DRAM traffic to its architectural cause.
 type Agent int
@@ -76,18 +79,6 @@ func DefaultConfig() Config {
 	}
 }
 
-type line struct {
-	tag   uint64
-	lru   uint64
-	valid bool
-	dirty bool
-}
-
-type cache struct {
-	lines []line // Sets*Ways, set-major
-	tick  uint64
-}
-
 // Stats accumulates DRAM transactions by core and by agent.
 type Stats struct {
 	// DRAMByAgent counts DRAM transactions (misses + writebacks) caused by
@@ -111,33 +102,48 @@ func (s Stats) TotalDRAM() uint64 {
 }
 
 // Bus is the memory hierarchy model: one cache per core over shared DRAM.
+//
+// Each core's cache is one slice of Sets*Ways entries, set-major. A set's
+// ways are kept in recency order: the most recently used line first,
+// invalid entries (0) at the tail. A valid entry is (lineAddr+1)<<1 with
+// the dirty flag in bit 0, so it is never 0. A hit moves its entry to the
+// front; a miss shifts the set down one way and evicts the tail, which is
+// an invalid way while one remains and the least recently used line
+// otherwise.
 type Bus struct {
 	cfg       Config
-	caches    []cache
+	caches    [][]uint64
+	setMask   uint64
 	lineShift uint
 	stats     Stats
 }
 
-// New creates a Bus for ncores cores.
+// New creates a Bus for ncores cores. It panics unless LineSize is a
+// power of two of at least 4 (smaller lines would let the entry encoding
+// overflow for addresses near the top of the 64-bit space), Sets is a
+// power of two and Ways is positive.
 func New(ncores int, cfg Config) *Bus {
-	shift := uint(0)
-	for l := cfg.LineSize; l > 1; l >>= 1 {
-		shift++
+	if cfg.LineSize < 4 || cfg.LineSize&(cfg.LineSize-1) != 0 {
+		panic(fmt.Sprintf("bus: LineSize %d not a power of two of at least 4", cfg.LineSize))
 	}
-	if cfg.LineSize != 1<<shift {
-		panic(fmt.Sprintf("bus: LineSize %d not a power of two", cfg.LineSize))
+	if cfg.Sets < 1 || cfg.Sets&(cfg.Sets-1) != 0 {
+		panic(fmt.Sprintf("bus: Sets %d not a power of two", cfg.Sets))
 	}
-	b := &Bus{cfg: cfg, lineShift: shift}
-	b.caches = make([]cache, ncores)
+	if cfg.Ways < 1 {
+		panic(fmt.Sprintf("bus: Ways %d not positive", cfg.Ways))
+	}
+	b := &Bus{
+		cfg:       cfg,
+		caches:    make([][]uint64, ncores),
+		setMask:   uint64(cfg.Sets - 1),
+		lineShift: uint(bits.TrailingZeros64(cfg.LineSize)),
+	}
 	for i := range b.caches {
-		b.caches[i].lines = make([]line, cfg.Sets*cfg.Ways)
+		b.caches[i] = make([]uint64, cfg.Sets*cfg.Ways)
 	}
 	b.stats.DRAMByCore = make([]uint64, ncores)
 	return b
 }
-
-// Config returns the bus configuration.
-func (b *Bus) Config() Config { return b.cfg }
 
 // Stats returns a snapshot of the accumulated statistics.
 func (b *Bus) Stats() Stats {
@@ -150,73 +156,64 @@ func (b *Bus) Stats() Stats {
 // by agent on core. It returns the cycle cost. Write accesses mark the line
 // dirty; evicting a dirty line costs an extra DRAM transaction.
 func (b *Bus) Access(core int, addr uint64, agent Agent, write bool) uint64 {
-	c := &b.caches[core]
-	c.tick++
-	b.stats.Accesses++
-	lineAddr := addr >> b.lineShift
-	set := int(lineAddr) % b.cfg.Sets
-	ways := c.lines[set*b.cfg.Ways : (set+1)*b.cfg.Ways]
-
-	// Hit?
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == lineAddr {
-			ways[i].lru = c.tick
-			if write {
-				ways[i].dirty = true
-			}
-			return b.cfg.HitCycles
-		}
-	}
-
-	// Miss: choose victim (invalid first, else least-recently used).
-	b.stats.Misses++
-	b.stats.DRAMByAgent[agent]++
-	b.stats.DRAMByCore[core]++
-	victim := 0
-	for i := range ways {
-		if !ways[i].valid {
-			victim = i
-			break
-		}
-		if ways[i].lru < ways[victim].lru {
-			victim = i
-		}
-	}
-	cost := b.cfg.MissCycles
-	if ways[victim].valid && ways[victim].dirty {
-		b.stats.DRAMByAgent[agent]++
-		b.stats.DRAMByCore[core]++
-		cost += b.cfg.WritebackCycles
-	}
-	ways[victim] = line{tag: lineAddr, lru: c.tick, valid: true, dirty: write}
-	return cost
+	return b.access(core, addr>>b.lineShift, agent, write)
 }
 
 // AccessRange models a sequential access covering [addr, addr+size) and
-// returns the total cycle cost. Each distinct line is charged once.
+// returns the total cycle cost. Each distinct line is charged once, in
+// ascending order, exactly as a loop of Access calls would charge it.
 func (b *Bus) AccessRange(core int, addr, size uint64, agent Agent, write bool) uint64 {
 	if size == 0 {
 		return 0
 	}
-	first := addr >> b.lineShift
 	last := (addr + size - 1) >> b.lineShift
 	var cost uint64
-	for l := first; l <= last; l++ {
-		cost += b.Access(core, l<<b.lineShift, agent, write)
+	for l := addr >> b.lineShift; l <= last; l++ {
+		cost += b.access(core, l, agent, write)
 	}
 	return cost
 }
 
-// FlushCore invalidates a core's cache (e.g. across a simulated reboot in
-// batch harnesses). Dirty lines are written back and attributed to the
-// kernel.
-func (b *Bus) FlushCore(core int) {
-	c := &b.caches[core]
-	for i := range c.lines {
-		if c.lines[i].valid && c.lines[i].dirty {
-			b.stats.DRAMByAgent[AgentKernel]++
-			b.stats.DRAMByCore[core]++
-		}
-		c.lines[i] = line{}
+// access looks lineAddr up in core's cache, keeping its set in recency
+// order, and returns the cycle cost.
+func (b *Bus) access(core int, lineAddr uint64, agent Agent, write bool) uint64 {
+	b.stats.Accesses++
+	var dirty uint64
+	if write {
+		dirty = 1
 	}
+	key := (lineAddr + 1) << 1
+	ways := b.cfg.Ways
+	i := int(lineAddr&b.setMask) * ways
+	set := b.caches[core][i : i+ways : i+ways]
+	// A repeat access to the set's most recent line, the common case,
+	// needs no reordering.
+	if set[0]&^1 == key {
+		set[0] |= dirty
+		return b.cfg.HitCycles
+	}
+	for w := 1; w < len(set); w++ {
+		e := set[w]
+		if e&^1 == key {
+			copy(set[1:w+1], set[:w])
+			set[0] = e | dirty
+			return b.cfg.HitCycles
+		}
+		if e == 0 {
+			break
+		}
+	}
+
+	b.stats.Misses++
+	b.stats.DRAMByAgent[agent]++
+	b.stats.DRAMByCore[core]++
+	cost := b.cfg.MissCycles
+	if set[len(set)-1]&1 != 0 {
+		b.stats.DRAMByAgent[agent]++
+		b.stats.DRAMByCore[core]++
+		cost += b.cfg.WritebackCycles
+	}
+	copy(set[1:], set[:len(set)-1])
+	set[0] = key | dirty
+	return cost
 }

@@ -89,16 +89,24 @@ func TestAccessRangeChargesPerLine(t *testing.T) {
 	}
 }
 
-func TestFlushCore(t *testing.T) {
-	b := New(1, DefaultConfig())
-	b.Access(0, 0x40, AgentApp, true)
-	pre := b.Stats().TotalDRAM()
-	b.FlushCore(0)
-	if got := b.Stats().TotalDRAM(); got != pre+1 {
-		t.Fatalf("flush writebacks: DRAM %d, want %d", got, pre+1)
-	}
-	if c := b.Access(0, 0x40, AgentApp, false); c != DefaultConfig().MissCycles {
-		t.Fatal("line survived flush")
+func TestNewRejectsBadGeometry(t *testing.T) {
+	for _, mod := range []func(*Config){
+		func(c *Config) { c.LineSize = 48 },
+		func(c *Config) { c.LineSize = 2 },
+		func(c *Config) { c.Sets = 0 },
+		func(c *Config) { c.Sets = 24 },
+		func(c *Config) { c.Ways = 0 },
+	} {
+		cfg := DefaultConfig()
+		mod(&cfg)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New accepted %+v", cfg)
+				}
+			}()
+			New(1, cfg)
+		}()
 	}
 }
 

@@ -28,10 +28,10 @@ var (
 
 // Planner is the -dry-run Executor: it records every job the figure
 // builders request without executing any. Get hands back a synthetic
-// zero-valued result so the builders run their whole grids to the end
-// (their folds are float-arithmetic only and tolerate zeros); the tables
-// they produce are garbage and must not be shown — the point is the
-// job set, read back with Jobs.
+// result with positive cycles and traffic so the builders run their whole
+// grids to the end (geomean folds reject zeros); the tables they produce
+// are garbage and must not be shown — the point is the job set, read back
+// with Jobs.
 type Planner struct {
 	mu      sync.Mutex
 	jobs    map[string]Job
@@ -60,17 +60,23 @@ func (p *Planner) Prefetch(jobs []Job) {
 	}
 }
 
-// Get records j and returns a synthetic empty result immediately. The
-// result carries a zero-filled per-core DRAM vector so folds that index
-// it by core number (fig6) stay in bounds.
+// Get records j and returns a synthetic result immediately. Its cycles
+// and traffic are positive, so every fold's ratios and geomeans stay
+// defined, and its per-core DRAM vector is zero-filled so folds that
+// index it by core number (fig6) stay in bounds.
 func (p *Planner) Get(j Job) (*JobResult, error) {
 	p.add(j)
 	return &JobResult{
-		Workload:   j.Workload.String(),
-		Condition:  j.Cond.Name,
-		Seed:       j.Cfg.Seed,
-		DRAMByCore: make([]uint64, 64),
-		HzGHz:      1,
+		Workload:     j.Workload.String(),
+		Condition:    j.Cond.Name,
+		Seed:         j.Cfg.Seed,
+		WallCycles:   1e6,
+		CPUCycles:    2e6,
+		AppCPUCycles: 1e6,
+		DRAMTotal:    1e3,
+		PeakRSSPages: 1,
+		DRAMByCore:   make([]uint64, 64),
+		HzGHz:        1,
 	}, nil
 }
 

@@ -69,6 +69,18 @@ func TestPlannerResolvesFigureGrids(t *testing.T) {
 	if rs := p.Results(); len(rs) != 0 {
 		t.Fatalf("planner completed %d jobs", len(rs))
 	}
+
+	// Every figure must build through a planner, as `cmd/sweep -dry-run`
+	// does over the full grid: no fold may choke on synthetic results.
+	all := NewPlanner()
+	for _, f := range Figures() {
+		if _, err := f.Build(DefaultOptions(), all); err != nil {
+			t.Fatalf("%s dry-run build: %v", f.ID, err)
+		}
+	}
+	if st := all.Stats(); st.Submitted <= want {
+		t.Fatalf("full grid planned %d distinct jobs, want more than fig5+fig6's %d", st.Submitted, want)
+	}
 }
 
 // TestPoolRetryBackoff pins that RetryBackoff actually separates

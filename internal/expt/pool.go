@@ -235,16 +235,16 @@ func exportTrace(snap *telemetry.Snapshot, tr *trace.Tracer) {
 	snap.TraceDropped = tr.Dropped()
 }
 
-// Prefetch schedules jobs for execution without waiting for them.
+// Prefetch schedules jobs for execution without waiting for them. The
+// whole batch is registered before any of it starts, so every progress
+// event's Total counts the batch.
 func (p *Pool) Prefetch(jobs []Job) {
-	for _, j := range jobs {
-		p.submit(j)
-	}
+	p.submit(jobs...)
 }
 
 // Get returns j's result, scheduling it if needed and blocking until done.
 func (p *Pool) Get(j Job) (*JobResult, error) {
-	e := p.submit(j)
+	e := p.submit(j)[0]
 	<-e.ready
 	return e.res, e.err
 }
@@ -286,44 +286,60 @@ func (p *Pool) Results() []Completed {
 	return out
 }
 
-// submit registers j and starts it (bounded by the worker semaphore)
-// unless an identical job is already known.
-func (p *Pool) submit(j Job) *entry {
-	key := j.Key()
-	p.mu.Lock()
-	if e, ok := p.entries[key]; ok {
-		p.stats.Deduped++
-		p.mu.Unlock()
-		return e
+// submit registers jobs under one hold of the pool lock — merging
+// duplicates into known jobs, emitting submit events, then completing
+// manifest hits — and only then starts the rest (bounded by the worker
+// semaphore). It returns each job's entry, in order.
+func (p *Pool) submit(jobs ...Job) []*entry {
+	keys := make([]string, len(jobs))
+	for i, j := range jobs {
+		keys[i] = j.Key()
 	}
-	e := &entry{job: j, key: key, ready: make(chan struct{})}
-	p.entries[key] = e
-	p.stats.Submitted++
-	p.cfg.Journal.Emit(journal.Event{
-		Kind: journal.KindJobSubmit, Key: key,
-		Workload: j.Workload.String(), Condition: j.Cond.Name, Seed: j.Cfg.Seed,
-	})
+	out := make([]*entry, len(jobs))
+	var fresh []*entry
+	p.mu.Lock()
+	for i, j := range jobs {
+		if e, ok := p.entries[keys[i]]; ok {
+			p.stats.Deduped++
+			out[i] = e
+			continue
+		}
+		e := &entry{job: j, key: keys[i], ready: make(chan struct{})}
+		p.entries[e.key] = e
+		p.stats.Submitted++
+		p.cfg.Journal.Emit(journal.Event{
+			Kind: journal.KindJobSubmit, Key: e.key,
+			Workload: j.Workload.String(), Condition: j.Cond.Name, Seed: j.Cfg.Seed,
+		})
+		out[i] = e
+		fresh = append(fresh, e)
+	}
 
 	// Manifest hits complete immediately, without occupying a worker. The
 	// recorded host time of the original run rides along, so slow cells
 	// stay visible in resumed documents and on /jobs.
-	if p.cfg.Manifest != nil {
-		if r, host, ok := p.cfg.Manifest.Lookup(key); ok {
-			e.res, e.cached, e.host = r, true, host
-			p.stats.Cached++
-			p.finishLocked(e, "cached")
-			p.mu.Unlock()
-			return e
+	start := fresh[:0]
+	for _, e := range fresh {
+		if p.cfg.Manifest != nil {
+			if r, host, ok := p.cfg.Manifest.Lookup(e.key); ok {
+				e.res, e.cached, e.host = r, true, host
+				p.stats.Cached++
+				p.finishLocked(e, "cached")
+				continue
+			}
 		}
+		start = append(start, e)
 	}
 	p.mu.Unlock()
 
-	go func() {
-		p.sem <- struct{}{}
-		defer func() { <-p.sem }()
-		p.execute(e)
-	}()
-	return e
+	for _, e := range start {
+		go func(e *entry) {
+			p.sem <- struct{}{}
+			defer func() { <-p.sem }()
+			p.execute(e)
+		}(e)
+	}
+	return out
 }
 
 // ErrClass compresses an attempt error for progress display: a timeout, a

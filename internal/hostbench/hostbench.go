@@ -1,8 +1,9 @@
 // Package hostbench holds the host-performance benchmark bodies behind
 // `make hostbench`: microbenchmarks of the two sweep kernels' inner loops
 // (tmem.SweepTags vs SweepTagsWords, shadow.Test vs shadow.PaintedWord),
-// the per-granule tag accessors, and an end-to-end sweep-heavy campaign
-// timed under each -sweepkernel setting.
+// the per-granule tag accessors, the bus cache model under the sweep's
+// and the store path's access patterns, and an end-to-end sweep-heavy
+// campaign timed under each -sweepkernel setting.
 //
 // The bodies are ordinary func(*testing.B) values listed in Benchmarks,
 // so the same code runs two ways: hostbench_test.go wraps each as a
@@ -20,6 +21,7 @@ import (
 	"math/bits"
 	"testing"
 
+	"repro/internal/bus"
 	"repro/internal/ca"
 	"repro/internal/harness"
 	"repro/internal/kernel"
@@ -41,6 +43,8 @@ const (
 	NameTmemLoadCap        = "TmemLoadCap"
 	NameTmemTagSet         = "TmemTagSet"
 	NameTmemClearTag       = "TmemClearTagStoreCap"
+	NameBusSweepMix        = "BusSweepMix"
+	NameBusAccessRange     = "BusAccessRange"
 	NameCampaignWord       = "CampaignWord"
 	NameCampaignGranule    = "CampaignGranule"
 	NameSimCampaignWord    = "SimCampaignWord"
@@ -66,6 +70,8 @@ var Benchmarks = []struct {
 	{NameTmemLoadCap, TmemLoadCap},
 	{NameTmemTagSet, TmemTagSet},
 	{NameTmemClearTag, TmemClearTagStoreCap},
+	{NameBusSweepMix, BusSweepMix},
+	{NameBusAccessRange, BusAccessRange},
 	{NameCampaignWord, CampaignWord},
 	{NameCampaignGranule, CampaignGranule},
 	{NameSimCampaignWord, SimCampaignWord},
@@ -221,6 +227,52 @@ func TmemClearTagStoreCap(b *testing.B) {
 			p.StoreCap(f, g, c)
 		}
 	}
+}
+
+// The bus bodies stream over a heap window of busFrames pages, 32 times
+// the default per-core cache, so data lines miss in steady state as they
+// do in a whole-heap sweep. There is no slow twin: they record the cache
+// model's absolute cost per operation. tagTableVA stands in for the
+// kernel's tag-table alias, away from the heap and the shadow bitmap.
+const (
+	busFrames  = 2048 // 8 MiB
+	tagTableVA = 0x7000_0000_0000
+)
+
+// BusSweepMix issues one swept page's bus traffic per op, in the order the
+// word sweep kernel issues it: the page's tag-table line, then for every
+// tagged granule (every fourth, one self-pointing capability per 64 B
+// object) a read of the granule's data line followed by a probe of the
+// shadow-bitmap line covering the capability's base.
+func BusSweepMix(b *testing.B) {
+	bs := bus.New(1, bus.DefaultConfig())
+	var cycles uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := uint64(i % busFrames)
+		page := heapBase + f*tmem.PageSize
+		cycles += bs.AccessRange(0, tagTableVA+f*tmem.GranulesPerPage/8, tmem.GranulesPerPage/8, bus.AgentRevoker, false)
+		for g := 0; g < tmem.GranulesPerPage; g += campTagStride {
+			va := page + uint64(g*ca.GranuleSize)
+			cycles += bs.Access(0, va, bus.AgentRevoker, false)
+			cycles += bs.Access(0, shadow.VAOf(va), bus.AgentRevoker, false)
+		}
+	}
+	sink = int(cycles)
+}
+
+// BusAccessRange issues one page-sized store range per op, the bus
+// traffic of a page-sized memset or copy, streaming so that every line
+// misses and, once the cache has filled, evicts a dirty line.
+func BusAccessRange(b *testing.B) {
+	bs := bus.New(1, bus.DefaultConfig())
+	var cycles uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		page := heapBase + uint64(i%busFrames)*tmem.PageSize
+		cycles += bs.AccessRange(0, page, tmem.PageSize, bus.AgentApp, true)
+	}
+	sink = int(cycles)
 }
 
 // The heap-scale campaign: a multi-megabyte tagged heap swept epoch after
@@ -410,11 +462,12 @@ func (s storm) Body(rig *workload.Rig, th *kernel.Thread) {
 //
 // Because the word kernel is required to be simulation-invisible, it must
 // replay the granule kernel's exact bus-access and tick sequence for every
-// visited granule; that shared accounting dominates host time, so the two
-// SimCampaign timings are expected to sit near 1×. They are kept as the
-// full-stack timer — a regression in either kernel's plumbing shows up
-// here — while the Campaign benchmarks above carry the kernels' actual
-// throughput difference.
+// visited granule; that shared accounting (timed alone by BusSweepMix)
+// outweighs the kernels' difference, so the two SimCampaign timings are
+// expected to sit near 1×. They are kept as the full-stack timer — a
+// regression in either kernel's plumbing shows up here — while the
+// Campaign benchmarks above carry the kernels' actual throughput
+// difference.
 func simCampaignRun(b *testing.B, sk kernel.SweepKernel) {
 	cond := harness.Condition{
 		Name: "CHERIvoke", Shimmed: true, Strategy: revoke.CHERIvoke,

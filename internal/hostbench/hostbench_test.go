@@ -24,6 +24,8 @@ func BenchmarkShadowPaintedWord(b *testing.B)    { ShadowPaintedWord(b) }
 func BenchmarkTmemLoadCap(b *testing.B)          { TmemLoadCap(b) }
 func BenchmarkTmemTagSet(b *testing.B)           { TmemTagSet(b) }
 func BenchmarkTmemClearTagStoreCap(b *testing.B) { TmemClearTagStoreCap(b) }
+func BenchmarkBusSweepMix(b *testing.B)          { BusSweepMix(b) }
+func BenchmarkBusAccessRange(b *testing.B)       { BusAccessRange(b) }
 func BenchmarkCampaignWord(b *testing.B)         { CampaignWord(b) }
 func BenchmarkCampaignGranule(b *testing.B)      { CampaignGranule(b) }
 func BenchmarkSimCampaignWord(b *testing.B)      { SimCampaignWord(b) }
