@@ -2,7 +2,7 @@ GO ?= go
 
 # Packages cheap enough to run under the race detector on every verify:
 # pure data structures and encoders, plus internal/sim — real goroutine +
-# channel code whose fast engine hands execution between thread
+# channel code whose scheduler hands execution between thread
 # goroutines, so its handoff protocol is exactly what the race detector
 # should watch. The heavier simulator packages (kernel, revoke, …) run
 # one thread at a time on top of sim and are exercised by the plain
@@ -84,26 +84,22 @@ obs-smoke:
 # BENCH_host.json: the host-performance rig (internal/hostbench) — where
 # the simulator spends real CPU, complementing the simulated-cycle
 # documents. Runs every microbenchmark and campaign through cmd/hostbench
-# and enforces the word kernel's speedup floors (sweep_kernel >= 3x,
-# campaign >= 1.5x), the fast sim engine's (sim_campaign >= 3x) and the
-# sparse memory representations' (heap_sweep >= 5x, fleet_setup >= 2x).
+# and enforces the word-wise sweep loop's speedup floors over the
+# per-granule one (sweep_kernel >= 3x, campaign >= 1.5x); every other
+# body is an absolute ns/op row, compared across commits with
+# `go run ./cmd/obs diff OLD NEW`.
 hostbench: BENCH_host.json
 BENCH_host.json: FORCE
 	$(GO) run ./cmd/hostbench -check -out $@
 
 # hostbench-smoke: CI liveness for the rig — every benchmark body runs
 # once (including the heap-scale million-frame sweep and the
-# allocation-bound fleet-setup pair), and the differential suites pin
-# that the word and granule kernels, the fast and classic sim engines,
-# and the sparse and flat memory representations still produce identical
-# simulated results.
+# allocation-bound fleet-setup campaign). The differentials against the
+# replaced implementations (internal/kernel, internal/sim, internal/tmem,
+# internal/shadow) and the pinned campaign and document digests
+# (internal/revoke, internal/expt) run under `make verify`.
 hostbench-smoke:
 	$(GO) test ./internal/hostbench -bench . -benchtime=1x -count=1
-	$(GO) test ./internal/revoke -run TestWordKernelMatchesGranule -count=1
-	$(GO) test ./internal/revoke -run TestFastEngineMatchesClassic -count=1
-	$(GO) test ./internal/expt -run TestDocumentIdenticalAcrossKernels -count=1
-	$(GO) test ./internal/expt -run TestDocumentIdenticalAcrossEngines -count=1
-	$(GO) test ./internal/expt -run TestDocumentIdenticalAcrossMemPaths -count=1
 
 # bench-test: the repository benchmark's own tests (bench/ is a separate
 # module, so `go test ./...` skips it). They run the full figure grid and

@@ -21,9 +21,7 @@
 //
 // The campaign report (-out) contains only simulation-derived quantities —
 // no host timing — so the same invocation produces a byte-identical report
-// at any -workers count, under either -sweepkernel, and under either
-// -simengine (the fast and classic engines make bit-identical scheduling
-// decisions; see internal/sim).
+// at any -workers count.
 //
 // Usage:
 //
@@ -40,7 +38,6 @@
 //	      [-http ADDR] [-http-linger D]
 //	      [-journal FILE] [-timeline FILE] [-timeline-canonical]
 //	      [-trace-events N]
-//	      [-sweepkernel word|granule] [-simengine fast|classic]
 //	      [-out report.json] [-progress] [-strict] [-list-classes]
 //
 // -exec=net makes this process the campaign coordinator (internal/dist):

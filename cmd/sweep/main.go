@@ -20,7 +20,6 @@
 //	      [-http ADDR] [-http-linger D]
 //	      [-journal FILE] [-timeline FILE] [-timeline-canonical]
 //	      [-trace-events N]
-//	      [-sweepkernel word|granule] [-simengine fast|classic]
 //	      [-cpuprofile FILE] [-memprofile FILE]
 //	      [-prof-folded FILE] [-prof-pprof FILE] [-metrics-out FILE]
 //	      [-series-csv FILE] [-sample-every N]
@@ -50,17 +49,8 @@
 // simulated-cycle tracer (internal/trace) with an N-event ring whose
 // contents ride the telemetry snapshots into manifests and timelines.
 //
-// -sweepkernel selects the page-sweep implementation: the default batch
-// word-wise kernel or the per-granule differential oracle. Both produce
-// identical simulated results (and therefore identical documents and
-// manifest entries); granule exists to cross-check the word kernel and to
-// measure its host-side speedup. -simengine likewise selects the sim
-// execution engine: the default fast engine (inline scheduling, batched
-// observer delivery) or the classic channel-per-slice engine it is
-// bit-identical to — documents and manifest entries are engine-agnostic.
-// -cpuprofile/-memprofile write host pprof
-// profiles — real time and allocations, complementing the simulated-cycle
-// telemetry exports below.
+// -cpuprofile/-memprofile write host pprof profiles — real time and
+// allocations, complementing the simulated-cycle telemetry exports below.
 //
 // -resume FILE attaches an on-disk manifest keyed by job content hash:
 // completed jobs are recorded as they finish, and a re-invoked sweep

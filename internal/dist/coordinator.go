@@ -12,7 +12,6 @@ import (
 	"repro/internal/dist/netfault"
 	"repro/internal/expt"
 	"repro/internal/journal"
-	"repro/internal/kernel"
 	"repro/internal/telemetry"
 )
 
@@ -24,10 +23,10 @@ type Config struct {
 	Grid string
 	// Pool configures the embedded expt.Pool: Workers bounds in-flight
 	// leases, Manifest/Retries/RetryBackoff/Progress work exactly as in a
-	// local run, and SweepKernel/SimEngine/Telemetry are forwarded to
-	// workers instead of being applied locally. Pool.Timeout is ignored —
-	// LeaseTimeout is its distributed equivalent, enforced by lease
-	// reclaim so the queue never double-issues a live attempt.
+	// local run, and Telemetry is forwarded to workers instead of being
+	// applied locally. Pool.Timeout is ignored — LeaseTimeout is its
+	// distributed equivalent, enforced by lease reclaim so the queue
+	// never double-issues a live attempt.
 	Pool expt.PoolConfig
 	// LeaseTimeout bounds one lease's lifetime regardless of heartbeats
 	// (a wedged worker heartbeats forever); 0 = unbounded.
@@ -222,7 +221,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 			}
 		}()
 		start := time.Now()
-		res, err = expt.RunJob(j, cfg.Pool.Telemetry, cfg.Pool.SweepKernel, cfg.Pool.SimEngine, cfg.Pool.MemPath)
+		res, err = expt.RunJob(j, cfg.Pool.Telemetry)
 		return res, time.Since(start), err
 	}
 	return c
@@ -594,30 +593,6 @@ func (c *Coordinator) handleHello(w http.ResponseWriter, r *http.Request) {
 			"protocol mismatch: worker speaks %q, coordinator %q", req.Proto, Proto)})
 		return
 	}
-	// Capability validation, in the spirit of the manifest grid header:
-	// refuse up front rather than let an incompatible worker compute
-	// results the campaign cannot use.
-	sk := c.cfg.Pool.SweepKernel.String()
-	ek := c.cfg.Pool.SimEngine.String()
-	if !contains(req.SweepKernels, sk) {
-		reply(w, HelloReply{OK: false, Reason: fmt.Sprintf(
-			"campaign requires sweep kernel %q; worker supports %v", sk, req.SweepKernels)})
-		return
-	}
-	if !contains(req.SimEngines, ek) {
-		reply(w, HelloReply{OK: false, Reason: fmt.Sprintf(
-			"campaign requires sim engine %q; worker supports %v", ek, req.SimEngines)})
-		return
-	}
-	// Mem-path support is a protocol extension: workers predating it omit
-	// MemPaths and implicitly run the fast path, so only a non-default
-	// campaign path needs explicit support.
-	mp := c.cfg.Pool.MemPath.String()
-	if c.cfg.Pool.MemPath != kernel.MemPathFast && !contains(req.MemPaths, mp) {
-		reply(w, HelloReply{OK: false, Reason: fmt.Sprintf(
-			"campaign requires mem path %q; worker supports %v", mp, req.MemPaths)})
-		return
-	}
 	name := req.Name
 	if name == "" {
 		name = "anonymous"
@@ -634,9 +609,6 @@ func (c *Coordinator) handleHello(w http.ResponseWriter, r *http.Request) {
 		WorkerID:    id,
 		Tool:        c.cfg.Tool,
 		Grid:        c.cfg.Grid,
-		SweepKernel: sk,
-		SimEngine:   ek,
-		MemPath:     mp,
 		HeartbeatMS: c.hbEvery.Milliseconds(),
 	}
 	if t := c.cfg.Pool.Telemetry; t != nil {
@@ -815,13 +787,4 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	c.jnl().Emit(jev)
 	l.t.done <- o
 	reply(w, ResultReply{OK: true})
-}
-
-func contains(xs []string, want string) bool {
-	for _, x := range xs {
-		if x == want {
-			return true
-		}
-	}
-	return false
 }

@@ -294,13 +294,14 @@ func TestDistErrClassNetworkPaths(t *testing.T) {
 }
 
 // TestDistHelloValidation pins the up-front compatibility checks: wrong
-// protocol versions and capability-poor workers are refused before they
-// can lease anything.
+// protocol versions are refused before they can lease anything, while a
+// hello carrying fields this build does not know — such as the sweep
+// kernel, sim engine and memory path capability lists older workers
+// still announce — is accepted.
 func TestDistHelloValidation(t *testing.T) {
 	c := startCoordinator(t, Config{Pool: expt.PoolConfig{Workers: 1}})
-	post := func(h Hello) HelloReply {
+	post := func(body []byte) HelloReply {
 		t.Helper()
-		body, _ := json.Marshal(h)
 		resp, err := http.Post("http://"+c.Addr()+PathHello, "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -312,32 +313,23 @@ func TestDistHelloValidation(t *testing.T) {
 		}
 		return rep
 	}
-	full := Hello{
-		Proto:        Proto,
-		SweepKernels: []string{"word", "granule"},
-		SimEngines:   []string{"fast", "classic"},
+	hello := func(h Hello) []byte {
+		body, _ := json.Marshal(h)
+		return body
 	}
 
-	bad := full
-	bad.Proto = "cornucopia-dist/v0"
-	if rep := post(bad); rep.OK || !strings.Contains(rep.Reason, "protocol mismatch") {
+	if rep := post(hello(Hello{Proto: "cornucopia-dist/v0"})); rep.OK || !strings.Contains(rep.Reason, "protocol mismatch") {
 		t.Fatalf("v0 hello accepted: %+v", rep)
 	}
 
-	bad = full
-	bad.SweepKernels = []string{"granule"} // campaign default is word
-	if rep := post(bad); rep.OK || !strings.Contains(rep.Reason, "sweep kernel") {
-		t.Fatalf("kernel-incapable hello accepted: %+v", rep)
+	if rep := post(hello(Hello{Proto: Proto, Name: "w"})); !rep.OK || rep.WorkerID == "" || rep.HeartbeatMS <= 0 {
+		t.Fatalf("hello refused: %+v", rep)
 	}
 
-	bad = full
-	bad.SimEngines = []string{"classic"}
-	if rep := post(bad); rep.OK || !strings.Contains(rep.Reason, "sim engine") {
-		t.Fatalf("engine-incapable hello accepted: %+v", rep)
-	}
-
-	if rep := post(full); !rep.OK || rep.WorkerID == "" || rep.HeartbeatMS <= 0 {
-		t.Fatalf("capable hello refused: %+v", rep)
+	older := []byte(`{"proto":"` + Proto + `","name":"old","sweep_kernels":["word","granule"],` +
+		`"sim_engines":["fast","classic"],"mem_paths":["fast","flat"]}`)
+	if rep := post(older); !rep.OK || rep.WorkerID == "" {
+		t.Fatalf("hello with retired capability fields refused: %+v", rep)
 	}
 
 	// Leasing without a hello is a protocol violation, answered with 409.

@@ -11,13 +11,12 @@
 //
 // Protocol (cornucopia-dist/v1), all POST, JSON request and reply:
 //
-//	/dist/v1/hello      worker announces its protocol version and
-//	                    kernel/engine capabilities; the coordinator
-//	                    validates compatibility (the same class of
-//	                    up-front check the manifest grid header performs)
-//	                    and replies with the campaign's tool/grid
-//	                    signature, the kernel, engine and telemetry
-//	                    configuration every job must run under, and the
+//	/dist/v1/hello      worker announces its protocol version; the
+//	                    coordinator refuses a mismatch up front (the
+//	                    same class of check the manifest grid header
+//	                    performs) and replies with the campaign's
+//	                    tool/grid signature, the telemetry
+//	                    configuration every job runs under, and the
 //	                    heartbeat interval.
 //	/dist/v1/lease      worker asks for a job; the reply is one of
 //	                    "job" (a leased expt.Job plus its key),
@@ -54,22 +53,15 @@ const (
 	PathResult    = "/dist/v1/result"
 )
 
-// Hello is the worker's opening announcement.
+// Hello is the worker's opening announcement. Every build runs every job
+// the same way, so a hello carries no capability lists; fields a worker
+// sends that this build does not know (such as the sweep_kernels,
+// sim_engines and mem_paths lists of older workers) are ignored.
 type Hello struct {
 	Proto string `json:"proto"`
 	// Name labels the worker in progress output and telemetry ("host:pid"
 	// by default); uniqueness is provided by the coordinator-assigned id.
 	Name string `json:"name"`
-	// SweepKernels and SimEngines list the implementations this worker
-	// build supports, by their flag names. The coordinator refuses
-	// workers that cannot run the campaign's configured pair.
-	SweepKernels []string `json:"sweep_kernels"`
-	SimEngines   []string `json:"sim_engines"`
-	// MemPaths lists the memory-model representations the worker supports
-	// (cornucopia-dist/v1 extension). An old worker omits the field and is
-	// assumed to support only the default fast path; the coordinator
-	// refuses it only when the campaign demands another path.
-	MemPaths []string `json:"mem_paths,omitempty"`
 }
 
 // TelemetryOptions mirrors telemetry.Options on the wire. TraceEvents
@@ -93,15 +85,8 @@ type HelloReply struct {
 	// header records them.
 	Tool string `json:"tool,omitempty"`
 	Grid string `json:"grid,omitempty"`
-	// SweepKernel and SimEngine are the implementations every leased job
-	// must run under; Telemetry, when non-nil, arms per-job recording so
-	// snapshots ride back inside the JobResult.
-	SweepKernel string `json:"sweep_kernel,omitempty"`
-	SimEngine   string `json:"sim_engine,omitempty"`
-	// MemPath is the memory-model representation every leased job must run
-	// under (cornucopia-dist/v1 extension; empty = fast). Old workers
-	// ignore it, which is benign: paths are simulated-identical.
-	MemPath   string            `json:"mem_path,omitempty"`
+	// Telemetry, when non-nil, arms per-job recording so snapshots ride
+	// back inside the JobResult.
 	Telemetry *TelemetryOptions `json:"telemetry,omitempty"`
 	// HeartbeatMS is how often the worker must renew each held lease.
 	HeartbeatMS int64 `json:"heartbeat_ms,omitempty"`

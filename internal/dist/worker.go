@@ -13,8 +13,6 @@ import (
 
 	"repro/internal/dist/netfault"
 	"repro/internal/expt"
-	"repro/internal/kernel"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -72,8 +70,8 @@ type WorkerConfig struct {
 }
 
 // Worker pulls leases from a coordinator and runs them through the same
-// expt.RunJob path a local pool uses, under the kernel/engine/telemetry
-// configuration the coordinator dictated at hello.
+// expt.RunJob path a local pool uses, under the telemetry configuration
+// the coordinator dictated at hello.
 type Worker struct {
 	cfg    WorkerConfig
 	base   string
@@ -82,9 +80,6 @@ type Worker struct {
 	id         string
 	hb         time.Duration
 	telem      *telemetry.Options
-	sk         kernel.SweepKernel
-	ek         sim.EngineKind
-	mp         kernel.MemPath
 	tool, grid string
 	cache      *expt.Manifest
 	backoff    expt.Backoff
@@ -134,7 +129,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		}
 	}
 	w.run = func(j expt.Job) (*expt.JobResult, error) {
-		return expt.RunJob(j, w.telem, w.sk, w.ek, w.mp)
+		return expt.RunJob(j, w.telem)
 	}
 	return w
 }
@@ -207,19 +202,7 @@ func (w *Worker) post(path string, in, out any) error {
 // hello announces the worker, retrying while the coordinator comes up,
 // and adopts the campaign configuration from the reply.
 func (w *Worker) hello() error {
-	req := Hello{
-		Proto: Proto,
-		Name:  w.cfg.Name,
-		SweepKernels: []string{
-			kernel.SweepKernelWord.String(), kernel.SweepKernelGranule.String(),
-		},
-		SimEngines: []string{
-			sim.EngineFast.String(), sim.EngineClassic.String(),
-		},
-		MemPaths: []string{
-			kernel.MemPathFast.String(), kernel.MemPathFlat.String(),
-		},
-	}
+	req := Hello{Proto: Proto, Name: w.cfg.Name}
 	deadline := time.Now().Add(w.cfg.HelloTimeout)
 	for attempt := 1; ; attempt++ {
 		var rep HelloReply
@@ -240,17 +223,8 @@ func (w *Worker) hello() error {
 					TraceEvents: rep.Telemetry.TraceEvents,
 				}
 			}
-			if w.sk, err = kernel.ParseSweepKernel(rep.SweepKernel); err != nil {
-				return fmt.Errorf("dist: coordinator sent unusable kernel: %w", err)
-			}
-			if w.ek, err = sim.ParseEngineKind(rep.SimEngine); err != nil {
-				return fmt.Errorf("dist: coordinator sent unusable engine: %w", err)
-			}
-			if w.mp, err = kernel.ParseMemPath(rep.MemPath); err != nil {
-				return fmt.Errorf("dist: coordinator sent unusable mem path: %w", err)
-			}
-			w.logf("worker %s joined %s campaign %q (kernel=%s engine=%s mempath=%s heartbeat=%s)",
-				w.id, rep.Tool, rep.Grid, w.sk, w.ek, w.mp, w.hb)
+			w.logf("worker %s joined %s campaign %q (heartbeat=%s)",
+				w.id, rep.Tool, rep.Grid, w.hb)
 			return nil
 		}
 		if time.Now().After(deadline) {

@@ -2,8 +2,7 @@
 // cmd/sweep and cmd/chaos share: the pool sizing flags (-workers,
 // -timeout, -retries, -retry-backoff), manifest resume (-resume,
 // -compact), per-job progress lines (-progress), the live introspection
-// server (-http, -http-linger), the simulation implementation seams
-// (-sweepkernel, -simengine, -mempath), the execution backend (-exec, -listen,
+// server (-http, -http-linger), the execution backend (-exec, -listen,
 // -addr-file, -heartbeat), and the observability plane (-journal,
 // -timeline, -timeline-canonical, -trace-events). Both commands register
 // the same flags with the same defaults and get the same progress
@@ -26,16 +25,14 @@ import (
 	"repro/internal/dist/netfault"
 	"repro/internal/expt"
 	"repro/internal/journal"
-	"repro/internal/kernel"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
 // Flags holds the shared experiment-runner flag values after Parse.
 type Flags struct {
-	Workers  int
-	Timeout  time.Duration
-	Retries  int
+	Workers int
+	Timeout time.Duration
+	Retries int
 	// RetryBackoff spaces a failed job's attempts (attempt n+1 waits
 	// n*RetryBackoff); 0 retries immediately.
 	RetryBackoff time.Duration
@@ -106,15 +103,6 @@ type Flags struct {
 	// this many events (0 = off); the ring rides each job's telemetry
 	// snapshot into manifests, dist results, and -timeline tracks.
 	TraceEvents int
-	// SweepKernel names the page-sweep implementation ("word" or
-	// "granule"); resolve it with ParseSweepKernel.
-	SweepKernel string
-	// SimEngine names the sim execution engine ("fast" or "classic");
-	// resolve it with ParseSimEngine.
-	SimEngine string
-	// MemPath names the memory-model host representation ("fast" or
-	// "flat"); resolve it with ParseMemPath.
-	MemPath string
 	// CPUProfile/MemProfile, when non-empty, write host-side pprof
 	// profiles — the complement of the simulated-cycle profiler
 	// (internal/telemetry), which attributes virtual time, not host time.
@@ -155,27 +143,9 @@ func Register() *Flags {
 	flag.StringVar(&f.Timeline, "timeline", "", "write a merged Chrome/Perfetto campaign timeline (chrome://tracing JSON) to this file")
 	flag.BoolVar(&f.TimelineCanonical, "timeline-canonical", false, "strip host metadata from -timeline: one deterministic campaign track, byte-identical across local and distributed runs")
 	flag.IntVar(&f.TraceEvents, "trace-events", 0, "arm the per-job cycle tracer with a ring of this many events (0 = off)")
-	flag.StringVar(&f.SweepKernel, "sweepkernel", "word", "page-sweep implementation: word (batch kernel) or granule (per-granule differential oracle)")
-	flag.StringVar(&f.SimEngine, "simengine", "fast", "sim execution engine: fast (inline scheduler) or classic (channel-per-slice differential oracle)")
-	flag.StringVar(&f.MemPath, "mempath", "fast", "memory-model host representation: fast (sparse hierarchical) or flat (differential oracle)")
 	flag.StringVar(&f.CPUProfile, "cpuprofile", "", "write a host CPU profile (pprof) to this file")
 	flag.StringVar(&f.MemProfile, "memprofile", "", "write a host heap profile (pprof) to this file at exit")
 	return f
-}
-
-// ParseSweepKernel resolves the -sweepkernel flag value.
-func (f *Flags) ParseSweepKernel() (kernel.SweepKernel, error) {
-	return kernel.ParseSweepKernel(f.SweepKernel)
-}
-
-// ParseSimEngine resolves the -simengine flag value.
-func (f *Flags) ParseSimEngine() (sim.EngineKind, error) {
-	return sim.ParseEngineKind(f.SimEngine)
-}
-
-// ParseMemPath resolves the -mempath flag value.
-func (f *Flags) ParseMemPath() (kernel.MemPath, error) {
-	return kernel.ParseMemPath(f.MemPath)
 }
 
 // StartProfiles begins host CPU profiling if -cpuprofile was given. The
@@ -250,18 +220,6 @@ func (f *Flags) Manifest(tool, grid string) (*expt.Manifest, error) {
 // pass it to Finish when the run completes. Callers may further adjust
 // the returned config (e.g. set Telemetry) before expt.NewPool.
 func (f *Flags) PoolConfig(tool string, manifest *expt.Manifest) (expt.PoolConfig, *telemetry.Live, error) {
-	sk, err := f.ParseSweepKernel()
-	if err != nil {
-		return expt.PoolConfig{}, nil, err
-	}
-	ek, err := f.ParseSimEngine()
-	if err != nil {
-		return expt.PoolConfig{}, nil, err
-	}
-	mp, err := f.ParseMemPath()
-	if err != nil {
-		return expt.PoolConfig{}, nil, err
-	}
 	cfg := expt.PoolConfig{
 		Workers:      f.Workers,
 		Timeout:      f.Timeout,
@@ -269,9 +227,6 @@ func (f *Flags) PoolConfig(tool string, manifest *expt.Manifest) (expt.PoolConfi
 		RetryBackoff: f.RetryBackoff,
 		Backoff:      f.Backoff(),
 		Manifest:     manifest,
-		SweepKernel:  sk,
-		SimEngine:    ek,
-		MemPath:      mp,
 	}
 	var live *telemetry.Live
 	if f.HTTPAddr != "" {

@@ -11,8 +11,6 @@ import (
 	"repro/internal/bus"
 	"repro/internal/harness"
 	"repro/internal/journal"
-	"repro/internal/kernel"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/workload/qps"
@@ -96,22 +94,6 @@ type PoolConfig struct {
 	// JobResult.Telem. Job keys are unaffected — telemetry never changes
 	// what a run computes.
 	Telemetry *telemetry.Options
-	// SweepKernel selects the page-sweep implementation for every
-	// executed job (zero value = the word-wise kernel). Both kernels are
-	// simulated-identical, so — like Telemetry — the choice leaves job
-	// keys untouched and manifest entries are kernel-agnostic.
-	SweepKernel kernel.SweepKernel
-	// SimEngine selects the sim execution engine for every executed job
-	// (zero value = the fast engine). Engines are simulated-identical —
-	// pinned by the engine-equivalence tests — so the choice leaves job
-	// keys untouched and manifest entries are engine-agnostic.
-	SimEngine sim.EngineKind
-	// MemPath selects the memory-model host representation for every
-	// executed job (zero value = the sparse fast path). Paths are
-	// simulated-identical — pinned by the mem-path equivalence tests — so
-	// the choice leaves job keys untouched and manifest entries are
-	// path-agnostic.
-	MemPath kernel.MemPath
 	// Journal, when non-nil, receives the campaign's job lifecycle
 	// (submit/start/retry/result). The pool is the one emission seam for
 	// local runs; internal/dist's coordinator shares the same writer and
@@ -159,7 +141,7 @@ func NewPool(cfg PoolConfig) *Pool {
 		entries: map[string]*entry{},
 	}
 	p.run = func(j Job) (*JobResult, time.Duration, error) {
-		r, err := RunJob(j, cfg.Telemetry, cfg.SweepKernel, cfg.SimEngine, cfg.MemPath)
+		r, err := RunJob(j, cfg.Telemetry)
 		return r, 0, err
 	}
 	return p
@@ -178,16 +160,18 @@ func (p *Pool) SetRun(run func(Job) (*JobResult, time.Duration, error)) {
 // snapshot must conserve cycles. This is the one true execution path —
 // local pool workers and internal/dist network workers both call it, so
 // a job computes the same result wherever it runs.
-func RunJob(j Job, telem *telemetry.Options, sk kernel.SweepKernel, ek sim.EngineKind, mp kernel.MemPath) (*JobResult, error) {
+//
+// The trailing ints are ignored. They stand where the sweep-kernel,
+// sim-engine and memory-path selectors used to be passed, so callers
+// written against that signature (RunJob(j, telem, 0, 0, 0)) still
+// compile; new callers pass none.
+func RunJob(j Job, telem *telemetry.Options, _ ...int) (*JobResult, error) {
 	w, err := j.Workload.Instantiate()
 	if err != nil {
 		return nil, err
 	}
 	cfg := j.Cfg
 	cfg.Trace = nil
-	cfg.SweepKernel = sk
-	cfg.SimEngine = ek
-	cfg.MemPath = mp
 	if telem != nil {
 		cfg.Telem = telemetry.New(*telem)
 		if telem.TraceEvents > 0 {

@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"repro/internal/harness"
-	"repro/internal/kernel"
-	"repro/internal/sim"
 )
 
 func TestDocumentRoundTrip(t *testing.T) {
@@ -89,7 +87,7 @@ func TestJobResultHarnessRoundTrip(t *testing.T) {
 		Cond:     harness.StandardConditions()[1],
 		Cfg:      harness.PgbenchConfig(),
 	}
-	jr, err := RunJob(j, nil, kernel.SweepKernelWord, sim.EngineFast, kernel.MemPathFast)
+	jr, err := RunJob(j, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,6 @@ import (
 	"repro/internal/oracle"
 	"repro/internal/quarantine"
 	"repro/internal/revoke"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -157,22 +156,6 @@ type Config struct {
 	// returns. Excluded from JSON so experiment job keys stay stable —
 	// enabling telemetry never changes what a run computes.
 	Telem *telemetry.Telemetry `json:"-"`
-	// SweepKernel selects the page-sweep implementation (zero value =
-	// word-wise). Both kernels produce identical simulated results —
-	// pinned by the kernel-equivalence tests — so, like Telem, the choice
-	// is excluded from JSON: job keys stay stable and a manifest entry
-	// computed under either kernel satisfies the other.
-	SweepKernel kernel.SweepKernel `json:"-"`
-	// SimEngine selects the sim execution engine (zero value = fast).
-	// Both engines make bit-identical scheduling decisions — pinned by
-	// the engine-equivalence tests — so, like SweepKernel, the choice is
-	// excluded from JSON and job keys stay stable.
-	SimEngine sim.EngineKind `json:"-"`
-	// MemPath selects the memory-model host representation (zero value =
-	// sparse fast path). Both paths produce identical simulated results —
-	// pinned by the mem-path equivalence tests — so, like SweepKernel, the
-	// choice is excluded from JSON and job keys stay stable.
-	MemPath kernel.MemPath `json:"-"`
 }
 
 // DefaultConfig returns the standard experiment configuration.
@@ -196,12 +179,9 @@ func Run(w workload.Workload, cond Condition, cfg Config) (*Result, error) {
 	if cfg.Machine.MaxFrames == 0 {
 		cfg.Machine = kernel.DefaultMachineConfig()
 	}
-	cfg.Machine.Sim.Engine = cfg.SimEngine
 	m := kernel.NewMachine(cfg.Machine)
 	m.Trace = cfg.Trace // before NewProcess: wires the MMU shootdown hook
 	m.Telem = cfg.Telem
-	m.Sweep = cfg.SweepKernel
-	m.Mem = cfg.MemPath
 	cfg.Telem.Bind(m.Eng)
 	p := m.NewProcess(cfg.Seed)
 	h := alloc.NewHeap(p)

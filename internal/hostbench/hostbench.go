@@ -1,9 +1,9 @@
 // Package hostbench holds the host-performance benchmark bodies behind
-// `make hostbench`: microbenchmarks of the two sweep kernels' inner loops
-// (tmem.SweepTags vs SweepTagsWords, shadow.Test vs shadow.PaintedWord),
-// the per-granule tag accessors, the bus cache model under the sweep's
-// and the store path's access patterns, and an end-to-end sweep-heavy
-// campaign timed under each -sweepkernel setting.
+// `make hostbench`: microbenchmarks of the per-granule and word-wise
+// sweep inner loops (tmem.SweepTags vs SweepTagsWords, shadow.Test vs
+// shadow.PaintedWord), the per-granule tag accessors, the bus cache model
+// under the sweep's and the store path's access patterns, and end-to-end
+// simulated campaigns: sweep-heavy, scheduler-heavy and allocation-heavy.
 //
 // The bodies are ordinary func(*testing.B) values listed in Benchmarks,
 // so the same code runs two ways: hostbench_test.go wraps each as a
@@ -13,8 +13,8 @@
 //
 // These benchmarks measure host wall time — where the simulator itself
 // spends real CPU — and are the complement of the simulated-cycle
-// telemetry: the word kernel's whole point is that simulated results are
-// bit-identical while host cost drops.
+// telemetry: a host optimisation keeps simulated results bit-identical
+// while host cost drops.
 package hostbench
 
 import (
@@ -28,7 +28,6 @@ import (
 	"repro/internal/quarantine"
 	"repro/internal/revoke"
 	"repro/internal/shadow"
-	"repro/internal/sim"
 	"repro/internal/tmem"
 	"repro/internal/workload"
 	"repro/internal/workload/fleet"
@@ -36,26 +35,22 @@ import (
 
 // Benchmark names the ratio computations in cmd/hostbench key on.
 const (
-	NameSweepTags          = "SweepTags"
-	NameSweepTagsWords     = "SweepTagsWords"
-	NameShadowTest         = "ShadowTest"
-	NameShadowPainted      = "ShadowPaintedWord"
-	NameTmemLoadCap        = "TmemLoadCap"
-	NameTmemTagSet         = "TmemTagSet"
-	NameTmemClearTag       = "TmemClearTagStoreCap"
-	NameBusSweepMix        = "BusSweepMix"
-	NameBusAccessRange     = "BusAccessRange"
-	NameCampaignWord       = "CampaignWord"
-	NameCampaignGranule    = "CampaignGranule"
-	NameSimCampaignWord    = "SimCampaignWord"
-	NameSimCampaignGranule = "SimCampaignGranule"
-	NameSimCampaignFast    = "SimCampaignFast"
-	NameSimCampaignClassic = "SimCampaignClassic"
-	NameHeapSweepSparse    = "HeapSweepSparse"
-	NameHeapSweepFlat      = "HeapSweepFlat"
-	NameFleetSetupFast     = "FleetSetupFast"
-	NameFleetSetupFlat     = "FleetSetupFlat"
-	NameCampaignOpsField   = "sweepstorm" // workload name inside the sim campaign
+	NameSweepTags        = "SweepTags"
+	NameSweepTagsWords   = "SweepTagsWords"
+	NameShadowTest       = "ShadowTest"
+	NameShadowPainted    = "ShadowPaintedWord"
+	NameTmemLoadCap      = "TmemLoadCap"
+	NameTmemTagSet       = "TmemTagSet"
+	NameTmemClearTag     = "TmemClearTagStoreCap"
+	NameBusSweepMix      = "BusSweepMix"
+	NameBusAccessRange   = "BusAccessRange"
+	NameCampaignWord     = "CampaignWord"
+	NameCampaignGranule  = "CampaignGranule"
+	NameSimCampaignWord  = "SimCampaignWord"
+	NameSimCampaignFast  = "SimCampaignFast"
+	NameHeapSweepSparse  = "HeapSweepSparse"
+	NameFleetSetupFast   = "FleetSetupFast"
+	NameCampaignOpsField = "sweepstorm" // workload name inside the sim campaign
 )
 
 // Benchmarks is the full rig in display order.
@@ -75,13 +70,9 @@ var Benchmarks = []struct {
 	{NameCampaignWord, CampaignWord},
 	{NameCampaignGranule, CampaignGranule},
 	{NameSimCampaignWord, SimCampaignWord},
-	{NameSimCampaignGranule, SimCampaignGranule},
 	{NameSimCampaignFast, SimCampaignFast},
-	{NameSimCampaignClassic, SimCampaignClassic},
 	{NameHeapSweepSparse, HeapSweepSparse},
-	{NameHeapSweepFlat, HeapSweepFlat},
 	{NameFleetSetupFast, FleetSetupFast},
-	{NameFleetSetupFlat, FleetSetupFlat},
 }
 
 // heapBase places the microbenchmark "heap" away from zero, like real
@@ -117,8 +108,8 @@ func densePage() (*tmem.Phys, tmem.FrameID, *shadow.Bitmap) {
 	return p, f, sh
 }
 
-// SweepTags is the per-granule kernel's inner loop: one callback per
-// tagged granule, one shadow chunk-map lookup per probe.
+// SweepTags is the per-granule sweep loop: one callback per tagged
+// granule, one shadow chunk-map lookup per probe.
 func SweepTags(b *testing.B) {
 	p, f, sh := densePage()
 	hits := 0
@@ -134,7 +125,7 @@ func SweepTags(b *testing.B) {
 	sink = hits
 }
 
-// SweepTagsWords is the word-wise kernel's inner loop over the same page:
+// SweepTagsWords is the word-wise sweep loop over the same page:
 // one callback per nonzero tag word, intersected against the matching
 // 64-granule shadow word, descending only to intersection bits.
 func SweepTagsWords(b *testing.B) {
@@ -277,11 +268,11 @@ func BusAccessRange(b *testing.B) {
 
 // The heap-scale campaign: a multi-megabyte tagged heap swept epoch after
 // epoch, with a rotating stripe of frames in quarantine. Unlike the
-// SimCampaign benchmarks below, this path runs the two kernels at their
-// own natural host recipes — the granule kernel probing shadow.Test per
-// tagged granule, the word kernel intersecting tag words against
-// PaintedWord — so it measures the kernels' end-to-end sweep throughput
-// over realistic heap geometry (many frames, many shadow chunks, sparse
+// SimCampaign benchmarks below, this path runs the two sweep loops at
+// their own natural host recipes — the per-granule loop probing
+// shadow.Test per tagged granule, the word loop intersecting tag words
+// against PaintedWord — so it measures their sweep throughput over
+// realistic heap geometry (many frames, many shadow chunks, sparse
 // quarantine) rather than the simulator's fixed per-granule cost model.
 const (
 	campFrames      = 2048 // 8 MiB heap
@@ -410,9 +401,8 @@ func CampaignGranule(b *testing.B) { campaignEpochs(b, false) }
 // pointer-dense objects (one self-capability per object, so every object
 // contributes a tagged granule) churned just hard enough to keep epochs
 // coming. Nearly all simulated work is the revoker's sweep over the
-// resident tags, which is the regime the word kernel exists for — and the
-// regime where a host-time difference between kernels is measurable
-// rather than drowned in application simulation.
+// resident tags, so the sweep's host cost is measurable rather than
+// drowned in application simulation.
 type storm struct {
 	objs  int
 	churn int
@@ -455,20 +445,13 @@ func (s storm) Body(rig *workload.Rig, th *kernel.Thread) {
 	rig.Join(th)
 }
 
-// simCampaignRun is the sweep-heavy harness setup both SimCampaign
-// benchmarks share: CHERIvoke (every epoch sweeps the whole heap, no
-// dirty-page filtering) with a small quarantine floor, so the resident
-// pool is re-swept constantly.
-//
-// Because the word kernel is required to be simulation-invisible, it must
-// replay the granule kernel's exact bus-access and tick sequence for every
-// visited granule; that shared accounting (timed alone by BusSweepMix)
-// outweighs the kernels' difference, so the two SimCampaign timings are
-// expected to sit near 1×. They are kept as the full-stack timer — a
-// regression in either kernel's plumbing shows up here — while the
-// Campaign benchmarks above carry the kernels' actual throughput
-// difference.
-func simCampaignRun(b *testing.B, sk kernel.SweepKernel) {
+// SimCampaignWord times the full simulator over a sweep-heavy campaign:
+// CHERIvoke (every epoch sweeps the whole heap, no dirty-page filtering)
+// with a small quarantine floor, so the resident pool is re-swept
+// constantly. Most of its host time is the sweep's per-granule simulated
+// recipe — two or three bus cache lookups per visited capability, each
+// with its tick — which BusSweepMix times on its own.
+func SimCampaignWord(b *testing.B) {
 	cond := harness.Condition{
 		Name: "CHERIvoke", Shimmed: true, Strategy: revoke.CHERIvoke,
 		RevokerCores: []int{2},
@@ -478,7 +461,6 @@ func simCampaignRun(b *testing.B, sk kernel.SweepKernel) {
 		Policy: quarantine.Policy{HeapFraction: 0.001, MinBytes: 8 << 10, BlockFactor: 1000},
 	}
 	cfg := harness.DefaultConfig()
-	cfg.SweepKernel = sk
 	w := storm{objs: 1 << 15, churn: 4096, size: 64}
 	visited := uint64(0)
 	b.ResetTimer()
@@ -498,23 +480,12 @@ func simCampaignRun(b *testing.B, sk kernel.SweepKernel) {
 	b.ReportMetric(float64(visited), "caps-visited")
 }
 
-// SimCampaignWord times the simulated campaign under the word-wise kernel.
-func SimCampaignWord(b *testing.B) { simCampaignRun(b, kernel.SweepKernelWord) }
-
-// SimCampaignGranule times the identical simulated campaign under the
-// per-granule differential oracle.
-func SimCampaignGranule(b *testing.B) { simCampaignRun(b, kernel.SweepKernelGranule) }
-
-// simFleetRun is the scheduler-heavy campaign both sim-engine benchmarks
-// share: a Reloaded revocation campaign over an open-loop connection
-// fleet (internal/workload/fleet) in which almost every thread is asleep
-// at any instant. Per-request compute is tiny, so host time concentrates
-// in the simulator's dispatch machinery — the classic engine's two
-// channel crossings per slice and O(threads) sleeper scan per dispatch
-// against the fast engine's inline scheduling and sleeper heap. This is
-// the pair `make hostbench` enforces the sim_campaign ≥3× floor on; both
-// engines compute bit-identical campaigns (TestSimFleetEnginesAgree).
-func simFleetRun(b *testing.B, ek sim.EngineKind) {
+// SimCampaignFast times the scheduler-heavy campaign: a Reloaded
+// revocation campaign over an open-loop connection fleet
+// (internal/workload/fleet) in which almost every thread is asleep at any
+// instant. Per-request compute is tiny, so host time concentrates in the
+// simulator's dispatch machinery: inline scheduling and the sleeper heap.
+func SimCampaignFast(b *testing.B) {
 	cond := harness.Condition{
 		Name: "Reloaded", Shimmed: true, Strategy: revoke.Reloaded,
 		RevokerCores: []int{2},
@@ -523,7 +494,6 @@ func simFleetRun(b *testing.B, ek sim.EngineKind) {
 		Policy: quarantine.Policy{HeapFraction: 0.001, MinBytes: 1 << 20, BlockFactor: 1000},
 	}
 	cfg := harness.DefaultConfig()
-	cfg.SimEngine = ek
 	cfg.AppCores = []int{0, 1, 3}
 	w := fleet.New(8192, 48)
 	b.ResetTimer()
@@ -539,23 +509,11 @@ func simFleetRun(b *testing.B, ek sim.EngineKind) {
 	b.ReportMetric(float64(w.Messages), "messages")
 }
 
-// SimCampaignFast times the connection-fleet campaign under the fast
-// (inline-scheduling) engine.
-func SimCampaignFast(b *testing.B) { simFleetRun(b, sim.EngineFast) }
-
-// SimCampaignClassic times the identical campaign under the classic
-// channel-per-slice engine, the differential oracle.
-func SimCampaignClassic(b *testing.B) { simFleetRun(b, sim.EngineClassic) }
-
-// The heap-scale sweep pair: a million-frame bank (4 GiB of simulated
-// memory) of which a sparse minority of frames holds tags — the geometry
-// of a million-allocation heap whose pointer-bearing granules are rare
-// relative to its data bulk. The sparse walk descends the region →
-// frame-group summary tree and touches only tagged frames, O(live tags);
-// the flat oracle scans every frame struct, O(bank). This is the pair
-// `make hostbench` enforces the heap_sweep ≥5× floor on; the two walks
-// visit identical (frame, granule) sequences (the tmem sparse-vs-flat
-// equivalence suite).
+// The heap-scale sweep: a million-frame bank (4 GiB of simulated memory)
+// of which a sparse minority of frames holds tags — the geometry of a
+// million-allocation heap whose pointer-bearing granules are rare relative
+// to its data bulk. The walk descends the region → frame-group summary
+// tree and touches only tagged frames, O(live tags).
 const (
 	heapFrames    = 1 << 20 // 4 GiB simulated memory
 	heapTagStride = 128     // one tagged frame per 128 (8192 tagged frames)
@@ -576,23 +534,18 @@ func newHeapScaleBank() *tmem.Phys {
 	return p
 }
 
-// heapSweepEpochs runs whole-bank audit sweeps (every tagged granule
-// visited, read-only) under the chosen bank iterator.
-func heapSweepEpochs(b *testing.B, sparse bool) {
+// HeapSweepSparse times whole-bank audit sweeps (every tagged granule
+// visited, read-only) through the summary tree.
+func HeapSweepSparse(b *testing.B) {
 	p := newHeapScaleBank()
 	visited := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		visited = 0
-		count := func(id tmem.FrameID) bool {
+		p.ForEachTaggedFrame(func(id tmem.FrameID) bool {
 			p.ForEachTag(id, func(int, ca.Capability) { visited++ })
 			return true
-		}
-		if sparse {
-			p.ForEachTaggedFrame(count)
-		} else {
-			p.ForEachTaggedFrameFlat(count)
-		}
+		})
 		if visited != heapFrames/heapTagStride {
 			b.Fatalf("visited %d tagged granules, want %d", visited, heapFrames/heapTagStride)
 		}
@@ -601,32 +554,20 @@ func heapSweepEpochs(b *testing.B, sparse bool) {
 	b.ReportMetric(float64(visited), "caps-visited")
 }
 
-// HeapSweepSparse times the whole-bank sweep through the summary tree.
-func HeapSweepSparse(b *testing.B) { heapSweepEpochs(b, true) }
-
-// HeapSweepFlat times the identical sweep through the flat frame-table
-// scan, the differential oracle and perf baseline.
-func HeapSweepFlat(b *testing.B) { heapSweepEpochs(b, false) }
-
-// The fleet-setup pair: the same open-loop connection fleet as the
-// SimCampaign engine pair, but allocation-bound instead of
-// scheduler-bound — fewer connections, each building a large session pool
-// (8 slots × 16 KiB) and churning it, with a few requests of steady
-// state. Memory-model host costs dominate: data-store tag clears
-// (word-masked vs per-granule), shadow paint/unpaint on session frees
-// (word-masked + chunk recycling vs granule-by-granule), capability-array
-// population (recycled vs fresh-and-zeroed), and the sorted vpn list
-// (O(1) ascending append). Both paths compute bit-identical campaigns
-// (TestFleetSetupMemPathsAgree, TestDocumentIdenticalAcrossMemPaths);
-// `make hostbench` enforces the fleet_setup ≥2× floor on this pair.
-func fleetSetupRun(b *testing.B, mp kernel.MemPath) {
+// FleetSetupFast times the same open-loop connection fleet as
+// SimCampaignFast, but allocation-bound instead of scheduler-bound: fewer
+// connections, each building a large session pool (8 slots × 16 KiB) and
+// churning it, with a few requests of steady state. Memory-model host
+// costs dominate: word-masked data-store tag clears, shadow paint/unpaint
+// on session frees with chunk recycling, recycled capability arrays, and
+// the O(1) ascending vpn append.
+func FleetSetupFast(b *testing.B) {
 	cond := harness.Condition{
 		Name: "Reloaded", Shimmed: true, Strategy: revoke.Reloaded,
 		RevokerCores: []int{2},
 		Policy:       quarantine.Policy{HeapFraction: 0.001, MinBytes: 1 << 20, BlockFactor: 1000},
 	}
 	cfg := harness.DefaultConfig()
-	cfg.MemPath = mp
 	cfg.AppCores = []int{0, 1, 3}
 	w := fleet.New(1024, 16)
 	w.SessionSlots = 8
@@ -643,11 +584,3 @@ func fleetSetupRun(b *testing.B, mp kernel.MemPath) {
 	}
 	b.ReportMetric(float64(w.Messages), "messages")
 }
-
-// FleetSetupFast times the setup-weighted fleet campaign under the sparse
-// fast memory path.
-func FleetSetupFast(b *testing.B) { fleetSetupRun(b, kernel.MemPathFast) }
-
-// FleetSetupFlat times the identical campaign under the flat differential
-// path, the perf baseline.
-func FleetSetupFlat(b *testing.B) { fleetSetupRun(b, kernel.MemPathFlat) }

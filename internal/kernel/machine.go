@@ -108,20 +108,6 @@ type Machine struct {
 	// recorder; set it (and Bind it to Eng) before creating processes.
 	Telem *telemetry.Telemetry
 
-	// Sweep selects the page-sweep implementation (see SweepKernel). The
-	// zero value is the word-wise kernel; both kernels produce identical
-	// simulated results, so the selection — like Trace and Telem — never
-	// changes what a run computes, only what it costs the host.
-	Sweep SweepKernel
-
-	// Mem selects the memory-model host representation (see MemPath). The
-	// zero value is the sparse fast path; like Sweep, the flat path
-	// produces identical simulated results and exists as a differential
-	// oracle and perf baseline. Set it before creating processes: it is
-	// consulted (and fanned out to the frame bank, address space and
-	// shadow bitmap) when NewProcess runs.
-	Mem MemPath
-
 	procs []*Process
 }
 

@@ -116,16 +116,10 @@ type Process struct {
 
 // NewProcess creates a process on the machine.
 func (m *Machine) NewProcess(seed int64) *Process {
-	flat := m.Mem == MemPathFlat
-	m.Phys.FlatAlloc = flat
-	as := vm.NewAddressSpace(m.Phys, m.Eng.Config().Cores)
-	as.FlatVPNs = flat
-	sh := shadow.New()
-	sh.FlatSet = flat
 	p := &Process{
 		M:      m,
-		AS:     as,
-		Shadow: sh,
+		AS:     vm.NewAddressSpace(m.Phys, m.Eng.Config().Cores),
+		Shadow: shadow.New(),
 		rng:    rand.New(rand.NewSource(seed)),
 	}
 	p.epochEv = m.Eng.NewEvent()

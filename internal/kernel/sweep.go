@@ -10,60 +10,42 @@ import (
 	"repro/internal/vm"
 )
 
-// SweepKernel selects the implementation of the page-sweep primitive.
+// tagTableBase is the virtual alias of the memory-controller tag table
+// used for cost attribution of CLoadTags-style tag reads.
+const tagTableBase = 0x7000_0000_0000
+
+// tagBytesPerPage is the tag metadata volume per 4 KiB page (256 granules
+// × 1 bit ⇒ 32 bytes).
+const tagBytesPerPage = 32
+
+// SweepPage scans one resident page for revoked capabilities: every tagged
+// granule's base is probed in the revocation bitmap and matching tags are
+// cleared. Reading the page and probing the bitmap are charged to this
+// thread at its agent attribution. Returns (capabilities inspected,
+// capabilities revoked). The page's capability-dirty bit is cleared.
 //
-// Both kernels execute the same simulated recipe — the same sequence of
-// bus accesses and ticks, the same visit order, the same revocations — so
-// every simulated-cycle count and report byte is identical between them.
-// The word kernel is the default; the granule kernel is retained as a
-// differential oracle (see the kernel-equivalence tests) and as the
-// -sweepkernel=granule escape hatch on cmd/sweep.
-type SweepKernel int
-
-const (
-	// SweepKernelWord batches work by 64-granule tag word: tmem hands the
-	// sweep whole nonzero tag words (frame summaries skip empty words and
-	// frames in O(1)) and shadow probes go through PaintedWord's chunk
-	// cache instead of a map lookup per capability.
-	SweepKernelWord SweepKernel = iota
-	// SweepKernelGranule is the original per-granule callback path.
-	SweepKernelGranule
-)
-
-func (k SweepKernel) String() string {
-	switch k {
-	case SweepKernelWord:
-		return "word"
-	case SweepKernelGranule:
-		return "granule"
-	}
-	return fmt.Sprintf("sweepkernel(%d)", int(k))
-}
-
-// ParseSweepKernel parses a -sweepkernel flag value.
-func ParseSweepKernel(s string) (SweepKernel, error) {
-	switch s {
-	case "", "word":
-		return SweepKernelWord, nil
-	case "granule":
-		return SweepKernelGranule, nil
-	}
-	return 0, fmt.Errorf("kernel: unknown sweep kernel %q (want word or granule)", s)
-}
-
-// sweepPageWords is the word-wise sweep: it mirrors sweepPageGranule's
-// cost recipe exactly (the bus cache is stateful, so even the order of
-// accesses matters) while removing the per-granule host overheads — the
-// closure call per tagged granule and the chunk-map lookup per shadow
-// probe.
-func (t *Thread) sweepPageWords(vpn uint64, pte *vm.PTE) (visited, revoked int) {
+// The scan works a 64-granule tag word at a time: tmem hands it whole
+// nonzero tag words (frame summaries skip empty words and frames in O(1))
+// and shadow probes go through PaintedWord's chunk cache, with no closure
+// call per tagged granule and no chunk-map lookup per probe. The simulated
+// recipe is still per granule — one data-line read, one bitmap probe and,
+// on revocation, one write per tagged granule, ticked in ascending order
+// (the bus cache is stateful, so even the order of accesses matters). It
+// is the recipe of the original one-callback-per-granule sweep, which
+// survives in this package's tests as the reference SweepPage is checked
+// against.
+func (t *Thread) SweepPage(vpn uint64, pte *vm.PTE) (visited, revoked int) {
 	core := t.Sim.CoreID()
 	b := t.P.M.Bus
 	sh := t.P.Shadow
 	opCost := t.P.M.Costs.Op
 	if pte.Bits&vm.PTECOW != 0 {
-		// Read-only pre-scan before breaking copy-on-write sharing; see
-		// sweepPageGranule for the footnote-20 rationale.
+		// The frame may be shared copy-on-write with another address
+		// space; a revocation write through this mapping would destroy the
+		// other sharer's (independently quarantined) capabilities — the
+		// aliasing disaster of footnote 20. Apply §4.3's heuristic: scan
+		// read-only first, and only if something must actually be revoked
+		// upgrade the page (break the sharing) and scan again.
 		needsWrite := false
 		t.Sim.Tick(b.AccessRange(core, tagTableBase+vpn*tagBytesPerPage, tagBytesPerPage, t.Agent, false))
 		v, _ := t.P.M.Phys.SweepTagsWords(pte.Frame, func(_ *tmem.SweepCursor, w int, mask uint64, caps *[tmem.GranulesPerPage]ca.Capability) {
@@ -82,6 +64,7 @@ func (t *Thread) sweepPageWords(vpn uint64, pte *vm.PTE) (visited, revoked int) 
 		visited = v
 		pte.Bits &^= vm.PTECapDirty
 		if !needsWrite {
+			// No writes necessary: the page goes back into service as-is.
 			return visited, 0
 		}
 		visited = 0
@@ -89,9 +72,17 @@ func (t *Thread) sweepPageWords(vpn uint64, pte *vm.PTE) (visited, revoked int) 
 			panic(fmt.Sprintf("kernel: sweep COW upgrade: %v", err))
 		}
 	}
-	// Capability-dirty must drop before the first granule is read, exactly
-	// as in the granule kernel: a store landing mid-scan re-marks the page.
+	// Clear the capability-dirty bit before reading a single granule: any
+	// capability store that lands while the scan is in progress re-marks
+	// the page, so Cornucopia's stop-the-world phase will re-visit it. If
+	// the bit were cleared after the scan, a store racing the sweep could
+	// be lost.
 	pte.Bits &^= vm.PTECapDirty
+	// Read the page's tag metadata (CLoadTags): 2 tag bits per granule →
+	// one tag-table line covers two pages. Untagged lines of the page are
+	// never touched; only granules that actually hold capabilities cost
+	// data reads below. This is what makes sweeping sparse pages cheap on
+	// Morello.
 	t.Sim.Tick(b.AccessRange(core, tagTableBase+vpn*tagBytesPerPage, tagBytesPerPage, t.Agent, false))
 	v, rev := t.P.M.Phys.SweepTagsWords(pte.Frame, func(cur *tmem.SweepCursor, w int, mask uint64, caps *[tmem.GranulesPerPage]ca.Capability) {
 		wordVA := vm.TagWordVA(vpn, w)
@@ -100,6 +91,8 @@ func (t *Thread) sweepPageWords(vpn uint64, pte *vm.PTE) (visited, revoked int) 
 			m &^= 1 << uint(bit)
 			g := w*64 + bit
 			c := caps[g]
+			// Read the tagged granule's data line (repeats within a line
+			// hit in cache) and probe the revocation bitmap at the base.
 			t.Sim.Tick(b.Access(core, wordVA+uint64(bit)*ca.GranuleSize, t.Agent, false))
 			t.Sim.Tick(opCost + b.Access(core, shadow.VAOf(c.Base()), t.Agent, false))
 			if sh.PaintedWord(c.Base())&(1<<(c.Base()/ca.GranuleSize%64)) != 0 {

@@ -544,91 +544,3 @@ func maxU64(a, b uint64) uint64 {
 	}
 	return b
 }
-
-// --- the sweep primitive -----------------------------------------------------
-
-// tagTableBase is the virtual alias of the memory-controller tag table
-// used for cost attribution of CLoadTags-style tag reads.
-const tagTableBase = 0x7000_0000_0000
-
-// tagBytesPerPage is the tag metadata volume per 4 KiB page (256 granules
-// × 1 bit ⇒ 32 bytes).
-const tagBytesPerPage = 32
-
-// SweepPage scans one resident page for revoked capabilities: every tagged
-// granule's base is probed in the revocation bitmap and matching tags are
-// cleared. Reading the page and probing the bitmap are charged to this
-// thread at its agent attribution. Returns (capabilities inspected,
-// capabilities revoked). The page's capability-dirty bit is cleared.
-//
-// The scan dispatches on the machine's sweep-kernel selection: the default
-// word-wise kernel (sweep.go) and the per-granule kernel below produce
-// identical simulated behavior — same bus accesses, same tick boundaries,
-// same visit order and revocations — and differ only in host cost. The
-// granule kernel survives as the word kernel's differential oracle.
-func (t *Thread) SweepPage(vpn uint64, pte *vm.PTE) (visited, revoked int) {
-	if t.P.M.Sweep == SweepKernelGranule {
-		return t.sweepPageGranule(vpn, pte)
-	}
-	return t.sweepPageWords(vpn, pte)
-}
-
-// sweepPageGranule is the original one-callback-per-granule sweep.
-func (t *Thread) sweepPageGranule(vpn uint64, pte *vm.PTE) (visited, revoked int) {
-	core := t.Sim.CoreID()
-	b := t.P.M.Bus
-	if pte.Bits&vm.PTECOW != 0 {
-		// The frame may be shared copy-on-write with another address
-		// space; a revocation write through this mapping would destroy the
-		// other sharer's (independently quarantined) capabilities — the
-		// aliasing disaster of footnote 20. Apply §4.3's heuristic: scan
-		// read-only first, and only if something must actually be revoked
-		// upgrade the page (break the sharing) and scan again.
-		needsWrite := false
-		t.Sim.Tick(b.AccessRange(core, tagTableBase+vpn*tagBytesPerPage, tagBytesPerPage, t.Agent, false))
-		t.P.M.Phys.SweepTags(pte.Frame, func(g int, c ca.Capability) bool {
-			visited++
-			t.Sim.Tick(b.Access(core, vpn<<vm.PageShift+uint64(g)*ca.GranuleSize, t.Agent, false))
-			t.Sim.Tick(t.P.M.Costs.Op + b.Access(core, shadow.VAOf(c.Base()), t.Agent, false))
-			if t.P.Shadow.Test(c.Base()) {
-				needsWrite = true
-			}
-			return false
-		})
-		pte.Bits &^= vm.PTECapDirty
-		if !needsWrite {
-			// No writes necessary: the page goes back into service as-is.
-			return visited, 0
-		}
-		visited = 0
-		if err := t.resolveCOW(vpn<<vm.PageShift, pte); err != nil {
-			panic(fmt.Sprintf("kernel: sweep COW upgrade: %v", err))
-		}
-	}
-	// Clear the capability-dirty bit before reading a single granule: any
-	// capability store that lands while the scan is in progress re-marks
-	// the page, so Cornucopia's stop-the-world phase will re-visit it. If
-	// the bit were cleared after the scan, a store racing the sweep could
-	// be lost.
-	pte.Bits &^= vm.PTECapDirty
-	// Read the page's tag metadata (CLoadTags): 2 tag bits per granule →
-	// one tag-table line covers two pages. Untagged lines of the page are
-	// never touched; only granules that actually hold capabilities cost
-	// data reads below. This is what makes sweeping sparse pages cheap on
-	// Morello.
-	t.Sim.Tick(b.AccessRange(core, tagTableBase+vpn*tagBytesPerPage, tagBytesPerPage, t.Agent, false))
-	_, rev := t.P.M.Phys.SweepTags(pte.Frame, func(g int, c ca.Capability) bool {
-		visited++
-		// Read the tagged granule's data line (repeats within a line hit
-		// in cache) and probe the revocation bitmap at the base address.
-		t.Sim.Tick(b.Access(core, vpn<<vm.PageShift+uint64(g)*ca.GranuleSize, t.Agent, false))
-		t.Sim.Tick(t.P.M.Costs.Op + b.Access(core, shadow.VAOf(c.Base()), t.Agent, false))
-		if t.P.Shadow.Test(c.Base()) {
-			// Clearing the tag dirties the line we already hold.
-			t.Sim.Tick(b.Access(core, vpn<<vm.PageShift+uint64(g)*ca.GranuleSize, t.Agent, true))
-			return true
-		}
-		return false
-	})
-	return visited, rev
-}

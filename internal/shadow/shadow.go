@@ -71,15 +71,8 @@ type Bitmap struct {
 
 	// chunkFree recycles freed chunks. A chunk is freed only when its
 	// last bit clears, so a recycled chunk is all-zero by construction
-	// and needs no re-zeroing. Disabled under FlatSet.
+	// and needs no re-zeroing.
 	chunkFree []*chunk
-
-	// FlatSet selects the flat differential paint path (the kernel's
-	// MemPathFlat): Paint/Unpaint walk granule by granule and chunks are
-	// freshly allocated instead of recycled, reproducing the pre-sparse
-	// storage behaviour. Both paths produce identical bitmap state; the
-	// flat one is kept as the perf baseline and correctness oracle.
-	FlatSet bool
 
 	cacheKey   uint64
 	cacheChunk *chunk // nil = chunk absent (negative entry)
@@ -157,7 +150,7 @@ func (b *Bitmap) Unpaint(auth ca.Capability, addr, length uint64) error {
 // addChunk materializes chunk ck, registering it in the group index.
 func (b *Bitmap) addChunk(ck uint64) *chunk {
 	var c *chunk
-	if n := len(b.chunkFree); n > 0 && !b.FlatSet {
+	if n := len(b.chunkFree); n > 0 {
 		c = b.chunkFree[n-1]
 		b.chunkFree[n-1] = nil
 		b.chunkFree = b.chunkFree[:n-1]
@@ -170,7 +163,7 @@ func (b *Bitmap) addChunk(ck uint64) *chunk {
 }
 
 // freeChunk releases an emptied chunk: it leaves the map and group index
-// and (on the fast path) joins the recycle pool. The single-entry cache
+// and joins the recycle pool. The single-entry cache
 // may hold a positive entry for exactly this chunk, so it is dropped here
 // — set already invalidates on entry, but freeing must be safe on its own.
 func (b *Bitmap) freeChunk(ck uint64, c *chunk) {
@@ -180,24 +173,18 @@ func (b *Bitmap) freeChunk(ck uint64, c *chunk) {
 	if b.groups[g] == 0 {
 		delete(b.groups, g)
 	}
-	if !b.FlatSet {
-		b.chunkFree = append(b.chunkFree, c)
-	}
+	b.chunkFree = append(b.chunkFree, c)
 	b.cacheOK = false
 }
 
-// set writes [addr, addr+length)'s bits. The fast path applies whole
-// word-masks — a 256-byte quarantine paint is one masked OR instead of 16
-// bit loops — and skips absent chunks in O(1) when clearing.
+// set writes [addr, addr+length)'s bits. It applies whole word-masks — a
+// 256-byte quarantine paint is one masked OR instead of 16 bit loops — and
+// skips absent chunks in O(1) when clearing.
 func (b *Bitmap) set(addr, length uint64, v bool) {
 	// Mutations can materialize or free chunks, invalidating positive and
 	// negative cache entries alike; drop the cache rather than track which
 	// case applies.
 	b.cacheOK = false
-	if b.FlatSet {
-		b.setFlat(addr, length, v)
-		return
-	}
 	g := addr / ca.GranuleSize
 	end := (addr + length) / ca.GranuleSize
 	for g < end {
@@ -255,51 +242,11 @@ func (b *Bitmap) set(addr, length uint64, v bool) {
 	}
 }
 
-// setFlat is the granule-by-granule differential oracle for set. It
-// maintains exactly the same chunk, summary and group state, so the two
-// paths are interchangeable at any point.
-func (b *Bitmap) setFlat(addr, length uint64, v bool) {
-	for g := addr / ca.GranuleSize; g < (addr+length)/ca.GranuleSize; g++ {
-		ck, word, bit := g/chunkGranules, int(g%chunkGranules)/64, uint(g%64)
-		c := b.chunks[ck]
-		if c == nil {
-			if !v {
-				continue
-			}
-			c = b.addChunk(ck)
-		}
-		old := c.words[word]
-		if v {
-			c.words[word] |= 1 << bit
-			if c.words[word] != old {
-				b.painted++
-				c.painted++
-				if old == 0 {
-					c.sum[word>>6] |= 1 << uint(word&63)
-				}
-			}
-		} else {
-			c.words[word] &^= 1 << bit
-			if c.words[word] != old {
-				b.painted--
-				c.painted--
-				if c.words[word] == 0 {
-					c.sum[word>>6] &^= 1 << uint(word&63)
-				}
-				if c.painted == 0 {
-					b.freeChunk(ck, c)
-				}
-			}
-		}
-	}
-}
-
 // Clone returns a deep copy of the bitmap (fork copies the revocation
 // state along with the heap it describes).
 func (b *Bitmap) Clone() *Bitmap {
 	c := New()
 	c.painted = b.painted
-	c.FlatSet = b.FlatSet
 	for k, v := range b.chunks {
 		w := *v
 		c.chunks[k] = &w

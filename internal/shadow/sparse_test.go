@@ -21,38 +21,35 @@ const chunkSpan = chunkGranules * ca.GranuleSize
 // different address range, must not let PaintedWord serve the recycled
 // chunk's contents through the stale cache entry.
 func TestChunkCacheInvalidatedByFree(t *testing.T) {
-	for _, flat := range []bool{false, true} {
-		b := New()
-		b.FlatSet = flat
-		a := hugeAuth()
-		addrA := uint64(3 * chunkSpan)       // chunk 3
-		addrB := uint64(7*chunkSpan + 0x400) // chunk 7, same word offset pattern
-		if err := b.Paint(a, addrA, ca.GranuleSize); err != nil {
-			t.Fatal(err)
-		}
-		if b.PaintedWord(addrA) == 0 { // primes the cache on chunk 3
-			t.Fatalf("flat=%v: painted word reads zero", flat)
-		}
-		// Unpainting the only bit frees chunk 3; the fast path recycles its
-		// storage, so the next paint below reuses the same *chunk.
-		if err := b.Unpaint(a, addrA, ca.GranuleSize); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.Paint(a, addrB, ca.GranuleSize); err != nil {
-			t.Fatal(err)
-		}
-		if got := b.PaintedWord(addrA); got != 0 {
-			t.Fatalf("flat=%v: PaintedWord of freed chunk = %#x via stale cache, want 0", flat, got)
-		}
-		if b.Test(addrA) {
-			t.Fatalf("flat=%v: Test of freed chunk reads painted", flat)
-		}
-		if b.PaintedWord(addrB) == 0 || !b.Test(addrB) {
-			t.Fatalf("flat=%v: repainted chunk lost its bit", flat)
-		}
-		if b.ChunkCount() != 1 {
-			t.Fatalf("flat=%v: %d chunks live, want 1", flat, b.ChunkCount())
-		}
+	b := New()
+	a := hugeAuth()
+	addrA := uint64(3 * chunkSpan)       // chunk 3
+	addrB := uint64(7*chunkSpan + 0x400) // chunk 7, same word offset pattern
+	if err := b.Paint(a, addrA, ca.GranuleSize); err != nil {
+		t.Fatal(err)
+	}
+	if b.PaintedWord(addrA) == 0 { // primes the cache on chunk 3
+		t.Fatal("painted word reads zero")
+	}
+	// Unpainting the only bit frees chunk 3 and recycles its storage, so
+	// the next paint below reuses the same *chunk.
+	if err := b.Unpaint(a, addrA, ca.GranuleSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Paint(a, addrB, ca.GranuleSize); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.PaintedWord(addrA); got != 0 {
+		t.Fatalf("PaintedWord of freed chunk = %#x via stale cache, want 0", got)
+	}
+	if b.Test(addrA) {
+		t.Fatal("Test of freed chunk reads painted")
+	}
+	if b.PaintedWord(addrB) == 0 || !b.Test(addrB) {
+		t.Fatal("repainted chunk lost its bit")
+	}
+	if b.ChunkCount() != 1 {
+		t.Fatalf("%d chunks live, want 1", b.ChunkCount())
 	}
 }
 
@@ -97,15 +94,15 @@ func TestForEachPaintedAscendingAcrossGroups(t *testing.T) {
 	}
 }
 
-// TestFlatFastSetEquivalence is the flat-vs-fast differential suite: the
-// word-masked fast path and the granule-by-granule flat path must leave
-// bit-identical bitmaps — same Test answers, same painted counts, same
-// chunk population, same ForEachPaintedWord stream — after any randomized
+// TestFlatFastSetEquivalence is the differential suite for set: the
+// word-masked production path and the granule-by-granule reference
+// (setFlat, reference_test.go) must leave bit-identical bitmaps — same
+// Test and PaintedWord answers, same painted counts, same chunk
+// population, same ForEachPaintedWord stream — after any randomized
 // paint/unpaint history.
 func TestFlatFastSetEquivalence(t *testing.T) {
 	a := hugeAuth()
 	fast, flat := New(), New()
-	flat.FlatSet = true
 	rng := rand.New(rand.NewSource(77))
 	span := uint64(140 * chunkSpan) // ~3 chunk groups
 	for i := 0; i < 3000; i++ {
@@ -114,21 +111,17 @@ func TestFlatFastSetEquivalence(t *testing.T) {
 		if addr+n > span {
 			n = span - addr
 		}
-		if rng.Intn(3) > 0 {
-			if err := fast.Paint(a, addr, n); err != nil {
-				t.Fatal(err)
-			}
-			if err := flat.Paint(a, addr, n); err != nil {
-				t.Fatal(err)
-			}
+		paint := rng.Intn(3) > 0
+		var err error
+		if paint {
+			err = fast.Paint(a, addr, n)
 		} else {
-			if err := fast.Unpaint(a, addr, n); err != nil {
-				t.Fatal(err)
-			}
-			if err := flat.Unpaint(a, addr, n); err != nil {
-				t.Fatal(err)
-			}
+			err = fast.Unpaint(a, addr, n)
 		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		flat.setFlat(addr, n, paint)
 	}
 	if fast.PaintedGranules() != flat.PaintedGranules() {
 		t.Fatalf("painted granules: fast %d, flat %d", fast.PaintedGranules(), flat.PaintedGranules())
@@ -155,11 +148,14 @@ func TestFlatFastSetEquivalence(t *testing.T) {
 				i, fw[i].base, fw[i].mask, lw[i].base, lw[i].mask)
 		}
 	}
-	// Spot-probe Test agreement over a deterministic sample.
+	// Spot-probe Test and PaintedWord agreement over a deterministic sample.
 	for i := 0; i < 20000; i++ {
 		addr := uint64(rng.Int63n(int64(span/ca.GranuleSize))) * ca.GranuleSize
 		if fast.Test(addr) != flat.Test(addr) {
 			t.Fatalf("Test(%#x): fast %v, flat %v", addr, fast.Test(addr), flat.Test(addr))
+		}
+		if fw, lw := fast.PaintedWord(addr), flat.PaintedWord(addr); fw != lw {
+			t.Fatalf("PaintedWord(%#x): fast %#x, flat %#x", addr, fw, lw)
 		}
 	}
 }

@@ -85,14 +85,14 @@ func TestMonotoneAcrossMigration(t *testing.T) {
 // FIFO means z does not jump the queue: core 0 idles until w's readyAt
 // and z resumes only after w ran, not at its own wake time. Reordering
 // by readyAt would change the model and perturb every committed baseline
-// document, so both engines must exhibit exactly this behavior.
+// document, so both schedulers must exhibit exactly this behavior.
 func TestRunQueueFIFOHeadOfLine(t *testing.T) {
-	for _, kind := range []EngineKind{EngineFast, EngineClassic} {
-		t.Run(kind.String(), func(t *testing.T) {
+	for _, s := range schedulers {
+		s := s
+		t.Run(s.name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Cores = 2
-			cfg.Engine = kind
-			e := New(cfg)
+			e := s.new(cfg)
 			ev := e.NewEvent()
 			var wResume, zResume uint64
 			e.Spawn("w", []int{0}, func(th *Thread) {

@@ -33,58 +33,6 @@ type Config struct {
 	OSQuantum uint64
 	// HzGHz is the clock rate used only for reporting (cycles → seconds).
 	HzGHz float64
-	// CtxSwitchCycles is the cost charged to a thread when the OS preempts
-	// it at the end of its OS slice (the rotate-and-migrate path). The
-	// default 0 charges nothing, preserving byte-identity of all documents
-	// committed before the knob existed; omitempty keeps experiment job
-	// keys for those configurations unchanged.
-	CtxSwitchCycles uint64 `json:",omitempty"`
-	// Engine selects the scheduler implementation (see EngineKind). Both
-	// engines produce bit-identical simulated results — pinned by the
-	// engine-equivalence suites — so the choice is excluded from JSON and
-	// experiment job keys, like harness.Config.SweepKernel.
-	Engine EngineKind `json:"-"`
-}
-
-// EngineKind selects the scheduling engine implementation. The simulated
-// results are bit-identical under either; only host cost differs.
-type EngineKind int
-
-// Engine kinds.
-const (
-	// EngineFast (the default) schedules inline on the running thread's
-	// goroutine: it skips the channel round-trips through the Run loop,
-	// continues the running thread without any handoff when it is still
-	// the globally-minimal entity, keeps sleepers in a min-heap instead
-	// of scanning every thread, and batches ClockObserver delivery
-	// between scheduling points (see fast.go).
-	EngineFast EngineKind = iota
-	// EngineClassic is the original two-round-trip channel scheduler,
-	// kept as the differential oracle the fast engine is verified
-	// against.
-	EngineClassic
-)
-
-func (k EngineKind) String() string {
-	switch k {
-	case EngineFast:
-		return "fast"
-	case EngineClassic:
-		return "classic"
-	}
-	return fmt.Sprintf("enginekind(%d)", int(k))
-}
-
-// ParseEngineKind resolves a -simengine flag value. The empty string
-// selects the default (fast) engine.
-func ParseEngineKind(s string) (EngineKind, error) {
-	switch s {
-	case "", "fast":
-		return EngineFast, nil
-	case "classic":
-		return EngineClassic, nil
-	}
-	return EngineFast, fmt.Errorf("sim: unknown engine %q (want fast or classic)", s)
 }
 
 // DefaultConfig models a four-core, 2.5 GHz Morello-like machine with a
@@ -166,14 +114,13 @@ type Thread struct {
 // cycles delivered to an observer sum exactly to that core's clock — the
 // invariant the telemetry profiler's conservation check rests on.
 //
-// Under the classic engine every Tick delivers its own Busy call. The
-// fast engine coalesces consecutive charges by the same thread into one
-// Busy call, flushed at every scheduling point, before every Idle, and
+// Consecutive charges by the same thread are coalesced into one Busy
+// call, flushed at every scheduling point, before every Idle, and
 // whenever Engine.FlushClock is called (telemetry flushes around
 // attribution changes): totals, per-(core,thread) attribution and the
-// conservation invariant are unaffected; only the call granularity — and
+// conservation invariant are exact; only the call granularity — and
 // therefore the instant at which a time-series sample boundary is
-// noticed within a slice — differs.
+// noticed within a slice — is coarser than one call per Tick.
 //
 // Callbacks run synchronously on the simulated thread's goroutine while it
 // holds the engine (exactly one runs at a time), so observers need no
@@ -195,14 +142,19 @@ type Engine struct {
 	running bool
 	obs     ClockObserver
 
-	// fast-engine state (see fast.go). sleepers is the min-heap of
+	// Scheduler state (see fast.go). sleepers is the min-heap of
 	// Sleeping threads ordered by (wakeAt, id); pend* batch consecutive
 	// same-thread Busy deliveries between scheduling points.
-	fast       bool
 	sleepers   []*Thread
 	pendCore   int
 	pendThread int
 	pendBusy   uint64
+
+	// classic selects the original channel-per-slice scheduler (Run's
+	// loop, dispatch, yield's channel round-trip, immediate observer
+	// delivery). It is the reference the inline scheduler is verified
+	// against, switched on only by this package's tests.
+	classic bool
 }
 
 // SetClockObserver installs the observer delivered every clock advance.
@@ -217,10 +169,7 @@ func New(cfg Config) *Engine {
 	if cfg.SkewQuantum == 0 || cfg.OSQuantum == 0 {
 		panic("sim: quanta must be positive")
 	}
-	if cfg.Engine != EngineFast && cfg.Engine != EngineClassic {
-		panic(fmt.Sprintf("sim: unknown engine kind %d", cfg.Engine))
-	}
-	e := &Engine{cfg: cfg, schedCh: make(chan *Thread), fast: cfg.Engine == EngineFast}
+	e := &Engine{cfg: cfg, schedCh: make(chan *Thread)}
 	e.cores = make([]core, cfg.Cores)
 	for i := range e.cores {
 		e.cores[i].id = i
@@ -267,7 +216,7 @@ func (e *Engine) Spawn(name string, affinity []int, fn func(*Thread)) *Thread {
 // affinity set. This is the single insertion path for threads entering a
 // run queue from outside (spawn, wake, OS-preemption rotate); a thread
 // that keeps its core across an engine slice re-enters at the head via
-// core.pushFront instead. Both engines share these two paths.
+// core.pushFront instead. Both schedulers share these two paths.
 func (e *Engine) enqueue(th *Thread) {
 	best := &e.cores[th.affinity[0]]
 	for _, ci := range th.affinity[1:] {
@@ -301,8 +250,9 @@ func (c *core) pushFront(th *Thread) {
 // behavior is intended semantics (pinned by TestRunQueueFIFOHeadOfLine):
 // reordering by readyAt would both change the model and perturb every
 // committed baseline document. Ties on effective time go to the smaller
-// thread id, so selection is deterministic regardless of scan order. The
-// fast engine's pickNext (fast.go) must make the identical choice.
+// thread id, so selection is deterministic regardless of scan order.
+// This is the classic scheduler's full scan; pickNext (fast.go) makes the
+// identical choice with a sleeper heap.
 func (e *Engine) nextEntity() *Thread {
 	var best *Thread
 	var bestT uint64
@@ -338,9 +288,11 @@ func (e *Engine) Run() error {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	if e.fast {
+	if !e.classic {
 		return e.runFast()
 	}
+	// The classic scheduler: every scheduling point is a round-trip
+	// through this loop.
 	for {
 		th := e.nextEntity()
 		if th == nil {
@@ -381,8 +333,8 @@ func (e *Engine) deadlockError() error {
 
 // place pops th from the head of its core's queue and makes it the running
 // thread: the core's clock jumps over any idle gap to the thread's ready
-// time, and its engine/OS slices are refreshed. Both engines perform this
-// exact mutation sequence for every dispatch decision.
+// time, and its engine/OS slices are refreshed. Both schedulers perform
+// this exact mutation sequence for every dispatch decision.
 func (e *Engine) place(th *Thread) {
 	c := th.core
 	if len(c.runq) == 0 || c.runq[0] != th {
@@ -428,18 +380,19 @@ func (e *Engine) start(th *Thread) {
 	}()
 }
 
-// finish hands control onward after th's function returned: the classic
-// engine wakes the Run loop; the fast engine schedules the next entity
-// directly from the dying goroutine.
+// finish hands control onward after th's function returned: the dying
+// goroutine schedules the next entity directly (the classic scheduler
+// wakes its Run loop instead).
 func (e *Engine) finish(th *Thread) {
-	if e.fast {
-		e.finishFast(th)
+	if e.classic {
+		e.schedCh <- th
 		return
 	}
-	e.schedCh <- th
+	e.finishFast(th)
 }
 
-// dispatch runs th until it yields (slice expiry, block, sleep or finish).
+// dispatch runs th until it yields (slice expiry, block, sleep or finish);
+// classic scheduler only.
 func (e *Engine) dispatch(th *Thread) {
 	e.place(th)
 	if !th.started {
@@ -452,7 +405,7 @@ func (e *Engine) dispatch(th *Thread) {
 
 // yield transfers control back to the scheduler and waits to be resumed.
 func (th *Thread) yield() {
-	if th.eng.fast {
+	if !th.eng.classic {
 		th.yieldFast()
 		return
 	}
@@ -480,7 +433,7 @@ func (th *Thread) Tick(cycles uint64) {
 
 // charge is the one accounting path: cycles of work advance the core
 // clock, the core's busy counter, the thread's CPU counter, and reach the
-// observer (batched under the fast engine, immediate under classic).
+// observer (batched; immediate under the classic scheduler).
 func (th *Thread) charge(cycles uint64) {
 	c := th.core
 	c.clock += cycles
@@ -488,10 +441,10 @@ func (th *Thread) charge(cycles uint64) {
 	th.cpu += cycles
 	if cycles > 0 {
 		if o := th.eng.obs; o != nil {
-			if th.eng.fast {
-				th.eng.accumBusy(c.id, th.id, cycles)
-			} else {
+			if th.eng.classic {
 				o.Busy(c.id, th.id, cycles)
+			} else {
+				th.eng.accumBusy(c.id, th.id, cycles)
 			}
 		}
 	}
@@ -505,14 +458,8 @@ func (th *Thread) reschedule() {
 	th.state = Ready
 	th.readyAt = c.clock
 	if c.clock >= th.osSliceEnd && len(c.runq) > 0 {
-		// OS preemption: charge the context-switch cost on the core the
-		// thread is leaving, then rotate to the back of a run queue,
-		// allowing migration. Config.CtxSwitchCycles defaults to 0, which
-		// charges nothing (the pre-knob behavior).
-		if ctx := th.eng.cfg.CtxSwitchCycles; ctx != 0 {
-			th.charge(ctx)
-			th.readyAt = c.clock
-		}
+		// OS preemption: rotate to the back of a run queue, allowing
+		// migration.
 		th.osSliceEnd = 0
 		th.eng.enqueue(th)
 	} else {

@@ -294,18 +294,18 @@ func TestSecondsConversion(t *testing.T) {
 	}
 }
 
-// benchEngines runs a benchmark body under both engines, so their host
-// cost is directly comparable in one -bench run.
-func benchEngines(b *testing.B, body func(b *testing.B, kind EngineKind)) {
-	for _, kind := range []EngineKind{EngineFast, EngineClassic} {
-		kind := kind
-		b.Run(kind.String(), func(b *testing.B) { body(b, kind) })
+// benchEngines runs a benchmark body under both schedulers, so their
+// host cost is directly comparable in one -bench run.
+func benchEngines(b *testing.B, body func(b *testing.B, newEngine func(Config) *Engine)) {
+	for _, s := range schedulers {
+		s := s
+		b.Run(s.name, func(b *testing.B) { body(b, s.new) })
 	}
 }
 
 func BenchmarkTickHot(b *testing.B) {
-	benchEngines(b, func(b *testing.B, kind EngineKind) {
-		e := New(Config{Cores: 1, SkewQuantum: 1 << 40, OSQuantum: 1 << 40, HzGHz: 2.5, Engine: kind})
+	benchEngines(b, func(b *testing.B, newEngine func(Config) *Engine) {
+		e := newEngine(Config{Cores: 1, SkewQuantum: 1 << 40, OSQuantum: 1 << 40, HzGHz: 2.5})
 		e.Spawn("w", []int{0}, func(th *Thread) {
 			for i := 0; i < b.N; i++ {
 				th.Tick(1)
@@ -319,12 +319,11 @@ func BenchmarkTickHot(b *testing.B) {
 }
 
 func BenchmarkHandoff(b *testing.B) {
-	benchEngines(b, func(b *testing.B, kind EngineKind) {
+	benchEngines(b, func(b *testing.B, newEngine func(Config) *Engine) {
 		c := DefaultConfig()
 		c.Cores = 2
 		c.SkewQuantum = 1
-		c.Engine = kind
-		e := New(c)
+		e := newEngine(c)
 		for i := 0; i < 2; i++ {
 			i := i
 			e.Spawn("w", []int{i}, func(th *Thread) {
@@ -342,15 +341,14 @@ func BenchmarkHandoff(b *testing.B) {
 
 // BenchmarkSliceExpiry is the solo-thread slice-expiry regime: every tick
 // ends an engine slice, but the thread is always still the minimal entity.
-// The fast engine continues inline with no goroutine handoff; the classic
-// engine pays two channel round-trips per slice.
+// The inline scheduler continues with no goroutine handoff; the classic
+// one pays two channel round-trips per slice.
 func BenchmarkSliceExpiry(b *testing.B) {
-	benchEngines(b, func(b *testing.B, kind EngineKind) {
+	benchEngines(b, func(b *testing.B, newEngine func(Config) *Engine) {
 		c := DefaultConfig()
 		c.Cores = 1
 		c.SkewQuantum = 1
-		c.Engine = kind
-		e := New(c)
+		e := newEngine(c)
 		e.Spawn("w", []int{0}, func(th *Thread) {
 			for i := 0; i < b.N; i++ {
 				th.Tick(1)
@@ -365,14 +363,13 @@ func BenchmarkSliceExpiry(b *testing.B) {
 
 // BenchmarkSleepFleet is the open-loop fleet regime: many threads, each
 // mostly asleep, waking briefly in an interleaved order. Dominated by
-// sleeper selection (classic: an all-threads scan per dispatch; fast: a
-// heap) and wake handoffs (classic: two round-trips; fast: one, direct).
+// sleeper selection (classic: an all-threads scan per dispatch; inline: a
+// heap) and wake handoffs (classic: two round-trips; inline: one, direct).
 func BenchmarkSleepFleet(b *testing.B) {
-	benchEngines(b, func(b *testing.B, kind EngineKind) {
+	benchEngines(b, func(b *testing.B, newEngine func(Config) *Engine) {
 		c := DefaultConfig()
 		c.Cores = 2
-		c.Engine = kind
-		e := New(c)
+		e := newEngine(c)
 		const fleet = 64
 		per := b.N/fleet + 1
 		for i := 0; i < fleet; i++ {

@@ -4,15 +4,31 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
+// newClassic builds an engine running the classic channel-per-slice
+// scheduler: the implementation the inline scheduler replaced, kept as
+// the reference every differential in this package checks it against.
+func newClassic(cfg Config) *Engine {
+	e := New(cfg)
+	e.classic = true
+	return e
+}
+
+// schedulers names both implementations for table-driven tests.
+var schedulers = []struct {
+	name string
+	new  func(Config) *Engine
+}{{"fast", New}, {"classic", newClassic}}
+
 // recObs records everything a ClockObserver can learn: per-(core,thread)
 // busy totals, per-core idle totals, and per-core delivered sums. The
-// fast engine batches Busy calls, so the call sequences differ between
-// engines by construction — but every total must match exactly, and per
-// core busy + idle must equal the core clock (the conservation invariant
-// telemetry rests on).
+// inline scheduler batches Busy calls, so the call sequences differ
+// between schedulers by construction — but every total must match
+// exactly, and per core busy + idle must equal the core clock (the
+// conservation invariant telemetry rests on).
 type recObs struct {
 	busy map[[2]int]uint64
 	idle map[int]uint64
@@ -47,16 +63,14 @@ type simOutcome struct {
 	Idle       map[int]uint64
 }
 
-// runBoth executes build under both engines and fails on any observable
-// divergence. build spawns threads on e and may append to the shared log;
-// the log is part of the compared outcome, so any difference in execution
-// order or observed virtual times between engines fails the suite.
+// runBoth executes build under both schedulers and fails on any
+// observable divergence. build spawns threads on e and may append to the
+// shared log; the log is part of the compared outcome, so any difference
+// in execution order or observed virtual times fails the suite.
 func runBoth(t *testing.T, name string, cfg Config, build func(e *Engine, logf func(string, ...interface{}))) {
 	t.Helper()
-	run := func(kind EngineKind) simOutcome {
-		cfg := cfg
-		cfg.Engine = kind
-		e := New(cfg)
+	run := func(kind string, newEngine func(Config) *Engine) simOutcome {
+		e := newEngine(cfg)
 		obs := newRecObs()
 		e.SetClockObserver(obs)
 		var log []string
@@ -85,14 +99,14 @@ func runBoth(t *testing.T, name string, cfg Config, build func(e *Engine, logf f
 		}
 		return out
 	}
-	fast := run(EngineFast)
-	classic := run(EngineClassic)
+	fast := run("fast", New)
+	classic := run("classic", newClassic)
 	if !reflect.DeepEqual(fast, classic) {
-		t.Errorf("%s: engines diverge\n fast:    %+v\n classic: %+v", name, fast, classic)
+		t.Errorf("%s: schedulers diverge\n fast:    %+v\n classic: %+v", name, fast, classic)
 	}
 }
 
-// TestEngineEquivalence pins that the fast and classic engines make
+// TestEngineEquivalence pins that the inline and classic schedulers make
 // bit-identical scheduling decisions across the package's behavioral
 // regimes: every virtual time observed by any thread, every final clock,
 // every observer total, and every error must match.
@@ -238,9 +252,9 @@ func TestEngineEquivalence(t *testing.T) {
 	})
 
 	t.Run("ctx-switch", func(t *testing.T) {
+		// OS-preemption rotation with migration across both cores.
 		cfg := base
 		cfg.OSQuantum = 20_000
-		cfg.CtxSwitchCycles = 700
 		runBoth(t, "ctx-switch", cfg, func(e *Engine, logf func(string, ...interface{})) {
 			for i := 0; i < 3; i++ {
 				i := i
@@ -249,6 +263,34 @@ func TestEngineEquivalence(t *testing.T) {
 						th.Tick(uint64(400 + i*29))
 					}
 					logf("w%d done at %d cpu %d", i, th.Now(), th.CPU())
+				})
+			}
+		})
+	})
+
+	t.Run("wake-ties", func(t *testing.T) {
+		// Sleepers whose deadlines coincide with queue heads' ready times:
+		// the (time, id) tie-break decides whether a sleeper wakes before
+		// or after a head's slice runs, and a sleeper free to run on
+		// either core is placed on whichever core is then behind.
+		cfg := base
+		cfg.SkewQuantum = 1_000
+		runBoth(t, "wake-ties", cfg, func(e *Engine, logf func(string, ...interface{})) {
+			for c := 0; c < 2; c++ {
+				e.Spawn("hog", []int{c}, func(th *Thread) {
+					for i := 0; i < 60; i++ {
+						th.Tick(1_000)
+					}
+				})
+			}
+			for i := 0; i < 2; i++ {
+				i := i
+				e.Spawn("sleeper", nil, func(th *Thread) {
+					for j := 0; j < 40; j++ {
+						th.Sleep(1_000 - th.Now()%1_000)
+						logf("sleeper%d woke on core %d at %d", i, th.CoreID(), th.Now())
+						th.Tick(uint64(10 + 30*i))
+					}
 				})
 			}
 		})
@@ -270,101 +312,158 @@ func TestEngineEquivalence(t *testing.T) {
 
 	t.Run("random-storm", func(t *testing.T) {
 		// A randomized mix of every primitive, deterministic by seed: the
-		// broadest single net for divergence between the engines.
-		cfg := DefaultConfig()
-		cfg.Cores = 4
-		cfg.OSQuantum = 25_000
-		runBoth(t, "random-storm", cfg, func(e *Engine, logf func(string, ...interface{})) {
-			ev := e.NewEvent()
-			pending := 0
-			for i := 0; i < 12; i++ {
-				i := i
-				rng := rand.New(rand.NewSource(int64(i)*7919 + 1))
-				aff := []int{i % 4}
-				if i%3 == 0 {
-					aff = nil // any core
-				}
-				e.Spawn("storm", aff, func(th *Thread) {
-					for j := 0; j < 400; j++ {
-						switch rng.Intn(6) {
-						case 0:
-							th.Tick(uint64(rng.Intn(3000)))
-						case 1:
-							th.Sleep(uint64(1 + rng.Intn(20_000)))
-						case 2:
-							th.Yield()
-						case 3:
-							pending++
-							ev.Broadcast(th)
-							th.Tick(50)
-						case 4:
-							if pending > 0 {
-								ev.WaitUntil(th, func() bool { return pending > 0 })
-								pending--
+		// broadest single net for divergence between the schedulers. Each
+		// seed runs at the default skew window and at the tight one the
+		// fault-injection campaigns use, where slice expiries — the point
+		// the inline scheduler continues without a handoff — are densest.
+		for _, skew := range []uint64{DefaultConfig().SkewQuantum, 2_000} {
+			for seed := int64(1); seed <= 4; seed++ {
+				skew, seed := skew, seed
+				t.Run(fmt.Sprintf("skew=%d/seed=%d", skew, seed), func(t *testing.T) {
+					cfg := DefaultConfig()
+					cfg.Cores = 4
+					cfg.OSQuantum = 25_000
+					cfg.SkewQuantum = skew
+					var stws, spawns, done int
+					runBoth(t, t.Name(), cfg, func(e *Engine, logf func(string, ...interface{})) {
+						randomStorm(e, seed, func(format string, args ...interface{}) {
+							switch {
+							case strings.Contains(format, "stopped the world"):
+								stws++
+							case strings.HasPrefix(format, "worker"):
+								spawns++
+							case strings.HasPrefix(format, "storm"):
+								done++
 							}
-							th.Tick(10)
-						default:
-							th.Tick(uint64(rng.Intn(200)))
-						}
+							logf(format, args...)
+						})
+					})
+					// Both runs must finish every storm thread (a deadlock in
+					// both would compare equal) and exercise the rendezvous
+					// and the respawns.
+					if done != 2*12 || stws == 0 || spawns == 0 {
+						t.Fatalf("storm degenerate: %d threads finished, %d stop-the-worlds, %d workers over both runs",
+							done, stws, spawns)
 					}
-					pending++ // unblock any residual waiters' predicates
-					ev.Broadcast(th)
-					logf("storm%d done at %d cpu %d", i, th.Now(), th.CPU())
 				})
 			}
-		})
+		}
 	})
 }
 
-// TestCtxSwitchCycles pins the Config.CtxSwitchCycles satellite both
-// ways: the default 0 charges nothing (preserving every committed
-// baseline), and a nonzero setting charges exactly one context-switch
-// cost per OS-preemption rotation, visible in wall and CPU time.
-func TestCtxSwitchCycles(t *testing.T) {
-	run := func(kind EngineKind, ctx uint64) (wall, cpu uint64) {
-		cfg := DefaultConfig()
-		cfg.Cores = 1
-		cfg.OSQuantum = 50_000
-		cfg.CtxSwitchCycles = ctx
-		cfg.Engine = kind
-		e := New(cfg)
-		for i := 0; i < 2; i++ {
-			e.Spawn("w", []int{0}, func(th *Thread) {
-				for j := 0; j < 2000; j++ {
-					th.Tick(500)
+// randomStorm spawns a dozen threads running seeded random mixes of every
+// scheduling pattern the simulator's clients produce: ticks, sleeps,
+// yields, event broadcasts and waits, mid-run spawns of short-lived
+// workers on the spawner's cores (the revoker respawning a crashed sweep
+// worker), and a two-event stop-the-world rendezvous in the style of
+// kernel.Process.StopTheWorld — the initiator WaitUntils every peer
+// stopped, and peers park on a resume event until it releases them.
+func randomStorm(e *Engine, seed int64, logf func(string, ...interface{})) {
+	ev := e.NewEvent()
+	pending := 0
+
+	// Stop-the-world state: a thread is stopped once parked, blocked,
+	// sleeping or finished; one about to block, sleep or finish notifies
+	// the initiator first, as kernel threads do at a safepoint.
+	stwEv, resumeEv := e.NewEvent(), e.NewEvent()
+	var initiator *Thread
+	parked := map[*Thread]bool{}
+	var storm []*Thread
+	park := func(th *Thread) {
+		for initiator != nil && initiator != th {
+			parked[th] = true
+			stwEv.Broadcast(th)
+			resumeEv.Wait(th)
+			parked[th] = false
+		}
+	}
+	quiesce := func(th *Thread) {
+		if initiator != nil && initiator != th {
+			stwEv.Broadcast(th)
+		}
+	}
+	stopped := func() bool {
+		for _, th := range storm {
+			if th == initiator || parked[th] {
+				continue
+			}
+			switch th.State() {
+			case Blocked, Sleeping, Finished:
+			default:
+				return false
+			}
+		}
+		return true
+	}
+	stopTheWorld := func(th *Thread, rng *rand.Rand) {
+		initiator = th
+		for range storm {
+			th.Tick(uint64(50 + rng.Intn(100))) // per-thread stop cost
+		}
+		stwEv.WaitUntil(th, stopped)
+		logf("%s stopped the world at %d", th.Name(), th.Now())
+		th.Tick(uint64(1 + rng.Intn(30_000))) // work with the world stopped
+		initiator = nil
+		resumeEv.Broadcast(th)
+	}
+
+	spawned := 0
+	for i := 0; i < 12; i++ {
+		i := i
+		rng := rand.New(rand.NewSource(seed*7919 + int64(i)))
+		aff := []int{i % 4}
+		if i%3 == 0 {
+			aff = nil // any core
+		}
+		storm = append(storm, e.Spawn(fmt.Sprintf("storm%d", i), aff, func(th *Thread) {
+			for j := 0; j < 400; j++ {
+				park(th)
+				switch rng.Intn(9) {
+				case 0:
+					th.Tick(uint64(rng.Intn(3000)))
+				case 1:
+					quiesce(th)
+					th.Sleep(uint64(1 + rng.Intn(20_000)))
+				case 2:
+					th.Yield()
+				case 3:
+					pending++
+					ev.Broadcast(th)
+					th.Tick(50)
+				case 4:
+					if pending > 0 {
+						for pending == 0 {
+							quiesce(th)
+							ev.Wait(th)
+						}
+						pending--
+					}
+					th.Tick(10)
+				case 5:
+					if rng.Intn(8) == 0 {
+						stopTheWorld(th, rng)
+					}
+				case 6:
+					if spawned < 24 && rng.Intn(4) == 0 {
+						spawned++
+						k, n := spawned, 1+rng.Intn(40)
+						e.Spawn(fmt.Sprintf("worker%d", k), aff, func(w *Thread) {
+							for m := 0; m < n; m++ {
+								w.Tick(uint64(100 + m*17))
+							}
+							logf("worker%d done at %d", k, w.Now())
+						})
+					}
+					th.Tick(20)
+				default:
+					th.Tick(uint64(rng.Intn(200)))
 				}
-			})
-		}
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return e.WallClock(), e.TotalCPU()
-	}
-	for _, kind := range []EngineKind{EngineFast, EngineClassic} {
-		// Two threads share one core for 1M cycles of work each. With the
-		// 50k OS quantum they rotate exactly every 50k busy cycles; the
-		// baseline (ctx=0) wall is the pre-knob value, 2M.
-		wall0, cpu0 := run(kind, 0)
-		if wall0 != 2_000_000 || cpu0 != 2_000_000 {
-			t.Fatalf("%s: ctx=0 wall=%d cpu=%d, want 2000000/2000000 (baseline changed)", kind, wall0, cpu0)
-		}
-		wallC, cpuC := run(kind, 300)
-		if wallC <= wall0 || cpuC <= cpu0 {
-			t.Fatalf("%s: ctx=300 wall=%d cpu=%d — no context-switch cost charged", kind, wallC, cpuC)
-		}
-		// Each rotation charges exactly 300 cycles; the totals must agree.
-		if wallC != cpuC {
-			t.Fatalf("%s: ctx=300 wall=%d != cpu=%d on a single always-busy core", kind, wallC, cpuC)
-		}
-		if extra := cpuC - cpu0; extra%300 != 0 {
-			t.Fatalf("%s: extra cycles %d not a multiple of the 300-cycle switch cost", kind, extra)
-		}
-	}
-	// The two engines must agree on the charged schedule, too.
-	wf, cf := run(EngineFast, 300)
-	wc, cc := run(EngineClassic, 300)
-	if wf != wc || cf != cc {
-		t.Fatalf("engines diverge under ctx=300: fast=(%d,%d) classic=(%d,%d)", wf, cf, wc, cc)
+			}
+			quiesce(th)
+			pending++ // unblock any residual waiters' predicates
+			ev.Broadcast(th)
+			logf("storm%d done at %d cpu %d", i, th.Now(), th.CPU())
+		}))
 	}
 }
 
@@ -372,16 +471,15 @@ func TestCtxSwitchCycles(t *testing.T) {
 // of the test-coverage satellite: unpinned threads migrating across four
 // cores under a small OS quantum, with sleeps and wakes mixed in, must
 // deliver observer streams whose per-core busy + idle equals each core's
-// clock exactly — under both engines.
+// clock exactly — under both schedulers.
 func TestConservationUnderMigrationStress(t *testing.T) {
-	for _, kind := range []EngineKind{EngineFast, EngineClassic} {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
+	for _, s := range schedulers {
+		s := s
+		t.Run(s.name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Cores = 4
 			cfg.OSQuantum = 9_000
-			cfg.Engine = kind
-			e := New(cfg)
+			e := s.new(cfg)
 			obs := newRecObs()
 			e.SetClockObserver(obs)
 			ev := e.NewEvent()

@@ -1,28 +1,28 @@
-// The fast engine (EngineFast): the same scheduling decisions as the
-// classic engine, executed inline on the running thread's goroutine.
+// The scheduler: dispatch decisions executed inline on the running
+// thread's goroutine.
 //
-// The classic engine pays two channel round-trips per scheduling point
-// (yielder → Run loop → next thread) and rescans every thread for
-// sleepers on each dispatch. Here the yielding thread runs the scheduler
-// itself: when it remains the globally-minimal entity it simply
-// continues — zero handoffs for a solo thread's slice expiries and
-// sleeps — and when another thread must run it resumes that thread
-// directly, halving the remaining round-trips. Sleepers live in a
-// min-heap keyed (wakeAt, id) instead of being found by scanning
-// e.threads, and ClockObserver Busy deliveries for consecutive work by
-// the same thread are coalesced into one call, flushed at every
-// scheduling point (and by Engine.FlushClock) so the per-core
-// busy + idle == clock conservation invariant holds exactly.
+// The classic scheduler this replaced (Run's loop in engine.go, kept as
+// the reference this package's tests check the inline one against) pays
+// two channel round-trips per scheduling point (yielder → Run loop →
+// next thread) and rescans every thread for sleepers on each dispatch.
+// Here the yielding thread runs the scheduler itself: when it remains the
+// globally-minimal entity it simply continues — zero handoffs for a solo
+// thread's slice expiries and sleeps — and when another thread must run
+// it resumes that thread directly, halving the remaining round-trips.
+// Sleepers live in a min-heap keyed (wakeAt, id) instead of being found
+// by scanning e.threads, and ClockObserver Busy deliveries for
+// consecutive work by the same thread are coalesced into one call,
+// flushed at every scheduling point (and by Engine.FlushClock) so the
+// per-core busy + idle == clock conservation invariant holds exactly.
 //
 // Every dispatch decision and engine-state mutation is identical to the
-// classic engine's, so simulated results are bit-identical; the
-// equivalence suites in this package, internal/revoke and internal/expt
-// pin that. The Run loop still exists in fast mode, but only to
-// bootstrap the first dispatch and to adjudicate termination/deadlock
-// when a scheduling point finds nothing runnable.
+// classic scheduler's, so simulated results are bit-identical; this
+// package's equivalence tests pin that. The Run loop still exists, but
+// only to bootstrap the first dispatch and to adjudicate
+// termination/deadlock when a scheduling point finds nothing runnable.
 package sim
 
-// runFast is the fast-mode Run loop. After each dispatch it parks on
+// runFast is the Run loop. After each dispatch it parks on
 // schedCh; control only returns here when a scheduling point found no
 // runnable entity (termination or deadlock) — thread-to-thread handoffs
 // bypass the loop entirely.
@@ -46,8 +46,8 @@ func (e *Engine) runFast() error {
 	}
 }
 
-// pickNext makes the classic engine's dispatch decision with fast-engine
-// data structures: each core's queue head is considered (FIFO per core,
+// pickNext makes the classic scheduler's dispatch decision with the
+// sleeper heap: each core's queue head is considered (FIFO per core,
 // including the intended head-of-line semantics nextEntity documents)
 // against the earliest sleeper from the heap. Like the classic Run loop,
 // a winning sleeper is woken onto the min-clock core of its affinity set
@@ -90,7 +90,7 @@ func (e *Engine) pickNext() *Thread {
 	}
 }
 
-// yieldFast is the fast engine's scheduling point. The caller has already
+// yieldFast is the scheduling point. The caller has already
 // recorded the thread's new state (requeued Ready, Sleeping, or Blocked);
 // here the thread runs the scheduler inline: continue in place if it is
 // still the globally-minimal entity, hand off directly to the winner
@@ -113,7 +113,7 @@ func (th *Thread) yieldFast() {
 	}
 	if next == nil {
 		// Deadlock: adjudicated by the Run loop, exactly as when a classic
-		// yield returns control there. This goroutine parks forever, like
+		// scheduler's yield returns control there. This goroutine parks forever, like
 		// any blocked thread at deadlock.
 		e.schedCh <- th
 		<-th.resume
@@ -127,7 +127,7 @@ func (th *Thread) yieldFast() {
 	<-th.resume
 }
 
-// finishFast is the fast engine's end-of-thread scheduling point: the
+// finishFast is the end-of-thread scheduling point: the
 // dying goroutine dispatches the next entity directly, or wakes the Run
 // loop to decide termination versus deadlock.
 func (e *Engine) finishFast(th *Thread) {
@@ -204,7 +204,7 @@ func (e *Engine) accumBusy(core, thread int, cycles uint64) {
 }
 
 // flushObs delivers the pending batched Busy cycles, if any. A no-op
-// under the classic engine, which delivers every charge immediately.
+// under the classic scheduler, which delivers every charge immediately.
 func (e *Engine) flushObs() {
 	if e.pendBusy != 0 {
 		e.obs.Busy(e.pendCore, e.pendThread, e.pendBusy)
@@ -212,12 +212,11 @@ func (e *Engine) flushObs() {
 	}
 }
 
-// FlushClock delivers any batched observer cycles immediately. The fast
+// FlushClock delivers any batched observer cycles immediately. The
 // engine coalesces consecutive same-thread Busy deliveries between
 // scheduling points; a caller about to change how cycles are attributed
 // (telemetry's Enter/Exit/SetBase) flushes first so the cycles ticked
-// before the change land under the old attribution. Nil-receiver safe,
-// and a no-op under the classic engine.
+// before the change land under the old attribution. Nil-receiver safe.
 func (e *Engine) FlushClock() {
 	if e == nil {
 		return

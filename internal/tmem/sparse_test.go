@@ -19,44 +19,67 @@ func collectTagged(iter func(func(FrameID) bool) bool) []FrameID {
 }
 
 // TestTaggedFrameIterationMatchesFlat is the sparse-vs-flat differential
-// suite for the bank summaries: after a randomized mix of every tag
-// mutation the package offers (cap stores, data stores, granule clears,
-// frame frees and reuse, fork-style copies), the region→group descent and
-// the linear flat scan must report exactly the same tagged-frame set, in
-// the same ascending order, and TaggedFrames must agree with both.
+// suite for the bank: a randomized mix of every tag mutation the package
+// offers (cap stores, data stores, granule clears, frame frees and reuse,
+// fork-style copies) drives two banks, identical except that the
+// reference bank clears data-store tags granule by granule
+// (storeDataGranules). Both must end with identical tag words in every
+// frame, and on the production bank the region→group descent and the
+// linear flat scan (forEachTaggedFrameFlat) must report exactly the same
+// tagged-frame set, in the same ascending order, with TaggedFrames
+// agreeing with both.
 func TestTaggedFrameIterationMatchesFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	p := NewPhys(1 << 14)
+	p, ref := NewPhys(1<<14), NewPhys(1<<14)
+	alloc := func() FrameID {
+		id, err := p.AllocFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rid, err := ref.AllocFrame(); err != nil || rid != id {
+			t.Fatalf("reference bank allocated %d (%v), production %d", rid, err, id)
+		}
+		return id
+	}
 	var live []FrameID
 	// A spread-out bank: allocate well past one frame-group (64 frames)
 	// and one region word (4096 frames) so the descent crosses summary
 	// word boundaries.
 	for i := 0; i < 5000; i++ {
-		id, err := p.AllocFrame()
-		if err != nil {
-			t.Fatal(err)
-		}
-		live = append(live, id)
+		live = append(live, alloc())
 	}
 	cap0 := ca.NewRoot(0, 16, ca.PermsData)
 	for step := 0; step < 20000; step++ {
+		// Half the operations land on 64 hot frames, so data stores meet
+		// densely tagged words as well as sparse ones.
 		id := live[rng.Intn(len(live))]
+		if rng.Intn(2) == 0 {
+			id = live[rng.Intn(64)]
+		}
 		switch rng.Intn(6) {
 		case 0, 1:
-			p.StoreCap(id, rng.Intn(GranulesPerPage), cap0)
+			g := rng.Intn(GranulesPerPage)
+			for end := g + rng.Intn(64); g <= end && g < GranulesPerPage; g++ {
+				p.StoreCap(id, g, cap0)
+				ref.StoreCap(id, g, cap0)
+			}
 		case 2:
 			g := rng.Intn(GranulesPerPage)
-			p.StoreData(id, g, 1+rng.Intn(GranulesPerPage-g))
+			n := 1 + rng.Intn(GranulesPerPage-g)
+			p.StoreData(id, g, n)
+			ref.storeDataGranules(id, g, n)
 		case 3:
-			p.ClearTag(id, rng.Intn(GranulesPerPage))
+			g := rng.Intn(GranulesPerPage)
+			p.ClearTag(id, g)
+			ref.ClearTag(id, g)
 		case 4:
-			p.CopyFrame(id, live[rng.Intn(len(live))])
+			src := live[rng.Intn(len(live))]
+			p.CopyFrame(id, src)
+			ref.CopyFrame(id, src)
 		case 5:
 			p.FreeFrame(id)
-			nid, err := p.AllocFrame()
-			if err != nil {
-				t.Fatal(err)
-			}
+			ref.FreeFrame(id)
+			nid := alloc()
 			for i := range live {
 				if live[i] == id {
 					live[i] = nid
@@ -64,8 +87,16 @@ func TestTaggedFrameIterationMatchesFlat(t *testing.T) {
 			}
 		}
 	}
+	for _, id := range live {
+		if pt, rt := p.frame(id).tags, ref.frame(id).tags; pt != rt {
+			t.Fatalf("frame %d: tag words %x, reference %x", id, pt, rt)
+		}
+	}
 	sparse := collectTagged(p.ForEachTaggedFrame)
-	flat := collectTagged(p.ForEachTaggedFrameFlat)
+	flat := collectTagged(p.forEachTaggedFrameFlat)
+	if refFlat := collectTagged(ref.forEachTaggedFrameFlat); len(refFlat) != len(flat) {
+		t.Fatalf("reference bank holds %d tagged frames, production %d", len(refFlat), len(flat))
+	}
 	if len(sparse) != len(flat) {
 		t.Fatalf("sparse walk found %d tagged frames, flat scan %d", len(sparse), len(flat))
 	}
@@ -194,30 +225,27 @@ func TestTaggedFrameWalkSurvivesFrameTableGrowth(t *testing.T) {
 // TestCapsRecyclingInvisible pins the tag-guard argument that makes dirty
 // capability-array recycling safe: a frame that inherits a freed frame's
 // array must read as entirely untagged data until it stores its own
-// capabilities, under both allocation paths.
+// capabilities.
 func TestCapsRecyclingInvisible(t *testing.T) {
-	for _, flat := range []bool{false, true} {
-		p := NewPhys(64)
-		p.FlatAlloc = flat
-		a := mustAlloc(t, p)
-		secret := ca.NewRoot(0xdead0, 16, ca.PermsData)
-		for g := 0; g < GranulesPerPage; g++ {
-			p.StoreCap(a, g, secret)
+	p := NewPhys(64)
+	a := mustAlloc(t, p)
+	secret := ca.NewRoot(0xdead0, 16, ca.PermsData)
+	for g := 0; g < GranulesPerPage; g++ {
+		p.StoreCap(a, g, secret)
+	}
+	p.FreeFrame(a)
+	b := mustAlloc(t, p)
+	if p.HasTags(b) || p.TagCount(b) != 0 {
+		t.Fatal("fresh frame reports tags")
+	}
+	for g := 0; g < GranulesPerPage; g++ {
+		if c := p.LoadCap(b, g); c.Tag() {
+			t.Fatalf("granule %d of a fresh frame loads a tagged capability", g)
 		}
-		p.FreeFrame(a)
-		b := mustAlloc(t, p)
-		if p.HasTags(b) || p.TagCount(b) != 0 {
-			t.Fatalf("flat=%v: fresh frame reports tags", flat)
-		}
-		for g := 0; g < GranulesPerPage; g++ {
-			if c := p.LoadCap(b, g); c.Tag() {
-				t.Fatalf("flat=%v: granule %d of a fresh frame loads a tagged capability", flat, g)
-			}
-		}
-		n := 0
-		p.ForEachTag(b, func(int, ca.Capability) { n++ })
-		if n != 0 {
-			t.Fatalf("flat=%v: ForEachTag visited %d granules of a fresh frame", flat, n)
-		}
+	}
+	n := 0
+	p.ForEachTag(b, func(int, ca.Capability) { n++ })
+	if n != 0 {
+		t.Fatalf("ForEachTag visited %d granules of a fresh frame", n)
 	}
 }

@@ -105,16 +105,8 @@ type Phys struct {
 	// array is handed out without zeroing: every read of caps is guarded
 	// by the granule's tag bit (LoadCap, SweepTags, ForEachTag), and a
 	// fresh frame starts with all tags clear, so stale values are
-	// unobservable. Disabled under FlatAlloc.
+	// unobservable.
 	capsFree []*[GranulesPerPage]ca.Capability
-
-	// FlatAlloc selects the flat differential allocation path (the
-	// kernel's MemPathFlat): capability arrays are freshly allocated and
-	// zeroed instead of recycled, and StoreData clears tags granule by
-	// granule instead of word-masked. Both paths produce identical tag
-	// state; the flat one is kept as the perf baseline and correctness
-	// oracle.
-	FlatAlloc bool
 
 	// SweepFilter, when non-nil, is consulted for every tagged granule a
 	// SweepTags scan visits; returning true hides the granule from that
@@ -152,9 +144,9 @@ func (p *Phys) unmarkTagged(id FrameID) {
 }
 
 // newCaps returns a capability array for a frame, recycling a freed
-// frame's array when the fast allocation path is enabled (see capsFree).
+// frame's array when one is available (see capsFree).
 func (p *Phys) newCaps() *[GranulesPerPage]ca.Capability {
-	if n := len(p.capsFree); n > 0 && !p.FlatAlloc {
+	if n := len(p.capsFree); n > 0 {
 		c := p.capsFree[n-1]
 		p.capsFree[n-1] = nil
 		p.capsFree = p.capsFree[:n-1]
@@ -165,7 +157,7 @@ func (p *Phys) newCaps() *[GranulesPerPage]ca.Capability {
 
 // recycleCaps returns a no-longer-referenced capability array to the pool.
 func (p *Phys) recycleCaps(c *[GranulesPerPage]ca.Capability) {
-	if c != nil && !p.FlatAlloc {
+	if c != nil {
 		p.capsFree = append(p.capsFree, c)
 	}
 }
@@ -294,10 +286,9 @@ func (p *Phys) StoreCap(id FrameID, g int, c ca.Capability) {
 }
 
 // StoreData records a plain-data store covering granules [g, g+n): their
-// tags are cleared. The data value itself is not retained. The fast path
-// clears whole word-masked spans (and frames with no tags at all cost
-// O(1)); under FlatAlloc the original granule-by-granule loop is kept as
-// the differential oracle.
+// tags are cleared. The data value itself is not retained. Whole
+// word-masked spans are cleared at once, and frames with no tags at all
+// cost O(1).
 func (p *Phys) StoreData(id FrameID, g, n int) {
 	checkGranule(g)
 	if n <= 0 {
@@ -305,12 +296,6 @@ func (p *Phys) StoreData(id FrameID, g, n int) {
 	}
 	checkGranule(g + n - 1)
 	f := p.frame(id)
-	if p.FlatAlloc {
-		for i := g; i < g+n; i++ {
-			f.clearTag(i>>6, 1<<(uint(i)&63))
-		}
-		return
-	}
 	if f.summary == 0 {
 		return
 	}
@@ -405,8 +390,8 @@ func (p *Phys) SweepTags(id FrameID, fn func(g int, c ca.Capability) bool) (visi
 // SweepCursor is the revocation handle passed to a SweepTagsWords callback.
 // Revoke applies a tag clear immediately, granule by granule: mid-word
 // virtual-time yields let application threads observe tag state, so clears
-// deferred to the end of a word would open a divergence window against the
-// per-granule kernel.
+// deferred to the end of a word would open a divergence window against a
+// per-granule sweep.
 type SweepCursor struct {
 	f       *frame
 	revoked int
@@ -551,22 +536,6 @@ func (p *Phys) ForEachTaggedFrame(fn func(id FrameID) bool) bool {
 				if !fn(id) {
 					return false
 				}
-			}
-		}
-	}
-	return true
-}
-
-// ForEachTaggedFrameFlat is the flat differential oracle for
-// ForEachTaggedFrame: a linear scan of the whole frame table checking each
-// frame's summary. O(bank size); kept for the equivalence suite and as the
-// perf baseline the sparse walk is measured against.
-func (p *Phys) ForEachTaggedFrameFlat(fn func(id FrameID) bool) bool {
-	for i := 0; i < len(p.frames); i++ {
-		f := p.frames[i]
-		if f.inUse && f.summary != 0 {
-			if !fn(FrameID(i)) {
-				return false
 			}
 		}
 	}

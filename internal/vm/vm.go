@@ -158,16 +158,6 @@ type AddressSpace struct {
 	coreGen []uint8
 	tlbs    []map[uint64]tlbEntry
 
-	// FlatVPNs selects the flat differential vpn-list maintenance path
-	// (the kernel's MemPathFlat): every insert does the original
-	// copy-shift into the sorted slice, O(pages) per mapping. The fast
-	// path appends in O(1) when the new vpn is above the current maximum
-	// — the overwhelmingly common case, since reservations are carved
-	// from a monotone bump pointer — turning sequential heap growth from
-	// O(pages²) into O(pages). Both paths maintain an identical sorted
-	// list.
-	FlatVPNs bool
-
 	// OnShootdown, when non-nil, is invoked once per ShootdownAll — vm has
 	// no clock of its own, so the kernel layer hooks this to timestamp and
 	// trace shootdowns.
@@ -236,14 +226,15 @@ func (as *AddressSpace) Reserve(length uint64, perms ca.Perms) (*Reservation, er
 }
 
 // insertVPN keeps the sorted vpn list (and its parallel PTE slice) in
-// sync with the page map.
+// sync with the page map. A vpn above the current maximum appends in O(1)
+// — the overwhelmingly common case, since reservations are carved from a
+// monotone bump pointer — so sequential heap growth costs O(pages), not
+// O(pages²); any other vpn takes the copy-shift sorted insert.
 func (as *AddressSpace) insertVPN(vpn uint64, pte *PTE) {
-	if !as.FlatVPNs {
-		if n := len(as.vpns); n == 0 || as.vpns[n-1] < vpn {
-			as.vpns = append(as.vpns, vpn)
-			as.ptes = append(as.ptes, pte)
-			return
-		}
+	if n := len(as.vpns); n == 0 || as.vpns[n-1] < vpn {
+		as.vpns = append(as.vpns, vpn)
+		as.ptes = append(as.ptes, pte)
+		return
 	}
 	i := sort.Search(len(as.vpns), func(i int) bool { return as.vpns[i] >= vpn })
 	as.vpns = append(as.vpns, 0)
@@ -492,7 +483,6 @@ func (as *AddressSpace) ShootdownIncomplete() bool { return as.incomplete }
 // never skips a page whose shared frame carries capabilities.
 func (as *AddressSpace) CloneCOW() *AddressSpace {
 	c := NewAddressSpace(as.phys, len(as.coreGen))
-	c.FlatVPNs = as.FlatVPNs
 	c.next = as.next
 	copy(c.coreGen, as.coreGen)
 	for _, r := range as.resv {
@@ -551,7 +541,6 @@ func (as *AddressSpace) ResolveCOW(pte *PTE) (bool, error) {
 // load traps into the child, footnote 21).
 func (as *AddressSpace) Clone() (*AddressSpace, error) {
 	c := NewAddressSpace(as.phys, len(as.coreGen))
-	c.FlatVPNs = as.FlatVPNs
 	c.next = as.next
 	copy(c.coreGen, as.coreGen)
 	for _, r := range as.resv {

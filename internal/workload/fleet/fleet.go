@@ -41,7 +41,7 @@ type Fleet struct {
 	// fleet allocation-bound instead: large sessions shift host time from
 	// the simulator's sleep/wake machinery into the memory-model paths
 	// (frame and shadow-chunk population, capability-array clears, vpn
-	// appends) that the -mempath seam selects between.
+	// appends).
 	SessionSlots int
 	SessionBytes uint64
 

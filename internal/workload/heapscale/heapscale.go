@@ -5,9 +5,7 @@
 // mapped pages and tagged granules a sweep must cover — which is exactly
 // the regime the sparse hierarchical tag and shadow representations (and
 // the O(1)-append vpn path) exist for. Host-side, a heapscale run is
-// dominated by allocation-path and sweep-iteration costs; simulated
-// results are identical under every kernel.MemPath, pinned by the
-// mem-path equivalence tests.
+// dominated by allocation-path and sweep-iteration costs.
 package heapscale
 
 import (
