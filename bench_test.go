@@ -1,28 +1,23 @@
-// Package repro's benchmark harness: one benchmark per table and figure of
-// the paper's evaluation, plus ablations for the design choices DESIGN.md
-// calls out. Each benchmark regenerates its figure at a reduced repetition
-// count and reports the figure's headline quantities as benchmark metrics;
-// run `go test -bench . -benchmem` to regenerate everything, or the cmd/
-// tools for full-fidelity tables.
+// Package repro's benchmark harness: ablations for the design choices
+// DESIGN.md calls out (§3.1's two-pass Cornucopia, §7's multi-worker
+// sweep, coloring, quarantine policy and always-trap PTEs). Nothing else
+// computes them; run `go test -bench Ablation -benchmem`. The paper's
+// figures and tables are regenerated by cmd/sweep.
 package repro
 
 import (
 	"strconv"
-	"strings"
 	"testing"
 
-	"repro/internal/expt"
 	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/quarantine"
 	"repro/internal/revoke"
-	"repro/internal/workload/pgbench"
-	"repro/internal/workload/qps"
 	"repro/internal/workload/spec"
 )
 
-// benchScale shrinks SPEC footprints further than the cmd tools (1/128
-// instead of 1/64) so the full benchmark suite stays tractable.
+// benchScale shrinks SPEC footprints further than cmd/sweep's default
+// (1/128 instead of 1/64) so the ablations stay tractable.
 const benchScale = 128
 
 func specCfg() harness.Config {
@@ -30,192 +25,6 @@ func specCfg() harness.Config {
 	cfg.Scale = benchScale
 	return cfg
 }
-
-// benchOpts is the reduced-fidelity grid the figure benchmarks run: one rep,
-// SPEC at 1/128 scale, and shorter pgbench/QPS windows than the cmd tools.
-func benchOpts() expt.Options {
-	o := expt.DefaultOptions()
-	o.Reps = 1
-	o.SpecCfg.Scale = benchScale
-	o.Txs = 2500
-	o.Measure = 750_000_000
-	o.Warmup = 75_000_000
-	return o
-}
-
-// genFig regenerates one figure through the expt orchestrator.
-func genFig(b *testing.B, id string, o expt.Options) *harness.Table {
-	b.Helper()
-	t, err := expt.Generate(id, o, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return t
-}
-
-// cell parses a "+12.3%" or "1.234" table cell back into a float. An
-// unparsable cell fails the benchmark: a formatting change must surface as
-// a failure, not as a silently-zero reported metric.
-func cell(b *testing.B, s string) float64 {
-	b.Helper()
-	trimmed := strings.TrimSuffix(strings.TrimPrefix(s, "+"), "%")
-	trimmed = strings.TrimSuffix(trimmed, "x")
-	trimmed = strings.TrimSuffix(trimmed, "ms")
-	trimmed = strings.TrimSuffix(trimmed, "MiB")
-	v, err := strconv.ParseFloat(trimmed, 64)
-	if err != nil {
-		b.Fatalf("unparsable table cell %q: %v", s, err)
-	}
-	return v
-}
-
-// findRow returns the row whose first cell equals name.
-func findRow(t *harness.Table, name string) []string {
-	for _, r := range t.Rows {
-		if r[0] == name {
-			return r
-		}
-	}
-	return nil
-}
-
-func BenchmarkFig1WallClock(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := genFig(b, "fig1", benchOpts())
-		b.Logf("\n%s", t)
-		if r := findRow(t, "xalancbmk"); r != nil {
-			b.ReportMetric(cell(b, r[1]), "xalancbmk_reloaded_wall_ov_%")
-		}
-		if r := findRow(t, "omnetpp"); r != nil {
-			b.ReportMetric(cell(b, r[1]), "omnetpp_reloaded_wall_ov_%")
-		}
-	}
-}
-
-func BenchmarkFig2CPUTime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := genFig(b, "fig2", benchOpts())
-		b.Logf("\n%s", t)
-		if r := findRow(t, "omnetpp"); r != nil {
-			b.ReportMetric(cell(b, r[1]), "omnetpp_reloaded_cpu_ov_%")
-			b.ReportMetric(cell(b, r[2]), "omnetpp_cornucopia_cpu_ov_%")
-		}
-	}
-}
-
-func BenchmarkFig3RSS(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := genFig(b, "fig3", benchOpts())
-		b.Logf("\n%s", t)
-		if r := findRow(t, "xalancbmk"); r != nil {
-			b.ReportMetric(cell(b, r[2]), "xalancbmk_reloaded_rss_ratio")
-		}
-	}
-}
-
-func BenchmarkFig4BusTraffic(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := genFig(b, "fig4", benchOpts())
-		b.Logf("\n%s", t)
-		if r := findRow(t, "omnetpp"); r != nil {
-			b.ReportMetric(cell(b, r[2]), "omnetpp_reloaded_dram_ov_%")
-			b.ReportMetric(cell(b, r[5]), "omnetpp_rel_vs_cor_%")
-		}
-	}
-}
-
-func BenchmarkFig5PgbenchTime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := genFig(b, "fig5", benchOpts())
-		b.Logf("\n%s", t)
-		if r := findRow(t, "Reloaded"); r != nil {
-			b.ReportMetric(cell(b, r[1]), "reloaded_wall_ov_%")
-		}
-	}
-}
-
-func BenchmarkFig6PgbenchBus(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := genFig(b, "fig6", benchOpts())
-		b.Logf("\n%s", t)
-		rel, cor := findRow(t, "Reloaded"), findRow(t, "Cornucopia")
-		if rel != nil && cor != nil && cell(b, cor[1]) != 0 {
-			b.ReportMetric(100*cell(b, rel[1])/cell(b, cor[1]), "rel_traffic_ov_vs_cor_%")
-		}
-	}
-}
-
-func BenchmarkFig7PgbenchCDF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := genFig(b, "fig7", benchOpts())
-		b.Logf("\n%s", t)
-		rel, chv := findRow(t, "Reloaded"), findRow(t, "CHERIvoke")
-		if rel != nil && chv != nil {
-			b.ReportMetric(cell(b, rel[5]), "reloaded_p99_ms")
-			b.ReportMetric(cell(b, chv[5]), "cherivoke_p99_ms")
-		}
-	}
-}
-
-func BenchmarkTable1RateSchedules(b *testing.B) {
-	o := benchOpts()
-	o.Txs = 2000
-	for i := 0; i < b.N; i++ {
-		t := genFig(b, "table1", o)
-		b.Logf("\n%s", t)
-		if r := findRow(t, "unscheduled"); r != nil {
-			b.ReportMetric(cell(b, r[5]), "unscheduled_p99.9_ms")
-		}
-	}
-}
-
-func BenchmarkFig8QPSLatency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := genFig(b, "fig8", benchOpts())
-		b.Logf("\n%s", t)
-		rel, cor := findRow(t, "Reloaded"), findRow(t, "Cornucopia")
-		if rel != nil && cor != nil {
-			b.ReportMetric(cell(b, rel[4]), "reloaded_p99_x")
-			b.ReportMetric(cell(b, cor[4]), "cornucopia_p99_x")
-			b.ReportMetric(cell(b, rel[6]), "reloaded_qps_delta_%")
-		}
-	}
-}
-
-func BenchmarkFig9Phases(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := genFig(b, "fig9", benchOpts())
-		b.Logf("\n%s", t)
-		// Headline: Reloaded's stop-the-world vs Cornucopia's on the
-		// largest-heap benchmark.
-		var relSTW, corSTW float64
-		for _, r := range t.Rows {
-			if r[0] == "xalancbmk" && r[2] == "stop-the-world" {
-				med := cell(b, strings.Split(r[3], "/")[2])
-				switch r[1] {
-				case "Reloaded":
-					relSTW = med
-				case "Cornucopia":
-					corSTW = med
-				}
-			}
-		}
-		b.ReportMetric(relSTW, "xalancbmk_reloaded_stw_ms")
-		b.ReportMetric(corSTW, "xalancbmk_cornucopia_stw_ms")
-	}
-}
-
-func BenchmarkTable2RevRates(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := genFig(b, "table2", benchOpts())
-		b.Logf("\n%s", t)
-		if r := findRow(t, "pgbench"); r != nil {
-			b.ReportMetric(cell(b, r[3]), "pgbench_freed_to_alloc_ratio")
-		}
-	}
-}
-
-// --- ablations ----------------------------------------------------------------
 
 // BenchmarkAblationMultiRevokers measures §7.1: splitting the background
 // sweep across worker threads shortens the concurrent phase.
@@ -342,51 +151,6 @@ func BenchmarkAblationAlwaysTrap(b *testing.B) {
 		b.ReportMetric(visits[false], "pages_visited_plain")
 		b.ReportMetric(visits[true], "pages_visited_alwaystrap")
 		b.ReportMetric(wall[true]/wall[false], "wall_ratio")
-	}
-}
-
-// BenchmarkWorkloads runs each surrogate once under Reloaded (throughput of
-// the simulator itself, cycles simulated per host second).
-func BenchmarkWorkloads(b *testing.B) {
-	cases := []struct {
-		name string
-		run  func() (uint64, error)
-	}{
-		{"xalancbmk", func() (uint64, error) {
-			r, err := harness.Run(spec.ByName("xalancbmk")[0], harness.StandardConditions()[0], specCfg())
-			if err != nil {
-				return 0, err
-			}
-			return r.WallCycles, nil
-		}},
-		{"pgbench", func() (uint64, error) {
-			r, err := harness.Run(pgbench.New(2000), harness.StandardConditions()[0], harness.PgbenchConfig())
-			if err != nil {
-				return 0, err
-			}
-			return r.WallCycles, nil
-		}},
-		{"qps", func() (uint64, error) {
-			w := qps.New(500_000_000, 50_000_000)
-			r, err := harness.Run(w, harness.QPSConditions()[0], harness.QPSConfig())
-			if err != nil {
-				return 0, err
-			}
-			return r.WallCycles, nil
-		}},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			var cycles uint64
-			for i := 0; i < b.N; i++ {
-				var err error
-				cycles, err = c.run()
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(cycles), "virtual_cycles")
-		})
 	}
 }
 

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	hostbench [-out BENCH_host.json] [-run REGEXP] [-check]
+//	hostbench [-out BENCH_host.json] [-run REGEXP]
 //	          [-live ADDR] [-live-linger D] [-metrics FILE]
 //
 // -live serves benchmark progress on the standard introspection endpoints
@@ -15,28 +15,22 @@
 // Every benchmark body is driven through testing.Benchmark (the standard
 // ~1s auto-scaling), so the emitted numbers match what
 // `go test ./internal/hostbench -bench .` prints. The document records
-// per-benchmark iterations, ns/op and reported metrics, plus the headline
-// speedup ratios of the word-wise sweep loop over the per-granule one:
-//
-//   - sweep_kernel: SweepTags / SweepTagsWords on a dense-tag page
-//   - shadow_probe: ShadowTest / ShadowPaintedWord over the same span
-//   - campaign: CampaignGranule / CampaignWord, the end-to-end heap-scale
-//     sweep campaign
-//
-// Every other body records an absolute ns/op with no slow twin and no
-// ratio: the per-granule tag accessors; BusSweepMix (one swept page's
-// tag-table, data-line and shadow-bitmap accesses in the order the sweep
-// issues them) and BusAccessRange (one page-sized store range), the bus
-// cache model; SimCampaignWord, the full simulator over a sweep-heavy
-// CHERIvoke campaign; SimCampaignFast, a Reloaded campaign over an
-// 8192-connection open-loop fleet (internal/workload/fleet), which is
-// scheduler-bound; HeapSweepSparse, a whole-bank audit sweep over a
+// per-benchmark iterations, ns/op and reported metrics, one absolute row
+// per body: the sweep loops (SweepTags per granule, SweepTagsWords per
+// tag word) and shadow probes (ShadowTest, ShadowPaintedWord); the
+// per-granule tag accessors; BusSweepMix (one swept page's tag-table,
+// data-line and shadow-bitmap accesses in the order the sweep issues
+// them) and BusAccessRange (one page-sized store range), the bus cache
+// model; CampaignWord and CampaignGranule, the end-to-end heap-scale sweep
+// campaign under either kernel; SimCampaignWord, the full simulator over
+// a sweep-heavy CHERIvoke campaign; SimCampaignFast, a Reloaded campaign
+// over an 8192-connection open-loop fleet (internal/workload/fleet), which
+// is scheduler-bound; HeapSweepSparse, a whole-bank audit sweep over a
 // million-frame bank with sparse tags; and FleetSetupFast, an
 // allocation-bound connection-fleet campaign. Their trajectories are
-// tracked across commits with `go run ./cmd/obs diff OLD NEW`.
-//
-// -check exits nonzero unless sweep_kernel ≥ 3 and campaign ≥ 1.5, the
-// acceptance floors the committed BENCH_host.json is regenerated under.
+// tracked across commits, and regressions gated, with
+// `go run ./cmd/obs diff [-max-regress PCT] OLD NEW` over two documents
+// from the same host.
 package main
 
 import (
@@ -64,30 +58,13 @@ type benchResult struct {
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
-type ratio struct {
-	Baseline  string  `json:"baseline"`
-	Contender string  `json:"contender"`
-	Speedup   float64 `json:"speedup"`
-}
-
 type document struct {
-	Schema     string           `json:"schema"`
-	Go         string           `json:"go"`
-	GOOS       string           `json:"goos"`
-	GOARCH     string           `json:"goarch"`
-	GOMAXPROCS int              `json:"gomaxprocs"`
-	Benchmarks []benchResult    `json:"benchmarks"`
-	Ratios     map[string]ratio `json:"ratios"`
-}
-
-// ratioDefs names the headline speedups: contender ns/op in the
-// denominator, so >1 means the word-wise loop is faster.
-var ratioDefs = []struct {
-	key, baseline, contender string
-}{
-	{"sweep_kernel", hostbench.NameSweepTags, hostbench.NameSweepTagsWords},
-	{"shadow_probe", hostbench.NameShadowTest, hostbench.NameShadowPainted},
-	{"campaign", hostbench.NameCampaignGranule, hostbench.NameCampaignWord},
+	Schema     string        `json:"schema"`
+	Go         string        `json:"go"`
+	GOOS       string        `json:"goos"`
+	GOARCH     string        `json:"goarch"`
+	GOMAXPROCS int           `json:"gomaxprocs"`
+	Benchmarks []benchResult `json:"benchmarks"`
 }
 
 func main() {
@@ -95,7 +72,6 @@ func main() {
 	log.SetPrefix("hostbench: ")
 	out := flag.String("out", "BENCH_host.json", "write the benchmark document to this file ('-' for stdout)")
 	run := flag.String("run", "", "only run benchmarks matching this regexp")
-	check := flag.Bool("check", false, "exit nonzero unless sweep_kernel >= 3 and campaign >= 1.5")
 	lf := cliflags.RegisterLive()
 	flag.Parse()
 
@@ -125,9 +101,7 @@ func main() {
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Ratios:     map[string]ratio{},
 	}
-	nsPerOp := map[string]float64{}
 	for done, i := range selected {
 		b := hostbench.Benchmarks[i]
 		r := testing.Benchmark(b.F)
@@ -135,7 +109,6 @@ func main() {
 			log.Fatalf("%s: benchmark failed to run", b.Name)
 		}
 		ns := float64(r.T.Nanoseconds()) / float64(r.N)
-		nsPerOp[b.Name] = ns
 		br := benchResult{Name: b.Name, Iters: r.N, NsPerOp: ns}
 		if len(r.Extra) > 0 {
 			br.Metrics = r.Extra
@@ -147,16 +120,6 @@ func main() {
 			Done:   done + 1, Total: len(selected),
 		})
 		fmt.Fprintf(os.Stderr, "%-24s %12d iters  %14.1f ns/op\n", b.Name, r.N, ns)
-	}
-
-	for _, d := range ratioDefs {
-		base, okB := nsPerOp[d.baseline]
-		cont, okC := nsPerOp[d.contender]
-		if !okB || !okC {
-			continue
-		}
-		doc.Ratios[d.key] = ratio{Baseline: d.baseline, Contender: d.contender, Speedup: base / cont}
-		fmt.Fprintf(os.Stderr, "%-24s %6.2fx  (%s / %s)\n", d.key, base/cont, d.baseline, d.contender)
 	}
 
 	enc, err := json.MarshalIndent(&doc, "", "  ")
@@ -175,22 +138,5 @@ func main() {
 
 	if err := lf.Finish(live); err != nil {
 		log.Print(err)
-	}
-
-	if *check {
-		fail := false
-		for key, min := range map[string]float64{"sweep_kernel": 3, "campaign": 1.5} {
-			r, ok := doc.Ratios[key]
-			if !ok {
-				log.Printf("check: ratio %s not measured (filtered out?)", key)
-				fail = true
-			} else if r.Speedup < min {
-				log.Printf("check: %s speedup %.2fx below the %.1fx floor", key, r.Speedup, min)
-				fail = true
-			}
-		}
-		if fail {
-			os.Exit(1)
-		}
 	}
 }

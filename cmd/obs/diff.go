@@ -4,13 +4,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"sort"
 )
 
 // benchDoc mirrors cmd/hostbench's BENCH_host.json document
-// (cornucopia-hostbench/v1) closely enough to diff it.
+// (cornucopia-hostbench/v1) closely enough to diff it. Fields it does not
+// name, such as the speedup ratios older documents carry, are ignored.
 type benchDoc struct {
 	Schema     string `json:"schema"`
 	Go         string `json:"go"`
@@ -22,11 +23,6 @@ type benchDoc struct {
 		Iters   int     `json:"iters"`
 		NsPerOp float64 `json:"ns_per_op"`
 	} `json:"benchmarks"`
-	Ratios map[string]struct {
-		Baseline  string  `json:"baseline"`
-		Contender string  `json:"contender"`
-		Speedup   float64 `json:"speedup"`
-	} `json:"ratios"`
 }
 
 // hostbenchSchema is the document schema diff accepts.
@@ -47,24 +43,29 @@ func loadBenchDoc(path string) (*benchDoc, error) {
 	return &doc, nil
 }
 
-func cmdDiff(args []string) {
-	fs := flag.NewFlagSet("obs diff", flag.ExitOnError)
+// cmdDiff prints one row per benchmark of two BENCH_host.json documents
+// to w and returns the verdict: false when any benchmark slowed down by
+// more than -max-regress percent.
+func cmdDiff(args []string, w io.Writer) (bool, error) {
+	fs := flag.NewFlagSet("obs diff", flag.ContinueOnError)
 	maxRegress := fs.Float64("max-regress", 10,
-		"fail when a benchmark slows down, or a headline ratio drops, by more than this percent")
-	fs.Parse(args)
+		"fail when a benchmark slows down by more than this percent")
+	if err := fs.Parse(args); err != nil {
+		return false, err
+	}
 	if fs.NArg() != 2 {
-		log.Fatal("diff: want exactly two arguments: OLD.json NEW.json")
+		return false, fmt.Errorf("want exactly two arguments: OLD.json NEW.json")
 	}
 	oldDoc, err := loadBenchDoc(fs.Arg(0))
 	if err != nil {
-		log.Fatalf("diff: %v", err)
+		return false, err
 	}
 	newDoc, err := loadBenchDoc(fs.Arg(1))
 	if err != nil {
-		log.Fatalf("diff: %v", err)
+		return false, err
 	}
 	if oldDoc.GOARCH != newDoc.GOARCH || oldDoc.GOOS != newDoc.GOOS {
-		fmt.Printf("note: comparing across platforms (%s/%s vs %s/%s); host numbers are not like-for-like\n",
+		fmt.Fprintf(w, "note: comparing across platforms (%s/%s vs %s/%s); host numbers are not like-for-like\n",
 			oldDoc.GOOS, oldDoc.GOARCH, newDoc.GOOS, newDoc.GOARCH)
 	}
 
@@ -72,12 +73,12 @@ func cmdDiff(args []string) {
 	for _, b := range oldDoc.Benchmarks {
 		oldNS[b.Name] = b.NsPerOp
 	}
-	failed := false
-	fmt.Printf("%-24s %14s %14s %9s\n", "BENCHMARK", "OLD ns/op", "NEW ns/op", "DELTA")
+	ok := true
+	fmt.Fprintf(w, "%-24s %14s %14s %9s\n", "BENCHMARK", "OLD ns/op", "NEW ns/op", "DELTA")
 	for _, b := range newDoc.Benchmarks {
-		old, ok := oldNS[b.Name]
-		if !ok {
-			fmt.Printf("%-24s %14s %14.1f %9s\n", b.Name, "-", b.NsPerOp, "new")
+		old, found := oldNS[b.Name]
+		if !found {
+			fmt.Fprintf(w, "%-24s %14s %14.1f %9s\n", b.Name, "-", b.NsPerOp, "new")
 			continue
 		}
 		delete(oldNS, b.Name)
@@ -85,9 +86,9 @@ func cmdDiff(args []string) {
 		mark := ""
 		if deltaPct > *maxRegress {
 			mark = "  REGRESSION"
-			failed = true
+			ok = false
 		}
-		fmt.Printf("%-24s %14.1f %14.1f %+8.1f%%%s\n", b.Name, old, b.NsPerOp, deltaPct, mark)
+		fmt.Fprintf(w, "%-24s %14.1f %14.1f %+8.1f%%%s\n", b.Name, old, b.NsPerOp, deltaPct, mark)
 	}
 	gone := make([]string, 0, len(oldNS))
 	for name := range oldNS {
@@ -95,36 +96,13 @@ func cmdDiff(args []string) {
 	}
 	sort.Strings(gone)
 	for _, name := range gone {
-		fmt.Printf("%-24s %14.1f %14s %9s\n", name, oldNS[name], "-", "gone")
+		fmt.Fprintf(w, "%-24s %14.1f %14s %9s\n", name, oldNS[name], "-", "gone")
 	}
 
-	rkeys := make([]string, 0, len(newDoc.Ratios))
-	for k := range newDoc.Ratios {
-		rkeys = append(rkeys, k)
+	if !ok {
+		fmt.Fprintf(w, "\ndiff: regression beyond the %.1f%% threshold\n", *maxRegress)
+		return false, nil
 	}
-	sort.Strings(rkeys)
-	if len(rkeys) > 0 {
-		fmt.Printf("\n%-24s %10s %10s %9s\n", "RATIO", "OLD", "NEW", "DELTA")
-		for _, k := range rkeys {
-			nr := newDoc.Ratios[k]
-			or, ok := oldDoc.Ratios[k]
-			if !ok {
-				fmt.Printf("%-24s %10s %9.2fx %9s\n", k, "-", nr.Speedup, "new")
-				continue
-			}
-			dropPct := (or.Speedup - nr.Speedup) / or.Speedup * 100
-			mark := ""
-			if dropPct > *maxRegress {
-				mark = "  REGRESSION"
-				failed = true
-			}
-			fmt.Printf("%-24s %9.2fx %9.2fx %+8.1f%%%s\n", k, or.Speedup, nr.Speedup, -dropPct, mark)
-		}
-	}
-
-	if failed {
-		fmt.Printf("\ndiff: regression beyond the %.1f%% threshold\n", *maxRegress)
-		os.Exit(1)
-	}
-	fmt.Printf("\ndiff: within the %.1f%% threshold\n", *maxRegress)
+	fmt.Fprintf(w, "\ndiff: within the %.1f%% threshold\n", *maxRegress)
+	return true, nil
 }

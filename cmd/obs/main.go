@@ -20,10 +20,9 @@
 // (submit-to-result, queue wait included), and — when -manifest is given
 // — the top simulated-cycle attribution stacks from the merged telemetry.
 //
-// diff compares two BENCH_host.json documents (cmd/hostbench): each
-// benchmark's ns/op and each headline speedup ratio, failing (exit 1)
-// when a benchmark slows down or a ratio drops by more than -max-regress
-// percent.
+// diff compares two BENCH_host.json documents (cmd/hostbench) row by
+// row, failing (exit 1) when a benchmark's ns/op grows by more than
+// -max-regress percent; benchmarks on only one side print as new or gone.
 //
 // validate checks a journal against the cornucopia-journal/v1 schema:
 // header present, sequence numbers strictly increasing, host timestamps
@@ -68,7 +67,13 @@ func main() {
 	case "report":
 		cmdReport(os.Args[2:])
 	case "diff":
-		cmdDiff(os.Args[2:])
+		ok, err := cmdDiff(os.Args[2:], os.Stdout)
+		if err != nil {
+			log.Fatalf("diff: %v", err)
+		}
+		if !ok {
+			os.Exit(1)
+		}
 	case "validate":
 		cmdValidate(os.Args[2:])
 	case "canon":
@@ -192,8 +197,8 @@ func cmdTimeline(args []string) {
 		}
 		tj := journal.TimelineJob{
 			Key: c.Key, Workload: r.Workload, Condition: r.Condition, Seed: r.Seed,
-			Worker: workers[c.Key],
-			HostMS: float64(c.Host.Microseconds()) / 1e3,
+			Worker:     workers[c.Key],
+			HostMS:     float64(c.Host.Microseconds()) / 1e3,
 			WallCycles: r.WallCycles, HzGHz: r.HzGHz,
 		}
 		if r.Telem != nil {

@@ -2,9 +2,17 @@
 // or the whole thing — through the internal/expt orchestrator: the
 // selected figures' grids are expanded into independent (workload,
 // condition, seed) jobs, sharded across -workers host goroutines, and
-// folded into the same tables the per-suite commands print. Aggregated
-// output is byte-identical at any worker count, because every job is
-// deterministic per seed and boots its own cold machine.
+// folded into the paper's tables. Aggregated output is byte-identical at
+// any worker count, because every job is deterministic per seed and boots
+// its own cold machine. Figure 7's table is followed by an ASCII latency
+// CDF and Figure 9's by per-benchmark ASCII box strips.
+//
+// One invocation per suite regenerates the evaluation piecewise:
+//
+//	sweep -figures fig1,fig2,fig3,fig4,table2   # SPEC CPU2006 INT
+//	sweep -figures fig5,fig6,fig7,table1        # PostgreSQL pgbench
+//	sweep -figures fig8                         # gRPC QPS
+//	sweep -figures fig9 -reps 2                 # revocation phase times
 //
 // Usage:
 //
@@ -259,6 +267,13 @@ func main() {
 		}
 		b.tb.Fprint(os.Stdout)
 		figResults = append(figResults, expt.NewFigureResult(f.ID, b.tb))
+		p, err := plot(f.ID, b.tb, o, pool)
+		if err != nil {
+			log.Printf("%s: plot: %v", f.ID, err)
+			failed = true
+			continue
+		}
+		fmt.Print(p)
 	}
 	// Every Get has returned: drain the worker fleet (no-op under
 	// -exec=local) before reporting.

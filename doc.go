@@ -2,8 +2,8 @@
 // "Cornucopia Reloaded: Load Barriers for CHERI Heap Temporal Safety"
 // (Filardo et al., ASPLOS 2024).
 //
-// The root package holds only the benchmark harness (bench_test.go), with
-// one benchmark per table and figure of the paper's evaluation. The
+// The root package holds only the ablation benchmarks (bench_test.go) for
+// the design choices the paper discusses beyond its headline results. The
 // library lives under internal/ — see README.md for the map, DESIGN.md for
 // the substitution argument (there is no CHERI hardware to run Go on, so
 // the entire stack is a deterministic software model), and EXPERIMENTS.md
@@ -11,8 +11,8 @@
 //
 // Entry points:
 //
-//   - cmd/spec2006, cmd/pgbench, cmd/qps, cmd/phases regenerate the
-//     evaluation's figures and tables;
+//   - cmd/sweep regenerates any subset of the evaluation's figures and
+//     tables, or all of them;
 //   - cmd/cornucopia runs one workload under one strategy;
 //   - examples/ holds five runnable walkthroughs of the public API.
 package repro

@@ -22,7 +22,7 @@ type Config struct {
 	Tool string
 	Grid string
 	// Pool configures the embedded expt.Pool: Workers bounds in-flight
-	// leases, Manifest/Retries/RetryBackoff/Progress work exactly as in a
+	// leases, Manifest/Retries/Backoff/Progress work exactly as in a
 	// local run, and Telemetry is forwarded to workers instead of being
 	// applied locally. Pool.Timeout is ignored — LeaseTimeout is its
 	// distributed equivalent, enforced by lease reclaim so the queue
@@ -460,7 +460,7 @@ func (c *Coordinator) JobWorkers() map[string]string {
 // reap reclaims dead leases: heartbeat silence for hbMiss intervals, or
 // total lease age beyond LeaseTimeout. The reclaimed attempt fails with a
 // "timed out" error, so expt.ErrClass files it with local timeouts and
-// the pool re-issues it (bounded by Retries, spaced by RetryBackoff).
+// the pool re-issues it (bounded by Retries, spaced by Backoff).
 func (c *Coordinator) reap() {
 	defer close(c.reapDone)
 	tick := time.NewTicker(c.hbEvery)

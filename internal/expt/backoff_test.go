@@ -28,7 +28,7 @@ func TestBackoffGrowthAndCap(t *testing.T) {
 }
 
 // TestBackoffZeroBaseDisables pins that a zero Base turns backoff off
-// entirely — the pool's legacy "retry immediately" behavior.
+// entirely — the pool's default of retrying immediately.
 func TestBackoffZeroBaseDisables(t *testing.T) {
 	var b Backoff
 	for attempt := 0; attempt < 5; attempt++ {

@@ -33,8 +33,8 @@ type Flags struct {
 	Workers int
 	Timeout time.Duration
 	Retries int
-	// RetryBackoff spaces a failed job's attempts (attempt n+1 waits
-	// n*RetryBackoff); 0 retries immediately.
+	// RetryBackoff is the first retry's delay (expt.Backoff's base,
+	// doubling per attempt); 0 retries immediately.
 	RetryBackoff time.Duration
 	Resume       string
 	// Compact rewrites the -resume manifest on open, dropping superseded
@@ -53,11 +53,9 @@ type Flags struct {
 	// Heartbeat is the lease-renewal interval advertised to workers; a
 	// worker silent for several intervals has its leases reclaimed.
 	Heartbeat time.Duration
-	// RetryBackoffMax and RetryJitter upgrade -retry-backoff to the
-	// unified exponential policy (expt.Backoff): when either is set, a
-	// failed job's attempt n waits RetryBackoff doubling per attempt,
-	// capped at RetryBackoffMax, plus up to RetryJitter fraction of
-	// deterministic seed-keyed jitter.
+	// RetryBackoffMax caps the retry delay (0 = uncapped) and
+	// RetryJitter adds up to that fraction of deterministic seed-keyed
+	// jitter to it.
 	RetryBackoffMax time.Duration
 	RetryJitter     float64
 	// NetFault arms coordinator-side network fault injection under
@@ -117,7 +115,7 @@ func Register() *Flags {
 	flag.IntVar(&f.Workers, "workers", runtime.NumCPU(), "parallel jobs (grid shards across host cores)")
 	flag.DurationVar(&f.Timeout, "timeout", 10*time.Minute, "per-job attempt timeout (0 = unbounded)")
 	flag.IntVar(&f.Retries, "retries", 1, "extra attempts for a failed job")
-	flag.DurationVar(&f.RetryBackoff, "retry-backoff", 0, "delay attempt n+1 of a failed job by n times this (0 = retry immediately)")
+	flag.DurationVar(&f.RetryBackoff, "retry-backoff", 0, "delay a failed job's first retry by this, doubling per attempt (0 = retry immediately)")
 	flag.StringVar(&f.Resume, "resume", "", "manifest file: record completed jobs and resume from them")
 	flag.BoolVar(&f.Compact, "compact", false, "compact the -resume manifest on open, dropping superseded duplicate entries")
 	flag.BoolVar(&f.Progress, "progress", false, "print per-job progress lines")
@@ -125,7 +123,7 @@ func Register() *Flags {
 	flag.StringVar(&f.Listen, "listen", "127.0.0.1:9977", "coordinator bind address under -exec=net (\":0\" = ephemeral)")
 	flag.StringVar(&f.AddrFile, "addr-file", "", "write the coordinator's bound address to this file (for scripts using -listen :0)")
 	flag.DurationVar(&f.Heartbeat, "heartbeat", time.Second, "worker lease-renewal interval under -exec=net")
-	flag.DurationVar(&f.RetryBackoffMax, "retry-backoff-max", 0, "cap exponential retry backoff at this delay (0 with -retry-jitter 0 = legacy linear backoff)")
+	flag.DurationVar(&f.RetryBackoffMax, "retry-backoff-max", 0, "cap the retry backoff at this delay (0 = uncapped)")
 	flag.Float64Var(&f.RetryJitter, "retry-jitter", 0, "add up to this fraction of deterministic jitter to retry backoff (0..1)")
 	flag.StringVar(&f.NetFault, "netfault", "", "coordinator-side network fault classes to inject under -exec=net (comma-separated: drop,delay,partition; empty = off)")
 	flag.Int64Var(&f.NetFaultSeed, "netfault-seed", 1, "seed for the deterministic network fault decision stream")
@@ -221,12 +219,11 @@ func (f *Flags) Manifest(tool, grid string) (*expt.Manifest, error) {
 // the returned config (e.g. set Telemetry) before expt.NewPool.
 func (f *Flags) PoolConfig(tool string, manifest *expt.Manifest) (expt.PoolConfig, *telemetry.Live, error) {
 	cfg := expt.PoolConfig{
-		Workers:      f.Workers,
-		Timeout:      f.Timeout,
-		Retries:      f.Retries,
-		RetryBackoff: f.RetryBackoff,
-		Backoff:      f.Backoff(),
-		Manifest:     manifest,
+		Workers:  f.Workers,
+		Timeout:  f.Timeout,
+		Retries:  f.Retries,
+		Backoff:  f.Backoff(),
+		Manifest: manifest,
 	}
 	var live *telemetry.Live
 	if f.HTTPAddr != "" {
@@ -249,19 +246,12 @@ func (f *Flags) PoolConfig(tool string, manifest *expt.Manifest) (expt.PoolConfi
 	return cfg, live, nil
 }
 
-// Backoff assembles the unified retry policy from the flags, or nil when
-// neither -retry-backoff-max nor -retry-jitter was given (the pool then
-// keeps its legacy linear -retry-backoff spacing).
-func (f *Flags) Backoff() *expt.Backoff {
-	if f.RetryBackoffMax <= 0 && f.RetryJitter <= 0 {
-		return nil
-	}
-	base := f.RetryBackoff
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	return &expt.Backoff{
-		Base:   base,
+// Backoff assembles the retry policy from the flags: -retry-backoff
+// doubling per attempt, capped at -retry-backoff-max, plus up to
+// -retry-jitter of jitter keyed by -netfault-seed.
+func (f *Flags) Backoff() expt.Backoff {
+	return expt.Backoff{
+		Base:   f.RetryBackoff,
 		Factor: 2,
 		Max:    f.RetryBackoffMax,
 		Jitter: f.RetryJitter,

@@ -87,27 +87,27 @@ func TestAtomicWriteFileMode(t *testing.T) {
 	}
 }
 
-// TestBackoffFlagAssembly pins the flag-to-policy translation: legacy
-// linear mode when neither new knob is set, unified exponential policy
-// when either is.
+// TestBackoffFlagAssembly pins the flag-to-policy translation: every
+// combination of the retry flags yields the one doubling expt.Backoff,
+// -retry-backoff alone spaces retries B then 2B, and without it (a
+// jitter-only invocation included) retries are immediate.
 func TestBackoffFlagAssembly(t *testing.T) {
 	f := &Flags{RetryBackoff: 50 * time.Millisecond}
-	if b := f.Backoff(); b != nil {
-		t.Fatalf("legacy flags produced a Backoff: %+v", b)
+	b := f.Backoff()
+	if b != (expt.Backoff{Base: 50 * time.Millisecond, Factor: 2}) {
+		t.Fatalf("-retry-backoff alone: Backoff = %+v", b)
+	}
+	if d1, d2 := b.Delay(1), b.Delay(2); d1 != 50*time.Millisecond || d2 != 100*time.Millisecond {
+		t.Fatalf("-retry-backoff alone spaces retries %v, %v; want 50ms, 100ms", d1, d2)
 	}
 	f = &Flags{RetryBackoff: 50 * time.Millisecond, RetryBackoffMax: time.Second, RetryJitter: 0.2, NetFaultSeed: 9}
-	b := f.Backoff()
-	if b == nil {
-		t.Fatal("new knobs produced no Backoff")
-	}
 	want := expt.Backoff{Base: 50 * time.Millisecond, Factor: 2, Max: time.Second, Jitter: 0.2, Seed: 9}
-	if *b != want {
-		t.Fatalf("Backoff = %+v, want %+v", *b, want)
+	if b := f.Backoff(); b != want {
+		t.Fatalf("Backoff = %+v, want %+v", b, want)
 	}
-	// Jitter alone also upgrades, with a sane default base.
 	f = &Flags{RetryJitter: 0.5}
-	if b := f.Backoff(); b == nil || b.Base <= 0 {
-		t.Fatalf("jitter-only Backoff = %+v", b)
+	if d := f.Backoff().Delay(1); d != 0 {
+		t.Fatalf("jitter-only first retry waits %v, want immediate", d)
 	}
 }
 

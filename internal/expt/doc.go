@@ -17,7 +17,6 @@
 // them.
 //
 // The figure registry (Figures, Generate) holds one entry per table and
-// figure of the paper's evaluation; cmd/sweep regenerates any of them (or
-// the whole evaluation), and cmd/spec2006, cmd/pgbench, cmd/qps and
-// cmd/phases are thin flag front-ends over the same registry.
+// figure of the paper's evaluation; cmd/sweep regenerates any of them, or
+// the whole evaluation.
 package expt

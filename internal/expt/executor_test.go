@@ -83,15 +83,15 @@ func TestPlannerResolvesFigureGrids(t *testing.T) {
 	}
 }
 
-// TestPoolRetryBackoff pins that RetryBackoff actually separates
-// attempts: with one failure and a 30ms backoff, the job cannot complete
-// in under 30ms.
+// TestPoolRetryBackoff pins that Backoff actually separates attempts:
+// with two failures and a 30ms base doubling per retry, the job waits
+// 30ms then 60ms, so it cannot complete in under 90ms.
 func TestPoolRetryBackoff(t *testing.T) {
-	const backoff = 30 * time.Millisecond
-	p := NewPool(PoolConfig{Workers: 1, Retries: 1, RetryBackoff: backoff})
+	const base = 30 * time.Millisecond
+	p := NewPool(PoolConfig{Workers: 1, Retries: 2, Backoff: Backoff{Base: base, Factor: 2}})
 	var runs atomic.Int64
 	p.run = func(j Job) (*JobResult, time.Duration, error) {
-		if runs.Add(1) == 1 {
+		if runs.Add(1) <= 2 {
 			return nil, 0, errors.New("transient")
 		}
 		return fakeResult(j), 0, nil
@@ -100,11 +100,11 @@ func TestPoolRetryBackoff(t *testing.T) {
 	if _, err := p.Get(fakeJob("astar", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed < backoff {
-		t.Fatalf("retried after %v, want at least the %v backoff", elapsed, backoff)
+	if elapsed := time.Since(start); elapsed < 3*base {
+		t.Fatalf("retried twice after %v, want at least the %v + %v backoff", elapsed, base, 2*base)
 	}
-	if got := runs.Load(); got != 2 {
-		t.Fatalf("attempts = %d, want 2", got)
+	if got := runs.Load(); got != 3 {
+		t.Fatalf("attempts = %d, want 3", got)
 	}
 }
 

@@ -36,7 +36,7 @@ type Options struct {
 	Measure, Warmup uint64
 }
 
-// DefaultOptions mirrors the figure commands' default flags.
+// DefaultOptions mirrors cmd/sweep's default grid flags.
 func DefaultOptions() Options {
 	qcfg := harness.QPSConfig()
 	perMs := uint64(qcfg.Machine.Sim.HzGHz * 1e6)

@@ -74,15 +74,12 @@ type PoolConfig struct {
 	Timeout time.Duration
 	// Retries is how many additional attempts a failed job gets.
 	Retries int
-	// RetryBackoff, when non-zero, delays attempt n+1 by n*RetryBackoff
-	// of host time. Local pools default to immediate retry; the network
-	// executor (internal/dist) uses it so a job whose worker vanished is
-	// not re-issued into the same instant the fleet is churning.
-	RetryBackoff time.Duration
-	// Backoff, when non-nil, replaces the linear RetryBackoff spacing
-	// with the unified geometric-plus-jitter policy shared with
-	// internal/dist's degraded-mode retry paths.
-	Backoff *Backoff
+	// Backoff spaces a failed job's retries in host time, with the
+	// geometric-plus-jitter policy shared with internal/dist's
+	// degraded-mode retry paths. The zero value retries immediately; a
+	// distributed campaign sets it so a job whose worker vanished is not
+	// re-issued into the same instant the fleet is churning.
+	Backoff Backoff
 	// Manifest, when non-nil, serves completed jobs and records new ones.
 	Manifest *Manifest
 	// Progress, when non-nil, observes every job completion. Called
@@ -384,7 +381,7 @@ func (p *Pool) finishLocked(e *entry, status string) {
 func (p *Pool) execute(e *entry) {
 	var lastErr error
 	for attempt := 0; attempt <= p.cfg.Retries; attempt++ {
-		if d := p.retryDelay(attempt); d > 0 {
+		if d := p.cfg.Backoff.Delay(attempt); d > 0 {
 			time.Sleep(d)
 		}
 		p.cfg.Journal.Emit(journal.Event{
@@ -453,21 +450,6 @@ func (p *Pool) execute(e *entry) {
 	p.stats.Failed++
 	p.finishLocked(e, "failed")
 	p.mu.Unlock()
-}
-
-// retryDelay spaces retry attempt n (n >= 1): the unified Backoff policy
-// when configured, else the legacy linear n*RetryBackoff spacing.
-func (p *Pool) retryDelay(attempt int) time.Duration {
-	if attempt < 1 {
-		return 0
-	}
-	if p.cfg.Backoff != nil {
-		return p.cfg.Backoff.Delay(attempt)
-	}
-	if p.cfg.RetryBackoff > 0 {
-		return time.Duration(attempt) * p.cfg.RetryBackoff
-	}
-	return 0
 }
 
 // attempt runs the job once, converting panics to errors and enforcing the

@@ -33,7 +33,7 @@ import (
 	"repro/internal/workload/fleet"
 )
 
-// Benchmark names the ratio computations in cmd/hostbench key on.
+// Benchmark names, as BENCH_host.json and `obs diff` report them.
 const (
 	NameSweepTags        = "SweepTags"
 	NameSweepTagsWords   = "SweepTagsWords"

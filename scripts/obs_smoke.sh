@@ -9,16 +9,24 @@
 #   * both journals validate against cornucopia-journal/v1 (obs validate),
 #   * their canonical forms (obs canon) are byte-identical,
 #   * the canonical merged timelines are byte-identical,
-#   * the coordinator's /fleet endpoint and fleet_* metric families are
-#     non-empty while the distributed campaign runs,
+#   * the coordinator's /fleet endpoint counts completed jobs and the
+#     fleet_* metric families are non-empty while the distributed
+#     campaign runs,
 #   * obs report renders a postmortem from the journal + manifest,
 #   * obs diff accepts the committed BENCH_host.json against itself.
 #
-# Artifacts land under the output directory (default obs-smoke/).
+# Artifacts land under the output directory (default obs-smoke/). Each
+# run starts by removing the previous run's artifacts: the journals
+# append, and a stale dist-manifest.jsonl would serve every distributed
+# job from the manifest, so /fleet would never count one.
 set -eu
 
 OUT=${1:-obs-smoke}
 mkdir -p "$OUT"
+(cd "$OUT" && rm -f local.jsonl local-timeline.json local-canon.jsonl \
+    dist.jsonl dist-timeline.json dist-canon.jsonl dist-manifest.jsonl \
+    local.log coord.log w1.log w2.log addr.txt fleet.json scrape.om \
+    report.txt diff.txt)
 
 GRID="-figures fig5 -reps 1 -scale 16 -txs 400"
 OBSFLAGS="-trace-events 32 -timeline-canonical"
@@ -52,7 +60,6 @@ echo "obs-smoke: local reference run (journal + canonical timeline)"
     >/dev/null 2>"$OUT/local.log" || fail "local run failed"
 
 echo "obs-smoke: coordinator + 2 workers (journal, timeline, live /fleet)"
-rm -f "$OUT/addr.txt"
 # shellcheck disable=SC2086
 "$OUT/sweep" $GRID $OBSFLAGS -workers 2 \
     -journal "$OUT/dist.jsonl" -timeline "$OUT/dist-timeline.json" \
@@ -69,9 +76,11 @@ W1=$!
 W2=$!
 
 # The live server address appears in the coordinator log; scrape /fleet
-# until the merged aggregate is non-empty (retry: the fleet fills in as
-# workers report; the -http-linger window keeps the server up if the
-# campaign finishes first).
+# until its fleet-wide job total (the top-level "jobs" key; per-worker
+# rows are indented deeper) is positive. One worker may lease nothing
+# while the other drains the grid, so no per-worker row is required to
+# be. Retry: the fleet fills in as workers report, and the -http-linger
+# window keeps the server up if the campaign finishes first.
 HTTP=
 i=0
 while [ $i -lt 100 ]; do
@@ -86,15 +95,14 @@ ok=0
 i=0
 while [ $i -lt 100 ]; do
     if curl -fsS "http://$HTTP/fleet" -o "$OUT/fleet.json" 2>/dev/null &&
-        grep -q '"id"' "$OUT/fleet.json" &&
-        ! grep -q '"jobs": 0,' "$OUT/fleet.json"; then
+        grep -q '^  "jobs": [1-9]' "$OUT/fleet.json"; then
         ok=1
         break
     fi
     sleep 0.2
     i=$((i + 1))
 done
-[ "$ok" = 1 ] || fail "/fleet never served a non-empty aggregate"
+[ "$ok" = 1 ] || fail "/fleet never counted a completed job"
 curl -fsS "http://$HTTP/metrics" -o "$OUT/scrape.om" 2>/dev/null ||
     fail "/metrics scrape failed"
 grep -q '^sweep_fleet_jobs_total ' "$OUT/scrape.om" ||
