@@ -13,9 +13,9 @@ RACE_PKGS = ./internal/bus ./internal/ca ./internal/dist/netfault \
             ./internal/sim ./internal/telemetry ./internal/tmem \
             ./internal/trace ./internal/vm ./internal/workload/heapscale
 
-.PHONY: all build vet test race verify chaos sweep-bench telemetry-smoke \
-        hostbench hostbench-smoke dist-smoke dist-chaos-smoke obs-smoke \
-        bench-test
+.PHONY: all build vet test race verify flake chaos sweep-bench \
+        telemetry-smoke hostbench hostbench-smoke dist-smoke \
+        dist-chaos-smoke obs-smoke bench-test
 
 all: verify
 
@@ -38,6 +38,13 @@ race:
 
 # verify is the tier-1 gate: everything must pass before a change lands.
 verify: build vet test race
+
+# flake: the flake detector. dist's coordinator/worker protocol and expt's
+# pool run on the wall clock; five runs each catch a verdict that depends
+# on host speed or goroutine timing, which one tier-1 pass can miss.
+flake:
+	$(GO) test -count=5 ./internal/dist
+	$(GO) test -count=5 -short ./internal/expt
 
 # chaos: a strict fault-injection smoke campaign against Reloaded. Every
 # protocol-subverting class must be flagged by the soundness oracle and

@@ -14,9 +14,11 @@
 // baseline, paintsync, cherivoke, cornucopia, reloaded.
 //
 // -trace runs the workload with the structured tracer enabled and writes
-// the event stream to FILE: Chrome trace_event JSON (open in Perfetto or
-// chrome://tracing) by default or when FILE ends in .json, CSV when it
-// ends in .csv or -trace-format says so.
+// the event stream to FILE: by default, or when FILE ends in .json, a
+// one-job canonical timeline in Chrome trace_event JSON (open in Perfetto
+// or chrome://tracing) — the same writer and layout as the sweep/chaos
+// campaign timelines; CSV when FILE ends in .csv or -trace-format says
+// so.
 //
 // The telemetry flags arm the cycle profiler and metrics registry
 // (internal/telemetry) for the run: -prof-folded writes folded
@@ -63,7 +65,7 @@ func condition(name string, workers int) (harness.Condition, error) {
 
 // writeTrace exports the run's trace: chrome JSON or CSV, chosen by the
 // explicit format or the output file's extension.
-func writeTrace(r *harness.Result, path, format string) error {
+func writeTrace(r *harness.Result, seed int64, path, format string) error {
 	if format == "" {
 		if strings.HasSuffix(path, ".csv") {
 			format = "csv"
@@ -78,7 +80,11 @@ func writeTrace(r *harness.Result, path, format string) error {
 	defer f.Close()
 	switch format {
 	case "chrome", "json":
-		return r.Trace.WriteChrome(f, r.HzGHz)
+		return trace.WriteTimeline(f, []trace.TimelineJob{{
+			Workload: r.Workload, Condition: r.Condition, Seed: seed,
+			WallCycles: r.WallCycles, HzGHz: r.HzGHz,
+			Trace: r.Trace.Events(), TraceDropped: r.Trace.Dropped(),
+		}}, true)
 	case "csv":
 		return r.Trace.WriteCSV(f)
 	}
@@ -185,7 +191,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if *traceOut != "" {
-		if err := writeTrace(r, *traceOut, *traceFormat); err != nil {
+		if err := writeTrace(r, cfg.Seed, *traceOut, *traceFormat); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("trace      %d events → %s (%d dropped by ring wrap)\n",

@@ -45,7 +45,7 @@ import (
 
 	"repro/internal/expt/cliflags"
 	"repro/internal/hostbench"
-	"repro/internal/telemetry"
+	"repro/internal/journal"
 )
 
 // Schema identifies the document layout.
@@ -114,8 +114,8 @@ func main() {
 			br.Metrics = r.Extra
 		}
 		doc.Benchmarks = append(doc.Benchmarks, br)
-		live.Observe(telemetry.JobUpdate{
-			Key: b.Name, Workload: b.Name, Condition: "hostbench", Status: "ran",
+		live.Observe(journal.Event{
+			Kind: journal.KindJobResult, Key: b.Name, Workload: b.Name, Condition: "hostbench", Status: "ran",
 			HostMS: float64(r.T.Nanoseconds()) / 1e6,
 			Done:   done + 1, Total: len(selected),
 		})

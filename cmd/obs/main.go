@@ -45,6 +45,7 @@ import (
 
 	"repro/internal/expt"
 	"repro/internal/journal"
+	"repro/internal/trace"
 )
 
 func usage() {
@@ -189,29 +190,12 @@ func cmdTimeline(args []string) {
 		}
 	}
 
-	var jobs []journal.TimelineJob
-	for _, c := range m.Entries() {
-		r := c.Result
-		if r == nil {
-			continue
-		}
-		tj := journal.TimelineJob{
-			Key: c.Key, Workload: r.Workload, Condition: r.Condition, Seed: r.Seed,
-			Worker:     workers[c.Key],
-			HostMS:     float64(c.Host.Microseconds()) / 1e3,
-			WallCycles: r.WallCycles, HzGHz: r.HzGHz,
-		}
-		if r.Telem != nil {
-			tj.Trace = r.Telem.Trace
-			tj.TraceDropped = r.Telem.TraceDropped
-		}
-		jobs = append(jobs, tj)
-	}
+	jobs := expt.TimelineJobs(m.Entries(), workers)
 	w, closeOut, err := outFile(*out)
 	if err != nil {
 		log.Fatalf("timeline: %v", err)
 	}
-	if err := journal.WriteTimeline(w, jobs, *canonical); err != nil {
+	if err := trace.WriteTimeline(w, jobs, *canonical); err != nil {
 		log.Fatalf("timeline: %v", err)
 	}
 	if err := closeOut(); err != nil {

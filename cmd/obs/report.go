@@ -165,6 +165,7 @@ var incidentKinds = map[string]bool{
 	journal.KindWorkerEvict:   true,
 	journal.KindNetFault:      true,
 	journal.KindLocalFallback: true,
+	journal.KindManifestError: true,
 }
 
 // BuildReport folds the journal (and optionally the manifest's telemetry)

@@ -1,12 +1,12 @@
 // Command worker is the execution half of a distributed campaign: it
-// connects to a cmd/sweep or cmd/chaos coordinator (-exec=net), announces
-// its sweep-kernel and sim-engine capabilities, and serves leases — each
-// lease is one deterministic (workload, condition, seed) job, run through
-// the exact internal/expt.RunJob path a local pool uses, under the
-// kernel/engine/telemetry configuration the coordinator dictates. Results
-// (or failures, classified like local ones) are reported back with the
-// worker-side host cost; held leases are renewed by heartbeat so a killed
-// worker's jobs are reclaimed and re-issued elsewhere.
+// connects to a cmd/sweep or cmd/chaos coordinator (-exec=net), says
+// hello, and serves leases — each lease is one deterministic (workload,
+// condition, seed) job, run through the exact internal/expt.RunJob path a
+// local pool uses, under the telemetry configuration the coordinator
+// dictates. Results (or failures, classified like local ones) are
+// reported back with the worker-side host cost; a held lease is renewed
+// by heartbeat until its result is delivered, so a killed worker's jobs
+// are reclaimed and re-issued elsewhere.
 //
 // Usage:
 //
@@ -58,6 +58,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/dist/netfault"
 	"repro/internal/expt/cliflags"
+	"repro/internal/journal"
 	"repro/internal/telemetry"
 )
 
@@ -118,11 +119,11 @@ func main() {
 		Logf: func(format string, args ...any) {
 			log.Printf(format, args...)
 		},
-		Observe: func(u telemetry.JobUpdate) {
+		Observe: func(ev journal.Event) {
 			mu.Lock()
-			hostMS += u.HostMS
+			hostMS += ev.HostMS
 			mu.Unlock()
-			live.Observe(u)
+			live.Observe(ev)
 		},
 	})
 	live.SetMetricsSource(func() *telemetry.Snapshot {

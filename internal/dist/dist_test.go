@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/expt"
 	"repro/internal/harness"
+	"repro/internal/journal"
 )
 
 // testJob builds a distinct, cheap-to-hash job for protocol-mechanics
@@ -178,7 +179,7 @@ func TestDistHostCostIsWorkerReported(t *testing.T) {
 // with every result intact.
 func TestDistWorkerCrashMidLease(t *testing.T) {
 	var mu sync.Mutex
-	var events []expt.Event
+	var events []journal.Event
 	c := startCoordinator(t, Config{
 		Heartbeat:     20 * time.Millisecond,
 		HeartbeatMiss: 2,
@@ -186,7 +187,7 @@ func TestDistWorkerCrashMidLease(t *testing.T) {
 		Pool: expt.PoolConfig{
 			Workers: 1, // one lease at a time: the crasher reliably gets the first
 			Retries: 2,
-			Progress: func(ev expt.Event) {
+			Progress: func(ev journal.Event) {
 				mu.Lock()
 				events = append(events, ev)
 				mu.Unlock()

@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/expt"
 	"repro/internal/journal"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // obsGrid returns the campaign description both observability runs share;
@@ -49,29 +49,15 @@ func runObsCampaign(t *testing.T, ex expt.Executor, jnl *journal.Writer, path st
 		t.Fatal(err)
 	}
 
-	// Timeline rows, attributed the way cliflags.TimelineJobs does it (the
-	// helper lives above dist in the import DAG, so rebuild it here).
+	// Timeline rows, attributed to workers the way cliflags.WriteTimeline
+	// does it.
 	var workers map[string]string
 	if wm, ok := ex.(interface{ JobWorkers() map[string]string }); ok {
 		workers = wm.JobWorkers()
 	}
-	var rows []journal.TimelineJob
-	for _, c := range ex.Results() {
-		r := c.Result
-		tj := journal.TimelineJob{
-			Key: c.Key, Workload: r.Workload, Condition: r.Condition, Seed: r.Seed,
-			Worker: workers[c.Key],
-			HostMS: float64(c.Host) / float64(time.Millisecond),
-			WallCycles: r.WallCycles, HzGHz: r.HzGHz,
-		}
-		if r.Telem != nil {
-			tj.Trace = r.Telem.Trace
-			tj.TraceDropped = r.Telem.TraceDropped
-		}
-		rows = append(rows, tj)
-	}
+	rows := expt.TimelineJobs(ex.Results(), workers)
 	var tb bytes.Buffer
-	if err := journal.WriteTimeline(&tb, rows, true); err != nil {
+	if err := trace.WriteTimeline(&tb, rows, true); err != nil {
 		t.Fatal(err)
 	}
 	return jb.Bytes(), tb.Bytes()

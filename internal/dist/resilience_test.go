@@ -2,7 +2,9 @@ package dist
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"net/http"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -11,6 +13,7 @@ import (
 
 	"repro/internal/dist/netfault"
 	"repro/internal/expt"
+	"repro/internal/journal"
 )
 
 // TestNetfaultTransportFaultsAreSurvived runs a fake-execution campaign
@@ -58,6 +61,74 @@ func TestNetfaultTransportFaultsAreSurvived(t *testing.T) {
 	waitWorker(t, done2, nil)
 	if rs := c.Results(); len(rs) != 8 {
 		t.Fatalf("Results returned %d jobs, want 8", len(rs))
+	}
+}
+
+// loseFirstResult is a worker transport whose first result POST is lost
+// before it reaches the coordinator; every other request goes through.
+type loseFirstResult struct{ lost atomic.Bool }
+
+func (l *loseFirstResult) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.URL.Path == PathResult && l.lost.CompareAndSwap(false, true) {
+		return nil, errors.New("result POST lost")
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestWorkerKeepsLeaseAliveUntilReported pins that a worker renews its
+// lease until the result is delivered. The first result POST is lost, and
+// the report's backoff-spaced retry (100-125 ms) outlasts the
+// coordinator's heartbeat budget (20 ms x 3 misses), so only heartbeats
+// sent while reporting keep the lease. The job must finish on its first
+// attempt with no lease reclaimed.
+func TestWorkerKeepsLeaseAliveUntilReported(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "campaign.journal")
+	jnl, err := journal.Create(path, "sweep", "dist-test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := startCoordinator(t, Config{
+		Heartbeat:     20 * time.Millisecond,
+		HeartbeatMiss: 3,
+		WaitMS:        10,
+		Pool:          expt.PoolConfig{Workers: 1, Journal: jnl},
+	})
+	w := NewWorker(WorkerConfig{Connect: c.Addr(), Name: "lossy-report", HelloTimeout: 5 * time.Second})
+	w.SetRun(func(j expt.Job) (*expt.JobResult, error) { return testResult(j), nil })
+	lossy := &loseFirstResult{}
+	w.client.Transport = lossy
+	done := make(chan error, 1)
+	go func() { done <- w.Run() }()
+
+	if _, err := c.Get(testJob("astar", 1)); err != nil {
+		t.Fatalf("job failed: %v", err)
+	}
+	c.Drain()
+	waitWorker(t, done, nil)
+	if !lossy.lost.Load() {
+		t.Fatal("no result POST was lost; the test exercised nothing")
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j, err := journal.Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var results int
+	for _, ev := range j.Events {
+		switch ev.Kind {
+		case journal.KindLeaseReclaim:
+			t.Fatalf("lease reclaimed while its result was being delivered: %+v", ev)
+		case journal.KindJobResult:
+			results++
+			if ev.Status != "ran" || ev.Attempt != 1 {
+				t.Fatalf("job finished as %s on attempt %d, want ran on attempt 1", ev.Status, ev.Attempt)
+			}
+		}
+	}
+	if results != 1 {
+		t.Fatalf("journal holds %d job results, want 1", results)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/dist/netfault"
 	"repro/internal/expt"
+	"repro/internal/journal"
 	"repro/internal/telemetry"
 )
 
@@ -62,11 +63,12 @@ type WorkerConfig struct {
 	Backoff *expt.Backoff
 	// Logf, when set, receives progress lines (cmd/worker wires stderr).
 	Logf func(format string, args ...any)
-	// Observe, when set, receives one update per leased job outcome
-	// (ran/cached/failed) for host-side introspection — cmd/worker's
-	// -live server chains it into telemetry.Live.Observe. Called from
-	// lease-serving goroutines; the receiver must be concurrency-safe.
-	Observe func(telemetry.JobUpdate)
+	// Observe, when set, receives one job-result event per leased job
+	// outcome (ran/cached/failed) for host-side introspection —
+	// cmd/worker's -live server chains it into telemetry.Live.Observe.
+	// Called from lease-serving goroutines; the receiver must be
+	// concurrency-safe.
+	Observe func(journal.Event)
 }
 
 // Worker pulls leases from a coordinator and runs them through the same
@@ -164,13 +166,13 @@ func (w *Worker) observe(rep LeaseReply, res ResultRequest, status string) {
 	if w.cfg.Observe == nil {
 		return
 	}
-	u := telemetry.JobUpdate{Key: res.Key, Status: status, HostMS: res.HostMS, Err: res.Err}
+	ev := journal.Event{Kind: journal.KindJobResult, Key: res.Key, Status: status, HostMS: res.HostMS, Err: res.Err}
 	if rep.Job != nil {
-		u.Workload = rep.Job.Workload.String()
-		u.Condition = rep.Job.Cond.Name
-		u.Seed = rep.Job.Cfg.Seed
+		ev.Workload = rep.Job.Workload.String()
+		ev.Condition = rep.Job.Cond.Name
+		ev.Seed = rep.Job.Cfg.Seed
 	}
-	w.cfg.Observe(u)
+	w.cfg.Observe(ev)
 }
 
 func (w *Worker) logf(format string, args ...any) {
@@ -365,11 +367,17 @@ func (w *Worker) serve() error {
 	}
 }
 
-// execute runs one leased job under a heartbeater and reports the
-// outcome. Worker-side panics are captured into the error string with the
-// same "panic: " prefix the local pool uses, so expt.ErrClass classifies
-// them identically.
+// execute runs one leased job and reports the outcome, renewing the
+// lease from the start until the report returns: report retries a failed
+// POST only after a backoff, and a lease silent for longer than the
+// coordinator's heartbeat budget is reclaimed, its late result discarded.
+// Worker-side panics are captured into the error string with the same
+// "panic: " prefix the local pool uses, so expt.ErrClass classifies them
+// identically.
 func (w *Worker) execute(rep LeaseReply) {
+	hbDone := make(chan struct{})
+	defer close(hbDone)
+	go w.heartbeat(rep.LeaseID, hbDone)
 	res := ResultRequest{WorkerID: w.id, LeaseID: rep.LeaseID, Key: rep.Key}
 	if rep.Job == nil {
 		res.Err = "lease granted without a job body"
@@ -402,13 +410,10 @@ func (w *Worker) execute(rep LeaseReply) {
 			return
 		}
 	}
-	hbDone := make(chan struct{})
-	go w.heartbeat(rep.LeaseID, hbDone)
 	start := time.Now()
 	out, err := w.runCaptured(job)
 	host := time.Since(start)
 	res.HostMS = float64(host) / float64(time.Millisecond)
-	close(hbDone)
 	if err != nil {
 		res.Err = err.Error()
 		w.observe(rep, res, "failed")

@@ -26,6 +26,7 @@ import (
 	"repro/internal/expt"
 	"repro/internal/journal"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // Flags holds the shared experiment-runner flag values after Parse.
@@ -236,8 +237,8 @@ func (f *Flags) PoolConfig(tool string, manifest *expt.Manifest) (expt.PoolConfi
 	}
 	if f.Progress || live != nil {
 		printer := f.Progress
-		cfg.Progress = func(ev expt.Event) {
-			live.Observe(Update(ev))
+		cfg.Progress = func(ev journal.Event) {
+			live.Observe(ev)
 			if printer {
 				fmt.Fprintln(os.Stderr, FormatEvent(ev))
 			}
@@ -425,40 +426,6 @@ func LocalFleet(ex expt.Executor) telemetry.FleetStats {
 	return telemetry.FleetStats{Workers: []telemetry.FleetWorker{w}}.Totaled()
 }
 
-// TimelineJobs assembles the -timeline rows from an executor's completed
-// results. Worker attribution comes from the executor when it can name
-// which worker ran each key (the dist coordinator); a local pool's jobs
-// all land on the "local" track.
-func TimelineJobs(ex expt.Executor) []journal.TimelineJob {
-	var workers map[string]string
-	if wm, ok := ex.(interface{ JobWorkers() map[string]string }); ok {
-		workers = wm.JobWorkers()
-	}
-	var out []journal.TimelineJob
-	for _, c := range ex.Results() {
-		r := c.Result
-		if r == nil {
-			continue
-		}
-		tj := journal.TimelineJob{
-			Key:        c.Key,
-			Workload:   r.Workload,
-			Condition:  r.Condition,
-			Seed:       r.Seed,
-			Worker:     workers[c.Key],
-			HostMS:     float64(c.Host) / float64(time.Millisecond),
-			WallCycles: r.WallCycles,
-			HzGHz:      r.HzGHz,
-		}
-		if r.Telem != nil {
-			tj.Trace = r.Telem.Trace
-			tj.TraceDropped = r.Telem.TraceDropped
-		}
-		out = append(out, tj)
-	}
-	return out
-}
-
 // WriteTimeline writes the merged Chrome/Perfetto campaign timeline if
 // -timeline was given. Call it after the closer has run (every result
 // in, fleet drained); a no-op when the flag is unset.
@@ -466,11 +433,17 @@ func (f *Flags) WriteTimeline(tool string, ex expt.Executor) error {
 	if f.Timeline == "" {
 		return nil
 	}
+	// The dist coordinator can name which worker ran each key; a local
+	// pool's jobs all land on the "local" track.
+	var workers map[string]string
+	if wm, ok := ex.(interface{ JobWorkers() map[string]string }); ok {
+		workers = wm.JobWorkers()
+	}
 	out, err := os.Create(f.Timeline)
 	if err != nil {
 		return fmt.Errorf("cliflags: -timeline: %w", err)
 	}
-	if err := journal.WriteTimeline(out, TimelineJobs(ex), f.TimelineCanonical); err != nil {
+	if err := trace.WriteTimeline(out, expt.TimelineJobs(ex.Results(), workers), f.TimelineCanonical); err != nil {
 		out.Close()
 		return fmt.Errorf("cliflags: -timeline: %w", err)
 	}
@@ -557,28 +530,16 @@ func (f *Flags) Finish(live *telemetry.Live) {
 	_ = live.Close()
 }
 
-// Update converts a pool event to the live server's observation type.
-func Update(ev expt.Event) telemetry.JobUpdate {
-	return telemetry.JobUpdate{
-		Key:       ev.Key,
-		Workload:  ev.Workload,
-		Condition: ev.Condition,
-		Seed:      ev.Seed,
-		Status:    ev.Status,
-		Attempts:  ev.Attempts,
-		Err:       ev.Err,
-		HostMS:    float64(ev.Host) / float64(time.Millisecond),
-		Done:      ev.Done,
-		Total:     ev.Total,
-	}
-}
-
 // FormatEvent renders the standard one-line progress format both tools
 // print under -progress.
-func FormatEvent(ev expt.Event) string {
+func FormatEvent(ev journal.Event) string {
+	status := ev.Status
+	if status == "" {
+		status = ev.Kind // a manifest-error carries no job status
+	}
 	line := fmt.Sprintf("[%d/%d] %-6s %s under %s seed=%d (%d attempt(s), %.1fs)",
-		ev.Done, ev.Total, ev.Status, ev.Workload, ev.Condition, ev.Seed,
-		ev.Attempts, ev.Host.Seconds())
+		ev.Done, ev.Total, status, ev.Workload, ev.Condition, ev.Seed,
+		ev.Attempt, ev.HostMS/1e3)
 	if ev.Err != "" {
 		line += fmt.Sprintf(" [%s]", ev.Err)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/expt"
+	"repro/internal/journal"
 )
 
 // TestAtomicWriteFileNeverTorn pins the -addr-file contract scripts rely
@@ -132,5 +133,28 @@ func TestNetFaultSpecAssembly(t *testing.T) {
 	}
 	if len(s.Classes) != 2 || s.Classes[0] != "drop" || s.Classes[1] != "partition" {
 		t.Fatalf("classes = %v", s.Classes)
+	}
+}
+
+// TestFormatEvent pins the -progress line for each event the pool hands
+// to Progress: results, retries and manifest errors.
+func TestFormatEvent(t *testing.T) {
+	for _, tc := range []struct {
+		ev   journal.Event
+		want string
+	}{
+		{journal.Event{Kind: journal.KindJobResult, Workload: "astar", Condition: "Reloaded", Seed: 1,
+			Status: "ran", Attempt: 1, HostMS: 1250, Done: 2, Total: 5},
+			"[2/5] ran    astar under Reloaded seed=1 (1 attempt(s), 1.2s)"},
+		{journal.Event{Kind: journal.KindJobRetry, Workload: "hmmer", Condition: "Baseline", Seed: 3,
+			Status: "retry", Attempt: 1, HostMS: 40, Err: "timeout"},
+			"[0/0] retry  hmmer under Baseline seed=3 (1 attempt(s), 0.0s) [timeout]"},
+		{journal.Event{Kind: journal.KindManifestError, Workload: "astar", Condition: "Reloaded", Seed: 1,
+			Attempt: 1, Err: "disk full"},
+			"[0/0] manifest-error astar under Reloaded seed=1 (1 attempt(s), 0.0s) [disk full]"},
+	} {
+		if got := FormatEvent(tc.ev); got != tc.want {
+			t.Errorf("FormatEvent = %q, want %q", got, tc.want)
+		}
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/journal"
 )
 
 // TestPlannerResolvesFigureGrids drives real figure builders against a
@@ -113,8 +115,8 @@ func TestPoolRetryBackoff(t *testing.T) {
 // instead of the pool's queue-inclusive wall clock.
 func TestPoolHostCostOverride(t *testing.T) {
 	const reported = 1234 * time.Millisecond
-	var events []Event
-	p := NewPool(PoolConfig{Workers: 1, Progress: func(ev Event) { events = append(events, ev) }})
+	var events []journal.Event
+	p := NewPool(PoolConfig{Workers: 1, Progress: func(ev journal.Event) { events = append(events, ev) }})
 	p.run = func(j Job) (*JobResult, time.Duration, error) {
 		return fakeResult(j), reported, nil
 	}
@@ -125,7 +127,7 @@ func TestPoolHostCostOverride(t *testing.T) {
 	if len(rs) != 1 || rs[0].Host != reported {
 		t.Fatalf("Completed.Host = %v, want the reported %v", rs[0].Host, reported)
 	}
-	if len(events) != 1 || events[0].Host != reported {
-		t.Fatalf("event Host = %v, want %v", events[0].Host, reported)
+	if len(events) != 1 || events[0].HostMS != float64(reported.Milliseconds()) {
+		t.Fatalf("event HostMS = %v, want %v", events[0].HostMS, reported)
 	}
 }

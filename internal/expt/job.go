@@ -126,7 +126,8 @@ type Job struct {
 // JSON encoding of the whole job description. Two jobs share a key exactly
 // when they would produce the same result (harness.Run is deterministic
 // per description), so the key doubles as the memoization and manifest
-// index. The tracer field is excluded (pool jobs never trace).
+// index. The tracer field is excluded: a tracer only observes a run
+// (pool jobs trace under -trace-events without changing their result).
 func (j Job) Key() string {
 	j.Cfg.Trace = nil
 	b, err := json.Marshal(j)

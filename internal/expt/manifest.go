@@ -2,13 +2,14 @@ package expt
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/journal"
 )
 
 // Manifest is a content-hash-keyed, append-only record of completed jobs
@@ -116,56 +117,11 @@ func OpenManifestFor(path string, meta ManifestMeta) (*Manifest, error) {
 	return m, nil
 }
 
-// repairTornTail truncates a trailing partial line (no terminating
-// newline) left by a writer that crashed mid-Record. The partial line
-// was never loadable, but leaving it in place would corrupt the next
-// append: O_APPEND glues the new line — possibly the metadata header —
-// onto the torn tail, making both unparsable and, for the header, the
-// whole manifest unresumable. Truncating back to the last newline makes
-// a crashed campaign resume cleanly; the torn job simply re-runs.
-func repairTornTail(path string) error {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	size := st.Size()
-	if size == 0 {
-		return nil
-	}
-	buf := make([]byte, 64<<10)
-	end := size // offset just past the last '\n'
-	for off := size; off > 0; {
-		n := int64(len(buf))
-		if n > off {
-			n = off
-		}
-		off -= n
-		if _, err := f.ReadAt(buf[:n], off); err != nil {
-			return err
-		}
-		if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
-			end = off + int64(i) + 1
-			break
-		}
-		end = 0 // no newline anywhere (yet): whole file is one torn line
-	}
-	if end == size {
-		return nil
-	}
-	return f.Truncate(end)
-}
-
 func openManifest(path string) (*Manifest, *ManifestMeta, error) {
 	m := &Manifest{path: path, done: map[string]manifestEntry{}}
-	if err := repairTornTail(path); err != nil {
+	// A line torn by a crash mid-Record is truncated before appending;
+	// its job simply re-runs.
+	if err := journal.RepairTornTail(path); err != nil {
 		return nil, nil, fmt.Errorf("expt: repairing manifest %s: %w", path, err)
 	}
 	if f, err := os.Open(path); err == nil {

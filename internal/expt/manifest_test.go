@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/journal"
 )
 
 func TestManifestRoundTrip(t *testing.T) {
@@ -168,11 +170,11 @@ func TestPoolCachedJobsCarryRecordedHost(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m2.Close()
-	var events []Event
+	var events []journal.Event
 	p := NewPool(PoolConfig{
 		Workers:  1,
 		Manifest: m2,
-		Progress: func(ev Event) { events = append(events, ev) },
+		Progress: func(ev journal.Event) { events = append(events, ev) },
 	})
 	p.run = func(Job) (*JobResult, time.Duration, error) {
 		t.Fatal("cached job executed")
@@ -191,8 +193,56 @@ func TestPoolCachedJobsCarryRecordedHost(t *testing.T) {
 	if len(events) != 1 || events[0].Status != "cached" {
 		t.Fatalf("events = %+v, want one cached event", events)
 	}
-	if events[0].Host != recorded {
-		t.Fatalf("cached event Host = %v, want %v", events[0].Host, recorded)
+	if events[0].HostMS != float64(recorded.Milliseconds()) {
+		t.Fatalf("cached event HostMS = %v, want %v", events[0].HostMS, recorded)
+	}
+}
+
+// TestPoolManifestErrorIsJournaled pins that a manifest write failure is
+// a manifest-error event, journaled (and valid) and seen by Progress,
+// while the job itself still completes.
+func TestPoolManifestErrorIsJournaled(t *testing.T) {
+	dir := t.TempDir()
+	m, err := OpenManifest(filepath.Join(dir, "m.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Close() // every Record now fails
+	jpath := filepath.Join(dir, "j.jsonl")
+	jnl, err := journal.Create(jpath, "sweep", "grid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []journal.Event
+	p := NewPool(PoolConfig{
+		Workers: 1, Manifest: m, Journal: jnl,
+		Progress: func(ev journal.Event) { events = append(events, ev) },
+	})
+	p.run = func(j Job) (*JobResult, time.Duration, error) { return fakeResult(j), 0, nil }
+	if _, err := p.Get(fakeJob("astar", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 2 || events[0].Kind != journal.KindManifestError || events[0].Err == "" ||
+		events[1].Status != "ran" || events[1].Done != 1 || events[1].Total != 1 {
+		t.Fatalf("progress events = %+v, want manifest-error then ran 1/1", events)
+	}
+	j, err := journal.Read(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var kinds []string
+	for _, ev := range j.Events {
+		kinds = append(kinds, ev.Kind)
+	}
+	want := []string{journal.KindJobSubmit, journal.KindJobStart, journal.KindManifestError, journal.KindJobResult}
+	if strings.Join(kinds, ",") != strings.Join(want, ",") {
+		t.Fatalf("journal kinds = %v, want %v", kinds, want)
 	}
 }
 

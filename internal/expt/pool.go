@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/bus"
 	"repro/internal/harness"
 	"repro/internal/journal"
 	"repro/internal/telemetry"
@@ -22,30 +21,6 @@ import (
 type Getter interface {
 	Prefetch(jobs []Job)
 	Get(j Job) (*JobResult, error)
-}
-
-// Event reports one job's completion to a progress callback.
-type Event struct {
-	Key       string
-	Workload  string
-	Condition string
-	Seed      int64
-	// Status is "ran", "cached" (served from the manifest), "retry" (one
-	// attempt failed and another is coming), or "failed".
-	Status string
-	// Attempts is how many times the job was started (>1 means retried).
-	Attempts int
-	// Err classifies what went wrong on "retry" and "failed" events:
-	// "timeout", "panic: <first line>", or "error: <message>". Empty on
-	// success.
-	Err string
-	// Host is the host wall-clock time the final attempt took; for
-	// "cached" events it is the recorded cost of the original run (zero
-	// if the manifest predates host-time recording).
-	Host time.Duration
-	// Done and Total count completed and submitted jobs at event time.
-	// Zero on "retry" events, which do not complete the job.
-	Done, Total int
 }
 
 // PoolStats summarizes a pool's lifetime activity.
@@ -82,9 +57,12 @@ type PoolConfig struct {
 	Backoff Backoff
 	// Manifest, when non-nil, serves completed jobs and records new ones.
 	Manifest *Manifest
-	// Progress, when non-nil, observes every job completion. Called
-	// concurrently from worker goroutines; the pool serializes calls.
-	Progress func(Event)
+	// Progress, when non-nil, observes every job completion (job-result,
+	// Status ran/cached/failed, with Done/Total), every retried attempt
+	// (job-retry, Status retry) and every manifest-error — the same
+	// event values the journal receives. Called concurrently from worker
+	// goroutines; the pool serializes calls.
+	Progress func(journal.Event)
 	// Telemetry, when non-nil, arms per-job telemetry recording: every
 	// executed job runs with a fresh recorder, its snapshot is checked
 	// for cycle conservation (a violation fails the job) and stored in
@@ -192,28 +170,13 @@ func RunJob(j Job, telem *telemetry.Options, _ ...int) (*JobResult, error) {
 		if err := snap.CheckConservation(); err != nil {
 			return nil, fmt.Errorf("telemetry: %w", err)
 		}
-		exportTrace(snap, cfg.Trace)
+		// The retained ring rides the snapshot, so traces survive
+		// manifest resume and distributed result shipping. The ring is
+		// deterministic for a given job, so shipped traces are too.
+		snap.Trace, snap.TraceDropped = cfg.Trace.Events(), cfg.Trace.Dropped()
 		jr.Telem = snap
 	}
 	return jr, nil
-}
-
-// exportTrace copies the tracer's retained ring into the snapshot so
-// traces survive manifest resume and distributed result shipping. The
-// ring is deterministic for a given job, so shipped traces are too.
-func exportTrace(snap *telemetry.Snapshot, tr *trace.Tracer) {
-	if !tr.Enabled() {
-		return
-	}
-	for _, ev := range tr.Events() {
-		snap.Trace = append(snap.Trace, telemetry.TraceSample{
-			Cycle: ev.Cycle, Core: int(ev.Core),
-			Agent: bus.Agent(ev.Agent).String(),
-			Kind:  ev.Kind.String(), Phase: ev.Phase.String(),
-			Epoch: ev.Epoch, Arg: ev.Arg, Arg2: ev.Arg2,
-		})
-	}
-	snap.TraceDropped = tr.Dropped()
 }
 
 // Prefetch schedules jobs for execution without waiting for them. The
@@ -349,32 +312,38 @@ func ErrClass(err error) string {
 	return "error: " + msg
 }
 
-// finishLocked closes the entry and emits its progress event. Caller holds
-// p.mu.
-func (p *Pool) finishLocked(e *entry, status string) {
-	p.done++
-	ev := Event{
-		Key: e.key, Workload: e.job.Workload.String(), Condition: e.job.Cond.Name,
-		Seed: e.job.Cfg.Seed, Status: status, Attempts: e.attempts, Host: e.host,
-		Done: p.done, Total: p.stats.Submitted,
-	}
-	if status == "failed" {
-		ev.Err = ErrClass(e.err)
-	}
-	jev := journal.Event{
-		Kind: journal.KindJobResult, Key: e.key,
+// event builds one lifecycle event for e: the value both the journal and
+// the progress callback receive.
+func (e *entry) event(kind, status string, attempt int, host time.Duration, err error) journal.Event {
+	return journal.Event{
+		Kind: kind, Key: e.key,
 		Workload: e.job.Workload.String(), Condition: e.job.Cond.Name,
-		Seed: e.job.Cfg.Seed, Status: status, Attempt: e.attempts,
-		HostMS: float64(e.host.Microseconds()) / 1e3, Err: ev.Err,
+		Seed: e.job.Cfg.Seed, Status: status, Attempt: attempt,
+		HostMS: float64(host.Microseconds()) / 1e3, Err: ErrClass(err),
 	}
-	if e.res != nil {
-		jev.VCycles = e.res.WallCycles
-	}
-	p.cfg.Journal.Emit(jev)
-	close(e.ready)
+}
+
+// emitLocked hands one lifecycle event to the journal and the progress
+// callback. Caller holds p.mu, which serializes the callbacks.
+func (p *Pool) emitLocked(ev journal.Event) {
+	p.cfg.Journal.Emit(ev)
 	if p.cfg.Progress != nil {
 		p.cfg.Progress(ev)
 	}
+}
+
+// finishLocked emits the entry's job-result event and closes it, so the
+// journal and the callback have seen the result before any waiter
+// returns. Caller holds p.mu.
+func (p *Pool) finishLocked(e *entry, status string) {
+	p.done++
+	ev := e.event(journal.KindJobResult, status, e.attempts, e.host, e.err)
+	ev.Done, ev.Total = p.done, p.stats.Submitted
+	if e.res != nil {
+		ev.VCycles = e.res.WallCycles
+	}
+	p.emitLocked(ev)
+	close(e.ready)
 }
 
 // execute runs e with retry, panic capture and per-attempt timeout.
@@ -401,14 +370,14 @@ func (p *Pool) execute(e *entry) {
 			if p.cfg.Manifest != nil {
 				if rerr := p.cfg.Manifest.Record(e.key, res, host); rerr != nil {
 					// The run succeeded; a manifest write failure only
-					// costs resumability. Surface it via progress, under
+					// costs resumability. Surface it as an event, under
 					// p.mu like every other emission — callbacks must
 					// never run concurrently with each other.
-					if p.cfg.Progress != nil {
-						p.mu.Lock()
-						p.cfg.Progress(Event{Key: e.key, Status: "manifest-error: " + rerr.Error()})
-						p.mu.Unlock()
-					}
+					ev := e.event(journal.KindManifestError, "", attempt+1, host, nil)
+					ev.Err = rerr.Error()
+					p.mu.Lock()
+					p.emitLocked(ev)
+					p.mu.Unlock()
 				}
 			}
 			p.mu.Lock()
@@ -427,20 +396,10 @@ func (p *Pool) execute(e *entry) {
 		willRetry := attempt < p.cfg.Retries
 		if willRetry {
 			p.stats.Retries++
-			p.cfg.Journal.Emit(journal.Event{
-				Kind: journal.KindJobRetry, Key: e.key, Attempt: attempt + 1,
-				Err: ErrClass(err), HostMS: float64(host.Microseconds()) / 1e3,
-			})
 			// Emit while still holding p.mu: finishLocked emits under the
 			// lock, so releasing it first would let a retry event race a
 			// concurrent completion into the callback.
-			if p.cfg.Progress != nil {
-				p.cfg.Progress(Event{
-					Key: e.key, Workload: e.job.Workload.String(), Condition: e.job.Cond.Name,
-					Seed: e.job.Cfg.Seed, Status: "retry", Attempts: attempt + 1,
-					Err: ErrClass(err), Host: host,
-				})
-			}
+			p.emitLocked(e.event(journal.KindJobRetry, "retry", attempt+1, host, err))
 		}
 		p.mu.Unlock()
 	}

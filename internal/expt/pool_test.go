@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/harness"
+	"repro/internal/journal"
 	"repro/internal/revoke"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -123,10 +124,10 @@ func TestPoolTimesOut(t *testing.T) {
 
 func TestPoolProgressEvents(t *testing.T) {
 	var mu sync.Mutex
-	var events []Event
+	var events []journal.Event
 	p := NewPool(PoolConfig{
 		Workers: 2,
-		Progress: func(ev Event) {
+		Progress: func(ev journal.Event) {
 			mu.Lock()
 			events = append(events, ev)
 			mu.Unlock()
@@ -146,7 +147,7 @@ func TestPoolProgressEvents(t *testing.T) {
 		t.Fatalf("events = %d, want 2", len(events))
 	}
 	for _, ev := range events {
-		if ev.Status != "ran" || ev.Attempts != 1 || ev.Total != 2 {
+		if ev.Status != "ran" || ev.Attempt != 1 || ev.Total != 2 {
 			t.Fatalf("event = %+v", ev)
 		}
 	}
@@ -192,7 +193,7 @@ func TestJobKeyStable(t *testing.T) {
 	if a.Key() == d.Key() {
 		t.Fatal("different workloads share a key")
 	}
-	// The tracer never affects identity: pool jobs run untraced.
+	// The tracer only observes a run, so it never affects identity.
 	e := fakeJob("omnetpp", 1)
 	e.Cfg.Trace = trace.New(16)
 	if a.Key() != e.Key() {
@@ -202,9 +203,9 @@ func TestJobKeyStable(t *testing.T) {
 
 func TestPoolRetryEvents(t *testing.T) {
 	var mu sync.Mutex
-	var events []Event
+	var events []journal.Event
 	var runs atomic.Int64
-	p := NewPool(PoolConfig{Workers: 1, Retries: 2, Progress: func(ev Event) {
+	p := NewPool(PoolConfig{Workers: 1, Retries: 2, Progress: func(ev journal.Event) {
 		mu.Lock()
 		events = append(events, ev)
 		mu.Unlock()
@@ -220,7 +221,7 @@ func TestPoolRetryEvents(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	var retries []Event
+	var retries []journal.Event
 	for _, ev := range events {
 		if ev.Status == "retry" {
 			retries = append(retries, ev)
@@ -230,23 +231,23 @@ func TestPoolRetryEvents(t *testing.T) {
 		t.Fatalf("want 2 retry events, got %d (%+v)", len(retries), events)
 	}
 	for i, ev := range retries {
-		if ev.Attempts != i+1 {
-			t.Fatalf("retry %d has Attempts %d", i, ev.Attempts)
+		if ev.Attempt != i+1 {
+			t.Fatalf("retry %d has Attempts %d", i, ev.Attempt)
 		}
 		if !strings.Contains(ev.Err, "transient fault") {
 			t.Fatalf("retry event lost the error class: %+v", ev)
 		}
 	}
 	last := events[len(events)-1]
-	if last.Status != "ran" || last.Attempts != 3 || last.Err != "" {
+	if last.Status != "ran" || last.Attempt != 3 || last.Err != "" {
 		t.Fatalf("final event wrong: %+v", last)
 	}
 }
 
 func TestPoolFailedEventCarriesErrClass(t *testing.T) {
 	var mu sync.Mutex
-	var events []Event
-	p := NewPool(PoolConfig{Workers: 1, Progress: func(ev Event) {
+	var events []journal.Event
+	p := NewPool(PoolConfig{Workers: 1, Progress: func(ev journal.Event) {
 		mu.Lock()
 		events = append(events, ev)
 		mu.Unlock()
@@ -293,12 +294,12 @@ func TestPoolProgressSerializedUnderConcurrency(t *testing.T) {
 	const n = 40
 	var inCallback atomic.Int32
 	var mu sync.Mutex
-	var events []Event
+	var events []journal.Event
 	var failedOnce sync.Map
 	p := NewPool(PoolConfig{
 		Workers: 8,
 		Retries: 1,
-		Progress: func(ev Event) {
+		Progress: func(ev journal.Event) {
 			if inCallback.Add(1) != 1 {
 				t.Error("Progress callbacks overlap")
 			}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/metrics"
+	"repro/internal/trace"
 )
 
 // Schema identifies the JSON results document layout. Bump on any
@@ -187,4 +188,29 @@ func (d *Document) Write(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(d)
+}
+
+// TimelineJobs turns completed jobs into timeline rows, attributing each
+// to workers[key] when the map names the worker that ran it (a nil map
+// puts every job on the "local" track). Every campaign timeline —
+// sweep/chaos -timeline and obs timeline — is built through it.
+func TimelineJobs(done []Completed, workers map[string]string) []trace.TimelineJob {
+	var out []trace.TimelineJob
+	for _, c := range done {
+		r := c.Result
+		if r == nil {
+			continue
+		}
+		tj := trace.TimelineJob{
+			Key: c.Key, Workload: r.Workload, Condition: r.Condition, Seed: r.Seed,
+			Worker:     workers[c.Key],
+			HostMS:     float64(c.Host.Microseconds()) / 1e3,
+			WallCycles: r.WallCycles, HzGHz: r.HzGHz,
+		}
+		if r.Telem != nil {
+			tj.Trace, tj.TraceDropped = r.Telem.Trace, r.Telem.TraceDropped
+		}
+		out = append(out, tj)
+	}
+	return out
 }

@@ -117,7 +117,8 @@ type Result struct {
 	HzGHz float64
 
 	// Trace is the run's tracer when Config.Trace was set (nil otherwise);
-	// export with Trace.WriteChrome or Trace.WriteCSV.
+	// export with Trace.WriteCSV, or render Trace.Events() with
+	// trace.WriteTimeline.
 	Trace *trace.Tracer
 }
 

@@ -80,8 +80,11 @@ func TestReloadedPgbenchTrace(t *testing.T) {
 	// X spans for stop-the-world and per-worker sweeps, fault instants
 	// with a hex VA arg.
 	var buf bytes.Buffer
-	if err := r.Trace.WriteChrome(&buf, r.HzGHz); err != nil {
-		t.Fatalf("WriteChrome: %v", err)
+	if err := trace.WriteTimeline(&buf, []trace.TimelineJob{{
+		Workload: r.Workload, Condition: r.Condition, Seed: cfg.Seed,
+		WallCycles: r.WallCycles, HzGHz: r.HzGHz, Trace: r.Trace.Events(),
+	}}, true); err != nil {
+		t.Fatalf("WriteTimeline: %v", err)
 	}
 	var doc struct {
 		TraceEvents []struct {

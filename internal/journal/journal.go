@@ -54,11 +54,13 @@ const (
 	KindJobSubmit = "job-submit"
 	// KindJobStart records one execution attempt beginning.
 	KindJobStart = "job-start"
-	// KindJobRetry records a failed attempt being retried; Err carries
-	// the classified error, Attempt the attempt that failed.
+	// KindJobRetry records a failed attempt being retried (Status
+	// retry); Err carries the classified error, Attempt the attempt that
+	// failed.
 	KindJobRetry = "job-retry"
 	// KindJobResult records a job finishing (Status ran/cached/failed).
-	// VCycles is the job's simulated wall-cycle count on success.
+	// VCycles is the job's simulated wall-cycle count on success; Done and
+	// Total count completed and submitted jobs at that moment.
 	KindJobResult = "job-result"
 	// KindJobLease records the coordinator granting a lease; Detail is
 	// the lease id, Worker the grantee.
@@ -82,10 +84,17 @@ const (
 	// KindNetFault summarizes injected network faults per class at
 	// drain; Detail is the class, Count the injection count.
 	KindNetFault = "netfault"
+	// KindManifestError records a job whose run succeeded but whose
+	// manifest write failed (it re-runs on resume); Err carries the
+	// write error.
+	KindManifestError = "manifest-error"
 )
 
-// Event is one journal line. Fields are omitted when they do not apply
-// to the kind; Seq and HostNS are stamped by the Writer.
+// Event is one journal line, and the one campaign-event type: the pool
+// hands the same value to the journal, to progress lines and to the live
+// server. Fields are omitted when they do not apply to the kind; Seq and
+// HostNS are stamped by the Writer (or by the live server, for its own
+// view).
 type Event struct {
 	Seq       int     `json:"seq,omitempty"`
 	HostNS    int64   `json:"host_ns,omitempty"`
@@ -102,6 +111,8 @@ type Event struct {
 	VCycles   uint64  `json:"vcycles,omitempty"`
 	Detail    string  `json:"detail,omitempty"`
 	Count     uint64  `json:"count,omitempty"`
+	Done      int     `json:"done,omitempty"`
+	Total     int     `json:"total,omitempty"`
 }
 
 // journalLine is the on-disk union of header and event lines, mirroring
@@ -133,7 +144,7 @@ type Writer struct {
 // host-time counters are adopted so appended events stay monotonic.
 func Create(path, tool, grid string) (*Writer, error) {
 	meta := Meta{Schema: Schema, Tool: tool, Grid: grid}
-	if err := repairTornTail(path); err != nil {
+	if err := RepairTornTail(path); err != nil {
 		return nil, fmt.Errorf("journal: repairing %s: %w", path, err)
 	}
 	var got *Meta
@@ -257,11 +268,13 @@ func (w *Writer) Close() error {
 	return w.err
 }
 
-// repairTornTail truncates a trailing partial line left by a writer
-// that crashed mid-append, exactly as the manifest does: O_APPEND would
-// otherwise glue the next line onto the torn tail, making both
-// unparsable.
-func repairTornTail(path string) error {
+// RepairTornTail truncates a trailing partial line (no terminating
+// newline) left by a writer that crashed mid-append. The partial line was
+// never loadable, but leaving it in place would corrupt the next append:
+// O_APPEND glues the new line — possibly a metadata header — onto the
+// torn tail, making both unparsable. The journal and the expt manifest
+// both repair with it before appending; a missing file is fine.
+func RepairTornTail(path string) error {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -363,6 +376,7 @@ var knownKinds = map[string]bool{
 	KindJobResult: true, KindJobLease: true, KindJobReport: true,
 	KindLeaseReclaim: true, KindWorkerJoin: true, KindWorkerEvict: true,
 	KindBreakerTrip: true, KindLocalFallback: true, KindNetFault: true,
+	KindManifestError: true,
 }
 
 // Validate checks the journal's structural invariants: schema, strictly

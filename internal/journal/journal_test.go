@@ -8,8 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/telemetry"
 )
 
 func testWriter(t *testing.T) (*Writer, string) {
@@ -261,52 +259,5 @@ func TestConcurrentEmit(t *testing.T) {
 	}
 	if len(j.Events) != 400 {
 		t.Fatalf("got %d events, want 400", len(j.Events))
-	}
-}
-
-// TestTimelineCanonicalIdentity renders the same jobs in different
-// orders with different host-side attributes; canonical timelines must
-// be byte-identical while live ones reflect the worker split.
-func TestTimelineCanonicalIdentity(t *testing.T) {
-	mkJob := func(key, worker string, hostMS float64) TimelineJob {
-		return TimelineJob{
-			Key: key, Workload: "wl", Condition: "cond", Seed: 7,
-			Worker: worker, HostMS: hostMS, WallCycles: 5000, HzGHz: 2.5,
-			Trace: []telemetry.TraceSample{
-				{Cycle: 100, Core: 0, Agent: "revoker", Kind: "epoch", Phase: "B", Epoch: 1},
-				{Cycle: 900, Core: 0, Agent: "revoker", Kind: "epoch", Phase: "E", Epoch: 1, Arg: 3},
-				{Cycle: 400, Core: -1, Agent: "kernel", Kind: "tlb-shootdown", Phase: "i", Epoch: 1},
-			},
-		}
-	}
-	render := func(jobs []TimelineJob, canonical bool) []byte {
-		var b bytes.Buffer
-		if err := WriteTimeline(&b, jobs, canonical); err != nil {
-			t.Fatal(err)
-		}
-		return b.Bytes()
-	}
-
-	local := []TimelineJob{mkJob("k1", "", 5), mkJob("k2", "", 6)}
-	dist := []TimelineJob{mkJob("k2", "w002", 31), mkJob("k1", "w001", 17)}
-
-	if got, want := render(dist, true), render(local, true); !bytes.Equal(got, want) {
-		t.Fatalf("canonical timelines differ:\n--- dist\n%s\n--- local\n%s", got, want)
-	}
-	live := string(render(dist, false))
-	for _, want := range []string{`"w001"`, `"w002"`, "process_name", "host_ms"} {
-		if !strings.Contains(live, want) {
-			t.Fatalf("live timeline missing %s:\n%s", want, live)
-		}
-	}
-	canon := string(render(dist, true))
-	for _, forbidden := range []string{"host_ms", "w001", "worker"} {
-		if strings.Contains(canon, forbidden) {
-			t.Fatalf("canonical timeline leaks host detail %q:\n%s", forbidden, canon)
-		}
-	}
-	// Span pairing: the B/E pair must appear as one complete event.
-	if !strings.Contains(canon, `"ph":"X"`) || !strings.Contains(canon, `"epoch"`) {
-		t.Fatalf("canonical timeline missing paired spans:\n%s", canon)
 	}
 }

@@ -9,26 +9,13 @@ import (
 	"sort"
 	"sync"
 	"time"
-)
 
-// JobUpdate is one progress observation from an experiment pool, shaped
-// after expt.Event but defined here so telemetry does not import expt.
-type JobUpdate struct {
-	Key       string  `json:"key"`
-	Workload  string  `json:"workload"`
-	Condition string  `json:"condition"`
-	Seed      int64   `json:"seed"`
-	Status    string  `json:"status"` // ran | cached | retry | failed
-	Attempts  int     `json:"attempts"`
-	Err       string  `json:"err,omitempty"`
-	HostMS    float64 `json:"host_ms"`
-	Done      int     `json:"done"`
-	Total     int     `json:"total"`
-}
+	"repro/internal/journal"
+)
 
 // WorkerStatus is one distributed worker's lease accounting, published
 // by internal/dist's coordinator through SetWorkerSource. Defined here
-// (like JobUpdate) so telemetry does not import dist.
+// so telemetry does not import dist.
 type WorkerStatus struct {
 	ID       string `json:"id"`
 	Name     string `json:"name"`
@@ -115,13 +102,6 @@ func (f FleetStats) Totaled() FleetStats {
 	return f
 }
 
-// liveEvent is a JobUpdate stamped with host receive order/time.
-type liveEvent struct {
-	Seq  int       `json:"seq"`
-	At   time.Time `json:"at"`
-	Job  JobUpdate `json:"job"`
-}
-
 // maxRecentEvents bounds the /events ring.
 const maxRecentEvents = 256
 
@@ -132,8 +112,8 @@ const maxRecentEvents = 256
 //	/metrics    OpenMetrics: host-side campaign progress counters, the
 //	            fleet_* families, plus the merged simulated-metric
 //	            families when a source is set
-//	/jobs       JSON: last known status of every observed job
-//	/events     JSON: the most recent progress events (ring of 256)
+//	/jobs       JSON: the latest journal event of every observed job
+//	/events     JSON: the most recent journal events (ring of 256)
 //	/workers    JSON: per-worker lease accounting (empty when local)
 //	/dist       JSON: coordinator degraded-mode stats (empty when local)
 //	/fleet      JSON: fleet-level merged telemetry aggregate
@@ -147,9 +127,9 @@ type Live struct {
 	start time.Time
 
 	mu      sync.Mutex
-	updates map[string]JobUpdate
+	updates map[string]journal.Event
 	order   []string
-	recent  []liveEvent
+	recent  []journal.Event
 	seq     int
 	done    int
 	total   int
@@ -168,32 +148,38 @@ func NewLive(tool string) *Live {
 	return &Live{
 		tool:    tool,
 		start:   time.Now(),
-		updates: map[string]JobUpdate{},
+		updates: map[string]journal.Event{},
 		byStat:  map[string]int{},
 	}
 }
 
-// Observe records a progress event. Chain it into the pool's Progress
-// callback; safe for concurrent use.
-func (l *Live) Observe(u JobUpdate) {
+// Observe records one campaign event, stamping it with the server's own
+// sequence number and host-nanosecond offset. Chain it into the pool's
+// Progress callback; safe for concurrent use.
+func (l *Live) Observe(ev journal.Event) {
 	if l == nil {
 		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, seen := l.updates[u.Key]; !seen {
-		l.order = append(l.order, u.Key)
-	}
-	l.updates[u.Key] = u
-	l.byStat[u.Status]++
-	if u.Done > 0 {
-		l.done = u.Done
-	}
-	if u.Total > l.total {
-		l.total = u.Total
-	}
 	l.seq++
-	l.recent = append(l.recent, liveEvent{Seq: l.seq, At: time.Now(), Job: u})
+	ev.Seq, ev.HostNS = l.seq, time.Since(l.start).Nanoseconds()
+	if _, seen := l.updates[ev.Key]; !seen {
+		l.order = append(l.order, ev.Key)
+	}
+	l.updates[ev.Key] = ev
+	status := ev.Status
+	if status == "" {
+		status = ev.Kind // a manifest-error carries no job status
+	}
+	l.byStat[status]++
+	if ev.Done > 0 {
+		l.done = ev.Done
+	}
+	if ev.Total > l.total {
+		l.total = ev.Total
+	}
+	l.recent = append(l.recent, ev)
 	if len(l.recent) > maxRecentEvents {
 		l.recent = l.recent[len(l.recent)-maxRecentEvents:]
 	}
@@ -295,8 +281,8 @@ var endpointIndex = []struct {
 	distOnly   bool
 }{
 	{"/metrics", "OpenMetrics exposition (campaign progress, fleet, merged simulated metrics)", false},
-	{"/jobs", "JSON: last known status of every observed job", false},
-	{"/events", "JSON: most recent progress events (ring of 256)", false},
+	{"/jobs", "JSON: the latest journal event of every observed job", false},
+	{"/events", "JSON: most recent journal events (ring of 256)", false},
 	{"/workers", "JSON: per-worker lease accounting (distributed campaigns)", true},
 	{"/dist", "JSON: coordinator degraded-mode stats (distributed campaigns)", true},
 	{"/fleet", "JSON: fleet-level merged telemetry (per-worker host/sim cost)", false},
@@ -518,7 +504,7 @@ func (l *Live) handleFleet(w http.ResponseWriter, _ *http.Request) {
 
 func (l *Live) handleJobs(w http.ResponseWriter, _ *http.Request) {
 	l.mu.Lock()
-	jobs := make([]JobUpdate, 0, len(l.order))
+	jobs := make([]journal.Event, 0, len(l.order))
 	for _, k := range l.order {
 		jobs = append(jobs, l.updates[k])
 	}
@@ -531,7 +517,7 @@ func (l *Live) handleJobs(w http.ResponseWriter, _ *http.Request) {
 
 func (l *Live) handleEvents(w http.ResponseWriter, _ *http.Request) {
 	l.mu.Lock()
-	evs := append([]liveEvent(nil), l.recent...)
+	evs := append([]journal.Event(nil), l.recent...)
 	l.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

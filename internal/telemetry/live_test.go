@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/journal"
 )
 
 func liveGet(t *testing.T, srv *httptest.Server, path string) (int, string) {
@@ -26,9 +28,9 @@ func liveGet(t *testing.T, srv *httptest.Server, path string) (int, string) {
 
 func TestLiveEndpoints(t *testing.T) {
 	l := NewLive("sweep")
-	l.Observe(JobUpdate{Key: "k1", Workload: "astar", Condition: "Reloaded", Status: "ran", Attempts: 1, Done: 1, Total: 3})
-	l.Observe(JobUpdate{Key: "k2", Workload: "hmmer", Condition: "Baseline", Status: "retry", Attempts: 1, Err: "timeout"})
-	l.Observe(JobUpdate{Key: "k2", Workload: "hmmer", Condition: "Baseline", Status: "ran", Attempts: 2, Done: 2, Total: 3})
+	l.Observe(journal.Event{Kind: journal.KindJobResult, Key: "k1", Workload: "astar", Condition: "Reloaded", Status: "ran", Attempt: 1, Done: 1, Total: 3})
+	l.Observe(journal.Event{Kind: journal.KindJobRetry, Key: "k2", Workload: "hmmer", Condition: "Baseline", Status: "retry", Attempt: 1, Err: "timeout"})
+	l.Observe(journal.Event{Kind: journal.KindJobResult, Key: "k2", Workload: "hmmer", Condition: "Baseline", Status: "ran", Attempt: 2, Done: 2, Total: 3})
 	l.SetMetricsSource(func() *Snapshot { return synthSnap(5) })
 
 	srv := httptest.NewServer(l.Handler())
@@ -64,14 +66,14 @@ func TestLiveEndpoints(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("/jobs = %d", code)
 	}
-	var jobs []JobUpdate
+	var jobs []journal.Event
 	if err := json.Unmarshal([]byte(body), &jobs); err != nil {
 		t.Fatalf("/jobs is not JSON: %v", err)
 	}
 	if len(jobs) != 2 {
 		t.Fatalf("/jobs has %d entries, want 2 (latest state per key)", len(jobs))
 	}
-	if jobs[1].Key != "k2" || jobs[1].Status != "ran" || jobs[1].Attempts != 2 {
+	if jobs[1].Key != "k2" || jobs[1].Status != "ran" || jobs[1].Attempt != 2 {
 		t.Fatalf("k2 state not updated in place: %+v", jobs[1])
 	}
 
@@ -79,10 +81,7 @@ func TestLiveEndpoints(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("/events = %d", code)
 	}
-	var evs []struct {
-		Seq int       `json:"seq"`
-		Job JobUpdate `json:"job"`
-	}
+	var evs []journal.Event
 	if err := json.Unmarshal([]byte(body), &evs); err != nil {
 		t.Fatalf("/events is not JSON: %v", err)
 	}
@@ -315,7 +314,7 @@ func TestLiveConcurrentObserve(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				l.Observe(JobUpdate{Key: "k", Status: "ran", Done: i, Total: 400})
+				l.Observe(journal.Event{Kind: journal.KindJobResult, Key: "k", Status: "ran", Done: i, Total: 400})
 			}
 		}(g)
 	}
@@ -351,7 +350,7 @@ func TestLiveStartAndClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	var nilLive *Live
-	nilLive.Observe(JobUpdate{})
+	nilLive.Observe(journal.Event{})
 	nilLive.SetMetricsSource(nil)
 	nilLive.SetWorkerSource(nil)
 	nilLive.SetDistSource(nil)

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/trace"
 )
 
 // Snapshot is the serializable result of a recorded run: the profile as
@@ -34,23 +36,8 @@ type Snapshot struct {
 	// (Options.TraceEvents > 0); like Rows it is per-job data and is
 	// dropped from merges. TraceDropped counts ring overwrites and does
 	// survive merges, so silent truncation stays visible fleet-wide.
-	Trace        []TraceSample `json:"trace,omitempty"`
+	Trace        []trace.Event `json:"trace,omitempty"`
 	TraceDropped uint64        `json:"trace_dropped,omitempty"`
-}
-
-// TraceSample is one exported trace event, shaped after trace.Event but
-// defined here (with the enums rendered as their export names) so
-// telemetry does not import trace and snapshots stay self-describing
-// across processes.
-type TraceSample struct {
-	Cycle uint64 `json:"cycle"`
-	Core  int    `json:"core"`
-	Agent string `json:"agent,omitempty"`
-	Kind  string `json:"kind"`
-	Phase string `json:"phase"` // B | E | i
-	Epoch uint64 `json:"epoch,omitempty"`
-	Arg   uint64 `json:"arg,omitempty"`
-	Arg2  uint64 `json:"arg2,omitempty"`
 }
 
 // StackSample is attributed cycles for one component stack on one core.

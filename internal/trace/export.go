@@ -1,37 +1,15 @@
-// Exporters: Chrome trace_event JSON (Perfetto / chrome://tracing) and
-// CSV. Both render the ring's retained events; because the ring keeps the
-// most recent events, a truncated trace can hold an End whose Begin was
-// overwritten — the Chrome exporter matches pairs and silently drops
-// orphans so the output always loads.
+// The CSV exporter, and the kind-specific argument naming it shares with
+// the Perfetto writer (timeline.go).
 package trace
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
 
 	"repro/internal/bus"
 )
-
-// machineTID is the Chrome-trace thread id used for machine-wide events
-// (Core == -1), kept clear of real core numbers.
-const machineTID = 1000
-
-// chromeEvent is one trace_event record. Durations and timestamps are in
-// microseconds, as the format requires.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Dur  float64        `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
 
 // argNames gives the kind-specific labels for Arg and Arg2 ("" = omit).
 func argNames(k Kind) (string, string) {
@@ -67,136 +45,6 @@ func hexArg(k Kind) bool {
 		return true
 	}
 	return false
-}
-
-func (ev Event) tid() int {
-	if ev.Core < 0 {
-		return machineTID
-	}
-	return int(ev.Core)
-}
-
-func (ev Event) chromeArgs() map[string]any {
-	args := map[string]any{
-		"epoch": ev.Epoch,
-		"agent": bus.Agent(ev.Agent).String(),
-	}
-	n1, n2 := argNames(ev.Kind)
-	if n1 != "" {
-		if hexArg(ev.Kind) {
-			args[n1] = fmt.Sprintf("0x%x", ev.Arg)
-		} else {
-			args[n1] = ev.Arg
-		}
-	}
-	if n2 != "" {
-		args[n2] = ev.Arg2
-	}
-	return args
-}
-
-// chromeName renders the display name of an event.
-func chromeName(ev Event) string {
-	switch ev.Kind {
-	case KindEpoch:
-		return fmt.Sprintf("epoch %d", ev.Epoch)
-	case KindSweep:
-		return fmt.Sprintf("sweep w%d", ev.Arg)
-	}
-	return ev.Kind.String()
-}
-
-// WriteChrome renders the retained events as a Chrome trace_event JSON
-// document. hzGHz converts cycles to wall time (cycles per nanosecond);
-// pass the machine's clock (e.g. Config.Machine.Sim.HzGHz). Zero or
-// negative defaults to 1 cycle = 1 ns.
-//
-// Span kinds are emitted as complete ("X") events by pairing each End
-// with the innermost open Begin of the same kind and thread; orphaned
-// Begins/Ends (ring wrap-around) are dropped. Instants become "i" events
-// with thread scope.
-func (t *Tracer) WriteChrome(w io.Writer, hzGHz float64) error {
-	if hzGHz <= 0 {
-		hzGHz = 1
-	}
-	toUS := func(cycle uint64) float64 { return float64(cycle) / (hzGHz * 1e3) }
-
-	events := t.Events()
-	var out []chromeEvent
-
-	// Thread-name metadata so Perfetto labels the tracks.
-	tids := map[int]string{}
-	for _, ev := range events {
-		tid := ev.tid()
-		if _, ok := tids[tid]; !ok {
-			if tid == machineTID {
-				tids[tid] = "machine"
-			} else {
-				tids[tid] = fmt.Sprintf("core %d", tid)
-			}
-		}
-	}
-	for tid, name := range tids {
-		out = append(out, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: 0, Tid: tid,
-			Args: map[string]any{"name": name},
-		})
-	}
-
-	// Pair Begin/End per (tid, kind) with a stack, emitting X events.
-	type open struct {
-		ev  Event
-		idx int // reserve slot in out, filled when the End arrives
-	}
-	stacks := map[[2]int][]open{}
-	for _, ev := range events {
-		key := [2]int{ev.tid(), int(ev.Kind)}
-		switch ev.Phase {
-		case PhaseBegin:
-			out = append(out, chromeEvent{}) // placeholder, keeps nesting order
-			stacks[key] = append(stacks[key], open{ev: ev, idx: len(out) - 1})
-		case PhaseEnd:
-			st := stacks[key]
-			if len(st) == 0 {
-				continue // Begin lost to ring wrap
-			}
-			o := st[len(st)-1]
-			stacks[key] = st[:len(st)-1]
-			args := o.ev.chromeArgs()
-			// End-side args carry the totals (caps revoked, …).
-			for k, v := range ev.chromeArgs() {
-				args[k] = v
-			}
-			out[o.idx] = chromeEvent{
-				Name: chromeName(ev), Cat: ev.Kind.String(), Ph: "X",
-				Ts: toUS(o.ev.Cycle), Dur: toUS(ev.Cycle) - toUS(o.ev.Cycle),
-				Pid: 0, Tid: o.ev.tid(), Args: args,
-			}
-		case PhaseInstant:
-			out = append(out, chromeEvent{
-				Name: chromeName(ev), Cat: ev.Kind.String(), Ph: "i",
-				Ts: toUS(ev.Cycle), Pid: 0, Tid: ev.tid(), S: "t",
-				Args: ev.chromeArgs(),
-			})
-		}
-	}
-	// Drop placeholders whose End never arrived (still-open spans).
-	final := out[:0]
-	for _, ce := range out {
-		if ce.Ph != "" {
-			final = append(final, ce)
-		}
-	}
-
-	enc := json.NewEncoder(w)
-	return enc.Encode(map[string]any{
-		"traceEvents":     final,
-		"displayTimeUnit": "ns",
-		"otherData": map[string]any{
-			"dropped": t.Dropped(),
-			"source":  "repro/internal/trace",
-		},
-	})
 }
 
 // Detail renders the event's kind-specific arguments as a human-readable

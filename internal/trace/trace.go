@@ -7,12 +7,20 @@
 //
 // Tracing is off by default: a nil *Tracer is a valid no-op tracer, so
 // emit sites are a single pointer test on the hot path and a disabled run
-// pays essentially nothing. Exporters (export.go) render the ring as
-// Chrome trace_event JSON (loadable in Perfetto / chrome://tracing) or as
-// CSV for ad-hoc analysis.
+// pays essentially nothing. Events travel between processes (telemetry
+// snapshots, manifests, dist results) as JSON with their enums named.
+// The exporters render retained events as CSV for ad-hoc analysis
+// (export.go) and as Chrome trace_event JSON for Perfetto /
+// chrome://tracing (timeline.go) — one writer for a single run and for a
+// whole campaign.
 package trace
 
-import "repro/internal/bus"
+import (
+	"encoding/json"
+	"fmt"
+
+	"repro/internal/bus"
+)
 
 // Kind is the typed identity of an event. Span kinds are emitted as
 // Begin/End pairs; instant kinds as single Instant events.
@@ -142,6 +150,63 @@ type Event struct {
 	// Kind and Phase type the event.
 	Kind  Kind
 	Phase Phase
+}
+
+// eventJSON is an Event's wire form: the agent, kind and phase by their
+// export names, a zero epoch or arg omitted.
+type eventJSON struct {
+	Cycle uint64 `json:"cycle"`
+	Core  int    `json:"core"`
+	Agent string `json:"agent,omitempty"`
+	Kind  string `json:"kind"`
+	Phase string `json:"phase"`
+	Epoch uint64 `json:"epoch,omitempty"`
+	Arg   uint64 `json:"arg,omitempty"`
+	Arg2  uint64 `json:"arg2,omitempty"`
+}
+
+// MarshalJSON encodes the event in its wire form, e.g.
+// {"cycle":2730,"core":3,"agent":"alloc","kind":"chunk-reserve","phase":"i","arg":4294967296,"arg2":1048576}.
+func (ev Event) MarshalJSON() ([]byte, error) {
+	return json.Marshal(eventJSON{
+		Cycle: ev.Cycle, Core: int(ev.Core), Agent: bus.Agent(ev.Agent).String(),
+		Kind: ev.Kind.String(), Phase: ev.Phase.String(),
+		Epoch: ev.Epoch, Arg: ev.Arg, Arg2: ev.Arg2,
+	})
+}
+
+// UnmarshalJSON decodes the wire form. An unknown agent, kind or phase
+// name is an error.
+func (ev *Event) UnmarshalJSON(b []byte) error {
+	var w eventJSON
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	agent, ok := byName(w.Agent, uint8(bus.AgentKernel)+1, func(a uint8) string { return bus.Agent(a).String() })
+	if !ok {
+		return fmt.Errorf("trace: unknown agent %q", w.Agent)
+	}
+	kind, ok := byName(w.Kind, numKinds, Kind.String)
+	if !ok {
+		return fmt.Errorf("trace: unknown kind %q", w.Kind)
+	}
+	phase, ok := byName(w.Phase, PhaseInstant+1, Phase.String)
+	if !ok {
+		return fmt.Errorf("trace: unknown phase %q", w.Phase)
+	}
+	*ev = Event{Cycle: w.Cycle, Arg: w.Arg, Arg2: w.Arg2, Epoch: w.Epoch,
+		Core: int16(w.Core), Agent: agent, Kind: kind, Phase: phase}
+	return nil
+}
+
+// byName finds the value below n whose name is s.
+func byName[T ~uint8](s string, n T, name func(T) string) (T, bool) {
+	for v := T(0); v < n; v++ {
+		if name(v) == s {
+			return v, true
+		}
+	}
+	return 0, false
 }
 
 // Tracer is a fixed-capacity ring of Events. The zero of *Tracer (nil) is

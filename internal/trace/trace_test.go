@@ -26,9 +26,6 @@ func TestNilTracerIsNoOp(t *testing.T) {
 		t.Fatal("nil tracer retained events")
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf, 2.5); err != nil {
-		t.Fatalf("nil WriteChrome: %v", err)
-	}
 	if err := tr.WriteCSV(&buf); err != nil {
 		t.Fatalf("nil WriteCSV: %v", err)
 	}
@@ -73,20 +70,20 @@ func TestWriteChromePairsSpans(t *testing.T) {
 	tr.End(9000, 2, bus.AgentRevoker, KindEpoch, 6, 17, 42)
 	tr.End(9100, 1, bus.AgentRevoker, KindSweep, 6, 0, 0) // orphan
 
-	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf, 2.5); err != nil {
-		t.Fatalf("WriteChrome: %v", err)
-	}
+	buf := render(t, []TimelineJob{{WallCycles: 10000, HzGHz: 2.5, Trace: tr.Events()}}, true)
 	var doc struct {
 		TraceEvents []map[string]any `json:"traceEvents"`
 	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+	if err := json.Unmarshal(buf, &doc); err != nil {
 		t.Fatalf("output is not valid JSON: %v", err)
 	}
 	var spans, instants, orphans int
 	for _, ev := range doc.TraceEvents {
 		switch ev["ph"] {
 		case "X":
+			if ev["cat"] == "job" {
+				continue // the run's own span on the jobs track
+			}
 			spans++
 			if ev["cat"] == "epoch" {
 				if ev["dur"].(float64) <= 0 {

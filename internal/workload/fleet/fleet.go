@@ -5,14 +5,13 @@
 // of open-loop connections where almost every thread is asleep at any
 // instant — and is deliberately scheduler-bound: per-request compute is
 // tiny, so host time goes to the simulator's sleep/wake machinery, not to
-// the swept heap. hostbench's SimCampaignFast/Classic pair times a full
-// revocation campaign over this fleet to measure the sim-engine speedup
-// end to end.
+// the swept heap. hostbench's SimCampaignFast times a full revocation
+// campaign over this fleet end to end.
 //
 // Determinism: every connection derives its think times from its own
 // splitmix-style counter seeded by (Seed, conn index), so the virtual-time
 // schedule is a pure function of the workload parameters regardless of
-// host interleaving or engine choice.
+// host interleaving.
 package fleet
 
 import (

@@ -8,7 +8,8 @@
 #
 #   * both journals validate against cornucopia-journal/v1 (obs validate),
 #   * their canonical forms (obs canon) are byte-identical,
-#   * the canonical merged timelines are byte-identical,
+#   * the canonical merged timelines are byte-identical, and their epoch
+#     spans carry the named args (capsRevoked, pagesVisited),
 #   * the coordinator's /fleet endpoint counts completed jobs and the
 #     fleet_* metric families are non-empty while the distributed
 #     campaign runs,
@@ -29,7 +30,9 @@ mkdir -p "$OUT"
     report.txt diff.txt)
 
 GRID="-figures fig5 -reps 1 -scale 16 -txs 400"
-OBSFLAGS="-trace-events 32 -timeline-canonical"
+# Each job's ring must reach back past whole revocation epochs (paints
+# fill it fastest), so the timelines carry epoch spans and their args.
+OBSFLAGS="-trace-events 16384 -timeline-canonical"
 go build -o "$OUT/sweep" ./cmd/sweep
 go build -o "$OUT/worker" ./cmd/worker
 go build -o "$OUT/obs" ./cmd/obs
@@ -124,6 +127,9 @@ cmp "$OUT/local-canon.jsonl" "$OUT/dist-canon.jsonl" ||
 cmp "$OUT/local-timeline.json" "$OUT/dist-timeline.json" ||
     fail "canonical timeline differs between local and distributed runs"
 [ -s "$OUT/dist-timeline.json" ] || fail "merged timeline is empty"
+grep -q '"capsRevoked"' "$OUT/dist-timeline.json" &&
+    grep -q '"pagesVisited"' "$OUT/dist-timeline.json" ||
+    fail "merged timeline's epoch spans carry no capsRevoked/pagesVisited args"
 
 echo "obs-smoke: postmortem report"
 "$OUT/obs" report -journal "$OUT/dist.jsonl" \
