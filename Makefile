@@ -14,8 +14,7 @@ RACE_PKGS = ./internal/bus ./internal/ca ./internal/dist/netfault \
             ./internal/trace ./internal/vm ./internal/workload/heapscale
 
 .PHONY: all build vet test race verify flake chaos sweep-bench \
-        telemetry-smoke hostbench hostbench-smoke dist-smoke \
-        dist-chaos-smoke obs-smoke bench-test
+        fleet-smoke hostbench hostbench-smoke bench-test
 
 all: verify
 
@@ -53,41 +52,21 @@ flake:
 chaos:
 	$(GO) run ./cmd/chaos -strategies reloaded -seeds 2 -strict
 
-# telemetry-smoke: end-to-end observability check. Runs a telemetry-armed
-# sweep with the live introspection server on an ephemeral port, scrapes
-# /metrics mid-campaign, and asserts the profiler/metrics exports land
-# non-empty (folded stacks under telemetry-smoke/).
-telemetry-smoke:
-	./scripts/telemetry_smoke.sh
-
-# dist-smoke: end-to-end distributed-execution check. Runs one grid on a
-# local pool and again through a cmd/sweep coordinator with two cmd/worker
-# processes (plus a kill-one-worker-mid-lease variant) and asserts the
-# canonical documents are byte-identical (artifacts under dist-smoke/).
-dist-smoke:
-	./scripts/dist_smoke.sh
-
-# dist-chaos-smoke: network-chaos + degraded-mode check. Re-runs the
-# dist-smoke grid with deterministic network faults armed on both sides of
-# the protocol (coordinator drops; worker drop/delay/reset/duplicate/
-# reorder/throttle), a worker crash mid-lease, exponential-backoff retries
-# and the per-worker circuit breaker, then a worker-cache rejoin pass —
-# every canonical document must stay byte-identical to the local run
-# (artifacts + cornucopia-netchaos/v1 report under dist-chaos-smoke/).
-dist-chaos-smoke:
-	./scripts/dist_chaos_smoke.sh
-
-# obs-smoke: fleet-observability check. Runs the same grid on a local
-# pool and through a 2-worker distributed campaign with the campaign
-# journal, trace rings and canonical timeline armed, then asserts: both
-# journals validate (obs validate), canonical journal and timeline are
-# byte-identical across the two runs, /fleet counts completed jobs and
-# the fleet_* metric families are non-empty mid-campaign, obs report
-# renders a postmortem, and obs diff accepts the committed BENCH_host.json
-# against itself (artifacts under obs-smoke/, cleared at the start of
-# each run, so the target can be rerun).
-obs-smoke:
-	./scripts/obs_smoke.sh
+# fleet-smoke: the end-to-end fleet check. Builds sweep, worker and obs
+# once and runs one grid three times: a local reference (journal, canonical
+# timeline, live /metrics, /healthz and /jobs scraped mid-run, the four
+# telemetry exports); a chaos pass through a coordinator with network
+# faults on both sides of the protocol, backoff retries, the circuit
+# breaker and a worker killed mid-lease (live /fleet scraped mid-run); and
+# a rejoin in which one worker replays every key from a copy of the local
+# run's manifest. The distributed documents, canonical journal and
+# canonical timeline must be byte-identical to the local run's, the
+# journals must validate, obs report must render a postmortem, and obs
+# diff must accept the committed BENCH_host.json against itself
+# (artifacts and the cornucopia-netchaos/v1 report under fleet-smoke/,
+# cleared at the start of each run, so the target can be rerun).
+fleet-smoke:
+	./scripts/fleet_smoke.sh
 
 # BENCH_host.json: the host-performance rig (internal/hostbench) — where
 # the simulator spends real CPU, complementing the simulated-cycle

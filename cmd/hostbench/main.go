@@ -21,8 +21,8 @@
 // per-granule tag accessors; BusSweepMix (one swept page's tag-table,
 // data-line and shadow-bitmap accesses in the order the sweep issues
 // them) and BusAccessRange (one page-sized store range), the bus cache
-// model; CampaignWord and CampaignGranule, the end-to-end heap-scale sweep
-// campaign under either kernel; SimCampaignWord, the full simulator over
+// model; CampaignWord, the end-to-end heap-scale sweep campaign under the
+// word-wise kernel; SimCampaignWord, the full simulator over
 // a sweep-heavy CHERIvoke campaign; SimCampaignFast, a Reloaded campaign
 // over an 8192-connection open-loop fleet (internal/workload/fleet), which
 // is scheduler-bound; HeapSweepSparse, a whole-bank audit sweep over a

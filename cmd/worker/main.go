@@ -20,7 +20,9 @@
 // -live serves this worker's own introspection endpoints (job outcomes on
 // /jobs and /events, merged job telemetry and a single-worker fleet view
 // on /metrics and /fleet) while it runs — the worker-side complement of
-// the coordinator's -http server. -metrics writes the same OpenMetrics
+// the coordinator's -http server. The fleet view counts the
+// coordinator's way: accepted results are jobs, and their simulated
+// cycles are the jobs' wall cycles. -metrics writes the same OpenMetrics
 // body to a file at exit, with or without -live.
 //
 // The worker exits 0 when the coordinator drains the campaign (or the
@@ -30,8 +32,8 @@
 //
 // -crash-after-lease N is fault injection for the reclaim path: the
 // worker dies (exit 2) immediately upon taking its Nth lease, without
-// running or reporting it — the CI smoke uses it to prove a campaign
-// survives losing a worker mid-lease.
+// running or reporting it — scripts/fleet_smoke.sh uses it to prove a
+// campaign survives losing a worker mid-lease.
 //
 // -cache FILE opens a worker-side result cache (an expt manifest,
 // validated against the campaign's tool/grid at join): a worker that
@@ -41,8 +43,9 @@
 // -netfault CLASSES arms deterministic worker-side network fault
 // injection on every protocol request: a comma-separated subset of
 // drop, delay, duplicate, reorder, reset, throttle (see
-// internal/dist/netfault). The chaos smoke drives campaigns under these
-// faults and asserts the canonical documents stay byte-identical.
+// internal/dist/netfault). scripts/fleet_smoke.sh runs its chaos pass
+// under these faults and asserts the canonical document, journal and
+// timeline stay byte-identical to a local run's.
 package main
 
 import (
@@ -52,13 +55,11 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/dist"
 	"repro/internal/dist/netfault"
 	"repro/internal/expt/cliflags"
-	"repro/internal/journal"
 	"repro/internal/telemetry"
 )
 
@@ -102,10 +103,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// hostMS sums the observed job costs for the single-row fleet view;
-	// Observe runs on lease-serving goroutines, so guard it.
-	var mu sync.Mutex
-	var hostMS float64
 	w := dist.NewWorker(dist.WorkerConfig{
 		Connect:          *connect,
 		Name:             *name,
@@ -119,37 +116,12 @@ func main() {
 		Logf: func(format string, args ...any) {
 			log.Printf(format, args...)
 		},
-		Observe: func(ev journal.Event) {
-			mu.Lock()
-			hostMS += ev.HostMS
-			mu.Unlock()
-			live.Observe(ev)
-		},
+		Observe: live.Observe,
 	})
 	live.SetMetricsSource(func() *telemetry.Snapshot {
 		return telemetry.Merge(w.Snapshots())
 	})
-	live.SetFleetSource(func() telemetry.FleetStats {
-		fw := telemetry.FleetWorker{
-			ID: "worker", Name: *name,
-			Jobs: uint64(w.Reported()), CacheHits: uint64(w.CacheHits()),
-		}
-		mu.Lock()
-		fw.HostMS = hostMS
-		mu.Unlock()
-		for _, k := range w.Snapshots() {
-			var wall uint64
-			for _, c := range k.Snap.CoreClock {
-				if c > wall {
-					wall = c
-				}
-			}
-			fw.SimCycles += wall
-			fw.TraceEvents += uint64(len(k.Snap.Trace))
-			fw.TraceDropped += k.Snap.TraceDropped
-		}
-		return telemetry.FleetStats{Workers: []telemetry.FleetWorker{fw}}.Totaled()
-	})
+	live.SetFleetSource(w.Fleet)
 	runErr := w.Run()
 	if err := lf.Finish(live); err != nil {
 		log.Print(err)

@@ -2,7 +2,7 @@ package dist
 
 import "time"
 
-// Breaker state names, surfaced on /workers and in telemetry.
+// Breaker state names, surfaced in the /fleet rows.
 const (
 	BreakerClosed   = "closed"
 	BreakerOpen     = "open"

@@ -53,8 +53,8 @@ type Config struct {
 	BreakerCooldown time.Duration
 	// EvictAfter removes a worker holding no leases from the live fleet
 	// view once it has been silent this long; its counters fold into the
-	// departed aggregate (DistStats) instead of being reported live
-	// forever. Default 60 heartbeat intervals; negative disables.
+	// departed aggregate (FleetStats.Departed) instead of being reported
+	// live forever. Default 60 heartbeat intervals; negative disables.
 	EvictAfter time.Duration
 	// LocalFallback, when > 0, degrades the coordinator to local
 	// execution: if the fleet has been silent (no worker request at all)
@@ -85,47 +85,34 @@ type lease struct {
 	id       string
 	t        *task
 	worker   string // worker id
+	seq      uint64 // the granted LeaseRequest.Seq (0 = none)
 	granted  time.Time
 	lastBeat time.Time
 }
 
-// workerState is the coordinator's per-worker accounting, surfaced on the
-// live introspection server.
-type workerState struct {
-	id, name  string
-	inflight  int
-	leases    uint64
-	results   uint64
-	failures  uint64
-	reclaims  uint64
-	cacheHits uint64
-	discards  uint64
-	brk       breaker
-	lastSeen  time.Time
-	// Fleet-observability accounting, accumulated from accepted results:
-	// host cost reported by the worker, simulated cycles produced, and
-	// trace-ring events shipped/overwritten (Snapshot.Trace).
-	hostMS       float64
-	simCycles    uint64
-	traceEvents  uint64
-	traceDropped uint64
+// reply renders the lease grant.
+func (l *lease) reply() LeaseReply {
+	job := l.t.job
+	return LeaseReply{Status: StatusJob, LeaseID: l.id, Key: l.t.key, Job: &job}
 }
 
-// departed aggregates the counters of evicted workers so fleet totals
-// survive eviction.
-type departed struct {
-	count        int
-	leases       uint64
-	results      uint64
-	failures     uint64
-	reclaims     uint64
-	cacheHits    uint64
-	discards     uint64
-	trips        uint64
-	hostMS       float64
-	simCycles    uint64
-	traceEvents  uint64
-	traceDropped uint64
+// workerState is the coordinator's per-worker state. Its fleet row is
+// what the live introspection server reports.
+type workerState struct {
+	row      telemetry.FleetWorker
+	brk      breaker
+	lastSeen time.Time
+	polled   bool // has asked for a lease
+	drained  bool // has been told to drain
+}
+
+// view renders the worker's fleet row: its counters plus breaker state
+// and idle age.
+func (w *workerState) view(now time.Time) telemetry.FleetWorker {
+	r := w.row
+	r.Breaker, r.BreakerTrips = w.brk.String(), w.brk.trips
+	r.SecondsSinceSeen = now.Sub(w.lastSeen).Seconds()
+	return r
 }
 
 // Coordinator owns a campaign's job grid and leases it out to network
@@ -151,8 +138,10 @@ type Coordinator struct {
 	queue      []*task
 	leases     map[string]*lease
 	workers    map[string]*workerState
-	gone       departed
+	departed   telemetry.FleetCounters // evicted workers' rows, folded
+	nDeparted  int
 	jobWorkers map[string]string // job key -> worker name, for timeline attribution
+	reported   map[string]string // resolved lease id -> the worker whose report resolved it
 	seq        int
 	wseq       int
 	lastWorker time.Time // most recent request from any worker
@@ -187,7 +176,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 	if evict == 0 {
 		// Default: long enough that campaigns with fast test heartbeats
 		// never lose a crashed worker's counters mid-run, short enough
-		// that a long-lived coordinator's /workers view stays honest.
+		// that a long-lived coordinator's /fleet view stays honest.
 		evict = 60 * cfg.Heartbeat
 		if evict < time.Minute {
 			evict = time.Minute
@@ -203,6 +192,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 		leases:     map[string]*lease{},
 		workers:    map[string]*workerState{},
 		jobWorkers: map[string]string{},
+		reported:   map[string]string{},
 		lastWorker: time.Now(),
 		reapStop:   make(chan struct{}),
 		reapDone:   make(chan struct{}),
@@ -311,17 +301,19 @@ func (c *Coordinator) Addr() string {
 
 // Drain marks the campaign complete: every subsequent lease request is
 // answered with StatusDrain so workers exit cleanly. Call once all Gets
-// have returned. The first Drain also journals the netfault injection
-// summary — the campaign's faults are final once no more work can run.
+// have returned. Drain returns once every worker polling for leases has
+// been told, so none is left polling a closed server until its reconnect
+// timeout. A worker silent for HeartbeatMiss heartbeats or poll intervals,
+// whichever is longer, is presumed gone and not waited for, and so is one
+// that never polled (a hello whose reply was lost). The first Drain also
+// journals the netfault injection summary — the campaign's faults are
+// final once no more work can run.
 func (c *Coordinator) Drain() {
 	c.mu.Lock()
 	already := c.draining
 	c.draining = true
 	c.mu.Unlock()
-	if already {
-		return
-	}
-	if rep := c.faults.Report(); rep.Injections > 0 {
+	if rep := c.faults.Report(); !already && rep.Injections > 0 {
 		classes := make([]string, 0, len(rep.ByClass))
 		for class := range rep.ByClass {
 			classes = append(classes, class)
@@ -333,6 +325,27 @@ func (c *Coordinator) Drain() {
 			})
 		}
 	}
+	window := time.Duration(c.hbMiss) * max(c.hbEvery, time.Duration(c.waitMS)*time.Millisecond)
+	for c.awaitingDrain(window) {
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// awaitingDrain reports whether a polling worker seen within window has
+// not yet been told to drain.
+func (c *Coordinator) awaitingDrain(window time.Duration) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return false
+	}
+	now := time.Now()
+	for _, w := range c.workers {
+		if w.polled && !w.drained && now.Sub(w.lastSeen) <= window {
+			return true
+		}
+	}
+	return false
 }
 
 // Close drains, stops the reaper and the server, and fails any queued or
@@ -363,83 +376,27 @@ func (c *Coordinator) Close() error {
 	return nil
 }
 
-// Workers snapshots per-worker lease accounting for the live
-// introspection server, sorted by worker id. Only live workers appear;
-// evicted ones are folded into DistStats' departed aggregate.
-func (c *Coordinator) Workers() []telemetry.WorkerStatus {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]telemetry.WorkerStatus, 0, len(c.workers))
-	for _, w := range c.workers {
-		out = append(out, telemetry.WorkerStatus{
-			ID:               w.id,
-			Name:             w.name,
-			Inflight:         w.inflight,
-			Leases:           w.leases,
-			Results:          w.results,
-			Failures:         w.failures,
-			Reclaims:         w.reclaims,
-			CacheHits:        w.cacheHits,
-			Discards:         w.discards,
-			Breaker:          w.brk.String(),
-			BreakerTrips:     w.brk.trips,
-			SecondsSinceSeen: time.Since(w.lastSeen).Seconds(),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// DistStats snapshots the coordinator-level degraded-mode accounting:
-// live/departed fleet size, aggregate counters surviving eviction, local
-// fallback activity, and the coordinator-side fault injector's report.
-func (c *Coordinator) DistStats() telemetry.DistStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := telemetry.DistStats{
-		WorkersLive:     len(c.workers),
-		WorkersDeparted: c.gone.count,
-		FallbackRuns:    c.fallbacks,
-		CacheHits:       c.gone.cacheHits,
-		Discards:        c.gone.discards,
-		Reclaims:        c.gone.reclaims,
-		BreakerTrips:    c.gone.trips,
-	}
-	for _, w := range c.workers {
-		st.CacheHits += w.cacheHits
-		st.Discards += w.discards
-		st.Reclaims += w.reclaims
-		st.BreakerTrips += w.brk.trips
-	}
-	if rep := c.faults.Report(); rep.Injections > 0 {
-		st.NetfaultInjections = rep.ByClass
-	}
-	return st
-}
-
-// Fleet snapshots the fleet-level merged telemetry for the live
-// introspection server's /fleet endpoint and the fleet_* OpenMetrics
-// families: one row per live worker (accepted results, host cost,
-// simulated cycles, shipped trace volume) plus a synthetic row carrying
-// the departed aggregate so totals survive eviction.
+// Fleet snapshots the fleet view for the live introspection server's
+// /fleet endpoint and its fleet_* and dist_* OpenMetrics families: one row
+// per live worker, sorted by id; the departed aggregate of evicted
+// workers, so totals survive eviction; local-fallback runs; and the
+// coordinator-side fault injector's count by class.
 func (c *Coordinator) Fleet() telemetry.FleetStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var fs telemetry.FleetStats
+	now := time.Now()
+	fs := telemetry.FleetStats{
+		Distributed:     true,
+		Departed:        c.departed,
+		WorkersDeparted: c.nDeparted,
+		FallbackRuns:    c.fallbacks,
+	}
 	for _, w := range c.workers {
-		fs.Workers = append(fs.Workers, telemetry.FleetWorker{
-			ID: w.id, Name: w.name,
-			Jobs: w.results, CacheHits: w.cacheHits, HostMS: w.hostMS,
-			SimCycles: w.simCycles, TraceEvents: w.traceEvents, TraceDropped: w.traceDropped,
-		})
+		fs.Workers = append(fs.Workers, w.view(now))
 	}
 	sort.Slice(fs.Workers, func(i, j int) bool { return fs.Workers[i].ID < fs.Workers[j].ID })
-	if c.gone.count > 0 {
-		fs.Workers = append(fs.Workers, telemetry.FleetWorker{
-			ID: "departed", Name: fmt.Sprintf("%d evicted worker(s)", c.gone.count),
-			Jobs: c.gone.results, CacheHits: c.gone.cacheHits, HostMS: c.gone.hostMS,
-			SimCycles: c.gone.simCycles, TraceEvents: c.gone.traceEvents, TraceDropped: c.gone.traceDropped,
-		})
+	if rep := c.faults.Report(); rep.Injections > 0 {
+		fs.NetfaultInjections = rep.ByClass
 	}
 	return fs.Totaled()
 }
@@ -489,13 +446,13 @@ func (c *Coordinator) reap() {
 					Worker: l.worker, Detail: id, Err: err.Error(),
 				})
 				if w := c.workers[l.worker]; w != nil {
-					w.inflight--
-					w.reclaims++
+					w.row.Inflight--
+					w.row.Reclaims++
 					if w.brk.failure(now, c.cfg.BreakerFailures) {
-						c.logf("dist: breaker open for worker %s (%s): %d consecutive failures/reclaims", w.id, w.name, w.brk.fails)
+						c.logf("dist: breaker open for worker %s (%s): %d consecutive failures/reclaims", w.row.ID, w.row.Name, w.brk.fails)
 						c.jnl().Emit(journal.Event{
-							Kind: journal.KindBreakerTrip, Worker: w.id,
-							Detail: w.name, Count: uint64(w.brk.fails),
+							Kind: journal.KindBreakerTrip, Worker: w.row.ID,
+							Detail: w.row.Name, Count: uint64(w.brk.fails),
 						})
 					}
 				}
@@ -519,25 +476,15 @@ func (c *Coordinator) evictSilent(now time.Time) {
 		return
 	}
 	for id, w := range c.workers {
-		if w.inflight > 0 || now.Sub(w.lastSeen) <= c.evictAfter {
+		if w.row.Inflight > 0 || now.Sub(w.lastSeen) <= c.evictAfter {
 			continue
 		}
 		delete(c.workers, id)
-		c.gone.count++
-		c.gone.leases += w.leases
-		c.gone.results += w.results
-		c.gone.failures += w.failures
-		c.gone.reclaims += w.reclaims
-		c.gone.cacheHits += w.cacheHits
-		c.gone.discards += w.discards
-		c.gone.trips += w.brk.trips
-		c.gone.hostMS += w.hostMS
-		c.gone.simCycles += w.simCycles
-		c.gone.traceEvents += w.traceEvents
-		c.gone.traceDropped += w.traceDropped
+		c.departed.Add(w.view(now).FleetCounters)
+		c.nDeparted++
 		c.logf("dist: evicted worker %s (%s) after %s silence (leases=%d results=%d)",
-			w.id, w.name, now.Sub(w.lastSeen).Round(time.Second), w.leases, w.results)
-		c.jnl().Emit(journal.Event{Kind: journal.KindWorkerEvict, Worker: w.id, Detail: w.name})
+			id, w.row.Name, now.Sub(w.lastSeen).Round(time.Second), w.row.Leases, w.row.Jobs)
+		c.jnl().Emit(journal.Event{Kind: journal.KindWorkerEvict, Worker: id, Detail: w.row.Name})
 	}
 }
 
@@ -600,7 +547,7 @@ func (c *Coordinator) handleHello(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	c.wseq++
 	id := fmt.Sprintf("w%03d", c.wseq)
-	c.workers[id] = &workerState{id: id, name: name, lastSeen: time.Now()}
+	c.workers[id] = &workerState{row: telemetry.FleetWorker{ID: id, Name: name}, lastSeen: time.Now()}
 	c.lastWorker = time.Now()
 	c.mu.Unlock()
 	c.jnl().Emit(journal.Event{Kind: journal.KindWorkerJoin, Worker: id, Detail: name})
@@ -633,7 +580,25 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	now := time.Now()
 	ws.lastSeen = now
+	ws.polled = true
 	c.lastWorker = now
+	if req.Seq != 0 {
+		for _, l := range c.leases {
+			if l.worker == req.WorkerID && l.seq == req.Seq {
+				// A repeat of a request this worker was already granted: its
+				// reply was lost, or the request was delivered twice. Answer
+				// with the same lease, so none is left that no worker holds.
+				l.lastBeat = now
+				reply(w, l.reply())
+				return
+			}
+		}
+	}
+	if c.draining && len(c.queue) == 0 {
+		ws.drained = true
+		reply(w, LeaseReply{Status: StatusDrain})
+		return
+	}
 	if ok, wait := ws.brk.allow(now, c.brkCool); !ok {
 		// Quarantined: answer with a wait sized to the remaining cooldown
 		// (or one poll interval while a half-open probe is outstanding) so
@@ -646,10 +611,6 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(c.queue) == 0 {
-		if c.draining {
-			reply(w, LeaseReply{Status: StatusDrain})
-			return
-		}
 		reply(w, LeaseReply{Status: StatusWait, WaitMS: c.waitMS})
 		return
 	}
@@ -660,18 +621,18 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		id:       fmt.Sprintf("lease-%06d", c.seq),
 		t:        t,
 		worker:   req.WorkerID,
+		seq:      req.Seq,
 		granted:  now,
 		lastBeat: now,
 	}
 	c.leases[l.id] = l
-	ws.leases++
-	ws.inflight++
+	ws.row.Leases++
+	ws.row.Inflight++
 	ws.brk.granted()
 	c.jnl().Emit(journal.Event{
 		Kind: journal.KindJobLease, Key: t.key, Worker: req.WorkerID, Detail: l.id,
 	})
-	job := t.job
-	reply(w, LeaseReply{Status: StatusJob, LeaseID: l.id, Key: t.key, Job: &job})
+	reply(w, l.reply())
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -709,11 +670,18 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	l := c.leases[req.LeaseID]
 	if l == nil || l.worker != req.WorkerID {
+		if c.reported[req.LeaseID] == req.WorkerID {
+			// A repeat of the report that resolved this lease: its reply
+			// was lost, or it was delivered twice. Acknowledge it again
+			// and count nothing.
+			reply(w, ResultReply{OK: true})
+			return
+		}
 		// The lease was reclaimed (and possibly re-issued) before this
 		// result arrived; the late result is discarded so the campaign
 		// has exactly one authoritative execution per attempt.
 		if ws != nil {
-			ws.discards++
+			ws.row.Discards++
 		}
 		c.jnl().Emit(journal.Event{
 			Kind: journal.KindJobReport, Key: req.Key, Worker: req.WorkerID,
@@ -723,12 +691,11 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	delete(c.leases, req.LeaseID)
-	if ws != nil {
-		ws.inflight--
-	}
+	c.reported[req.LeaseID] = req.WorkerID
 	name := req.WorkerID
 	if ws != nil {
-		name = fmt.Sprintf("%s (%s)", ws.name, ws.id)
+		ws.row.Inflight--
+		name = fmt.Sprintf("%s (%s)", ws.row.Name, ws.row.ID)
 	}
 	o := taskOutcome{host: time.Duration(req.HostMS * float64(time.Millisecond))}
 	switch {
@@ -751,30 +718,21 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	if ws != nil {
 		if o.err != nil {
-			ws.failures++
+			ws.row.Failures++
 			if ws.brk.failure(now, c.cfg.BreakerFailures) {
-				c.logf("dist: breaker open for worker %s (%s): %d consecutive failures", ws.id, ws.name, ws.brk.fails)
+				c.logf("dist: breaker open for worker %s (%s): %d consecutive failures", ws.row.ID, ws.row.Name, ws.brk.fails)
 				c.jnl().Emit(journal.Event{
-					Kind: journal.KindBreakerTrip, Worker: ws.id,
-					Detail: ws.name, Count: uint64(ws.brk.fails),
+					Kind: journal.KindBreakerTrip, Worker: ws.row.ID,
+					Detail: ws.row.Name, Count: uint64(ws.brk.fails),
 				})
 			}
 		} else {
-			ws.results++
-			if req.Cached {
-				ws.cacheHits++
-			}
+			// Fleet accounting and timeline attribution: only accepted
+			// results count, so utilization reflects work the campaign
+			// actually used.
+			ws.row.AddJob(req.HostMS, req.Cached, o.res.WallCycles, o.res.Telem)
 			ws.brk.success()
-			// Fleet-observability accounting and timeline attribution:
-			// only accepted results count, so utilization reflects work
-			// the campaign actually used.
-			ws.hostMS += req.HostMS
-			ws.simCycles += o.res.WallCycles
-			if o.res.Telem != nil {
-				ws.traceEvents += uint64(len(o.res.Telem.Trace))
-				ws.traceDropped += o.res.Telem.TraceDropped
-			}
-			c.jobWorkers[req.Key] = ws.name
+			c.jobWorkers[req.Key] = ws.row.Name
 		}
 	}
 	jev := journal.Event{

@@ -134,7 +134,7 @@ func TestDistRunsJobsThroughWorkers(t *testing.T) {
 		t.Fatalf("Results returned %d jobs", len(rs))
 	}
 	var leases, results uint64
-	for _, w := range c.Workers() {
+	for _, w := range c.Fleet().Workers {
 		if w.Inflight != 0 {
 			t.Fatalf("worker %s still holds %d leases after drain", w.ID, w.Inflight)
 		}
@@ -142,7 +142,7 @@ func TestDistRunsJobsThroughWorkers(t *testing.T) {
 			t.Fatalf("worker %s recorded failures/reclaims: %+v", w.ID, w)
 		}
 		leases += w.Leases
-		results += w.Results
+		results += w.Jobs
 	}
 	if leases != 6 || results != 6 {
 		t.Fatalf("fleet accounting: %d leases, %d results, want 6/6", leases, results)
@@ -229,7 +229,7 @@ func TestDistWorkerCrashMidLease(t *testing.T) {
 		t.Fatalf("no retry event classified as timeout; events: %+v", events)
 	}
 	var reclaims uint64
-	for _, w := range c.Workers() {
+	for _, w := range c.Fleet().Workers {
 		reclaims += w.Reclaims
 	}
 	if reclaims == 0 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/expt"
 	"repro/internal/journal"
@@ -142,5 +143,136 @@ func TestObsByteIdentical(t *testing.T) {
 	}
 	if fs.SimCycles == 0 || fs.TraceEvents == 0 {
 		t.Errorf("fleet aggregates empty: %+v", fs)
+	}
+}
+
+// TestFleetViewFoldsCrashEvictionAndReplay pins the coordinator's one
+// fleet view over a campaign that loses one worker to eviction and one to
+// a crash, then finishes on a worker replaying its result cache: Fleet
+// must show the evicted worker folded into the departed row, the
+// crasher's reclaimed lease on its row, the replayed cache hits, and
+// totals equal to the sum of the rows.
+func TestFleetViewFoldsCrashEvictionAndReplay(t *testing.T) {
+	c := startCoordinator(t, Config{
+		Heartbeat:     20 * time.Millisecond,
+		HeartbeatMiss: 2,
+		WaitMS:        10,
+		EvictAfter:    500 * time.Millisecond,
+		Pool:          expt.PoolConfig{Workers: 1, Retries: 2},
+	})
+	run := func(j expt.Job) (*expt.JobResult, error) { return testResult(j), nil }
+
+	// The ghost runs one job, exits and falls silent until it is evicted.
+	_, ghostDone := startWorker(t, c, WorkerConfig{Name: "ghost", MaxJobs: 1}, run)
+	if _, err := c.Get(testJob("astar", 1)); err != nil {
+		t.Fatal(err)
+	}
+	waitWorker(t, ghostDone, nil)
+	deadline := time.Now().Add(10 * time.Second)
+	for c.Fleet().WorkersDeparted == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("ghost never evicted: %+v", c.Fleet())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	// The crasher takes the next lease and dies holding it; the replayer
+	// then serves every job, two of them from its cache.
+	cachePath := filepath.Join(t.TempDir(), "cache.jsonl")
+	m, err := expt.OpenManifestFor(cachePath, expt.ManifestMeta{Tool: "sweep", Grid: "dist-test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := []expt.Job{testJob("astar", 2), testJob("astar", 3), testJob("astar", 4)}
+	for _, j := range jobs[:2] {
+		if err := m.Record(j.Key(), testResult(j), 5*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Close()
+	c.Prefetch(jobs)
+	_, crashDone := startWorker(t, c, WorkerConfig{Name: "crasher", CrashAfterLease: 1}, nil)
+	waitWorker(t, crashDone, ErrCrashed)
+	_, done := startWorker(t, c, WorkerConfig{Name: "replayer", CachePath: cachePath}, run)
+	for _, j := range jobs {
+		if _, err := c.Get(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs := c.Fleet()
+	c.Drain()
+	waitWorker(t, done, nil)
+
+	rows := map[string]telemetry.FleetWorker{}
+	var sum telemetry.FleetCounters
+	for _, w := range fs.Workers {
+		rows[w.Name] = w
+		sum.Add(w.FleetCounters)
+	}
+	if fs.WorkersDeparted != 1 || fs.Departed.Jobs != 1 || fs.Departed.Leases != 1 {
+		t.Fatalf("ghost not folded into the departed row: %d departed, %+v", fs.WorkersDeparted, fs.Departed)
+	}
+	if _, live := rows["ghost"]; live || len(fs.Workers) != 2 {
+		t.Fatalf("live rows = %+v, want crasher and replayer", fs.Workers)
+	}
+	if cr := rows["crasher"]; cr.Leases != 1 || cr.Reclaims != 1 || cr.Jobs != 0 || cr.Inflight != 0 {
+		t.Fatalf("crasher row = %+v, want its one lease reclaimed", cr)
+	}
+	if rp := rows["replayer"]; rp.Jobs != 3 || rp.CacheHits != 2 || rp.SimCycles != 900 {
+		t.Fatalf("replayer row = %+v, want 3 jobs, 2 from cache, 900 cycles", rp)
+	}
+	sum.Add(fs.Departed)
+	if sum != fs.FleetCounters {
+		t.Fatalf("totals %+v are not the sum of the rows %+v", fs.FleetCounters, sum)
+	}
+}
+
+// TestWorkerSelfViewCountsLikeCoordinator pins cmd/worker's /fleet
+// self-view to the coordinator's accounting: a job run without telemetry
+// still counts its simulated cycles, and a report the coordinator
+// discards is not a job.
+func TestWorkerSelfViewCountsLikeCoordinator(t *testing.T) {
+	c := startCoordinator(t, Config{
+		Heartbeat:     20 * time.Millisecond,
+		HeartbeatMiss: 2,
+		WaitMS:        10,
+		Pool:          expt.PoolConfig{Workers: 1, Retries: 0},
+	})
+	w, done := startWorker(t, c, WorkerConfig{Name: "untraced", MaxJobs: 1},
+		func(j expt.Job) (*expt.JobResult, error) { return testResult(j), nil })
+	if _, err := c.Get(testJob("astar", 7)); err != nil {
+		t.Fatal(err)
+	}
+	waitWorker(t, done, nil)
+	if fs := w.Fleet(); fs.Jobs != 1 || fs.SimCycles != 700 {
+		t.Fatalf("self-view = %+v, want 1 job of 700 simulated cycles", fs)
+	}
+
+	// A report for a lease the coordinator has already reclaimed.
+	late := NewWorker(WorkerConfig{Connect: c.Addr(), HelloTimeout: 5 * time.Second})
+	if err := late.hello(); err != nil {
+		t.Fatal(err)
+	}
+	j := testJob("astar", 9)
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := c.Get(j)
+		errCh <- err
+	}()
+	var rep LeaseReply
+	for rep.Status != StatusJob {
+		if err := late.post(PathLease, LeaseRequest{WorkerID: late.id}, &rep); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	select {
+	case <-errCh:
+	case <-time.After(10 * time.Second):
+		t.Fatal("reclaim never fired")
+	}
+	late.report(ResultRequest{WorkerID: late.id, LeaseID: rep.LeaseID, Key: rep.Key, Result: testResult(j)})
+	if fs := late.Fleet(); fs.Jobs != 0 || fs.Discards != 1 {
+		t.Fatalf("self-view after a discarded report = %+v, want no job and 1 discard", fs)
 	}
 }

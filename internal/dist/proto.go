@@ -22,14 +22,16 @@
 //	                    "job" (a leased expt.Job plus its key),
 //	                    "wait" (nothing runnable right now; poll again
 //	                    after wait_ms), or "drain" (campaign complete;
-//	                    exit).
+//	                    exit). A repeated request number is answered
+//	                    with the lease already granted for it.
 //	/dist/v1/heartbeat  worker renews a lease; a not-OK reply means the
 //	                    lease was reclaimed and the result will be
 //	                    discarded.
 //	/dist/v1/result     worker reports the job's JobResult (or its
 //	                    error, pre-classified by expt.ErrClass on the
 //	                    coordinator side) and the host milliseconds the
-//	                    run took on the worker.
+//	                    run took on the worker. A repeat of the report
+//	                    that resolved a lease is acknowledged again.
 //
 // Workers that vanish mid-lease are detected by heartbeat timeout; the
 // coordinator reclaims the lease and the pool's retry machinery re-issues
@@ -92,9 +94,14 @@ type HelloReply struct {
 	HeartbeatMS int64 `json:"heartbeat_ms,omitempty"`
 }
 
-// LeaseRequest asks for one job.
+// LeaseRequest asks for one job. Seq numbers the request; a worker
+// retrying a request whose reply it never read sends the same number, and
+// the coordinator answers a repeat with the lease it already granted for
+// it, if that lease is still outstanding. A worker that omits Seq gets a
+// fresh answer every time.
 type LeaseRequest struct {
 	WorkerID string `json:"worker_id"`
+	Seq      uint64 `json:"seq,omitempty"`
 }
 
 // Lease reply statuses.

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,6 +16,7 @@ import (
 	"repro/internal/dist/netfault"
 	"repro/internal/expt"
 	"repro/internal/journal"
+	"repro/internal/telemetry"
 )
 
 // TestNetfaultTransportFaultsAreSurvived runs a fake-execution campaign
@@ -129,6 +132,233 @@ func TestWorkerKeepsLeaseAliveUntilReported(t *testing.T) {
 	}
 	if results != 1 {
 		t.Fatalf("journal holds %d job results, want 1", results)
+	}
+}
+
+// duplicateRequests is a worker transport that delivers every request to
+// path twice and keeps only the second reply, as netfault's duplicate
+// class does.
+type duplicateRequests struct {
+	path string
+	dups atomic.Int64
+}
+
+func (d *duplicateRequests) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.URL.Path == d.path {
+		dup := r.Clone(r.Context())
+		dup.Body, _ = r.GetBody()
+		if resp, err := http.DefaultTransport.RoundTrip(dup); err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			d.dups.Add(1)
+		}
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// resetFirstReply is a worker transport that delivers every request but
+// tears away the first reply from path whose body contains want, as
+// netfault's reset class does.
+type resetFirstReply struct {
+	path, want string
+	reset      atomic.Bool
+}
+
+func (g *resetFirstReply) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err != nil || r.URL.Path != g.path || g.reset.Load() {
+		return resp, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	if bytes.Contains(body, []byte(g.want)) && g.reset.CompareAndSwap(false, true) {
+		return nil, errors.New("reply reset")
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	return resp, nil
+}
+
+// runFaultyJob runs a one-job grid with no retries through one worker
+// whose requests pass through rt, failing the test unless the fault fired
+// and the job ran on its first attempt with no lease reclaimed and no
+// report discarded. It returns the coordinator's and the worker's fleet
+// views.
+func runFaultyJob(t *testing.T, rt http.RoundTripper, fired func() bool) (coord, self telemetry.FleetStats) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "campaign.journal")
+	jnl, err := journal.Create(path, "sweep", "dist-test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := startCoordinator(t, Config{
+		Heartbeat:     50 * time.Millisecond,
+		HeartbeatMiss: 4,
+		WaitMS:        10,
+		Pool:          expt.PoolConfig{Workers: 1, Retries: 0, Journal: jnl},
+	})
+	w := NewWorker(WorkerConfig{
+		Connect: c.Addr(), Name: "faulty", HelloTimeout: 5 * time.Second,
+		Backoff: &expt.Backoff{Base: 5 * time.Millisecond},
+	})
+	w.SetRun(func(j expt.Job) (*expt.JobResult, error) { return testResult(j), nil })
+	w.client.Transport = rt
+	done := make(chan error, 1)
+	go func() { done <- w.Run() }()
+
+	if _, err := c.Get(testJob("astar", 1)); err != nil {
+		t.Fatalf("job failed: %v", err)
+	}
+	c.Drain()
+	waitWorker(t, done, nil)
+	if !fired() {
+		t.Fatal("the fault never fired; the test exercised nothing")
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j, err := journal.Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range j.Events {
+		switch {
+		case ev.Kind == journal.KindLeaseReclaim:
+			t.Fatalf("orphaned lease reclaimed: %+v", ev)
+		case ev.Kind == journal.KindJobReport && ev.Status == "discarded":
+			t.Fatalf("repeated report discarded: %+v", ev)
+		case ev.Kind == journal.KindJobResult && (ev.Status != "ran" || ev.Attempt != 1):
+			t.Fatalf("job finished as %s on attempt %d, want ran on attempt 1", ev.Status, ev.Attempt)
+		}
+	}
+	return c.Fleet(), w.Fleet()
+}
+
+// TestDistLeaseGrantIsIdempotent pins lease grants against the two
+// worker-side faults that deliver a lease request whose reply the worker
+// never reads. The worker repeats the request under the same number, and
+// the coordinator must answer with the lease it already granted rather
+// than leave it to be reclaimed: the one job finishes on its first
+// attempt, with no retry to spend and no lease reclaimed.
+func TestDistLeaseGrantIsIdempotent(t *testing.T) {
+	dup := &duplicateRequests{path: PathLease}
+	reset := &resetFirstReply{path: PathLease, want: `"status":"job"`}
+	t.Run("duplicated request", func(t *testing.T) {
+		runFaultyJob(t, dup, func() bool { return dup.dups.Load() > 0 })
+	})
+	t.Run("reset reply", func(t *testing.T) { runFaultyJob(t, reset, reset.reset.Load) })
+}
+
+// TestDistRepeatedReportIsAcknowledged pins result reports against the
+// same two faults: the coordinator acknowledges a repeat of the report
+// that resolved a lease instead of discarding it, so the worker's
+// self-view files the job exactly as the coordinator does.
+func TestDistRepeatedReportIsAcknowledged(t *testing.T) {
+	dup := &duplicateRequests{path: PathResult}
+	reset := &resetFirstReply{path: PathResult, want: `"ok":true`}
+	for _, tc := range []struct {
+		name  string
+		rt    http.RoundTripper
+		fired func() bool
+	}{
+		{"duplicated report", dup, func() bool { return dup.dups.Load() > 0 }},
+		{"reset reply", reset, reset.reset.Load},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			coord, self := runFaultyJob(t, tc.rt, tc.fired)
+			if coord.Jobs != 1 || coord.Discards != 0 || self.Jobs != 1 || self.Discards != 0 {
+				t.Fatalf("coordinator counted %d job(s), %d discard(s); worker %d, %d; want 1 job and no discard on both",
+					coord.Jobs, coord.Discards, self.Jobs, self.Discards)
+			}
+		})
+	}
+}
+
+// pollsAfterReport is a worker transport that counts the lease polls
+// answered with a wait after the worker delivered its first result.
+type pollsAfterReport struct {
+	reported atomic.Bool
+	waits    atomic.Int64
+}
+
+func (p *pollsAfterReport) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err != nil {
+		return resp, err
+	}
+	switch {
+	case r.URL.Path == PathResult:
+		p.reported.Store(true)
+	case r.URL.Path == PathLease && p.reported.Load():
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		if bytes.Contains(body, []byte(`"status":"wait"`)) {
+			p.waits.Add(1)
+		}
+		resp.Body = io.NopCloser(bytes.NewReader(body))
+	}
+	return resp, nil
+}
+
+// TestDistDrainReachesEveryWorkerOnce pins the end of a campaign: with
+// both of a worker's lease loops parked in a long poll wait, Drain must
+// keep answering until the worker has been told, and the first drain
+// reply must end the whole worker — one drain line, and no loop left to
+// outlive the closed coordinator and time out.
+func TestDistDrainReachesEveryWorkerOnce(t *testing.T) {
+	c := startCoordinator(t, Config{WaitMS: 1000, Pool: expt.PoolConfig{Workers: 2}})
+	var mu sync.Mutex
+	var lines []string
+	w := NewWorker(WorkerConfig{
+		Connect: c.Addr(), Name: "idler", Parallel: 2, HelloTimeout: 5 * time.Second,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			lines = append(lines, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		},
+	})
+	w.SetRun(func(j expt.Job) (*expt.JobResult, error) { return testResult(j), nil })
+	polls := &pollsAfterReport{}
+	w.client.Transport = polls
+	done := make(chan error, 1)
+	go func() { done <- w.Run() }()
+
+	if _, err := c.Get(testJob("astar", 1)); err != nil {
+		t.Fatal(err)
+	}
+	// Once the loop that ran the job has been told to wait, both loops
+	// are parked: the other one holds no job to run.
+	deadline := time.Now().Add(10 * time.Second)
+	for polls.waits.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the worker never polled again after reporting")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// What cmd/sweep's closer does once every Get has returned.
+	c.Drain()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitWorker(t, done, nil)
+	mu.Lock()
+	defer mu.Unlock()
+	var drains int
+	for _, l := range lines {
+		if strings.Contains(l, "drained after") {
+			drains++
+		}
+		if strings.Contains(l, "coordinator gone") {
+			t.Fatalf("a lease loop outlived the coordinator: %q", l)
+		}
+	}
+	if drains != 1 {
+		t.Fatalf("worker logged %d drain lines, want 1:\n%s", drains, strings.Join(lines, "\n"))
 	}
 }
 
@@ -285,18 +515,18 @@ func TestDistReclaimRaceDiscardsLateResultOnce(t *testing.T) {
 	if rr.OK {
 		t.Fatal("late result for a reclaimed lease was accepted")
 	}
-	st := c.DistStats()
-	if st.Discards != 1 {
-		t.Fatalf("discards = %d, want exactly 1", st.Discards)
+	fs := c.Fleet()
+	if fs.Discards != 1 {
+		t.Fatalf("discards = %d, want exactly 1", fs.Discards)
 	}
-	if st.Reclaims != 1 {
-		t.Fatalf("reclaims = %d, want 1", st.Reclaims)
+	if fs.Reclaims != 1 {
+		t.Fatalf("reclaims = %d, want 1", fs.Reclaims)
 	}
 }
 
 // TestDistWorkerEviction is the satellite pin for fleet-view hygiene: a
-// worker that joined, finished, and went silent must leave the /workers
-// view after EvictAfter, with its counters folded into the departed
+// worker that joined, finished, and went silent must leave the live rows
+// of /fleet after EvictAfter, with its counters folded into the departed
 // aggregate rather than lost.
 func TestDistWorkerEviction(t *testing.T) {
 	c := startCoordinator(t, Config{
@@ -313,25 +543,22 @@ func TestDistWorkerEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitWorker(t, done, nil) // MaxJobs reached; the worker exits and goes silent
-	if len(c.Workers()) != 1 {
-		t.Fatalf("worker missing from live view before eviction: %+v", c.Workers())
+	if ws := c.Fleet().Workers; len(ws) != 1 {
+		t.Fatalf("worker missing from live view before eviction: %+v", ws)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for len(c.Workers()) != 0 {
+	for len(c.Fleet().Workers) != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("worker never evicted; live view %+v", c.Workers())
+			t.Fatalf("worker never evicted; live view %+v", c.Fleet().Workers)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	st := c.DistStats()
-	if st.WorkersLive != 0 || st.WorkersDeparted != 1 {
-		t.Fatalf("DistStats after eviction = %+v", st)
+	fs := c.Fleet()
+	if len(fs.Workers) != 0 || fs.WorkersDeparted != 1 {
+		t.Fatalf("fleet after eviction = %+v", fs)
 	}
 	// The departed worker's work survives in the aggregate.
-	c.mu.Lock()
-	g := c.gone
-	c.mu.Unlock()
-	if g.results != 1 || g.leases != 1 {
+	if g := fs.Departed; g.Jobs != 1 || g.Leases != 1 {
 		t.Fatalf("departed aggregate lost counters: %+v", g)
 	}
 }
@@ -369,12 +596,11 @@ func TestDistBreakerQuarantinesFlappingWorker(t *testing.T) {
 	}
 	c.Drain()
 	waitWorker(t, done, nil)
-	st := c.DistStats()
-	if st.BreakerTrips == 0 {
-		t.Fatalf("breaker never tripped: %+v", st)
+	fs := c.Fleet()
+	if fs.BreakerTrips == 0 {
+		t.Fatalf("breaker never tripped: %+v", fs)
 	}
-	ws := c.Workers()
-	if len(ws) != 1 || ws[0].Breaker != BreakerClosed {
+	if ws := fs.Workers; len(ws) != 1 || ws[0].Breaker != BreakerClosed {
 		t.Fatalf("healed worker's breaker = %+v, want closed", ws)
 	}
 }
@@ -426,11 +652,11 @@ func TestDistWorkerCacheReplay(t *testing.T) {
 	if got := runs.Load(); got != 4 {
 		t.Fatalf("rejoin re-executed: %d total runs, want the original 4", got)
 	}
-	if got := w2.CacheHits(); got != 4 {
+	if got := w2.Fleet().CacheHits; got != 4 {
 		t.Fatalf("worker counted %d cache hits, want 4", got)
 	}
-	if st := c2.DistStats(); st.CacheHits != 4 {
-		t.Fatalf("coordinator counted %d cache hits, want 4 (stats %+v)", st.CacheHits, st)
+	if fs := c2.Fleet(); fs.CacheHits != 4 {
+		t.Fatalf("coordinator counted %d cache hits, want 4 (fleet %+v)", fs.CacheHits, fs)
 	}
 }
 
@@ -460,8 +686,8 @@ func TestDistCacheRefusesForeignGrid(t *testing.T) {
 	if runs.Load() != 1 {
 		t.Fatalf("ran %d jobs, want 1 fresh execution (foreign cache must be ignored)", runs.Load())
 	}
-	if st := c.DistStats(); st.CacheHits != 0 {
-		t.Fatalf("foreign cache produced %d hits", st.CacheHits)
+	if fs := c.Fleet(); fs.CacheHits != 0 {
+		t.Fatalf("foreign cache produced %d hits", fs.CacheHits)
 	}
 }
 
@@ -493,9 +719,9 @@ func TestDistLocalFallbackWhenFleetEmpty(t *testing.T) {
 	if got := localRuns.Load(); got != 3 {
 		t.Fatalf("local fallback ran %d jobs, want 3", got)
 	}
-	st := c.DistStats()
-	if st.FallbackRuns != 3 {
-		t.Fatalf("FallbackRuns = %d, want 3 (stats %+v)", st.FallbackRuns, st)
+	fs := c.Fleet()
+	if fs.FallbackRuns != 3 {
+		t.Fatalf("FallbackRuns = %d, want 3 (fleet %+v)", fs.FallbackRuns, fs)
 	}
 }
 
@@ -590,8 +816,8 @@ func TestDistDocumentsByteIdenticalUnderNetChaos(t *testing.T) {
 				if !bytes.Equal(second, want) {
 					t.Fatalf("rejoin run differs from local:\n%s", second)
 				}
-				if st := c2.DistStats(); st.CacheHits != uint64(len(realGrid())) {
-					t.Fatalf("rejoin served %d of %d keys from cache (stats %+v)", st.CacheHits, len(realGrid()), st)
+				if fs := c2.Fleet(); fs.CacheHits != uint64(len(realGrid())) {
+					t.Fatalf("rejoin served %d of %d keys from cache (fleet %+v)", fs.CacheHits, len(realGrid()), fs)
 				}
 				return
 			}
@@ -601,8 +827,8 @@ func TestDistDocumentsByteIdenticalUnderNetChaos(t *testing.T) {
 					sc.name, want, got)
 			}
 			if sc.coord != nil {
-				if st := c.DistStats(); len(st.NetfaultInjections) == 0 {
-					t.Fatalf("coordinator-side faults armed but nothing injected: %+v", st)
+				if fs := c.Fleet(); len(fs.NetfaultInjections) == 0 {
+					t.Fatalf("coordinator-side faults armed but nothing injected: %+v", fs)
 				}
 			}
 		})

@@ -59,7 +59,9 @@ type WorkerConfig struct {
 	// and exiting cleanly (default 5s).
 	ReconnectTimeout time.Duration
 	// Backoff spaces hello/lease/report retries; nil uses a default
-	// (100ms base, x2, 1s cap, 25% jitter).
+	// (100ms base, x2, 25% jitter, capped at 1s and, once joined, at the
+	// coordinator's heartbeat interval, so a retrying worker is never
+	// silent long enough to be presumed gone).
 	Backoff *expt.Backoff
 	// Logf, when set, receives progress lines (cmd/worker wires stderr).
 	Logf func(format string, args ...any)
@@ -89,14 +91,15 @@ type Worker struct {
 	// run is the execution seam (tests inject fakes; default expt.RunJob).
 	run func(expt.Job) (*expt.JobResult, error)
 
-	leased    atomic.Int64
-	reported  atomic.Int64
-	cacheHits atomic.Int64
-	stopOnce  sync.Once
-	stop      chan struct{}
+	reported atomic.Int64
+	leaseSeq atomic.Uint64 // last LeaseRequest.Seq issued
+	drained  atomic.Bool
+	stopOnce sync.Once
+	stop     chan struct{}
 
-	snapMu sync.Mutex
-	snaps  []telemetry.Keyed // telemetry shipped with results, for -live /metrics
+	mu    sync.Mutex
+	row   telemetry.FleetWorker // the self-view Fleet reports
+	snaps []telemetry.Keyed     // telemetry shipped with results, for -live /metrics
 }
 
 // NewWorker builds a worker; call Run to serve.
@@ -119,6 +122,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		base:   strings.TrimRight(base, "/"),
 		client: &http.Client{Timeout: 30 * time.Second},
 		stop:   make(chan struct{}),
+		row:    telemetry.FleetWorker{Name: cfg.Name},
 	}
 	if cfg.Backoff != nil {
 		w.backoff = *cfg.Backoff
@@ -139,19 +143,24 @@ func NewWorker(cfg WorkerConfig) *Worker {
 // SetRun replaces the job execution seam (tests only).
 func (w *Worker) SetRun(run func(expt.Job) (*expt.JobResult, error)) { w.run = run }
 
-// Reported returns how many results this worker has delivered.
-func (w *Worker) Reported() int { return int(w.reported.Load()) }
-
-// CacheHits returns how many results were replayed from the local cache.
-func (w *Worker) CacheHits() int { return int(w.cacheHits.Load()) }
+// Fleet returns the worker's self-view: a one-row fleet counted the
+// coordinator's way — leases taken, accepted results as jobs (with their
+// host cost, simulated wall cycles and shipped trace volume), failed
+// results as failures, and results the coordinator rejected as discards.
+// Safe for concurrent use.
+func (w *Worker) Fleet() telemetry.FleetStats {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return telemetry.FleetStats{Workers: []telemetry.FleetWorker{w.row}}.Totaled()
+}
 
 // Snapshots returns the telemetry snapshots of every job this worker has
 // completed so far, keyed by job for deterministic merging — the
 // metrics source behind cmd/worker's -live server. Safe for concurrent
 // use.
 func (w *Worker) Snapshots() []telemetry.Keyed {
-	w.snapMu.Lock()
-	defer w.snapMu.Unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	return append([]telemetry.Keyed(nil), w.snaps...)
 }
 
@@ -159,9 +168,9 @@ func (w *Worker) Snapshots() []telemetry.Keyed {
 // retains its telemetry snapshot for Snapshots.
 func (w *Worker) observe(rep LeaseReply, res ResultRequest, status string) {
 	if res.Result != nil && res.Result.Telem != nil {
-		w.snapMu.Lock()
+		w.mu.Lock()
 		w.snaps = append(w.snaps, telemetry.Keyed{Key: res.Key, Snap: res.Result.Telem})
-		w.snapMu.Unlock()
+		w.mu.Unlock()
 	}
 	if w.cfg.Observe == nil {
 		return
@@ -219,6 +228,12 @@ func (w *Worker) hello() error {
 			if w.hb <= 0 {
 				w.hb = time.Second
 			}
+			if w.cfg.Backoff == nil && w.backoff.Max > w.hb {
+				w.backoff.Max = w.hb
+			}
+			w.mu.Lock()
+			w.row.ID = w.id
+			w.mu.Unlock()
 			if rep.Telemetry != nil {
 				w.telem = &telemetry.Options{
 					SampleEvery: rep.Telemetry.SampleEvery, MaxRows: rep.Telemetry.MaxRows,
@@ -276,6 +291,12 @@ func (w *Worker) Run() error {
 		}()
 	}
 	wg.Wait()
+	if w.drained.Load() {
+		// Logged once every loop has finished, so the counts include the
+		// reports still in flight when the drain reply arrived.
+		fs := w.Fleet()
+		w.logf("worker %s drained after %d job(s) (%d from cache)", w.id, fs.Jobs, fs.CacheHits)
+	}
 	close(errs)
 	for err := range errs {
 		if err != nil {
@@ -285,8 +306,8 @@ func (w *Worker) Run() error {
 	return nil
 }
 
-// halt stops every serving goroutine and heartbeater (crash hook,
-// MaxJobs).
+// halt stops every serving goroutine and heartbeater (drain, crash hook,
+// MaxJobs, a vanished coordinator).
 func (w *Worker) halt() { w.stopOnce.Do(func() { close(w.stop) }) }
 
 func (w *Worker) stopped() bool {
@@ -305,12 +326,16 @@ func (w *Worker) stopped() bool {
 func (w *Worker) serve() error {
 	var fails int
 	var firstFail time.Time
+	var seq uint64 // the outstanding request's number, reused on retry
 	for {
 		if w.stopped() {
 			return nil
 		}
+		if seq == 0 {
+			seq = w.leaseSeq.Add(1)
+		}
 		var rep LeaseReply
-		if err := w.post(PathLease, LeaseRequest{WorkerID: w.id}, &rep); err != nil {
+		if err := w.post(PathLease, LeaseRequest{WorkerID: w.id, Seq: seq}, &rep); err != nil {
 			fails++
 			if fails == 1 {
 				firstFail = time.Now()
@@ -322,6 +347,7 @@ func (w *Worker) serve() error {
 			if time.Since(firstFail) > w.cfg.ReconnectTimeout {
 				w.logf("worker %s: coordinator gone after %s of lease retries (%v); exiting",
 					w.id, w.cfg.ReconnectTimeout, err)
+				w.halt()
 				return nil
 			}
 			if !w.backoff.Sleep(fails, w.stop) {
@@ -329,11 +355,13 @@ func (w *Worker) serve() error {
 			}
 			continue
 		}
-		fails = 0
+		fails, seq = 0, 0
 		switch rep.Status {
 		case StatusDrain:
-			w.logf("worker %s drained after %d job(s) (%d from cache)",
-				w.id, w.reported.Load(), w.cacheHits.Load())
+			// One drain reply ends the whole worker: its sibling loops
+			// stop polling instead of outliving the coordinator.
+			w.drained.Store(true)
+			w.halt()
 			return nil
 		case StatusWait:
 			wait := time.Duration(rep.WaitMS) * time.Millisecond
@@ -351,7 +379,11 @@ func (w *Worker) serve() error {
 		default:
 			return fmt.Errorf("dist: unknown lease status %q", rep.Status)
 		}
-		if n := w.leased.Add(1); w.cfg.CrashAfterLease > 0 && int(n) >= w.cfg.CrashAfterLease {
+		w.mu.Lock()
+		w.row.Leases++
+		n := w.row.Leases
+		w.mu.Unlock()
+		if w.cfg.CrashAfterLease > 0 && int(n) >= w.cfg.CrashAfterLease {
 			// Die holding the lease: no result, no heartbeat — the
 			// coordinator must notice via heartbeat timeout and re-issue.
 			w.logf("worker %s: crash hook fired on lease %s", w.id, rep.LeaseID)
@@ -403,7 +435,6 @@ func (w *Worker) execute(rep LeaseReply) {
 			res.Result = out
 			res.HostMS = float64(host) / float64(time.Millisecond)
 			res.Cached = true
-			w.cacheHits.Add(1)
 			w.logf("worker %s: lease %s served from cache (key %.12s)", w.id, rep.LeaseID, rep.Key)
 			w.observe(rep, res, "cached")
 			w.report(res)
@@ -466,12 +497,24 @@ func (w *Worker) heartbeat(leaseID string, done <-chan struct{}) {
 
 // report delivers a result with a little persistence (backoff-spaced
 // retries); a lost report is recovered by lease reclaim, so giving up is
-// safe.
+// safe. A delivered report lands in the self-view as the coordinator
+// files it: a job when accepted, a failure when it carries an error, a
+// discard when the coordinator rejected it.
 func (w *Worker) report(res ResultRequest) {
 	const attempts = 4
 	for attempt := 1; attempt <= attempts; attempt++ {
 		var rep ResultReply
 		if err := w.post(PathResult, res, &rep); err == nil {
+			w.mu.Lock()
+			switch {
+			case !rep.OK:
+				w.row.Discards++
+			case res.Result == nil:
+				w.row.Failures++
+			default:
+				w.row.AddJob(res.HostMS, res.Cached, res.Result.WallCycles, res.Result.Telem)
+			}
+			w.mu.Unlock()
 			if !rep.OK {
 				w.logf("worker %s: result for lease %s discarded (%s)", w.id, res.LeaseID, rep.Reason)
 			}

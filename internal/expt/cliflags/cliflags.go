@@ -306,9 +306,9 @@ func AtomicWriteFile(path string, data []byte, mode os.FileMode) error {
 // processes. The returned closer must be called after every Get has
 // returned — for a coordinator it drains the worker fleet (telling each
 // worker to exit) and shuts the protocol server down; for a local pool it
-// is a no-op. The coordinator's per-worker accounting is wired onto live
-// (/workers, /fleet and the <tool>_dist_*/fleet_* metric families) when
-// both exist; a local pool serves /fleet as a single-worker fleet.
+// is a no-op. The executor's fleet view is wired onto live (/fleet and
+// the <tool>_fleet_* metric families, plus <tool>_dist_* for a
+// coordinator); a local pool serves a single-worker fleet.
 //
 // With -journal, both backends emit the campaign journal through the one
 // pool seam (expt.PoolConfig.Journal); the closer flushes and closes it,
@@ -379,14 +379,9 @@ func (f *Flags) NewExecutor(tool, grid string, pcfg expt.PoolConfig, live *telem
 				return nil, nil, fmt.Errorf("cliflags: -addr-file: %w", err)
 			}
 		}
-		live.SetWorkerSource(c.Workers)
-		live.SetDistSource(c.DistStats)
 		live.SetFleetSource(c.Fleet)
 		closer := func() error {
-			c.Drain()
-			// Give drained workers a beat to observe the drain reply before
-			// the server vanishes; their exit does not gate the campaign.
-			time.Sleep(50 * time.Millisecond)
+			c.Drain() // returns once every live worker has been told
 			if f.AddrFile != "" {
 				_ = os.Remove(f.AddrFile)
 			}
@@ -410,17 +405,8 @@ func (f *Flags) NewExecutor(tool, grid string, pcfg expt.PoolConfig, live *telem
 func LocalFleet(ex expt.Executor) telemetry.FleetStats {
 	w := telemetry.FleetWorker{ID: "local", Name: "local pool"}
 	for _, c := range ex.Results() {
-		w.Jobs++
-		if c.Cached {
-			w.CacheHits++
-		}
-		w.HostMS += float64(c.Host) / float64(time.Millisecond)
 		if c.Result != nil {
-			w.SimCycles += c.Result.WallCycles
-			if c.Result.Telem != nil {
-				w.TraceEvents += uint64(len(c.Result.Telem.Trace))
-				w.TraceDropped += c.Result.Telem.TraceDropped
-			}
+			w.AddJob(float64(c.Host)/float64(time.Millisecond), c.Cached, c.Result.WallCycles, c.Result.Telem)
 		}
 	}
 	return telemetry.FleetStats{Workers: []telemetry.FleetWorker{w}}.Totaled()

@@ -45,7 +45,6 @@ const (
 	NameBusSweepMix      = "BusSweepMix"
 	NameBusAccessRange   = "BusAccessRange"
 	NameCampaignWord     = "CampaignWord"
-	NameCampaignGranule  = "CampaignGranule"
 	NameSimCampaignWord  = "SimCampaignWord"
 	NameSimCampaignFast  = "SimCampaignFast"
 	NameHeapSweepSparse  = "HeapSweepSparse"
@@ -68,7 +67,6 @@ var Benchmarks = []struct {
 	{NameBusSweepMix, BusSweepMix},
 	{NameBusAccessRange, BusAccessRange},
 	{NameCampaignWord, CampaignWord},
-	{NameCampaignGranule, CampaignGranule},
 	{NameSimCampaignWord, SimCampaignWord},
 	{NameSimCampaignFast, SimCampaignFast},
 	{NameHeapSweepSparse, HeapSweepSparse},
@@ -268,12 +266,11 @@ func BusAccessRange(b *testing.B) {
 
 // The heap-scale campaign: a multi-megabyte tagged heap swept epoch after
 // epoch, with a rotating stripe of frames in quarantine. Unlike the
-// SimCampaign benchmarks below, this path runs the two sweep loops at
-// their own natural host recipes — the per-granule loop probing
-// shadow.Test per tagged granule, the word loop intersecting tag words
-// against PaintedWord — so it measures their sweep throughput over
-// realistic heap geometry (many frames, many shadow chunks, sparse
-// quarantine) rather than the simulator's fixed per-granule cost model.
+// SimCampaign benchmarks below, this path runs the word-wise sweep loop
+// at its own natural host recipe — tag words intersected against
+// PaintedWord — so it measures sweep throughput over realistic heap
+// geometry (many frames, many shadow chunks, sparse quarantine) rather
+// than the simulator's fixed per-granule cost model.
 const (
 	campFrames      = 2048 // 8 MiB heap
 	campTagStride   = 4    // every 4th granule holds a capability
@@ -337,22 +334,9 @@ func (h *campaignHeap) restoreEpoch(e int) {
 	}
 }
 
-// sweepGranule is one whole-heap revocation pass through the per-granule
-// kernel: callback dispatch and a shadow chunk-map lookup per tagged
-// granule.
-func (h *campaignHeap) sweepGranule() (visited, revoked int) {
-	for _, id := range h.ids {
-		v, r := h.p.SweepTags(id, func(g int, c ca.Capability) bool {
-			return h.sh.Test(c.Base())
-		})
-		visited += v
-		revoked += r
-	}
-	return visited, revoked
-}
-
-// sweepWord is the same pass through the word-wise kernel: tag words
-// intersected against shadow words, descending only to intersection bits.
+// sweepWord is one whole-heap revocation pass through the word-wise
+// kernel: tag words intersected against shadow words, descending only to
+// intersection bits.
 func (h *campaignHeap) sweepWord() (visited, revoked int) {
 	for i, id := range h.ids {
 		base := h.frameVA(i)
@@ -367,20 +351,16 @@ func (h *campaignHeap) sweepWord() (visited, revoked int) {
 	return visited, revoked
 }
 
-// campaignEpochs times quarantine paint → whole-heap sweep → release and
-// refill, the full revocation epoch loop, under the chosen kernel.
-func campaignEpochs(b *testing.B, word bool) {
+// CampaignWord times the heap-scale campaign's full revocation epoch
+// loop: quarantine paint, whole-heap sweep, then release and refill.
+func CampaignWord(b *testing.B) {
 	h := newCampaignHeap()
 	var visited, revoked int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := i % campPaintStride
 		h.paintEpoch(e)
-		if word {
-			visited, revoked = h.sweepWord()
-		} else {
-			visited, revoked = h.sweepGranule()
-		}
+		visited, revoked = h.sweepWord()
 		h.restoreEpoch(e)
 	}
 	if revoked == 0 {
@@ -389,13 +369,6 @@ func campaignEpochs(b *testing.B, word bool) {
 	b.ReportMetric(float64(visited), "caps-visited")
 	b.ReportMetric(float64(revoked), "caps-revoked")
 }
-
-// CampaignWord times the heap-scale campaign under the word-wise kernel.
-func CampaignWord(b *testing.B) { campaignEpochs(b, true) }
-
-// CampaignGranule times the identical campaign under the per-granule
-// kernel.
-func CampaignGranule(b *testing.B) { campaignEpochs(b, false) }
 
 // storm is the simulated campaign workload: a large resident pool of
 // pointer-dense objects (one self-capability per object, so every object

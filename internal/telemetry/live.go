@@ -13,91 +13,117 @@ import (
 	"repro/internal/journal"
 )
 
-// WorkerStatus is one distributed worker's lease accounting, published
-// by internal/dist's coordinator through SetWorkerSource. Defined here
-// so telemetry does not import dist.
-type WorkerStatus struct {
-	ID       string `json:"id"`
-	Name     string `json:"name"`
+// FleetCounters are the additive per-worker counters of the fleet view. A
+// FleetWorker row carries one set; FleetStats carries the departed
+// aggregate and the fleet-wide totals as two more.
+type FleetCounters struct {
+	// Inflight is the number of leases the worker holds right now.
 	Inflight int    `json:"inflight"`
 	Leases   uint64 `json:"leases"`
-	Results  uint64 `json:"results"`
+	// Jobs counts accepted results: work the campaign used. Failed
+	// results count as Failures, and late results the coordinator
+	// rejected because the lease had been reclaimed count as Discards.
+	Jobs     uint64 `json:"jobs"`
 	Failures uint64 `json:"failures"`
+	// Reclaims counts leases taken back after heartbeat silence or lease
+	// timeout.
 	Reclaims uint64 `json:"reclaims"`
-	// CacheHits counts results the worker replayed from its local result
-	// cache (manifest) instead of re-executing.
-	CacheHits uint64 `json:"cache_hits,omitempty"`
-	// Discards counts late results the coordinator rejected because the
-	// lease had already been reclaimed.
-	Discards uint64 `json:"discards,omitempty"`
-	// Breaker is the worker's circuit-breaker state ("closed", "open",
-	// "half-open"); BreakerTrips counts closed→open transitions.
-	Breaker      string `json:"breaker,omitempty"`
-	BreakerTrips uint64 `json:"breaker_trips,omitempty"`
-	// SecondsSinceSeen is the age of the worker's last request (lease,
-	// heartbeat or result) at snapshot time.
-	SecondsSinceSeen float64 `json:"seconds_since_seen"`
+	Discards uint64 `json:"discards"`
+	// CacheHits counts accepted results replayed from a result cache
+	// (manifest) instead of re-executed.
+	CacheHits uint64 `json:"cache_hits"`
+	// BreakerTrips counts closed→open circuit-breaker transitions.
+	BreakerTrips uint64 `json:"breaker_trips"`
+	// HostMS and SimCycles are the host milliseconds and simulated wall
+	// cycles of the accepted jobs; TraceEvents/TraceDropped count the
+	// trace-ring events they shipped and lost to ring wrap
+	// (Options.TraceEvents).
+	HostMS       float64 `json:"host_ms"`
+	SimCycles    uint64  `json:"sim_cycles"`
+	TraceEvents  uint64  `json:"trace_events"`
+	TraceDropped uint64  `json:"trace_dropped"`
 }
 
-// DistStats is the coordinator-level degraded-mode accounting, published
-// by internal/dist through SetDistSource: fleet size (live vs evicted),
-// counters that survive worker eviction, local-fallback activity, and —
-// when the campaign ran under network fault injection — per-class
-// injection counts.
-type DistStats struct {
-	WorkersLive     int    `json:"workers_live"`
-	WorkersDeparted int    `json:"workers_departed"`
-	FallbackRuns    uint64 `json:"fallback_runs"`
-	CacheHits       uint64 `json:"cache_hits"`
-	Discards        uint64 `json:"discards"`
-	Reclaims        uint64 `json:"reclaims"`
-	BreakerTrips    uint64 `json:"breaker_trips"`
-	// NetfaultInjections maps fault class name (drop, delay, duplicate,
-	// reorder, reset, throttle, partition) to injection count; nil when no
-	// coordinator-side injector is armed.
-	NetfaultInjections map[string]uint64 `json:"netfault_injections,omitempty"`
+// AddJob records one accepted result: its host cost, whether it was
+// replayed from a cache, its simulated wall cycles (JobResult.WallCycles)
+// and its telemetry snapshot (nil when telemetry was not armed). The
+// coordinator, the local pool and a worker's self-view all count jobs
+// through it.
+func (c *FleetCounters) AddJob(hostMS float64, cached bool, wallCycles uint64, snap *Snapshot) {
+	c.Jobs++
+	if cached {
+		c.CacheHits++
+	}
+	c.HostMS += hostMS
+	c.SimCycles += wallCycles
+	if snap != nil {
+		c.TraceEvents += uint64(len(snap.Trace))
+		c.TraceDropped += snap.TraceDropped
+	}
 }
 
-// FleetWorker is one worker's contribution to the campaign's merged
-// observability view: how many jobs it completed and where its host and
-// simulated time went. A local (non-distributed) campaign publishes a
-// single synthetic "local" worker.
+// Add folds o into c.
+func (c *FleetCounters) Add(o FleetCounters) {
+	c.Inflight += o.Inflight
+	c.Leases += o.Leases
+	c.Jobs += o.Jobs
+	c.Failures += o.Failures
+	c.Reclaims += o.Reclaims
+	c.Discards += o.Discards
+	c.CacheHits += o.CacheHits
+	c.BreakerTrips += o.BreakerTrips
+	c.HostMS += o.HostMS
+	c.SimCycles += o.SimCycles
+	c.TraceEvents += o.TraceEvents
+	c.TraceDropped += o.TraceDropped
+}
+
+// FleetWorker is one worker's row in the fleet view. A local
+// (non-distributed) campaign publishes a single "local" row, and
+// cmd/worker's self-view publishes its own row.
 type FleetWorker struct {
-	ID        string  `json:"id"`
-	Name      string  `json:"name"`
-	Jobs      uint64  `json:"jobs"`
-	CacheHits uint64  `json:"cache_hits,omitempty"`
-	HostMS    float64 `json:"host_ms"`
-	SimCycles uint64  `json:"sim_cycles"`
-	// TraceEvents/TraceDropped count trace-ring events shipped and
-	// overwritten across the worker's jobs (Options.TraceEvents).
-	TraceEvents  uint64 `json:"trace_events,omitempty"`
-	TraceDropped uint64 `json:"trace_dropped,omitempty"`
+	ID   string `json:"id"`
+	Name string `json:"name"`
+	FleetCounters
+	// Breaker is the worker's circuit-breaker state ("closed", "open",
+	// "half-open") and SecondsSinceSeen the age of its last request (lease,
+	// heartbeat or result) at snapshot time; both are coordinator-only.
+	Breaker          string  `json:"breaker,omitempty"`
+	SecondsSinceSeen float64 `json:"seconds_since_seen,omitempty"`
 }
 
-// FleetStats is the fleet-level aggregate served on /fleet and exported
-// as the fleet_* OpenMetrics families: per-worker rows plus totals.
-// Published through SetFleetSource by the dist coordinator (or a local
-// pool adapter); defined here so telemetry imports neither.
+// FleetStats is the one fleet view: served on /fleet and exported as the
+// <tool>_fleet_* OpenMetrics families, plus the <tool>_dist_* families
+// when Distributed. Published through SetFleetSource by the dist
+// coordinator, the local pool or a worker; defined here so telemetry
+// imports none of them.
 type FleetStats struct {
-	Workers      []FleetWorker `json:"workers"`
-	Jobs         uint64        `json:"jobs"`
-	HostMS       float64       `json:"host_ms"`
-	SimCycles    uint64        `json:"sim_cycles"`
-	TraceEvents  uint64        `json:"trace_events"`
-	TraceDropped uint64        `json:"trace_dropped"`
+	// Distributed marks a coordinator's view: lease accounting, eviction,
+	// fallback and fault injection apply.
+	Distributed bool `json:"distributed"`
+	// Workers are the live rows, sorted by ID.
+	Workers []FleetWorker `json:"workers"`
+	// Departed folds the rows of the WorkersDeparted workers evicted after
+	// prolonged silence, so totals survive eviction.
+	Departed        FleetCounters `json:"departed"`
+	WorkersDeparted int           `json:"workers_departed"`
+	// FallbackRuns counts jobs the coordinator ran itself after the fleet
+	// went silent.
+	FallbackRuns uint64 `json:"fallback_runs"`
+	// NetfaultInjections maps fault class name (drop, delay, duplicate,
+	// reorder, reset, throttle, partition) to coordinator-side injection
+	// count; nil when no coordinator-side injector fired.
+	NetfaultInjections map[string]uint64 `json:"netfault_injections,omitempty"`
+	// FleetCounters are the totals over Workers and Departed.
+	FleetCounters
 }
 
-// Totaled returns a copy with the totals recomputed from the per-worker
-// rows, so sources only need to fill Workers.
+// Totaled returns a copy with the totals recomputed from the rows and the
+// departed aggregate, so sources only need to fill those.
 func (f FleetStats) Totaled() FleetStats {
-	f.Jobs, f.HostMS, f.SimCycles, f.TraceEvents, f.TraceDropped = 0, 0, 0, 0, 0
+	f.FleetCounters = f.Departed
 	for _, w := range f.Workers {
-		f.Jobs += w.Jobs
-		f.HostMS += w.HostMS
-		f.SimCycles += w.SimCycles
-		f.TraceEvents += w.TraceEvents
-		f.TraceDropped += w.TraceDropped
+		f.FleetCounters.Add(w.FleetCounters)
 	}
 	return f
 }
@@ -114,9 +140,7 @@ const maxRecentEvents = 256
 //	            families when a source is set
 //	/jobs       JSON: the latest journal event of every observed job
 //	/events     JSON: the most recent journal events (ring of 256)
-//	/workers    JSON: per-worker lease accounting (empty when local)
-//	/dist       JSON: coordinator degraded-mode stats (empty when local)
-//	/fleet      JSON: fleet-level merged telemetry aggregate
+//	/fleet      JSON: the fleet view (FleetStats)
 //	/healthz    "ok"
 //
 // Live runs on the host side and is the one telemetry component that is
@@ -135,8 +159,6 @@ type Live struct {
 	total   int
 	byStat  map[string]int
 	source  func() *Snapshot
-	workers func() []WorkerStatus
-	dist    func() DistStats
 	fleet   func() FleetStats
 
 	srv *http.Server
@@ -197,36 +219,11 @@ func (l *Live) SetMetricsSource(fn func() *Snapshot) {
 	l.mu.Unlock()
 }
 
-// SetWorkerSource installs a provider of distributed-worker status (the
-// dist coordinator's Workers method). When set, /workers serves the
-// snapshot and /metrics grows per-worker lease families. Called per
-// scrape; must be safe for concurrent use.
-func (l *Live) SetWorkerSource(fn func() []WorkerStatus) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.workers = fn
-	l.mu.Unlock()
-}
-
-// SetDistSource installs a provider of coordinator-level degraded-mode
-// stats (the dist coordinator's DistStats method). When set, /dist serves
-// the snapshot and /metrics grows fleet-level families. Called per
-// scrape; must be safe for concurrent use.
-func (l *Live) SetDistSource(fn func() DistStats) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.dist = fn
-	l.mu.Unlock()
-}
-
-// SetFleetSource installs a provider of fleet-level merged telemetry
-// (per-worker job/host-cost/sim-cycle/trace accounting). When set,
-// /fleet serves the snapshot and /metrics grows the fleet_* families.
-// Called per scrape; must be safe for concurrent use.
+// SetFleetSource installs the provider of the fleet view (the dist
+// coordinator's, the local pool's or a worker's own). When set, /fleet
+// serves the snapshot and /metrics grows the fleet_* families, plus the
+// dist_* families when the view is Distributed. Called per scrape; must
+// be safe for concurrent use.
 func (l *Live) SetFleetSource(fn func() FleetStats) {
 	if l == nil {
 		return
@@ -243,8 +240,6 @@ func (l *Live) Handler() http.Handler {
 	mux.HandleFunc("/metrics", l.handleMetrics)
 	mux.HandleFunc("/jobs", l.handleJobs)
 	mux.HandleFunc("/events", l.handleEvents)
-	mux.HandleFunc("/workers", l.handleWorkers)
-	mux.HandleFunc("/dist", l.handleDist)
 	mux.HandleFunc("/fleet", l.handleFleet)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -274,19 +269,14 @@ func (l *Live) Close() error {
 	return l.srv.Close()
 }
 
-// endpointIndex describes every endpoint the server can mount, in the
-// order the root index lists them.
-var endpointIndex = []struct {
-	path, desc string
-	distOnly   bool
-}{
-	{"/metrics", "OpenMetrics exposition (campaign progress, fleet, merged simulated metrics)", false},
-	{"/jobs", "JSON: the latest journal event of every observed job", false},
-	{"/events", "JSON: most recent journal events (ring of 256)", false},
-	{"/workers", "JSON: per-worker lease accounting (distributed campaigns)", true},
-	{"/dist", "JSON: coordinator degraded-mode stats (distributed campaigns)", true},
-	{"/fleet", "JSON: fleet-level merged telemetry (per-worker host/sim cost)", false},
-	{"/healthz", "liveness probe", false},
+// endpointIndex describes every endpoint the server mounts, in the order
+// the root index lists them.
+var endpointIndex = []struct{ path, desc string }{
+	{"/metrics", "OpenMetrics exposition (campaign progress, fleet, merged simulated metrics)"},
+	{"/jobs", "JSON: the latest journal event of every observed job"},
+	{"/events", "JSON: most recent journal events (ring of 256)"},
+	{"/fleet", "JSON: the fleet view (per-worker leases, jobs, host/sim cost; departed, fallback, netfault)"},
+	{"/healthz", "liveness probe"},
 }
 
 func (l *Live) handleRoot(w http.ResponseWriter, r *http.Request) {
@@ -309,11 +299,7 @@ func (l *Live) handleRoot(w http.ResponseWriter, r *http.Request) {
 	}
 	fmt.Fprintln(w, "endpoints:")
 	for _, ep := range endpointIndex {
-		note := ""
-		if ep.distOnly && l.workers == nil {
-			note = " (inactive: campaign is not distributed)"
-		}
-		fmt.Fprintf(w, "  %-9s %s%s\n", ep.path, ep.desc, note)
+		fmt.Fprintf(w, "  %-9s %s\n", ep.path, ep.desc)
 	}
 }
 
@@ -333,8 +319,6 @@ func (l *Live) WriteMetrics(w io.Writer) {
 		byStat[k] = v
 	}
 	source := l.source
-	workers := l.workers
-	dist := l.dist
 	fleet := l.fleet
 	l.mu.Unlock()
 
@@ -347,96 +331,8 @@ func (l *Live) WriteMetrics(w io.Writer) {
 	for _, s := range []string{"ran", "cached", "retry", "failed"} {
 		fmt.Fprintf(w, "%s_job_events_total{status=\"%s\"} %d\n", l.tool, s, byStat[s])
 	}
-	if workers != nil {
-		ws := workers()
-		for _, fam := range []struct {
-			name, help string
-			value      func(WorkerStatus) uint64
-		}{
-			{"dist_worker_inflight", "leases currently held by the worker", func(s WorkerStatus) uint64 { return uint64(s.Inflight) }},
-			{"dist_worker_leases_total", "leases ever granted to the worker", func(s WorkerStatus) uint64 { return s.Leases }},
-			{"dist_worker_results_total", "successful results delivered by the worker", func(s WorkerStatus) uint64 { return s.Results }},
-			{"dist_worker_failures_total", "failed results delivered by the worker", func(s WorkerStatus) uint64 { return s.Failures }},
-			{"dist_worker_reclaims_total", "leases reclaimed from the worker after heartbeat or lease timeout", func(s WorkerStatus) uint64 { return s.Reclaims }},
-			{"dist_worker_cache_hits_total", "results the worker replayed from its local result cache", func(s WorkerStatus) uint64 { return s.CacheHits }},
-			{"dist_worker_discards_total", "late results discarded because the lease was already reclaimed", func(s WorkerStatus) uint64 { return s.Discards }},
-			{"dist_worker_breaker_trips_total", "circuit-breaker trips quarantining the worker", func(s WorkerStatus) uint64 { return s.BreakerTrips }},
-			{"dist_worker_breaker_open", "1 while the worker's circuit breaker is open (quarantined)", func(s WorkerStatus) uint64 {
-				if s.Breaker == "open" {
-					return 1
-				}
-				return 0
-			}},
-		} {
-			kind := "counter"
-			if fam.name == "dist_worker_inflight" || fam.name == "dist_worker_breaker_open" {
-				kind = "gauge"
-			}
-			fmt.Fprintf(w, "# HELP %s_%s %s\n# TYPE %s_%s %s\n", l.tool, fam.name, fam.help, l.tool, fam.name, kind)
-			for _, s := range ws {
-				fmt.Fprintf(w, "%s_%s{worker=\"%s\",name=\"%s\"} %d\n", l.tool, fam.name, s.ID, s.Name, fam.value(s))
-			}
-		}
-	}
-	if dist != nil {
-		st := dist()
-		for _, fam := range []struct {
-			name, help, kind string
-			value            uint64
-		}{
-			{"dist_workers_live", "workers currently in the live fleet view", "gauge", uint64(st.WorkersLive)},
-			{"dist_workers_departed_total", "workers evicted from the fleet after prolonged silence", "counter", uint64(st.WorkersDeparted)},
-			{"dist_fallback_runs_total", "jobs the coordinator ran locally after the fleet went silent", "counter", st.FallbackRuns},
-			{"dist_cache_hits_total", "results replayed from worker result caches, fleet-wide", "counter", st.CacheHits},
-			{"dist_discards_total", "late results discarded after lease reclaim, fleet-wide", "counter", st.Discards},
-			{"dist_breaker_trips_total", "circuit-breaker trips, fleet-wide", "counter", st.BreakerTrips},
-		} {
-			fmt.Fprintf(w, "# HELP %s_%s %s\n# TYPE %s_%s %s\n%s_%s %d\n",
-				l.tool, fam.name, fam.help, l.tool, fam.name, fam.kind, l.tool, fam.name, fam.value)
-		}
-		if len(st.NetfaultInjections) > 0 {
-			fmt.Fprintf(w, "# HELP %s_dist_netfault_injections_total injected network faults by class\n# TYPE %s_dist_netfault_injections_total counter\n",
-				l.tool, l.tool)
-			classes := make([]string, 0, len(st.NetfaultInjections))
-			for c := range st.NetfaultInjections {
-				classes = append(classes, c)
-			}
-			sort.Strings(classes)
-			for _, c := range classes {
-				fmt.Fprintf(w, "%s_dist_netfault_injections_total{class=\"%s\"} %d\n", l.tool, c, st.NetfaultInjections[c])
-			}
-		}
-	}
 	if fleet != nil {
-		fs := fleet()
-		for _, fam := range []struct {
-			name, help string
-			value      func(FleetWorker) string
-		}{
-			{"fleet_worker_jobs_total", "jobs completed by the worker", func(s FleetWorker) string { return fmt.Sprint(s.Jobs) }},
-			{"fleet_worker_host_ms_total", "host milliseconds spent by the worker", func(s FleetWorker) string { return fmtVal(s.HostMS) }},
-			{"fleet_worker_sim_cycles_total", "simulated wall cycles produced by the worker", func(s FleetWorker) string { return fmt.Sprint(s.SimCycles) }},
-			{"fleet_worker_trace_events_total", "trace events shipped by the worker", func(s FleetWorker) string { return fmt.Sprint(s.TraceEvents) }},
-			{"fleet_worker_trace_dropped_total", "trace events lost to ring wrap on the worker", func(s FleetWorker) string { return fmt.Sprint(s.TraceDropped) }},
-		} {
-			fmt.Fprintf(w, "# HELP %s_%s %s\n# TYPE %s_%s counter\n", l.tool, fam.name, fam.help, l.tool, fam.name)
-			for _, s := range fs.Workers {
-				fmt.Fprintf(w, "%s_%s{worker=\"%s\",name=\"%s\"} %s\n", l.tool, fam.name, s.ID, s.Name, fam.value(s))
-			}
-		}
-		for _, fam := range []struct {
-			name, help, kind, value string
-		}{
-			{"fleet_workers", "workers contributing to the fleet aggregate", "gauge", fmt.Sprint(len(fs.Workers))},
-			{"fleet_jobs_total", "jobs completed fleet-wide", "counter", fmt.Sprint(fs.Jobs)},
-			{"fleet_host_ms_total", "host milliseconds spent fleet-wide", "counter", fmtVal(fs.HostMS)},
-			{"fleet_sim_cycles_total", "simulated wall cycles produced fleet-wide", "counter", fmt.Sprint(fs.SimCycles)},
-			{"fleet_trace_events_total", "trace events shipped fleet-wide", "counter", fmt.Sprint(fs.TraceEvents)},
-			{"fleet_trace_dropped_total", "trace events lost to ring wrap fleet-wide", "counter", fmt.Sprint(fs.TraceDropped)},
-		} {
-			fmt.Fprintf(w, "# HELP %s_%s %s\n# TYPE %s_%s %s\n%s_%s %s\n",
-				l.tool, fam.name, fam.help, l.tool, fam.name, fam.kind, l.tool, fam.name, fam.value)
-		}
+		l.writeFleetMetrics(w, fleet())
 	}
 	if source != nil {
 		if snap := source(); snap != nil {
@@ -448,43 +344,94 @@ func (l *Live) WriteMetrics(w io.Writer) {
 	fmt.Fprintln(w, "# EOF")
 }
 
-// handleWorkers serves the distributed-worker snapshot. When the
-// campaign is not distributed (no source installed) it serves an empty
-// JSON array rather than a 404, so scrapers need no special-casing.
-func (l *Live) handleWorkers(w http.ResponseWriter, _ *http.Request) {
-	l.mu.Lock()
-	workers := l.workers
-	l.mu.Unlock()
-	ws := []WorkerStatus{}
-	if workers != nil {
-		if got := workers(); got != nil {
-			ws = got
+// writeFleetMetrics writes the fleet view's families: the per-worker and
+// fleet-level <tool>_dist_* lease accounting when the view is
+// Distributed, then the <tool>_fleet_* job and cost families, whose rows
+// include the departed aggregate once a worker has been evicted.
+func (l *Live) writeFleetMetrics(w io.Writer, fs FleetStats) {
+	type rowFamily struct {
+		name, help, kind string
+		value            func(FleetWorker) string
+	}
+	type family struct{ name, help, kind, value string }
+	writeRows := func(rows []FleetWorker, fams []rowFamily) {
+		for _, fam := range fams {
+			fmt.Fprintf(w, "# HELP %s_%s %s\n# TYPE %s_%s %s\n", l.tool, fam.name, fam.help, l.tool, fam.name, fam.kind)
+			for _, r := range rows {
+				fmt.Fprintf(w, "%s_%s{worker=\"%s\",name=\"%s\"} %s\n", l.tool, fam.name, r.ID, r.Name, fam.value(r))
+			}
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(ws)
-}
-
-// handleDist serves the coordinator-level degraded-mode snapshot, or an
-// empty JSON object when the campaign is not distributed.
-func (l *Live) handleDist(w http.ResponseWriter, _ *http.Request) {
-	l.mu.Lock()
-	dist := l.dist
-	l.mu.Unlock()
-	var st DistStats
-	if dist != nil {
-		st = dist()
+	writeScalars := func(fams []family) {
+		for _, fam := range fams {
+			fmt.Fprintf(w, "# HELP %s_%s %s\n# TYPE %s_%s %s\n%s_%s %s\n",
+				l.tool, fam.name, fam.help, l.tool, fam.name, fam.kind, l.tool, fam.name, fam.value)
+		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(st)
+	n := func(v uint64) string { return fmt.Sprint(v) }
+	if fs.Distributed {
+		writeRows(fs.Workers, []rowFamily{
+			{"dist_worker_inflight", "leases currently held by the worker", "gauge", func(r FleetWorker) string { return fmt.Sprint(r.Inflight) }},
+			{"dist_worker_leases_total", "leases ever granted to the worker", "counter", func(r FleetWorker) string { return n(r.Leases) }},
+			{"dist_worker_results_total", "successful results delivered by the worker", "counter", func(r FleetWorker) string { return n(r.Jobs) }},
+			{"dist_worker_failures_total", "failed results delivered by the worker", "counter", func(r FleetWorker) string { return n(r.Failures) }},
+			{"dist_worker_reclaims_total", "leases reclaimed from the worker after heartbeat or lease timeout", "counter", func(r FleetWorker) string { return n(r.Reclaims) }},
+			{"dist_worker_cache_hits_total", "results the worker replayed from its local result cache", "counter", func(r FleetWorker) string { return n(r.CacheHits) }},
+			{"dist_worker_discards_total", "late results discarded because the lease was already reclaimed", "counter", func(r FleetWorker) string { return n(r.Discards) }},
+			{"dist_worker_breaker_trips_total", "circuit-breaker trips quarantining the worker", "counter", func(r FleetWorker) string { return n(r.BreakerTrips) }},
+			{"dist_worker_breaker_open", "1 while the worker's circuit breaker is open (quarantined)", "gauge", func(r FleetWorker) string {
+				if r.Breaker == "open" {
+					return "1"
+				}
+				return "0"
+			}},
+		})
+		writeScalars([]family{
+			{"dist_workers_live", "workers currently in the live fleet view", "gauge", fmt.Sprint(len(fs.Workers))},
+			{"dist_workers_departed_total", "workers evicted from the fleet after prolonged silence", "counter", fmt.Sprint(fs.WorkersDeparted)},
+			{"dist_fallback_runs_total", "jobs the coordinator ran locally after the fleet went silent", "counter", n(fs.FallbackRuns)},
+			{"dist_cache_hits_total", "results replayed from worker result caches, fleet-wide", "counter", n(fs.CacheHits)},
+			{"dist_discards_total", "late results discarded after lease reclaim, fleet-wide", "counter", n(fs.Discards)},
+			{"dist_breaker_trips_total", "circuit-breaker trips, fleet-wide", "counter", n(fs.BreakerTrips)},
+		})
+		if len(fs.NetfaultInjections) > 0 {
+			fmt.Fprintf(w, "# HELP %s_dist_netfault_injections_total injected network faults by class\n# TYPE %s_dist_netfault_injections_total counter\n",
+				l.tool, l.tool)
+			classes := make([]string, 0, len(fs.NetfaultInjections))
+			for c := range fs.NetfaultInjections {
+				classes = append(classes, c)
+			}
+			sort.Strings(classes)
+			for _, c := range classes {
+				fmt.Fprintf(w, "%s_dist_netfault_injections_total{class=\"%s\"} %d\n", l.tool, c, fs.NetfaultInjections[c])
+			}
+		}
+	}
+	rows := fs.Workers
+	if fs.WorkersDeparted > 0 {
+		rows = append(rows[:len(rows):len(rows)], FleetWorker{
+			ID: "departed", Name: fmt.Sprintf("%d evicted worker(s)", fs.WorkersDeparted), FleetCounters: fs.Departed,
+		})
+	}
+	writeRows(rows, []rowFamily{
+		{"fleet_worker_jobs_total", "jobs completed by the worker", "counter", func(r FleetWorker) string { return n(r.Jobs) }},
+		{"fleet_worker_host_ms_total", "host milliseconds spent by the worker", "counter", func(r FleetWorker) string { return fmtVal(r.HostMS) }},
+		{"fleet_worker_sim_cycles_total", "simulated wall cycles produced by the worker", "counter", func(r FleetWorker) string { return n(r.SimCycles) }},
+		{"fleet_worker_trace_events_total", "trace events shipped by the worker", "counter", func(r FleetWorker) string { return n(r.TraceEvents) }},
+		{"fleet_worker_trace_dropped_total", "trace events lost to ring wrap on the worker", "counter", func(r FleetWorker) string { return n(r.TraceDropped) }},
+	})
+	writeScalars([]family{
+		{"fleet_workers", "workers contributing to the fleet aggregate", "gauge", fmt.Sprint(len(rows))},
+		{"fleet_jobs_total", "jobs completed fleet-wide", "counter", n(fs.Jobs)},
+		{"fleet_host_ms_total", "host milliseconds spent fleet-wide", "counter", fmtVal(fs.HostMS)},
+		{"fleet_sim_cycles_total", "simulated wall cycles produced fleet-wide", "counter", n(fs.SimCycles)},
+		{"fleet_trace_events_total", "trace events shipped fleet-wide", "counter", n(fs.TraceEvents)},
+		{"fleet_trace_dropped_total", "trace events lost to ring wrap fleet-wide", "counter", n(fs.TraceDropped)},
+	})
 }
 
-// handleFleet serves the fleet-level merged telemetry aggregate, or an
-// empty JSON object when no fleet source is installed.
+// handleFleet serves the fleet view, or an empty one when no fleet source
+// is installed.
 func (l *Live) handleFleet(w http.ResponseWriter, _ *http.Request) {
 	l.mu.Lock()
 	fleet := l.fleet

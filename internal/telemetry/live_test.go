@@ -102,37 +102,38 @@ func TestLiveEndpoints(t *testing.T) {
 	}
 }
 
-// TestLiveWorkers pins the distributed-campaign surface: /workers serves
-// an empty JSON array until a source is installed, then the coordinator's
-// per-worker snapshot, and /metrics grows the <tool>_dist_* families.
+// TestLiveWorkers pins the per-worker lease accounting of a distributed
+// campaign: /fleet serves an empty view until a source is installed, then
+// the coordinator's rows, and /metrics grows the <tool>_dist_worker_*
+// families from them. The retired /workers endpoint answers 404.
 func TestLiveWorkers(t *testing.T) {
 	l := NewLive("sweep")
 	srv := httptest.NewServer(l.Handler())
 	defer srv.Close()
 
-	if code, body := liveGet(t, srv, "/workers"); code != 200 || strings.TrimSpace(body) != "[]" {
-		t.Fatalf("/workers before a source = %d %q, want 200 with an empty JSON array", code, body)
+	if code, body := liveGet(t, srv, "/fleet"); code != 200 || !strings.Contains(body, `"workers": []`) {
+		t.Fatalf("/fleet before a source = %d %q, want 200 with no rows", code, body)
 	}
 	if _, body := liveGet(t, srv, "/metrics"); strings.Contains(body, "dist_worker") {
-		t.Fatal("dist families emitted without a worker source")
+		t.Fatal("dist families emitted without a fleet source")
 	}
 
-	l.SetWorkerSource(func() []WorkerStatus {
-		return []WorkerStatus{
-			{ID: "w001", Name: "alpha", Inflight: 2, Leases: 7, Results: 5, Reclaims: 1},
-			{ID: "w002", Name: "beta", Leases: 3, Results: 2, Failures: 1},
-		}
+	l.SetFleetSource(func() FleetStats {
+		return FleetStats{Distributed: true, Workers: []FleetWorker{
+			{ID: "w001", Name: "alpha", FleetCounters: FleetCounters{Inflight: 2, Leases: 7, Jobs: 5, Reclaims: 1}},
+			{ID: "w002", Name: "beta", FleetCounters: FleetCounters{Leases: 3, Jobs: 2, Failures: 1}},
+		}}.Totaled()
 	})
-	code, body := liveGet(t, srv, "/workers")
+	code, body := liveGet(t, srv, "/fleet")
 	if code != 200 {
-		t.Fatalf("/workers = %d", code)
+		t.Fatalf("/fleet = %d", code)
 	}
-	var ws []WorkerStatus
-	if err := json.Unmarshal([]byte(body), &ws); err != nil {
-		t.Fatalf("/workers is not JSON: %v", err)
+	var fs FleetStats
+	if err := json.Unmarshal([]byte(body), &fs); err != nil {
+		t.Fatalf("/fleet is not JSON: %v", err)
 	}
-	if len(ws) != 2 || ws[0].ID != "w001" || ws[0].Inflight != 2 || ws[1].Failures != 1 {
-		t.Fatalf("/workers = %+v", ws)
+	if ws := fs.Workers; len(ws) != 2 || ws[0].ID != "w001" || ws[0].Inflight != 2 || ws[1].Failures != 1 {
+		t.Fatalf("/fleet rows = %+v", ws)
 	}
 
 	_, body = liveGet(t, srv, "/metrics")
@@ -147,57 +148,58 @@ func TestLiveWorkers(t *testing.T) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
 		}
 	}
-	if code, body := liveGet(t, srv, "/"); code != 200 || !strings.Contains(body, "/workers") {
-		t.Fatalf("/ does not advertise /workers: %d %q", code, body)
+	if code, body := liveGet(t, srv, "/"); code != 200 || !strings.Contains(body, "/fleet") {
+		t.Fatalf("/ does not advertise /fleet: %d %q", code, body)
+	}
+	if code, _ := liveGet(t, srv, "/workers"); code != 404 {
+		t.Fatalf("/workers = %d, want 404 (folded into /fleet)", code)
 	}
 }
 
-// TestLiveDistStats pins the degraded-mode surface: /dist serves a
-// zero-valued JSON object until a source is installed, then the
-// coordinator's fleet-level snapshot, and /metrics grows the
-// breaker/cache/fallback/netfault families.
+// TestLiveDistStats pins the degraded-mode part of the fleet view: /fleet
+// serves the departed count, fallback runs and netfault injections next
+// to the rows, and /metrics grows the breaker/cache/fallback/netfault
+// families from the same snapshot. The retired /dist endpoint answers
+// 404.
 func TestLiveDistStats(t *testing.T) {
 	l := NewLive("sweep")
 	srv := httptest.NewServer(l.Handler())
 	defer srv.Close()
 
-	if code, body := liveGet(t, srv, "/dist"); code != 200 || !strings.Contains(body, `"workers_live": 0`) {
-		t.Fatalf("/dist before a source = %d %q, want 200 with a zero snapshot", code, body)
+	if code, body := liveGet(t, srv, "/fleet"); code != 200 || !strings.Contains(body, `"workers_departed": 0`) {
+		t.Fatalf("/fleet before a source = %d %q, want 200 with a zero view", code, body)
 	}
 	if _, body := liveGet(t, srv, "/metrics"); strings.Contains(body, "dist_workers_live") {
 		t.Fatal("dist fleet families emitted without a source")
 	}
 
-	l.SetWorkerSource(func() []WorkerStatus {
-		return []WorkerStatus{
-			{ID: "w001", Name: "alpha", CacheHits: 4, Discards: 1, Breaker: "open", BreakerTrips: 2},
-		}
-	})
-	l.SetDistSource(func() DistStats {
-		return DistStats{
-			WorkersLive:     1,
+	l.SetFleetSource(func() FleetStats {
+		return FleetStats{
+			Distributed: true,
+			Workers: []FleetWorker{{
+				ID: "w001", Name: "alpha", Breaker: "open",
+				FleetCounters: FleetCounters{CacheHits: 4, Discards: 1, Reclaims: 2, BreakerTrips: 2},
+			}},
+			Departed:        FleetCounters{Jobs: 6},
 			WorkersDeparted: 3,
 			FallbackRuns:    5,
-			CacheHits:       4,
-			Discards:        1,
-			Reclaims:        2,
-			BreakerTrips:    2,
 			NetfaultInjections: map[string]uint64{
 				"drop": 7, "partition": 2,
 			},
-		}
+		}.Totaled()
 	})
 
-	code, body := liveGet(t, srv, "/dist")
+	code, body := liveGet(t, srv, "/fleet")
 	if code != 200 {
-		t.Fatalf("/dist = %d", code)
+		t.Fatalf("/fleet = %d", code)
 	}
-	var st DistStats
-	if err := json.Unmarshal([]byte(body), &st); err != nil {
-		t.Fatalf("/dist is not JSON: %v", err)
+	var fs FleetStats
+	if err := json.Unmarshal([]byte(body), &fs); err != nil {
+		t.Fatalf("/fleet is not JSON: %v", err)
 	}
-	if st.WorkersDeparted != 3 || st.FallbackRuns != 5 || st.NetfaultInjections["drop"] != 7 {
-		t.Fatalf("/dist = %+v", st)
+	if fs.WorkersDeparted != 3 || fs.FallbackRuns != 5 || fs.NetfaultInjections["drop"] != 7 ||
+		fs.CacheHits != 4 || fs.Reclaims != 2 {
+		t.Fatalf("/fleet = %+v", fs)
 	}
 
 	_, body = liveGet(t, srv, "/metrics")
@@ -214,10 +216,17 @@ func TestLiveDistStats(t *testing.T) {
 		`sweep_dist_breaker_trips_total 2`,
 		`sweep_dist_netfault_injections_total{class="drop"} 7`,
 		`sweep_dist_netfault_injections_total{class="partition"} 2`,
+		// The departed aggregate is one more fleet row.
+		`sweep_fleet_worker_jobs_total{worker="departed",name="3 evicted worker(s)"} 6`,
+		`sweep_fleet_workers 2`,
+		`sweep_fleet_jobs_total 6`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
 		}
+	}
+	if code, _ := liveGet(t, srv, "/dist"); code != 404 {
+		t.Fatalf("/dist = %d, want 404 (folded into /fleet)", code)
 	}
 }
 
@@ -239,13 +248,10 @@ func TestLiveFleet(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Errorf("/ Content-Type = %q, want text/plain", ct)
 	}
-	for _, ep := range []string{"/metrics", "/jobs", "/events", "/workers", "/dist", "/fleet", "/healthz"} {
+	for _, ep := range []string{"/metrics", "/jobs", "/events", "/fleet", "/healthz"} {
 		if !strings.Contains(string(body), ep) {
 			t.Errorf("/ index missing %s:\n%s", ep, body)
 		}
-	}
-	if !strings.Contains(string(body), "inactive: campaign is not distributed") {
-		t.Errorf("/ index does not mark dist-only endpoints inactive:\n%s", body)
 	}
 
 	code, fbody := liveGet(t, srv, "/fleet")
@@ -258,8 +264,8 @@ func TestLiveFleet(t *testing.T) {
 
 	l.SetFleetSource(func() FleetStats {
 		return FleetStats{Workers: []FleetWorker{
-			{ID: "w001", Name: "alpha", Jobs: 5, CacheHits: 1, HostMS: 120.5, SimCycles: 9000, TraceEvents: 64, TraceDropped: 3},
-			{ID: "w002", Name: "beta", Jobs: 3, HostMS: 80, SimCycles: 4000, TraceEvents: 32},
+			{ID: "w001", Name: "alpha", FleetCounters: FleetCounters{Jobs: 5, CacheHits: 1, HostMS: 120.5, SimCycles: 9000, TraceEvents: 64, TraceDropped: 3}},
+			{ID: "w002", Name: "beta", FleetCounters: FleetCounters{Jobs: 3, HostMS: 80, SimCycles: 4000, TraceEvents: 32}},
 		}}.Totaled()
 	})
 	code, fbody = liveGet(t, srv, "/fleet")
@@ -272,6 +278,9 @@ func TestLiveFleet(t *testing.T) {
 	}
 	if len(fs.Workers) != 2 || fs.Jobs != 8 || fs.SimCycles != 13000 || fs.TraceDropped != 3 {
 		t.Fatalf("/fleet totals wrong: %+v", fs)
+	}
+	if _, mbody := liveGet(t, srv, "/metrics"); strings.Contains(mbody, "dist_") {
+		t.Fatal("dist families emitted for a view that is not Distributed")
 	}
 
 	_, mbody := liveGet(t, srv, "/metrics")
@@ -352,8 +361,7 @@ func TestLiveStartAndClose(t *testing.T) {
 	var nilLive *Live
 	nilLive.Observe(journal.Event{})
 	nilLive.SetMetricsSource(nil)
-	nilLive.SetWorkerSource(nil)
-	nilLive.SetDistSource(nil)
+	nilLive.SetFleetSource(nil)
 	if err := nilLive.Close(); err != nil {
 		t.Fatal(err)
 	}

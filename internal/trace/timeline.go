@@ -15,7 +15,7 @@
 //     process, jobs sorted by key and laid head-to-tail in simulated
 //     time — so the timeline is byte-identical for a given grid and
 //     seed no matter how many workers ran it. This is the document the
-//     byte-identity tests and obs-smoke pin, and the single-run export.
+//     byte-identity tests and the fleet smoke pin, and the single-run export.
 package trace
 
 import (
