@@ -14,7 +14,7 @@ RACE_PKGS = ./internal/bus ./internal/ca ./internal/dist/netfault \
             ./internal/trace ./internal/vm ./internal/workload/heapscale
 
 .PHONY: all build vet test race verify flake chaos sweep-bench \
-        fleet-smoke hostbench hostbench-smoke bench-test
+        fleet-smoke hostbench-smoke bench-test
 
 all: verify
 
@@ -62,28 +62,21 @@ chaos:
 # run's manifest. The distributed documents, canonical journal and
 # canonical timeline must be byte-identical to the local run's, the
 # journals must validate, obs report must render a postmortem, and obs
-# diff must accept the committed BENCH_host.json against itself
-# (artifacts and the cornucopia-netchaos/v1 report under fleet-smoke/,
-# cleared at the start of each run, so the target can be rerun).
+# timeline must rebuild the local run's canonical timeline from its
+# manifest without writing to it (artifacts and the
+# cornucopia-netchaos/v1 report under fleet-smoke/, cleared at the start
+# of each run, so the target can be rerun).
 fleet-smoke:
 	./scripts/fleet_smoke.sh
 
-# BENCH_host.json: the host-performance rig (internal/hostbench) — where
-# the simulator spends real CPU, complementing the simulated-cycle
-# documents. Runs every microbenchmark and campaign through cmd/hostbench;
-# each body is an absolute ns/op row, compared across commits with
-# `go run ./cmd/obs diff [-max-regress PCT] OLD NEW` over two documents
-# from the same host.
-hostbench: BENCH_host.json
-BENCH_host.json: FORCE
-	$(GO) run ./cmd/hostbench -out $@
-
-# hostbench-smoke: CI liveness for the rig — every benchmark body runs
-# once (including the heap-scale million-frame sweep and the
-# allocation-bound fleet-setup campaign). The differentials against the
-# replaced implementations (internal/kernel, internal/sim, internal/tmem,
-# internal/shadow) and the pinned campaign and document digests
-# (internal/revoke, internal/expt) run under `make verify`.
+# hostbench-smoke: CI liveness for the host-performance benchmarks
+# (internal/hostbench, a test-only package): every benchmark runs once,
+# including the heap-scale million-frame sweep and the allocation-bound
+# fleet-setup campaign. Whether a change is faster is decided by the
+# repository benchmark (bash bench/run.sh -compare). The differentials
+# against the replaced implementations (internal/kernel, internal/sim,
+# internal/tmem, internal/shadow) and the pinned campaign and document
+# digests (internal/revoke, internal/expt) run under `make verify`.
 hostbench-smoke:
 	$(GO) test ./internal/hostbench -bench . -benchtime=1x -count=1
 

@@ -131,6 +131,25 @@ func classify(r RunOutcome) string {
 	return "clean"
 }
 
+// add classifies one run and folds it into the row's counts.
+func (c *Cell) add(ro RunOutcome) {
+	ro.Outcome = classify(ro)
+	c.Runs = append(c.Runs, ro)
+	c.Injections += ro.Injections
+	c.Violations += ro.Violations
+	c.Recoveries += ro.Recoveries
+	switch ro.Outcome {
+	case "detected":
+		c.Detected++
+	case "tolerated":
+		c.Tolerated++
+	case "silent":
+		c.Silent++
+	default:
+		c.Clean++
+	}
+}
+
 func verdict(c Cell) string {
 	switch {
 	case c.Silent > 0:
@@ -363,21 +382,7 @@ func main() {
 			if jr.Recovery != nil {
 				ro.Recoveries = jr.Recovery.Total()
 			}
-			ro.Outcome = classify(ro)
-			cell.Runs = append(cell.Runs, ro)
-			cell.Injections += ro.Injections
-			cell.Violations += ro.Violations
-			cell.Recoveries += ro.Recoveries
-			switch ro.Outcome {
-			case "detected":
-				cell.Detected++
-			case "tolerated":
-				cell.Tolerated++
-			case "silent":
-				cell.Silent++
-			default:
-				cell.Clean++
-			}
+			cell.add(ro)
 		}
 		cell.Verdict = verdict(cell)
 		rep.Cells = append(rep.Cells, cell)
@@ -422,7 +427,7 @@ func main() {
 	if err := stopProf(); err != nil {
 		log.Fatal(err)
 	}
-	shared.Finish(live)
+	shared.Live.Finish(live)
 	if len(rep.StrictFailures) > 0 {
 		for _, f := range rep.StrictFailures {
 			log.Printf("strict: %s", f)

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	cornucopia [-workload NAME] [-strategy NAME] [-scale N] [-seed N] [-workers N]
-//	           [-trace FILE] [-trace-format chrome|csv] [-trace-events N]
+//	           [-trace FILE] [-trace-events N]
 //	           [-prof-folded FILE] [-prof-pprof FILE] [-metrics-out FILE]
 //	           [-series-csv FILE] [-sample-every N]
 //
@@ -14,11 +14,10 @@
 // baseline, paintsync, cherivoke, cornucopia, reloaded.
 //
 // -trace runs the workload with the structured tracer enabled and writes
-// the event stream to FILE: by default, or when FILE ends in .json, a
+// the event stream to FILE: CSV when FILE ends in .csv, and otherwise a
 // one-job canonical timeline in Chrome trace_event JSON (open in Perfetto
 // or chrome://tracing) — the same writer and layout as the sweep/chaos
-// campaign timelines; CSV when FILE ends in .csv or -trace-format says
-// so.
+// campaign timelines.
 //
 // The telemetry flags arm the cycle profiler and metrics registry
 // (internal/telemetry) for the run: -prof-folded writes folded
@@ -63,32 +62,26 @@ func condition(name string, workers int) (harness.Condition, error) {
 	return cond, nil
 }
 
-// writeTrace exports the run's trace: chrome JSON or CSV, chosen by the
-// explicit format or the output file's extension.
-func writeTrace(r *harness.Result, seed int64, path, format string) error {
-	if format == "" {
-		if strings.HasSuffix(path, ".csv") {
-			format = "csv"
-		} else {
-			format = "chrome"
-		}
-	}
+// writeTrace exports the run's trace: CSV when path ends in .csv, and
+// otherwise the one-job canonical timeline as Chrome JSON.
+func writeTrace(r *harness.Result, seed int64, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	switch format {
-	case "chrome", "json":
-		return trace.WriteTimeline(f, []trace.TimelineJob{{
+	if strings.HasSuffix(path, ".csv") {
+		err = r.Trace.WriteCSV(f)
+	} else {
+		err = trace.WriteTimeline(f, []trace.TimelineJob{{
 			Workload: r.Workload, Condition: r.Condition, Seed: seed,
 			WallCycles: r.WallCycles, HzGHz: r.HzGHz,
 			Trace: r.Trace.Events(), TraceDropped: r.Trace.Dropped(),
 		}}, true)
-	case "csv":
-		return r.Trace.WriteCSV(f)
 	}
-	return fmt.Errorf("unknown trace format %q", format)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // writeTelemetry snapshots the recorder, verifies cycle conservation,
@@ -155,8 +148,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	workers := flag.Int("workers", 0, "background revoker threads (§7.1)")
 	timeline := flag.Bool("timeline", false, "print a per-epoch timeline")
-	traceOut := flag.String("trace", "", "write a structured event trace to this file")
-	traceFormat := flag.String("trace-format", "", "trace format: chrome or csv (default by file extension)")
+	traceOut := flag.String("trace", "", "write a structured event trace to this file (CSV if it ends in .csv, else Chrome JSON)")
 	traceEvents := flag.Int("trace-events", 1<<19, "trace ring capacity (most recent events kept)")
 	profFolded := flag.String("prof-folded", "", "write the cycle profile as folded flame-graph stacks to this file")
 	profPprof := flag.String("prof-pprof", "", "write the cycle profile as a gzipped pprof proto to this file")
@@ -191,7 +183,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if *traceOut != "" {
-		if err := writeTrace(r, cfg.Seed, *traceOut, *traceFormat); err != nil {
+		if err := writeTrace(r, cfg.Seed, *traceOut); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("trace      %d events → %s (%d dropped by ring wrap)\n",

@@ -8,7 +8,6 @@
 //
 //	obs report   -journal FILE [-manifest FILE] [-format text|json|html]
 //	             [-out FILE] [-top N]
-//	obs diff     [-max-regress PCT] OLD.json NEW.json
 //	obs validate -journal FILE
 //	obs canon    -journal FILE [-out FILE]
 //	obs timeline -manifest FILE [-journal FILE] [-canonical] [-out FILE]
@@ -19,10 +18,6 @@
 // fallback), coordinated-omission-correct job latency percentiles
 // (submit-to-result, queue wait included), and — when -manifest is given
 // — the top simulated-cycle attribution stacks from the merged telemetry.
-//
-// diff compares two BENCH_host.json documents (cmd/hostbench) row by
-// row, failing (exit 1) when a benchmark's ns/op grows by more than
-// -max-regress percent; benchmarks on only one side print as new or gone.
 //
 // validate checks a journal against the cornucopia-journal/v1 schema:
 // header present, sequence numbers strictly increasing, host timestamps
@@ -35,6 +30,9 @@
 // timeline rebuilds the merged Chrome/Perfetto timeline from a manifest
 // (the same output as sweep/chaos -timeline, but after the fact); with
 // -journal the jobs are attributed to the workers that ran them.
+//
+// report and timeline only read the manifest (expt.ReadManifest), so they
+// are safe to point at a live campaign's manifest mid-write.
 package main
 
 import (
@@ -51,7 +49,6 @@ import (
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   obs report   -journal FILE [-manifest FILE] [-format text|json|html] [-out FILE] [-top N]
-  obs diff     [-max-regress PCT] OLD.json NEW.json
   obs validate -journal FILE
   obs canon    -journal FILE [-out FILE]
   obs timeline -manifest FILE [-journal FILE] [-canonical] [-out FILE]`)
@@ -67,14 +64,6 @@ func main() {
 	switch os.Args[1] {
 	case "report":
 		cmdReport(os.Args[2:])
-	case "diff":
-		ok, err := cmdDiff(os.Args[2:], os.Stdout)
-		if err != nil {
-			log.Fatalf("diff: %v", err)
-		}
-		if !ok {
-			os.Exit(1)
-		}
 	case "validate":
 		cmdValidate(os.Args[2:])
 	case "canon":
@@ -159,11 +148,10 @@ func cmdTimeline(args []string) {
 	if *mpath == "" {
 		log.Fatal("timeline: -manifest FILE is required")
 	}
-	m, err := expt.OpenManifest(*mpath)
+	entries, err := expt.ReadManifest(*mpath)
 	if err != nil {
 		log.Fatalf("timeline: %v", err)
 	}
-	defer m.Close()
 
 	// Worker attribution: the journal's job-report events say which worker
 	// delivered each key; join events map worker ids to display names.
@@ -190,7 +178,7 @@ func cmdTimeline(args []string) {
 		}
 	}
 
-	jobs := expt.TimelineJobs(m.Entries(), workers)
+	jobs := expt.TimelineJobs(entries, workers)
 	w, closeOut, err := outFile(*out)
 	if err != nil {
 		log.Fatalf("timeline: %v", err)

@@ -124,14 +124,13 @@ func cmdReport(args []string) {
 	if err != nil {
 		log.Fatalf("report: %v", err)
 	}
-	var man *expt.Manifest
+	var entries []expt.Completed
 	if *mpath != "" {
-		if man, err = expt.OpenManifest(*mpath); err != nil {
+		if entries, err = expt.ReadManifest(*mpath); err != nil {
 			log.Fatalf("report: %v", err)
 		}
-		defer man.Close()
 	}
-	rep := BuildReport(j, man, *top)
+	rep := BuildReport(j, entries, *top)
 
 	w, closeOut, err := outFile(*out)
 	if err != nil {
@@ -168,9 +167,9 @@ var incidentKinds = map[string]bool{
 	journal.KindManifestError: true,
 }
 
-// BuildReport folds the journal (and optionally the manifest's telemetry)
-// into the postmortem report.
-func BuildReport(j *journal.Journal, man *expt.Manifest, top int) *Report {
+// BuildReport folds the journal (and optionally the manifest entries'
+// telemetry) into the postmortem report.
+func BuildReport(j *journal.Journal, entries []expt.Completed, top int) *Report {
 	rep := &Report{
 		Schema: ReportSchema,
 		Tool:   j.Meta.Tool,
@@ -319,41 +318,39 @@ func BuildReport(j *journal.Journal, man *expt.Manifest, top int) *Report {
 		}
 	}
 
-	if man != nil {
-		var snaps []telemetry.Keyed
-		for _, c := range man.Entries() {
-			if c.Result != nil && c.Result.Telem != nil {
-				snaps = append(snaps, telemetry.Keyed{Key: c.Key, Snap: c.Result.Telem})
-			}
+	var snaps []telemetry.Keyed
+	for _, c := range entries {
+		if c.Result != nil && c.Result.Telem != nil {
+			snaps = append(snaps, telemetry.Keyed{Key: c.Key, Snap: c.Result.Telem})
 		}
-		if len(snaps) > 0 {
-			merged := telemetry.Merge(snaps)
-			rep.TraceDropped = merged.TraceDropped
-			byStack := map[string]uint64{}
-			var total uint64
-			for _, s := range merged.Stacks {
-				byStack[s.Stack] += s.Cycles
-				total += s.Cycles
-			}
-			stacks := make([]StackRow, 0, len(byStack))
-			for stack, cyc := range byStack {
-				row := StackRow{Stack: stack, Cycles: cyc}
-				if total > 0 {
-					row.SharePct = float64(cyc) / float64(total) * 100
-				}
-				stacks = append(stacks, row)
-			}
-			sort.Slice(stacks, func(i, j int) bool {
-				if stacks[i].Cycles != stacks[j].Cycles {
-					return stacks[i].Cycles > stacks[j].Cycles
-				}
-				return stacks[i].Stack < stacks[j].Stack
-			})
-			if top > 0 && len(stacks) > top {
-				stacks = stacks[:top]
-			}
-			rep.TopStacks = stacks
+	}
+	if len(snaps) > 0 {
+		merged := telemetry.Merge(snaps)
+		rep.TraceDropped = merged.TraceDropped
+		byStack := map[string]uint64{}
+		var total uint64
+		for _, s := range merged.Stacks {
+			byStack[s.Stack] += s.Cycles
+			total += s.Cycles
 		}
+		stacks := make([]StackRow, 0, len(byStack))
+		for stack, cyc := range byStack {
+			row := StackRow{Stack: stack, Cycles: cyc}
+			if total > 0 {
+				row.SharePct = float64(cyc) / float64(total) * 100
+			}
+			stacks = append(stacks, row)
+		}
+		sort.Slice(stacks, func(i, j int) bool {
+			if stacks[i].Cycles != stacks[j].Cycles {
+				return stacks[i].Cycles > stacks[j].Cycles
+			}
+			return stacks[i].Stack < stacks[j].Stack
+		})
+		if top > 0 && len(stacks) > top {
+			stacks = stacks[:top]
+		}
+		rep.TopStacks = stacks
 	}
 	return rep
 }

@@ -188,7 +188,7 @@ func main() {
 	// server's merged-metrics families, or the cycle tracer (trace rings
 	// ride inside telemetry snapshots).
 	wantTelem := *profFolded != "" || *profPprof != "" || *metricsOut != "" ||
-		*seriesCSV != "" || shared.HTTPAddr != "" || shared.TraceEvents > 0
+		*seriesCSV != "" || shared.Live.Addr != "" || shared.TraceEvents > 0
 
 	// The manifest header pins the exact grid this file caches: the
 	// sorted figure set plus every flag that changes job content. A
@@ -317,7 +317,7 @@ func main() {
 	if err := stopProf(); err != nil {
 		log.Fatal(err)
 	}
-	shared.Finish(live)
+	shared.Live.Finish(live)
 	if failed {
 		os.Exit(1)
 	}

@@ -13,17 +13,16 @@
 //	worker -connect HOST:PORT [-name LABEL] [-parallel N] [-max-jobs N]
 //	       [-hello-timeout D] [-reconnect-timeout D] [-cache FILE]
 //	       [-crash-after-lease N]
-//	       [-live ADDR] [-live-linger D] [-metrics FILE]
+//	       [-http ADDR] [-http-linger D]
 //	       [-netfault CLASSES] [-netfault-seed N] [-netfault-rate P]
 //	       [-netfault-max N] [-netfault-delay D]
 //
-// -live serves this worker's own introspection endpoints (job outcomes on
+// -http serves this worker's own introspection endpoints (job outcomes on
 // /jobs and /events, merged job telemetry and a single-worker fleet view
-// on /metrics and /fleet) while it runs — the worker-side complement of
-// the coordinator's -http server. The fleet view counts the
-// coordinator's way: accepted results are jobs, and their simulated
-// cycles are the jobs' wall cycles. -metrics writes the same OpenMetrics
-// body to a file at exit, with or without -live.
+// on /metrics and /fleet) while it runs — the same flags and server as
+// the coordinator's. The fleet view counts the coordinator's way:
+// accepted results are jobs, and their simulated cycles are the jobs'
+// wall cycles.
 //
 // The worker exits 0 when the coordinator drains the campaign (or the
 // coordinator stays unreachable past -reconnect-timeout after the worker
@@ -123,9 +122,7 @@ func main() {
 	})
 	live.SetFleetSource(w.Fleet)
 	runErr := w.Run()
-	if err := lf.Finish(live); err != nil {
-		log.Print(err)
-	}
+	lf.Finish(live)
 	if runErr != nil {
 		if runErr == dist.ErrCrashed {
 			log.Print(runErr)

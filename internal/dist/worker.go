@@ -67,7 +67,7 @@ type WorkerConfig struct {
 	Logf func(format string, args ...any)
 	// Observe, when set, receives one job-result event per leased job
 	// outcome (ran/cached/failed) for host-side introspection —
-	// cmd/worker's -live server chains it into telemetry.Live.Observe.
+	// cmd/worker's -http server chains it into telemetry.Live.Observe.
 	// Called from lease-serving goroutines; the receiver must be
 	// concurrency-safe.
 	Observe func(journal.Event)
@@ -99,7 +99,7 @@ type Worker struct {
 
 	mu    sync.Mutex
 	row   telemetry.FleetWorker // the self-view Fleet reports
-	snaps []telemetry.Keyed     // telemetry shipped with results, for -live /metrics
+	snaps []telemetry.Keyed     // telemetry shipped with results, for -http /metrics
 }
 
 // NewWorker builds a worker; call Run to serve.
@@ -156,7 +156,7 @@ func (w *Worker) Fleet() telemetry.FleetStats {
 
 // Snapshots returns the telemetry snapshots of every job this worker has
 // completed so far, keyed by job for deterministic merging — the
-// metrics source behind cmd/worker's -live server. Safe for concurrent
+// metrics source behind cmd/worker's -http server. Safe for concurrent
 // use.
 func (w *Worker) Snapshots() []telemetry.Keyed {
 	w.mu.Lock()

@@ -7,8 +7,7 @@
 // -timeline, -timeline-canonical, -trace-events). Both commands register
 // the same flags with the same defaults and get the same progress
 // formatting, so the tools stay drop-in consistent. LiveFlags is the
-// lighter -live/-live-linger/-metrics set for tools that are not
-// campaign drivers (cmd/hostbench, cmd/worker).
+// live server's flag set on its own, which cmd/worker registers too.
 package cliflags
 
 import (
@@ -80,12 +79,9 @@ type Flags struct {
 	// LocalFallback degrades the coordinator to local execution when the
 	// fleet has been silent this long with jobs queued (0 = off).
 	LocalFallback time.Duration
-	// HTTPAddr mounts the live introspection server (telemetry.Live) when
-	// non-empty; ":0" binds an ephemeral port.
-	HTTPAddr string
-	// HTTPLinger keeps the -http server up this long after the run
-	// completes, so scrapers (and CI smoke tests) can still reach it.
-	HTTPLinger time.Duration
+	// Live holds the live introspection server's flags (-http,
+	// -http-linger).
+	Live *LiveFlags
 	// Journal appends the campaign journal (cornucopia-journal/v1 JSONL:
 	// job lease/start/retry/result, worker join/evict, breaker trips,
 	// netfault injections, recovery actions) to this file when non-empty.
@@ -136,8 +132,7 @@ func Register() *Flags {
 	flag.DurationVar(&f.BreakerCooldown, "breaker-cooldown", 0, "quarantine a tripped worker this long before its probe lease (0 = 2s)")
 	flag.DurationVar(&f.EvictAfter, "evict-after", 0, "evict a silent lease-free worker from the live fleet view after this long (0 = 60 heartbeats; negative = never)")
 	flag.DurationVar(&f.LocalFallback, "local-fallback", 0, "run queued jobs locally when the fleet has been silent this long under -exec=net (0 = wait forever)")
-	flag.StringVar(&f.HTTPAddr, "http", "", "serve live introspection (/metrics, /jobs, /events) on this address (\":0\" = ephemeral)")
-	flag.DurationVar(&f.HTTPLinger, "http-linger", 0, "keep the -http server up this long after the run completes")
+	f.Live = RegisterLive()
 	flag.StringVar(&f.Journal, "journal", "", "append the campaign journal (cornucopia-journal/v1 JSONL) to this file")
 	flag.StringVar(&f.Timeline, "timeline", "", "write a merged Chrome/Perfetto campaign timeline (chrome://tracing JSON) to this file")
 	flag.BoolVar(&f.TimelineCanonical, "timeline-canonical", false, "strip host metadata from -timeline: one deterministic campaign track, byte-identical across local and distributed runs")
@@ -216,8 +211,8 @@ func (f *Flags) Manifest(tool, grid string) (*expt.Manifest, error) {
 // PoolConfig assembles the pool configuration from the flags: sizing,
 // the manifest, and a progress chain feeding the -progress printer and
 // the -http live server. The returned Live is nil unless -http was set;
-// pass it to Finish when the run completes. Callers may further adjust
-// the returned config (e.g. set Telemetry) before expt.NewPool.
+// pass it to f.Live.Finish when the run completes. Callers may further
+// adjust the returned config (e.g. set Telemetry) before expt.NewPool.
 func (f *Flags) PoolConfig(tool string, manifest *expt.Manifest) (expt.PoolConfig, *telemetry.Live, error) {
 	cfg := expt.PoolConfig{
 		Workers:  f.Workers,
@@ -226,14 +221,9 @@ func (f *Flags) PoolConfig(tool string, manifest *expt.Manifest) (expt.PoolConfi
 		Backoff:  f.Backoff(),
 		Manifest: manifest,
 	}
-	var live *telemetry.Live
-	if f.HTTPAddr != "" {
-		live = telemetry.NewLive(tool)
-		addr, err := live.Start(f.HTTPAddr)
-		if err != nil {
-			return cfg, nil, fmt.Errorf("cliflags: -http %s: %w", f.HTTPAddr, err)
-		}
-		fmt.Fprintf(os.Stderr, "%s: live introspection on http://%s/\n", tool, addr)
+	live, err := f.Live.Start(tool)
+	if err != nil {
+		return cfg, nil, err
 	}
 	if f.Progress || live != nil {
 		printer := f.Progress
@@ -440,78 +430,49 @@ func (f *Flags) WriteTimeline(tool string, ex expt.Executor) error {
 	return nil
 }
 
-// LiveFlags is the live-server flag set for tools that are not campaign
-// drivers (cmd/hostbench, cmd/worker): -live binds a telemetry.Live
-// server, -live-linger keeps it up after the run for late scrapers, and
-// -metrics writes the same OpenMetrics body to a file at exit (usable
-// with or without -live).
+// LiveFlags is the live introspection server's flag set, shared by
+// cmd/sweep, cmd/chaos and cmd/worker: -http binds a telemetry.Live
+// server, and -http-linger keeps it up after the run so late scrapers
+// (and CI smoke tests) can still reach it.
 type LiveFlags struct {
-	Addr    string
-	Linger  time.Duration
-	Metrics string
+	Addr   string
+	Linger time.Duration
 }
 
-// RegisterLive installs the live-server flags on the process flag set.
+// RegisterLive installs -http and -http-linger on the process flag set.
 // Call before flag.Parse.
 func RegisterLive() *LiveFlags {
 	lf := &LiveFlags{}
-	flag.StringVar(&lf.Addr, "live", "", "serve live introspection (/metrics, /jobs, /events) on this address (\":0\" = ephemeral)")
-	flag.DurationVar(&lf.Linger, "live-linger", 0, "keep the -live server up this long after the run completes")
-	flag.StringVar(&lf.Metrics, "metrics", "", "write the final OpenMetrics body to this file at exit")
+	flag.StringVar(&lf.Addr, "http", "", "serve live introspection (/metrics, /jobs, /events) on this address (\":0\" = ephemeral)")
+	flag.DurationVar(&lf.Linger, "http-linger", 0, "keep the -http server up this long after the run completes")
 	return lf
 }
 
-// Start builds the live server the flags ask for: listening under -live,
-// collect-only under just -metrics, nil when neither was given (every
-// telemetry.Live method is nil-safe, so callers wire sources and Observe
-// unconditionally).
+// Start binds the live server under -http and prints its address, or
+// returns nil without -http (every telemetry.Live method is nil-safe, so
+// callers wire sources and Observe unconditionally).
 func (lf *LiveFlags) Start(tool string) (*telemetry.Live, error) {
-	if lf.Addr == "" && lf.Metrics == "" {
+	if lf.Addr == "" {
 		return nil, nil
 	}
 	live := telemetry.NewLive(tool)
-	if lf.Addr != "" {
-		addr, err := live.Start(lf.Addr)
-		if err != nil {
-			return nil, fmt.Errorf("cliflags: -live %s: %w", lf.Addr, err)
-		}
-		fmt.Fprintf(os.Stderr, "%s: live introspection on http://%s/\n", tool, addr)
+	addr, err := live.Start(lf.Addr)
+	if err != nil {
+		return nil, fmt.Errorf("cliflags: -http %s: %w", lf.Addr, err)
 	}
+	fmt.Fprintf(os.Stderr, "%s: live introspection on http://%s/\n", tool, addr)
 	return live, nil
 }
 
-// Finish writes -metrics, lingers the server for -live-linger, and shuts
-// it down. Safe with a nil live (neither flag given).
-func (lf *LiveFlags) Finish(live *telemetry.Live) error {
-	if live == nil {
-		return nil
-	}
-	if lf.Metrics != "" {
-		out, err := os.Create(lf.Metrics)
-		if err != nil {
-			return fmt.Errorf("cliflags: -metrics: %w", err)
-		}
-		live.WriteMetrics(out)
-		if err := out.Close(); err != nil {
-			return fmt.Errorf("cliflags: -metrics: %w", err)
-		}
-	}
-	if lf.Addr != "" && lf.Linger > 0 {
-		fmt.Fprintf(os.Stderr, "lingering %s for late scrapes\n", lf.Linger)
-		time.Sleep(lf.Linger)
-	}
-	return live.Close()
-}
-
 // Finish lingers the live server for -http-linger, then shuts it down.
-// Safe to call with a nil live (no -http).
-func (f *Flags) Finish(live *telemetry.Live) {
+// Safe with a nil live (no -http).
+func (lf *LiveFlags) Finish(live *telemetry.Live) {
 	if live == nil {
 		return
 	}
-	if f.HTTPLinger > 0 {
-		fmt.Fprintf(os.Stderr, "lingering %s for late scrapes\n", f.HTTPLinger)
-		time.Sleep(f.HTTPLinger)
+	if lf.Linger > 0 {
+		fmt.Fprintf(os.Stderr, "lingering %s for late scrapes\n", lf.Linger)
+		time.Sleep(lf.Linger)
 	}
 	_ = live.Close()
 }

@@ -276,7 +276,7 @@ func TestGenerateResumesFromManifest(t *testing.T) {
 	o := tinyOpts()
 	path := filepath.Join(t.TempDir(), "manifest.jsonl")
 
-	m1, err := OpenManifest(path)
+	m1, err := OpenManifestFor(path, ManifestMeta{Tool: "sweep", Grid: "fig5"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestGenerateResumesFromManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m2, err := OpenManifest(path)
+	m2, err := OpenManifestFor(path, ManifestMeta{Tool: "sweep", Grid: "fig5"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,14 +65,6 @@ type ManifestMeta struct {
 // (gRPC QPS) can run to several MB of JSON.
 const maxManifestLine = 256 << 20
 
-// OpenManifest loads the manifest at path (creating it if absent) and
-// opens it for appending, without any metadata validation (legacy entry
-// point; cmd tools should prefer OpenManifestFor).
-func OpenManifest(path string) (*Manifest, error) {
-	m, _, err := openManifest(path)
-	return m, err
-}
-
 // OpenManifestFor opens the manifest at path for the given tool/grid
 // combination. A fresh (absent or empty) manifest adopts meta as its
 // header; an existing one must carry a matching header, or the open fails
@@ -118,41 +110,16 @@ func OpenManifestFor(path string, meta ManifestMeta) (*Manifest, error) {
 }
 
 func openManifest(path string) (*Manifest, *ManifestMeta, error) {
-	m := &Manifest{path: path, done: map[string]manifestEntry{}}
 	// A line torn by a crash mid-Record is truncated before appending;
 	// its job simply re-runs.
 	if err := journal.RepairTornTail(path); err != nil {
 		return nil, nil, fmt.Errorf("expt: repairing manifest %s: %w", path, err)
 	}
-	if f, err := os.Open(path); err == nil {
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 1<<20), maxManifestLine)
-		for sc.Scan() {
-			var line manifestLine
-			if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-				continue // torn tail from an interrupted write
-			}
-			if line.Meta != nil && m.meta == nil {
-				m.meta = line.Meta
-				continue
-			}
-			if line.Key == "" || line.Result == nil {
-				continue
-			}
-			m.lines++
-			m.done[line.Key] = manifestEntry{
-				res:  line.Result,
-				host: time.Duration(line.HostMS * float64(time.Millisecond)),
-			}
-		}
-		closeErr := f.Close()
-		if err := sc.Err(); err != nil {
-			return nil, nil, fmt.Errorf("expt: reading manifest %s: %w", path, err)
-		}
-		if closeErr != nil {
-			return nil, nil, closeErr
-		}
-	} else if !os.IsNotExist(err) {
+	m, err := loadManifest(path)
+	if os.IsNotExist(err) {
+		m, err = &Manifest{path: path, done: map[string]manifestEntry{}}, nil
+	}
+	if err != nil {
 		return nil, nil, err
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -161,6 +128,55 @@ func openManifest(path string) (*Manifest, *ManifestMeta, error) {
 	}
 	m.f = f
 	return m, m.meta, nil
+}
+
+// ReadManifest returns every completed job on record in the manifest at
+// path, sorted by key, without opening the file for writing: a missing
+// file is an error, and a line torn by a writer still appending is
+// skipped rather than repaired. It is the postmortem reader's entry
+// point (cmd/obs), safe against a live campaign's manifest.
+func ReadManifest(path string) ([]Completed, error) {
+	m, err := loadManifest(path)
+	if err != nil {
+		return nil, err
+	}
+	return m.Entries(), nil
+}
+
+// loadManifest parses the manifest at path into a Manifest with no
+// append handle, skipping any line that does not decode (a torn tail
+// from an interrupted write). A missing file returns the os.Open error.
+func loadManifest(path string) (*Manifest, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	m := &Manifest{path: path, done: map[string]manifestEntry{}}
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 1<<20), maxManifestLine)
+	for sc.Scan() {
+		var line manifestLine
+		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+			continue // torn tail from an interrupted write
+		}
+		if line.Meta != nil && m.meta == nil {
+			m.meta = line.Meta
+			continue
+		}
+		if line.Key == "" || line.Result == nil {
+			continue
+		}
+		m.lines++
+		m.done[line.Key] = manifestEntry{
+			res:  line.Result,
+			host: time.Duration(line.HostMS * float64(time.Millisecond)),
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("expt: reading manifest %s: %w", path, err)
+	}
+	return m, nil
 }
 
 // Meta returns the manifest's header, if it has one.

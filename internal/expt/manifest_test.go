@@ -11,9 +11,12 @@ import (
 	"repro/internal/journal"
 )
 
+// testMeta is the header the tests' manifests carry.
+var testMeta = ManifestMeta{Tool: "sweep", Grid: "g"}
+
 func TestManifestRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "manifest.jsonl")
-	m, err := OpenManifest(path)
+	m, err := OpenManifestFor(path, testMeta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +30,7 @@ func TestManifestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m2, err := OpenManifest(path)
+	m2, err := OpenManifestFor(path, testMeta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +57,7 @@ func TestManifestRoundTrip(t *testing.T) {
 
 func TestManifestSkipsTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "manifest.jsonl")
-	m, err := OpenManifest(path)
+	m, err := OpenManifestFor(path, testMeta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +74,7 @@ func TestManifestSkipsTornTail(t *testing.T) {
 	f.WriteString(`{"key":"deadbeef","result":{"workload":"tru`)
 	f.Close()
 
-	m2, err := OpenManifest(path)
+	m2, err := OpenManifestFor(path, testMeta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,6 +87,61 @@ func TestManifestSkipsTornTail(t *testing.T) {
 	}
 	if _, _, ok := m2.Lookup("deadbeef"); ok {
 		t.Fatal("torn line surfaced as a result")
+	}
+}
+
+// TestReadManifestMissingFails pins that the read-only loader refuses a
+// missing path and leaves no file behind: a postmortem of the wrong path
+// must fail, not render an empty campaign.
+func TestReadManifestMissingFails(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "missing.jsonl")
+	if _, err := ReadManifest(path); err == nil {
+		t.Fatal("ReadManifest of a missing path succeeded")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("ReadManifest created %s (stat err %v)", path, err)
+	}
+}
+
+// TestReadManifestLeavesTornFileUntouched reads a manifest whose last
+// line is still being written, as a live campaign's is mid-Record: the
+// intact entries load, the torn line is skipped, and the file's bytes
+// are unchanged — the writer's next append must still land after them.
+func TestReadManifestLeavesTornFileUntouched(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "manifest.jsonl")
+	m, err := OpenManifestFor(path, testMeta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := fakeJob("astar", 1)
+	if err := m.Record(j.Key(), fakeResult(j), time.Second); err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString(`{"key":"deadbeef","result":{"workload":"tru`)
+	f.Close()
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	entries, err := ReadManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Key != j.Key() || !entries[0].Cached || entries[0].Host != time.Second {
+		t.Fatalf("entries = %+v, want the one intact job", entries)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(before) {
+		t.Fatalf("ReadManifest rewrote the manifest: %d bytes before, %d after", len(before), len(after))
 	}
 }
 
@@ -101,7 +159,7 @@ func TestPoolResumesFromManifest(t *testing.T) {
 	}
 
 	// First sweep: completes the first two jobs, then is "interrupted".
-	m1, err := OpenManifest(path)
+	m1, err := OpenManifestFor(path, testMeta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +177,7 @@ func TestPoolResumesFromManifest(t *testing.T) {
 
 	// Second sweep over the full grid: the two recorded jobs come from the
 	// manifest, only the third runs.
-	m2, err := OpenManifest(path)
+	m2, err := OpenManifestFor(path, testMeta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +214,7 @@ func TestPoolCachedJobsCarryRecordedHost(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "manifest.jsonl")
 	j := fakeJob("astar", 1)
 	const recorded = 2500 * time.Millisecond
-	m, err := OpenManifest(path)
+	m, err := OpenManifestFor(path, testMeta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +223,7 @@ func TestPoolCachedJobsCarryRecordedHost(t *testing.T) {
 	}
 	m.Close()
 
-	m2, err := OpenManifest(path)
+	m2, err := OpenManifestFor(path, testMeta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +261,7 @@ func TestPoolCachedJobsCarryRecordedHost(t *testing.T) {
 // while the job itself still completes.
 func TestPoolManifestErrorIsJournaled(t *testing.T) {
 	dir := t.TempDir()
-	m, err := OpenManifest(filepath.Join(dir, "m.jsonl"))
+	m, err := OpenManifestFor(filepath.Join(dir, "m.jsonl"), testMeta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,28 +345,23 @@ func TestManifestMetaAdoptAndMatch(t *testing.T) {
 
 func TestManifestMetaRejectsLegacy(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "legacy.jsonl")
-	m, err := OpenManifest(path) // headerless
-	if err != nil {
+	// A headerless manifest, as written before metadata headers existed.
+	if err := os.WriteFile(path, []byte(`{"key":"k1","result":{"workload":"w"}}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Record("k1", &JobResult{Workload: "w"}, 0); err != nil {
-		t.Fatal(err)
-	}
-	m.Close()
-	if _, err := OpenManifestFor(path, ManifestMeta{Tool: "sweep", Grid: "g"}); err == nil {
+	if _, err := OpenManifestFor(path, testMeta); err == nil {
 		t.Fatal("headerless non-empty manifest accepted")
 	} else if !strings.Contains(err.Error(), "predates metadata headers") {
 		t.Fatalf("legacy error unhelpful: %v", err)
 	}
-	// Legacy manifests still load through the legacy entry point.
-	m, err = OpenManifest(path)
+	// Legacy manifests still load through the read-only entry point.
+	entries, err := ReadManifest(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := m.Lookup("k1"); !ok {
-		t.Fatal("legacy reopen lost the result")
+	if len(entries) != 1 || entries[0].Key != "k1" {
+		t.Fatalf("legacy read = %+v, want the one k1 result", entries)
 	}
-	m.Close()
 }
 
 // TestManifestRepairsTornTailForAppend pins the crashed-writer recovery

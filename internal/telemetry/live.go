@@ -305,13 +305,12 @@ func (l *Live) handleRoot(w http.ResponseWriter, r *http.Request) {
 
 func (l *Live) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-	l.WriteMetrics(w)
+	l.writeMetrics(w)
 }
 
-// WriteMetrics writes the full OpenMetrics exposition (the /metrics
-// body, "# EOF" included) to w. Exported so -metrics FILE dumps and the
-// HTTP handler share one implementation.
-func (l *Live) WriteMetrics(w io.Writer) {
+// writeMetrics writes the full OpenMetrics exposition (the /metrics
+// body, "# EOF" included) to w.
+func (l *Live) writeMetrics(w io.Writer) {
 	l.mu.Lock()
 	done, total := l.done, l.total
 	byStat := map[string]int{}

@@ -15,7 +15,8 @@
 #      copy of run 1's manifest, so every key is replayed from the cache.
 #
 # Both distributed documents, the chaos pass's canonical journal and its
-# canonical timeline must be byte-identical to the local run's. Artifacts,
+# canonical timeline must be byte-identical to the local run's, and so must
+# the timeline obs rebuilds from run 1's manifest, read-only. Artifacts,
 # the cornucopia-netchaos/v1 report among them, land in the output
 # directory (default fleet-smoke/), which every run clears first: journals
 # append, and a stale manifest would serve jobs without running them.
@@ -207,8 +208,19 @@ WNAME=$(grep '"kind":"worker-join"' "$OUT/dist.jsonl" | grep "\"worker\":\"$WID\
 grep -Eq "^  $WID +$WNAME +[1-9]" "$OUT/report.txt" ||
     fail "report has no row for $WNAME ($WID), which completed a job"
 grep -q 'p99' "$OUT/report.txt" || fail "report missing latency percentiles"
-"$OUT/obs" diff BENCH_host.json BENCH_host.json >"$OUT/diff.txt" ||
-    fail "obs diff flagged the committed BENCH_host.json against itself"
+# obs timeline rebuilds run 1's canonical timeline from its manifest after
+# the fact, and only reads the manifest: its bytes must not change, and a
+# missing manifest is an error, not an empty timeline.
+SUM=$(sha256sum <"$OUT/local-manifest.jsonl")
+"$OUT/obs" timeline -manifest "$OUT/local-manifest.jsonl" -canonical \
+    -out "$OUT/rebuilt-timeline.json" 2>"$OUT/obs-timeline.log" || fail "obs timeline failed on the local manifest"
+cmp "$OUT/local-timeline.json" "$OUT/rebuilt-timeline.json" ||
+    fail "obs timeline's rebuilt timeline differs from the local run's"
+[ "$(sha256sum <"$OUT/local-manifest.jsonl")" = "$SUM" ] || fail "obs timeline wrote to the manifest it read"
+if "$OUT/obs" timeline -manifest "$OUT/missing-manifest.jsonl" >/dev/null 2>&1; then
+    fail "obs timeline accepted a missing manifest"
+fi
+[ ! -e "$OUT/missing-manifest.jsonl" ] || fail "obs timeline created the missing manifest"
 
 cat >"$OUT/netchaos-report.json" <<EOF
 {
