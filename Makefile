@@ -1,22 +1,26 @@
 GO ?= go
 
 # Packages cheap enough to run under the race detector on every verify:
-# pure data structures and encoders, plus internal/sim — real goroutine +
-# channel code whose scheduler hands execution between thread
-# goroutines, so its handoff protocol is exactly what the race detector
-# should watch. The heavier simulator packages (kernel, revoke, …) run
-# one thread at a time on top of sim and are exercised by the plain
-# `test` target.
+# pure data structures and encoders, plus internal/sim, whose threads are
+# coroutines the Run loop resumes one at a time, so the race detector
+# checks that every switch orders the state the threads share. The
+# heavier simulator packages (kernel, revoke, …) run one thread at a time
+# on top of sim and are exercised by the plain `test` target.
 RACE_PKGS = ./internal/bus ./internal/ca ./internal/dist/netfault \
             ./internal/expt/cliflags ./internal/fault ./internal/journal \
             ./internal/metrics ./internal/oracle ./internal/shadow \
             ./internal/sim ./internal/telemetry ./internal/tmem \
             ./internal/trace ./internal/vm ./internal/workload/heapscale
 
-.PHONY: all build vet test race verify flake chaos sweep-bench \
+.PHONY: all fmt build vet test race verify flake chaos sweep-bench \
         fleet-smoke hostbench-smoke bench-test
 
 all: verify
+
+# fmt fails, naming the files, when any Go file is not gofmt-formatted.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
+		echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -36,7 +40,7 @@ race:
 	$(GO) test -race -short ./internal/expt ./internal/dist
 
 # verify is the tier-1 gate: everything must pass before a change lands.
-verify: build vet test race
+verify: fmt build vet test race
 
 # flake: the flake detector. dist's coordinator/worker protocol and expt's
 # pool run on the wall clock; five runs each catch a verdict that depends

@@ -223,6 +223,7 @@ func main() {
 	strict := flag.Bool("strict", false, "apply the Reloaded expectation matrix and exit non-zero on a miss")
 	listClasses := flag.Bool("list-classes", false, "list fault classes and exit")
 	flag.Parse()
+	cliflags.ExitOnArgs(flag.CommandLine, 0)
 
 	if *listClasses {
 		for _, c := range fault.Classes() {

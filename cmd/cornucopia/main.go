@@ -34,6 +34,7 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/expt/cliflags"
 	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/revoke"
@@ -156,6 +157,7 @@ func main() {
 	seriesCSV := flag.String("series-csv", "", "write the sampled metrics time series as CSV to this file")
 	sampleEvery := flag.Uint64("sample-every", telemetry.DefaultSampleEvery, "time-series sampling interval, simulated cycles")
 	flag.Parse()
+	cliflags.ExitOnArgs(flag.CommandLine, 0)
 
 	cfg := harness.SpecConfig()
 	w, err := pick(*wl, &cfg)

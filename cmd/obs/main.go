@@ -42,6 +42,7 @@ import (
 	"os"
 
 	"repro/internal/expt"
+	"repro/internal/expt/cliflags"
 	"repro/internal/journal"
 	"repro/internal/trace"
 )
@@ -90,13 +91,23 @@ func outFile(path string) (*os.File, func() error, error) {
 	return f, f.Close, nil
 }
 
+// journalArg lets report, validate and canon take their journal as one
+// positional argument in place of -journal FILE; any other positional
+// exits 2.
+func journalArg(fs *flag.FlagSet, jpath *string) {
+	if *jpath != "" {
+		cliflags.ExitOnArgs(fs, 0)
+		return
+	}
+	cliflags.ExitOnArgs(fs, 1)
+	*jpath = fs.Arg(0)
+}
+
 func cmdValidate(args []string) {
 	fs := flag.NewFlagSet("obs validate", flag.ExitOnError)
 	jpath := fs.String("journal", "", "campaign journal to validate (required)")
 	fs.Parse(args)
-	if *jpath == "" && fs.NArg() == 1 {
-		*jpath = fs.Arg(0)
-	}
+	journalArg(fs, jpath)
 	if *jpath == "" {
 		log.Fatal("validate: -journal FILE is required")
 	}
@@ -116,9 +127,7 @@ func cmdCanon(args []string) {
 	jpath := fs.String("journal", "", "campaign journal to canonicalize (required)")
 	out := fs.String("out", "", "write the canonical journal here (default stdout)")
 	fs.Parse(args)
-	if *jpath == "" && fs.NArg() == 1 {
-		*jpath = fs.Arg(0)
-	}
+	journalArg(fs, jpath)
 	if *jpath == "" {
 		log.Fatal("canon: -journal FILE is required")
 	}
@@ -145,6 +154,7 @@ func cmdTimeline(args []string) {
 	canonical := fs.Bool("canonical", false, "strip host metadata: one deterministic campaign track")
 	out := fs.String("out", "", "write the timeline JSON here (default stdout)")
 	fs.Parse(args)
+	cliflags.ExitOnArgs(fs, 0)
 	if *mpath == "" {
 		log.Fatal("timeline: -manifest FILE is required")
 	}

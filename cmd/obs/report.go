@@ -114,9 +114,7 @@ func cmdReport(args []string) {
 	out := fs.String("out", "", "write the report here (default stdout)")
 	top := fs.Int("top", 10, "attribution stacks to include")
 	fs.Parse(args)
-	if *jpath == "" && fs.NArg() == 1 {
-		*jpath = fs.Arg(0)
-	}
+	journalArg(fs, jpath)
 	if *jpath == "" {
 		log.Fatal("report: -journal FILE is required")
 	}

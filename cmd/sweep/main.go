@@ -120,6 +120,7 @@ func main() {
 	warmupMs := flag.Uint64("warmup-ms", 50, "gRPC QPS warmup, virtual milliseconds")
 	seed := flag.Int64("seed", 1, "base random seed")
 	flag.Parse()
+	cliflags.ExitOnArgs(flag.CommandLine, 0)
 
 	if *list {
 		for _, f := range expt.Figures() {

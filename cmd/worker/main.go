@@ -80,6 +80,7 @@ func main() {
 	nfDelay := flag.Duration("netfault-delay", 0, "injected network delay/throttle pause (0 = netfault default)")
 	lf := cliflags.RegisterLive()
 	flag.Parse()
+	cliflags.ExitOnArgs(flag.CommandLine, 0)
 
 	if *connect == "" {
 		log.Fatal("-connect is required (start a coordinator with sweep/chaos -exec=net)")

@@ -7,12 +7,14 @@
 // -timeline, -timeline-canonical, -trace-events). Both commands register
 // the same flags with the same defaults and get the same progress
 // formatting, so the tools stay drop-in consistent. LiveFlags is the
-// live server's flag set on its own, which cmd/worker registers too.
+// live server's flag set on its own, which cmd/worker registers too, and
+// CheckArgs is every command's guard against a stray positional argument.
 package cliflags
 
 import (
 	"flag"
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -140,6 +142,26 @@ func Register() *Flags {
 	flag.StringVar(&f.CPUProfile, "cpuprofile", "", "write a host CPU profile (pprof) to this file")
 	flag.StringVar(&f.MemProfile, "memprofile", "", "write a host heap profile (pprof) to this file at exit")
 	return f
+}
+
+// CheckArgs returns an error naming the first positional argument fs
+// holds beyond the max its tool accepts. Flag parsing stops at the first
+// word that is not a flag, so without this check every flag after a stray
+// word would be dropped silently.
+func CheckArgs(fs *flag.FlagSet, max int) error {
+	if fs.NArg() <= max {
+		return nil
+	}
+	return fmt.Errorf("unexpected argument %q (flags after it were not parsed)", fs.Arg(max))
+}
+
+// ExitOnArgs is CheckArgs for a command's main: it logs the error and
+// exits 2, the status of a bad flag.
+func ExitOnArgs(fs *flag.FlagSet, max int) {
+	if err := CheckArgs(fs, max); err != nil {
+		log.Print(err)
+		os.Exit(2)
+	}
 }
 
 // StartProfiles begins host CPU profiling if -cpuprofile was given. The

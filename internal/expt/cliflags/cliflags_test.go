@@ -1,8 +1,10 @@
 package cliflags
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -85,6 +87,34 @@ func TestAtomicWriteFileMode(t *testing.T) {
 	}
 	if fi.Mode().Perm() != 0o600 {
 		t.Fatalf("mode = %v, want 0600", fi.Mode().Perm())
+	}
+}
+
+// TestCheckArgs pins the stray-argument guard: a word among the flags
+// stops flag parsing, and CheckArgs names it instead of letting the flags
+// after it vanish.
+func TestCheckArgs(t *testing.T) {
+	parse := func(args ...string) *flag.FlagSet {
+		fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
+		fs.Int("seeds", 3, "")
+		fs.String("out", "", "")
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return fs
+	}
+	err := CheckArgs(parse("-seeds", "1", "bogus", "-out", "x"), 0)
+	if err == nil || !strings.Contains(err.Error(), `"bogus"`) {
+		t.Fatalf("CheckArgs = %v, want an error naming bogus", err)
+	}
+	if err := CheckArgs(parse("-seeds", "1", "-out", "x"), 0); err != nil {
+		t.Fatalf("no positionals: %v", err)
+	}
+	if err := CheckArgs(parse("-seeds", "1", "j.jsonl"), 1); err != nil {
+		t.Fatalf("one allowed positional: %v", err)
+	}
+	if err := CheckArgs(parse("j.jsonl", "more"), 1); err == nil || !strings.Contains(err.Error(), `"more"`) {
+		t.Fatalf("CheckArgs past the allowed positional = %v, want an error naming more", err)
 	}
 }
 

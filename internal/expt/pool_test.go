@@ -11,6 +11,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/journal"
 	"repro/internal/revoke"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -105,6 +106,48 @@ func TestPoolCapturesPanics(t *testing.T) {
 	_, err := p.Get(fakeJob("gobmk", 1))
 	if err == nil || !strings.Contains(err.Error(), "panic: boom") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestPoolCapturesSimThreadPanic runs a simulation whose thread panics
+// through the pool's run seam: the panic reaches the pool's recover, the
+// job fails after its retries, and the next job in the pool completes.
+func TestPoolCapturesSimThreadPanic(t *testing.T) {
+	var attempts atomic.Int64
+	p := NewPool(PoolConfig{Workers: 1, Retries: 1})
+	p.SetRun(func(j Job) (*JobResult, time.Duration, error) {
+		e := sim.New(sim.DefaultConfig())
+		e.Spawn("app", nil, func(th *sim.Thread) { th.Tick(100) })
+		if j.Cfg.Seed == 1 {
+			attempts.Add(1)
+			e.Spawn("sweeper", nil, func(th *sim.Thread) {
+				th.Tick(100)
+				panic("boom")
+			})
+		}
+		if err := e.Run(); err != nil {
+			return nil, 0, err
+		}
+		return fakeResult(j), 0, nil
+	})
+	_, err := p.Get(fakeJob("astar", 1))
+	if err == nil {
+		t.Fatal("a panicking simulation succeeded")
+	}
+	if class := ErrClass(err); !strings.HasPrefix(class, "panic: ") || !strings.Contains(class, "sweeper") {
+		t.Fatalf("ErrClass = %q, want a panic naming the thread", class)
+	}
+	if got := attempts.Load(); got != 2 {
+		t.Fatalf("attempts = %d, want 2", got)
+	}
+	if st := p.Stats(); st.Failed != 1 || st.Retries != 1 {
+		t.Fatalf("stats = %+v", st)
+	}
+	if _, err := p.Get(fakeJob("astar", 2)); err != nil {
+		t.Fatalf("job after the panic: %v", err)
+	}
+	if st := p.Stats(); st.Executed != 1 || st.Failed != 1 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 

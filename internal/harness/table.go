@@ -69,4 +69,3 @@ func (t *Table) String() string {
 	t.Fprint(&b)
 	return b.String()
 }
-

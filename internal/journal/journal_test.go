@@ -212,9 +212,23 @@ func TestCanonicalDeterminism(t *testing.T) {
 		{Kind: KindJobSubmit, Key: "k2"}, {Kind: KindJobSubmit, Key: "k1"},
 		{Kind: KindJobLease, Key: "k2", Worker: "w001", Detail: "lease-000001"},
 		{Kind: KindJobRetry, Key: "k2", Attempt: 1, Err: "timeout"},
-		func() Event { e := result("k2", 200); e.Status = "cached"; e.HostMS = 2; e.Attempt = 2; e.Worker = "w001"; return e }(),
+		func() Event {
+			e := result("k2", 200)
+			e.Status = "cached"
+			e.HostMS = 2
+			e.Attempt = 2
+			e.Worker = "w001"
+			return e
+		}(),
 		{Kind: KindBreakerTrip, Worker: "w001"},
-		func() Event { e := result("k1", 100); e.Status = "ran"; e.HostMS = 55; e.Attempt = 1; e.Worker = "w001"; return e }(),
+		func() Event {
+			e := result("k1", 100)
+			e.Status = "ran"
+			e.HostMS = 55
+			e.Attempt = 1
+			e.Worker = "w001"
+			return e
+		}(),
 		{Kind: KindWorkerEvict, Worker: "w001"},
 	})
 	if !bytes.Equal(a, b) {

@@ -1,10 +1,18 @@
+//go:build go1.23
+
+// The build line sets this file's language version to go1.23, the first
+// with iter.Pull. The module's go line stays at 1.22 because raising it
+// would break the build of the separate bench module, which requires this
+// one; go vet rejects iter.Pull in a go1.22 file.
+
 // Package sim is a deterministic multicore co-simulation kernel.
 //
-// Simulated threads are ordinary Go functions running on goroutines, but
-// exactly one executes at a time: the scheduler always resumes the entity
-// with the smallest virtual clock, so runs are bit-reproducible regardless
-// of host parallelism. Each core has its own cycle clock; wall-clock time is
-// the maximum over cores, CPU time is the sum of busy cycles.
+// Simulated threads are ordinary Go functions, each run as a coroutine
+// (iter.Pull) that only Run's loop resumes, so exactly one executes at a
+// time: the scheduler always resumes the entity with the smallest virtual
+// clock, and runs are bit-reproducible regardless of host parallelism. Each
+// core has its own cycle clock; wall-clock time is the maximum over cores,
+// CPU time is the sum of busy cycles.
 //
 // Threads advance time explicitly by calling Tick with a cycle cost. A
 // thread may run at most SkewQuantum cycles past the rest of the system
@@ -18,6 +26,8 @@ package sim
 
 import (
 	"fmt"
+	"iter"
+	"runtime/debug"
 	"sort"
 	"strings"
 )
@@ -90,8 +100,12 @@ type Thread struct {
 	core     *core
 	state    State
 
-	resume chan struct{}
-	fn     func(*Thread)
+	fn func(*Thread)
+	// resume runs the thread's coroutine until it parks or returns; the
+	// Run loop creates it on the thread's first dispatch. park, called
+	// only inside the coroutine, suspends the thread back to that loop.
+	resume func() (struct{}, bool)
+	park   func(struct{}) bool
 
 	readyAt    uint64 // wake time carried from waker
 	wakeAt     uint64 // sleep deadline
@@ -104,7 +118,6 @@ type Thread struct {
 	poll        func(*Thread)
 
 	blockedOn *Event
-	started   bool
 }
 
 // ClockObserver receives every core-clock advance as it happens. Busy is
@@ -122,10 +135,10 @@ type Thread struct {
 // therefore the instant at which a time-series sample boundary is
 // noticed within a slice — is coarser than one call per Tick.
 //
-// Callbacks run synchronously on the simulated thread's goroutine while it
-// holds the engine (exactly one runs at a time), so observers need no
-// locking and see a deterministic call order. They must not call back into
-// the engine (no Tick, no blocking).
+// Callbacks run synchronously, from the running thread or the Run loop
+// (exactly one runs at a time), so observers need no locking and see a
+// deterministic call order. They must not call back into the engine (no
+// Tick, no blocking).
 type ClockObserver interface {
 	Busy(core, thread int, cycles uint64)
 	Idle(core int, cycles uint64)
@@ -137,7 +150,6 @@ type Engine struct {
 	cfg     Config
 	cores   []core
 	threads []*Thread
-	schedCh chan *Thread
 	current *Thread
 	running bool
 	obs     ClockObserver
@@ -150,10 +162,11 @@ type Engine struct {
 	pendThread int
 	pendBusy   uint64
 
-	// classic selects the original channel-per-slice scheduler (Run's
-	// loop, dispatch, yield's channel round-trip, immediate observer
-	// delivery). It is the reference the inline scheduler is verified
-	// against, switched on only by this package's tests.
+	// classic selects the reference scheduler the production one is
+	// verified against, switched on only by this package's tests. It
+	// differs in three ways only: it chooses with nextEntity's full scan,
+	// parks to the Run loop at every yield, and delivers every observer
+	// charge immediately.
 	classic bool
 }
 
@@ -169,7 +182,7 @@ func New(cfg Config) *Engine {
 	if cfg.SkewQuantum == 0 || cfg.OSQuantum == 0 {
 		panic("sim: quanta must be positive")
 	}
-	e := &Engine{cfg: cfg, schedCh: make(chan *Thread)}
+	e := &Engine{cfg: cfg}
 	e.cores = make([]core, cfg.Cores)
 	for i := range e.cores {
 		e.cores[i].id = i
@@ -201,7 +214,6 @@ func (e *Engine) Spawn(name string, affinity []int, fn func(*Thread)) *Thread {
 		eng:      e,
 		affinity: append([]int(nil), affinity...),
 		state:    Ready,
-		resume:   make(chan struct{}),
 		fn:       fn,
 	}
 	if e.current != nil {
@@ -281,33 +293,51 @@ func (e *Engine) nextEntity() *Thread {
 
 // Run executes the simulation until every thread finishes. It returns an
 // error describing a deadlock if blocked threads remain with nothing
-// runnable.
+// runnable. Its loop is the only place a thread is resumed: each
+// iteration picks the next entity, places it, and runs its coroutine until
+// the thread parks or returns. A panic in a simulated thread propagates
+// out of Run in the caller's goroutine, naming the thread and carrying its
+// stack; a runtime.Goexit propagates unchanged. At deadlock the blocked
+// threads' coroutines stay parked for good.
 func (e *Engine) Run() error {
 	if e.running {
 		panic("sim: Run reentered")
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	if !e.classic {
-		return e.runFast()
-	}
-	// The classic scheduler: every scheduling point is a round-trip
-	// through this loop.
 	for {
-		th := e.nextEntity()
+		th := e.pick()
 		if th == nil {
+			e.flushObs()
 			if e.allFinished() {
 				return nil
 			}
 			return e.deadlockError()
 		}
-		if th.state == Sleeping {
-			th.state = Ready
-			th.readyAt = th.wakeAt
-			e.enqueue(th)
-			continue
+		e.place(th)
+		if th.resume == nil {
+			th.resume, _ = iter.Pull(th.body)
 		}
-		e.dispatch(th)
+		th.resume()
+		e.current = nil
+	}
+}
+
+// pick makes the dispatch decision: pickNext, or under the classic
+// scheduler nextEntity's scan, which wakes a winning sleeper onto a run
+// queue and chooses again.
+func (e *Engine) pick() *Thread {
+	if !e.classic {
+		return e.pickNext()
+	}
+	for {
+		th := e.nextEntity()
+		if th == nil || th.state != Sleeping {
+			return th
+		}
+		th.state = Ready
+		th.readyAt = th.wakeAt
+		e.enqueue(th)
 	}
 }
 
@@ -357,63 +387,45 @@ func (e *Engine) place(th *Thread) {
 	e.current = th
 }
 
-// start launches th's goroutine, parked until its first resume. On return
-// (or abnormal exit: a panic unwinding through the frame, or
-// runtime.Goexit from testing's FailNow) the thread is marked finished and
-// control handed to the scheduler so the engine does not hang; a panic
-// still propagates after the handoff.
-func (e *Engine) start(th *Thread) {
-	th.started = true
-	go func() {
-		<-th.resume
-		normal := false
-		defer func() {
-			if !normal {
-				th.state = Finished
-				e.finish(th)
-			}
-		}()
-		th.fn(th)
-		normal = true
-		th.state = Finished
-		e.finish(th)
+// body is th's coroutine: the thread function, then the end of the
+// thread. iter.Pull re-raises a panic in the Run loop, whose stack shows
+// nothing of the thread, so the panic is re-raised here first with the
+// thread's name and its own stack. recover returns nil for a Goexit,
+// which passes through unchanged.
+func (th *Thread) body(park func(struct{}) bool) {
+	th.park = park
+	defer func() {
+		if r := recover(); r != nil {
+			panic(fmt.Sprintf("sim: thread %s panicked: %v\n\n%s", th.name, r, debug.Stack()))
+		}
 	}()
+	th.fn(th)
+	th.state = Finished
+	th.eng.flushObs()
 }
 
-// finish hands control onward after th's function returned: the dying
-// goroutine schedules the next entity directly (the classic scheduler
-// wakes its Run loop instead).
-func (e *Engine) finish(th *Thread) {
-	if e.classic {
-		e.schedCh <- th
-		return
-	}
-	e.finishFast(th)
-}
-
-// dispatch runs th until it yields (slice expiry, block, sleep or finish);
-// classic scheduler only.
-func (e *Engine) dispatch(th *Thread) {
-	e.place(th)
-	if !th.started {
-		e.start(th)
-	}
-	th.resume <- struct{}{}
-	<-e.schedCh
-	e.current = nil
-}
-
-// yield transfers control back to the scheduler and waits to be resumed.
+// yield is the scheduling point. The caller has already recorded the
+// thread's new state (requeued Ready, Sleeping, or Blocked). While the
+// thread is still the globally-minimal entity it continues in place
+// (run-to-block: no switch at all); otherwise it parks, and the Run loop
+// dispatches the winner, which it recomputes to the same thread. The
+// classic scheduler parks at every yield.
 func (th *Thread) yield() {
-	if !th.eng.classic {
-		th.yieldFast()
-		return
-	}
+	e := th.eng
+	e.flushObs() // pending busy belongs to th; deliver before scheduling
 	if c := th.core.clock; c > th.lastClock {
 		th.lastClock = c
 	}
-	th.eng.schedCh <- th
-	<-th.resume
+	if !e.classic {
+		if th.state == Sleeping {
+			e.pushSleeper(th)
+		}
+		if e.pickNext() == th {
+			e.place(th)
+			return
+		}
+	}
+	th.park(struct{}{})
 }
 
 // Tick charges cycles of work to the calling thread's core. It is the only

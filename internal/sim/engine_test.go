@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -181,6 +182,70 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 }
 
+// explodeAfterTick panics once it has been rotated out and resumed; its
+// name must appear in the stack the panic carries out of Run.
+func explodeAfterTick(th *Thread) {
+	th.Tick(cfg().SkewQuantum)
+	panic("boom")
+}
+
+// TestThreadPanicSurfacesFromRun pins that a panicking simulated thread
+// makes Run panic in its caller's goroutine, where a recover (the
+// experiment pool's, say) turns it into a failed job, and that the value
+// names the thread and carries the thread's own stack.
+func TestThreadPanicSurfacesFromRun(t *testing.T) {
+	for _, s := range schedulers {
+		t.Run(s.name, func(t *testing.T) {
+			e := s.new(cfg())
+			e.Spawn("bystander", []int{1}, func(th *Thread) {
+				for i := 0; i < 100; i++ {
+					th.Tick(1_000)
+				}
+			})
+			e.Spawn("exploder", []int{0}, explodeAfterTick)
+			var r any
+			func() {
+				defer func() { r = recover() }()
+				e.Run()
+			}()
+			if r == nil {
+				t.Fatal("Run returned; want the thread's panic")
+			}
+			msg, _ := r.(string)
+			for _, want := range []string{"exploder", "boom", "sim.explodeAfterTick"} {
+				if !strings.Contains(msg, want) {
+					t.Errorf("panic value lacks %q:\n%v", want, r)
+				}
+			}
+		})
+	}
+}
+
+// TestThreadGoexitSurfacesFromRun pins that runtime.Goexit in a thread
+// (testing's FailNow, say) ends the goroutine that called Run.
+func TestThreadGoexitSurfacesFromRun(t *testing.T) {
+	for _, s := range schedulers {
+		t.Run(s.name, func(t *testing.T) {
+			e := s.new(cfg())
+			e.Spawn("quitter", []int{0}, func(th *Thread) {
+				th.Tick(1)
+				runtime.Goexit()
+			})
+			returned := false
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				e.Run()
+				returned = true
+			}()
+			<-done
+			if returned {
+				t.Fatal("Run returned after its thread called Goexit")
+			}
+		})
+	}
+}
+
 func TestInterruptPollRunsAtSafepoint(t *testing.T) {
 	e := New(cfg())
 	polled := uint64(0)
@@ -341,8 +406,8 @@ func BenchmarkHandoff(b *testing.B) {
 
 // BenchmarkSliceExpiry is the solo-thread slice-expiry regime: every tick
 // ends an engine slice, but the thread is always still the minimal entity.
-// The inline scheduler continues with no goroutine handoff; the classic
-// one pays two channel round-trips per slice.
+// The production scheduler continues in place with no switch; the
+// classic one parks to the Run loop and is resumed at every slice.
 func BenchmarkSliceExpiry(b *testing.B) {
 	benchEngines(b, func(b *testing.B, newEngine func(Config) *Engine) {
 		c := DefaultConfig()
@@ -363,8 +428,8 @@ func BenchmarkSliceExpiry(b *testing.B) {
 
 // BenchmarkSleepFleet is the open-loop fleet regime: many threads, each
 // mostly asleep, waking briefly in an interleaved order. Dominated by
-// sleeper selection (classic: an all-threads scan per dispatch; inline: a
-// heap) and wake handoffs (classic: two round-trips; inline: one, direct).
+// sleeper selection (classic: an all-threads scan per dispatch;
+// production: a heap) and the coroutine switches of each wake.
 func BenchmarkSleepFleet(b *testing.B) {
 	benchEngines(b, func(b *testing.B, newEngine func(Config) *Engine) {
 		c := DefaultConfig()

@@ -8,9 +8,10 @@ import (
 	"testing"
 )
 
-// newClassic builds an engine running the classic channel-per-slice
-// scheduler: the implementation the inline scheduler replaced, kept as
-// the reference every differential in this package checks it against.
+// newClassic builds an engine running the classic scheduler: a full scan
+// of every thread per dispatch, a park to the Run loop at every yield and
+// immediate observer delivery. It is the reference every differential in
+// this package checks the production scheduler against.
 func newClassic(cfg Config) *Engine {
 	e := New(cfg)
 	e.classic = true

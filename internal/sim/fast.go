@@ -1,50 +1,14 @@
-// The scheduler: dispatch decisions executed inline on the running
-// thread's goroutine.
-//
-// The classic scheduler this replaced (Run's loop in engine.go, kept as
-// the reference this package's tests check the inline one against) pays
-// two channel round-trips per scheduling point (yielder → Run loop →
-// next thread) and rescans every thread for sleepers on each dispatch.
-// Here the yielding thread runs the scheduler itself: when it remains the
-// globally-minimal entity it simply continues — zero handoffs for a solo
-// thread's slice expiries and sleeps — and when another thread must run
-// it resumes that thread directly, halving the remaining round-trips.
-// Sleepers live in a min-heap keyed (wakeAt, id) instead of being found
-// by scanning e.threads, and ClockObserver Busy deliveries for
-// consecutive work by the same thread are coalesced into one call,
+// What the production scheduler adds over the classic reference: a
+// sleeper min-heap keyed (wakeAt, id), so a dispatch decision need not
+// scan e.threads for sleepers, and coalescing of ClockObserver Busy
+// deliveries for consecutive work by the same thread into one call,
 // flushed at every scheduling point (and by Engine.FlushClock) so the
 // per-core busy + idle == clock conservation invariant holds exactly.
 //
 // Every dispatch decision and engine-state mutation is identical to the
 // classic scheduler's, so simulated results are bit-identical; this
-// package's equivalence tests pin that. The Run loop still exists, but
-// only to bootstrap the first dispatch and to adjudicate
-// termination/deadlock when a scheduling point finds nothing runnable.
+// package's equivalence tests pin that.
 package sim
-
-// runFast is the Run loop. After each dispatch it parks on
-// schedCh; control only returns here when a scheduling point found no
-// runnable entity (termination or deadlock) — thread-to-thread handoffs
-// bypass the loop entirely.
-func (e *Engine) runFast() error {
-	for {
-		th := e.pickNext()
-		if th == nil {
-			e.flushObs()
-			if e.allFinished() {
-				return nil
-			}
-			return e.deadlockError()
-		}
-		e.place(th)
-		if !th.started {
-			e.start(th)
-		}
-		th.resume <- struct{}{}
-		<-e.schedCh
-		e.current = nil
-	}
-}
 
 // pickNext makes the classic scheduler's dispatch decision with the
 // sleeper heap: each core's queue head is considered (FIFO per core,
@@ -88,60 +52,6 @@ func (e *Engine) pickNext() *Thread {
 		best.readyAt = best.wakeAt
 		e.enqueue(best)
 	}
-}
-
-// yieldFast is the scheduling point. The caller has already
-// recorded the thread's new state (requeued Ready, Sleeping, or Blocked);
-// here the thread runs the scheduler inline: continue in place if it is
-// still the globally-minimal entity, hand off directly to the winner
-// otherwise, or wake the Run loop when nothing is runnable.
-func (th *Thread) yieldFast() {
-	e := th.eng
-	e.flushObs() // pending busy belongs to th; deliver before scheduling
-	if c := th.core.clock; c > th.lastClock {
-		th.lastClock = c
-	}
-	if th.state == Sleeping {
-		e.pushSleeper(th)
-	}
-	next := e.pickNext()
-	if next == th {
-		// Run-to-block: th remains the unique minimal entity, so it keeps
-		// executing with no goroutine handoff at all.
-		e.place(th)
-		return
-	}
-	if next == nil {
-		// Deadlock: adjudicated by the Run loop, exactly as when a classic
-		// scheduler's yield returns control there. This goroutine parks forever, like
-		// any blocked thread at deadlock.
-		e.schedCh <- th
-		<-th.resume
-		return
-	}
-	e.place(next)
-	if !next.started {
-		e.start(next)
-	}
-	next.resume <- struct{}{} // direct handoff: one round-trip, not two
-	<-th.resume
-}
-
-// finishFast is the end-of-thread scheduling point: the
-// dying goroutine dispatches the next entity directly, or wakes the Run
-// loop to decide termination versus deadlock.
-func (e *Engine) finishFast(th *Thread) {
-	e.flushObs()
-	next := e.pickNext()
-	if next == nil {
-		e.schedCh <- th
-		return
-	}
-	e.place(next)
-	if !next.started {
-		e.start(next)
-	}
-	next.resume <- struct{}{}
 }
 
 // pushSleeper adds th to the sleeper min-heap, ordered by (wakeAt, id).
