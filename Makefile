@@ -13,7 +13,7 @@ RACE_PKGS = ./internal/bus ./internal/ca ./internal/dist/netfault \
             ./internal/trace ./internal/vm ./internal/workload/heapscale
 
 .PHONY: all fmt build vet test race verify flake chaos sweep-bench \
-        fleet-smoke hostbench-smoke bench-test
+        fleet-smoke hostbench-smoke bench-test fuzz
 
 all: verify
 
@@ -48,6 +48,14 @@ verify: fmt build vet test race
 flake:
 	$(GO) test -count=5 ./internal/dist
 	$(GO) test -count=5 -short ./internal/expt
+
+# fuzz: a short run of the capability-storage fuzzer. FuzzCapStorage
+# (internal/tmem) drives a bank of frames through random capability
+# stores, data stores, tag clears, copies, frees and sweeps, checked
+# against a flat model; go test runs only its seed inputs, this target
+# searches beyond them for 10 s.
+fuzz:
+	$(GO) test ./internal/tmem -run '^$$' -fuzz '^FuzzCapStorage$$' -fuzztime 10s
 
 # chaos: a strict fault-injection smoke campaign against Reloaded. Every
 # protocol-subverting class must be flagged by the soundness oracle and

@@ -37,13 +37,14 @@ var (
 
 // slab serves one size class from a 64 KiB span.
 type slab struct {
-	class    int
-	base     uint64
-	capacity int
-	used     int
-	free     []uint64 // LIFO free list of object addresses
-	next     uint64   // bump pointer for never-used space
-	live     map[uint64]bool
+	class int
+	base  uint64
+	used  int
+	free  []uint64 // LIFO free list of object addresses
+	next  uint64   // bump pointer for never-used space
+	// live has bit i set while the object in slot i, at base +
+	// i*ClassSize(class), is allocated.
+	live []uint64
 	// inPartial tracks membership in the owner's partial list, preventing
 	// duplicate entries (a slab that filled while buried in the list and
 	// later frees an object would otherwise be appended a second time,
@@ -58,8 +59,10 @@ type chunk struct {
 	root  ca.Capability
 	// bump is the offset of the next uncarved byte (starts after metadata).
 	bump uint64
-	// slabs maps span base offsets to slabs (for small classes).
-	slabs map[uint64]*slab
+	// slabs holds the slab carved from each SlabSize span of the chunk,
+	// indexed by span (nil where no slab is: span 0, which holds the
+	// metadata page, and spans given to medium allocations or freed).
+	slabs [chunkSize / SlabSize]*slab
 	// mediumLive maps live medium allocation addresses to sizes.
 	mediumLive map[uint64]uint64
 	// mediumFree holds freed medium extents keyed by size.
@@ -67,6 +70,11 @@ type chunk struct {
 	// freeSpans holds slab-sized spans reclaimed from emptied slabs,
 	// available to back a new slab of any size class.
 	freeSpans []uint64
+}
+
+// slabAt returns the slab whose span contains addr, or nil.
+func (c *chunk) slabAt(addr uint64) *slab {
+	return c.slabs[(addr-c.res.Base)/SlabSize]
 }
 
 // metaVA returns the metadata address charged for bookkeeping touching the
@@ -205,7 +213,7 @@ func (a *Allocator) alloc(size uint64) (ca.Capability, error) {
 			s.next += ClassSize(cl)
 		}
 		s.used++
-		s.live[addr] = true
+		s.setLive((addr-s.base)/ClassSize(cl), true)
 		root = ch.root
 		// Touch the slab's metadata line.
 		th.Work(th.P.M.Bus.Access(th.Sim.CoreID(), ch.metaVA(addr), th.Agent, true))
@@ -255,9 +263,38 @@ func (a *Allocator) colorAt(addr uint64) uint8 {
 	return a.th.P.M.Phys.ColorOf(pte.Frame, g)
 }
 
+// newSlab returns an empty slab of class cl over the span at base, already
+// on its owner's partial list.
+func newSlab(cl int, base uint64) *slab {
+	slots := SlabSize / ClassSize(cl)
+	return &slab{
+		class:     cl,
+		base:      base,
+		next:      base,
+		live:      make([]uint64, (slots+63)/64),
+		inPartial: true,
+	}
+}
+
 // hasSpace reports whether the slab can serve another object.
 func (s *slab) hasSpace() bool {
 	return len(s.free) > 0 || s.next+ClassSize(s.class) <= s.base+SlabSize
+}
+
+// isLive reports whether the object in slot i is allocated. A slot past
+// the slab's last whole object never is: its bit is never set, or lies
+// past the bitmap.
+func (s *slab) isLive(i uint64) bool {
+	return i/64 < uint64(len(s.live)) && s.live[i/64]&(1<<(i%64)) != 0
+}
+
+// setLive marks the object in slot i allocated or free.
+func (s *slab) setLive(i uint64, on bool) {
+	if on {
+		s.live[i/64] |= 1 << (i % 64)
+	} else {
+		s.live[i/64] &^= 1 << (i % 64)
+	}
 }
 
 // slabFor returns a slab with space for class cl, carving a new one as
@@ -282,15 +319,8 @@ func (a *Allocator) slabFor(cl int) (*slab, *chunk, error) {
 		}
 		base := ch.freeSpans[len(ch.freeSpans)-1]
 		ch.freeSpans = ch.freeSpans[:len(ch.freeSpans)-1]
-		s := &slab{
-			class:     cl,
-			base:      base,
-			capacity:  int(SlabSize / ClassSize(cl)),
-			next:      base,
-			live:      make(map[uint64]bool),
-			inPartial: true,
-		}
-		ch.slabs[base-ch.res.Base] = s
+		s := newSlab(cl, base)
+		ch.slabs[(base-ch.res.Base)/SlabSize] = s
 		a.partial[cl] = append(a.partial[cl], s)
 		a.th.Work(200)
 		return s, ch, nil
@@ -299,15 +329,8 @@ func (a *Allocator) slabFor(cl int) (*slab, *chunk, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	s := &slab{
-		class:     cl,
-		base:      ch.res.Base + off,
-		capacity:  int(SlabSize / ClassSize(cl)),
-		next:      ch.res.Base + off,
-		live:      make(map[uint64]bool),
-		inPartial: true,
-	}
-	ch.slabs[off] = s
+	s := newSlab(cl, ch.res.Base+off)
+	ch.slabs[off/SlabSize] = s
 	a.partial[cl] = append(a.partial[cl], s)
 	// Initialize slab metadata.
 	a.th.Work(200)
@@ -339,7 +362,6 @@ func (a *Allocator) carve(size, align uint64) (*chunk, uint64, error) {
 		res:        res,
 		root:       res.Root,
 		bump:       vm.PageSize, // first page is metadata
-		slabs:      make(map[uint64]*slab),
 		mediumLive: make(map[uint64]uint64),
 		mediumFree: make(map[uint64][]uint64),
 	}
@@ -427,11 +449,10 @@ func (h *Heap) Lookup(addr uint64) (uint64, uint64, bool) {
 	if l != nil {
 		return l.res.Base, l.size, true
 	}
-	off := addr - ch.res.Base
-	if s, ok := ch.slabs[off/SlabSize*SlabSize]; ok {
-		base := s.base + (addr-s.base)/ClassSize(s.class)*ClassSize(s.class)
-		if s.live[base] {
-			return base, ClassSize(s.class), true
+	if s := ch.slabAt(addr); s != nil {
+		size := ClassSize(s.class)
+		if i := (addr - s.base) / size; s.isLive(i) {
+			return s.base + i*size, size, true
 		}
 		return 0, 0, false
 	}
@@ -509,7 +530,7 @@ func (h *Heap) Release(th *kernel.Thread, base, size uint64) error {
 
 // reclaimSlab removes an emptied slab and recycles its span.
 func (a *Allocator) reclaimSlab(ch *chunk, s *slab) {
-	delete(ch.slabs, s.base-ch.res.Base)
+	ch.slabs[(s.base-ch.res.Base)/SlabSize] = nil
 	kept := a.partial[s.class][:0]
 	for _, ps := range a.partial[s.class] {
 		if ps != s {
@@ -552,15 +573,16 @@ func (a *Allocator) release(base, size uint64) error {
 		if _, _, err := th.Munmap(l.res.Base, l.res.Length); err != nil {
 			return err
 		}
-	case ch.slabs[(base-ch.res.Base)/SlabSize*SlabSize] != nil:
-		s := ch.slabs[(base-ch.res.Base)/SlabSize*SlabSize]
-		if !s.live[base] {
+	case ch.slabAt(base) != nil:
+		s := ch.slabAt(base)
+		// A misaligned base names no object, so it reads as a double free
+		// (Free has already turned interior pointers into ErrWildFree).
+		size := ClassSize(s.class)
+		i := (base - s.base) / size
+		if (base-s.base)%size != 0 || !s.isLive(i) {
 			return ErrDoubleFree
 		}
-		if (base-s.base)%ClassSize(s.class) != 0 {
-			return ErrWildFree
-		}
-		delete(s.live, base)
+		s.setLive(i, false)
 		s.used--
 		s.free = append(s.free, base)
 		if !s.inPartial {

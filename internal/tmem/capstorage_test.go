@@ -1,0 +1,294 @@
+package tmem
+
+import (
+	"math/bits"
+	"runtime"
+	"testing"
+
+	"repro/internal/ca"
+)
+
+// flatFrame is the reference model of one frame's capability storage: the
+// tag bitmap and a capability slot for every granule of the page.
+type flatFrame struct {
+	tags [tagWords]uint64
+	caps [GranulesPerPage]ca.Capability
+}
+
+func (m *flatFrame) tagged(g int) bool { return m.tags[g>>6]&(1<<(uint(g)&63)) != 0 }
+
+func (m *flatFrame) load(g int) ca.Capability {
+	if !m.tagged(g) {
+		return ca.Null(0)
+	}
+	return m.caps[g]
+}
+
+// capBank drives a Phys bank and its flat model through the same
+// operations and reports the first disagreement.
+type capBank struct {
+	t      *testing.T
+	p      *Phys
+	ids    []FrameID
+	model  []flatFrame
+	stores uint64 // distinct value counter: store k holds base k*GranuleSize
+}
+
+func newCapBank(t *testing.T, frames int) *capBank {
+	b := &capBank{t: t, p: NewPhys(frames), model: make([]flatFrame, frames)}
+	for i := 0; i < frames; i++ {
+		b.ids = append(b.ids, mustAlloc(t, b.p))
+	}
+	return b
+}
+
+// value returns the capability of store k; its base encodes k, so any bit
+// of k can serve as a revocation or filter predicate.
+func value(k uint64) ca.Capability {
+	return ca.NewRoot(k*ca.GranuleSize, ca.GranuleSize, ca.PermsData)
+}
+
+func valueBit(c ca.Capability, bit uint) bool {
+	return (c.Base()/ca.GranuleSize)>>bit&1 != 0
+}
+
+func (b *capBank) storeCap(i, g int, tagged bool) {
+	b.stores++
+	c := value(b.stores)
+	if !tagged {
+		c = c.ClearTag()
+	}
+	b.p.StoreCap(b.ids[i], g, c)
+	m := &b.model[i]
+	if tagged {
+		m.tags[g>>6] |= 1 << (uint(g) & 63)
+		m.caps[g] = c
+	} else {
+		m.tags[g>>6] &^= 1 << (uint(g) & 63)
+	}
+}
+
+func (b *capBank) storeData(i, g, n int) {
+	b.p.StoreData(b.ids[i], g, n)
+	for j := g; j < g+n; j++ {
+		b.model[i].tags[j>>6] &^= 1 << (uint(j) & 63)
+	}
+}
+
+func (b *capBank) clearTag(i, g int) {
+	b.p.ClearTag(b.ids[i], g)
+	b.model[i].tags[g>>6] &^= 1 << (uint(g) & 63)
+}
+
+func (b *capBank) copyFrame(dst, src int) {
+	b.p.CopyFrame(b.ids[dst], b.ids[src])
+	b.model[dst] = b.model[src]
+}
+
+func (b *capBank) reuseFrame(i int) {
+	b.p.FreeFrame(b.ids[i])
+	b.ids[i] = mustAlloc(b.t, b.p)
+	b.model[i] = flatFrame{}
+}
+
+// sweep runs one SweepTagsWords pass over frame i that revokes every
+// capability whose value has bit rev set. With hide >= 0 a SweepFilter
+// hides the capabilities whose value has bit hide set, which sends the
+// sweep down its per-granule fallback. The granules and values the
+// callback saw must be the model's tagged granules, ascending, minus the
+// hidden ones.
+func (b *capBank) sweep(i int, rev uint, hide int) {
+	m := &b.model[i]
+	type seen struct {
+		g int
+		c ca.Capability
+	}
+	var want []seen
+	wantRevoked := 0
+	for g := 0; g < GranulesPerPage; g++ {
+		if !m.tagged(g) || (hide >= 0 && valueBit(m.caps[g], uint(hide))) {
+			continue
+		}
+		want = append(want, seen{g, m.caps[g]})
+		if valueBit(m.caps[g], rev) {
+			wantRevoked++
+		}
+	}
+	if hide >= 0 {
+		b.p.SweepFilter = func(_ FrameID, _ int, c ca.Capability) bool { return valueBit(c, uint(hide)) }
+		defer func() { b.p.SweepFilter = nil }()
+	}
+	var got []seen
+	visited, revoked := b.p.SweepTagsWords(b.ids[i], func(cur *SweepCursor, w int, mask uint64, caps *[64]ca.Capability) {
+		for mk := mask; mk != 0; mk &= mk - 1 {
+			bit := bits.TrailingZeros64(mk)
+			c := caps[bit]
+			got = append(got, seen{w*64 + bit, c})
+			if valueBit(c, rev) {
+				cur.Revoke(w*64 + bit)
+			}
+		}
+	})
+	if len(got) != len(want) || visited != len(want) || revoked != wantRevoked {
+		b.t.Fatalf("frame %d sweep: callback saw %d granules, visited=%d revoked=%d; model %d and %d",
+			i, len(got), visited, revoked, len(want), wantRevoked)
+	}
+	for k := range want {
+		if got[k] != want[k] {
+			b.t.Fatalf("frame %d sweep, position %d: callback saw granule %d = %v, model granule %d = %v",
+				i, k, got[k].g, got[k].c, want[k].g, want[k].c)
+		}
+		if valueBit(want[k].c, rev) {
+			m.tags[want[k].g>>6] &^= 1 << (uint(want[k].g) & 63)
+		}
+	}
+}
+
+// check compares every granule of frame i, and its ForEachTag stream,
+// against the model.
+func (b *capBank) check(i int) {
+	m := &b.model[i]
+	id := b.ids[i]
+	for g := 0; g < GranulesPerPage; g++ {
+		if got, want := b.p.LoadCap(id, g), m.load(g); got != want {
+			b.t.Fatalf("frame %d granule %d: LoadCap = %v, model %v", i, g, got, want)
+		}
+	}
+	g0 := 0
+	b.p.ForEachTag(id, func(g int, c ca.Capability) {
+		for ; g0 < g; g0++ {
+			if m.tagged(g0) {
+				b.t.Fatalf("frame %d: ForEachTag skipped tagged granule %d", i, g0)
+			}
+		}
+		if !m.tagged(g) || c != m.caps[g] {
+			b.t.Fatalf("frame %d: ForEachTag gave granule %d = %v, model %v", i, g, c, m.load(g))
+		}
+		g0 = g + 1
+	})
+	for ; g0 < GranulesPerPage; g0++ {
+		if m.tagged(g0) {
+			b.t.Fatalf("frame %d: ForEachTag missed tagged granule %d", i, g0)
+		}
+	}
+}
+
+// fuzzFrames is the size of FuzzCapStorage's bank.
+const fuzzFrames = 12
+
+// FuzzCapStorage decodes its input into capability stores (each with a
+// distinct value), untagged stores, data-store spans, tag clears, frame
+// copies, frame frees with reuse, and sweeps that revoke by one bit of each
+// value, applies them to a bank of frames and to a flat model (tag words
+// and a whole page of values per frame), and requires the two to agree:
+// LoadCap on the touched frame after every operation, the values every
+// sweep callback saw, and at the end every granule and ForEachTag stream
+// of every frame.
+func FuzzCapStorage(f *testing.F) {
+	// Each operation is four bytes: opcode, frame, granule, argument.
+	f.Add([]byte{0, 0, 3, 0, 0, 0, 200, 0, 5, 0, 0, 2})
+	f.Add([]byte{0, 1, 70, 0, 0, 1, 130, 0, 3, 2, 1, 0, 5, 2, 0, 1, 4, 1, 0, 0, 0, 1, 70, 0})
+	f.Add([]byte{0, 3, 0, 0, 0, 3, 64, 0, 0, 3, 128, 0, 0, 3, 192, 0, 1, 3, 10, 150, 2, 3, 128, 0, 5, 3, 0, 0x80})
+	f.Add([]byte{0, 4, 255, 0, 3, 5, 4, 0, 0, 4, 5, 0, 3, 4, 6, 0, 6, 5, 9, 1, 4, 5, 0, 0, 3, 5, 4, 0})
+	f.Add([]byte{0, 0, 1, 0, 0, 0, 65, 0, 3, 7, 0, 0, 4, 0, 0, 0, 0, 8, 2, 0, 3, 9, 7, 0, 5, 9, 0, 0x83})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b := newCapBank(t, fuzzFrames)
+		for ; len(data) >= 4; data = data[4:] {
+			op, i, g, arg := data[0]%7, int(data[1])%fuzzFrames, int(data[2]), data[3]
+			switch op {
+			case 0, 6:
+				b.storeCap(i, g, op == 0 || arg&1 == 0)
+			case 1:
+				n := 1 + int(arg)%(GranulesPerPage-g)
+				b.storeData(i, g, n)
+			case 2:
+				b.clearTag(i, g)
+			case 3:
+				b.copyFrame(i, int(arg)%fuzzFrames)
+			case 4:
+				b.reuseFrame(i)
+			case 5:
+				hide := -1
+				if arg&0x80 != 0 {
+					hide = int(arg>>3) & 7
+				}
+				b.sweep(i, uint(arg&7), hide)
+			}
+			b.check(i)
+		}
+		for i := range b.ids {
+			b.check(i)
+			b.sweep(i, 0, -1)
+			b.check(i)
+		}
+	})
+}
+
+// blocks counts a frame's capability blocks.
+func blocks(p *Phys, id FrameID) int {
+	n := 0
+	for _, c := range p.frames[id].caps {
+		if c != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestCapStorageFollowsLiveTags pins capability storage to the tag words
+// that hold capabilities: a frame with one capability costs one 64-slot
+// block, not a page of values; a frame with capabilities in every word
+// holds one block per word; and a block freed with its frame serves the
+// next word that needs one without a heap allocation.
+func TestCapStorageFollowsLiveTags(t *testing.T) {
+	const frames = 1024
+	p := NewPhys(frames)
+	ids := make([]FrameID, frames)
+	for i := range ids {
+		ids[i] = mustAlloc(t, p)
+	}
+	c := ca.NewRoot(0x1000, ca.GranuleSize, ca.PermsData)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, id := range ids {
+		p.StoreCap(id, 5, c)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / frames; per >= 3<<10 {
+		t.Errorf("one capability in word 0 allocated %d B per frame, want under 3 KiB", per)
+	}
+	if n := blocks(p, ids[0]); n != 1 {
+		t.Errorf("frame with one tagged word holds %d blocks, want 1", n)
+	}
+
+	full := ids[1]
+	for w := 0; w < tagWords; w++ {
+		p.StoreCap(full, w*64+7, c)
+	}
+	if n := blocks(p, full); n != tagWords {
+		t.Errorf("frame with every word tagged holds %d blocks, want %d", n, tagWords)
+	}
+
+	id := ids[2]
+	for g := 0; g < 64; g++ {
+		p.StoreCap(id, g, c)
+	}
+	old := p.frames[id].caps[0]
+	allocs := testing.AllocsPerRun(100, func() {
+		p.FreeFrame(id)
+		id, _ = p.AllocFrame()
+		p.StoreCap(id, 5, c)
+	})
+	if allocs != 0 {
+		t.Errorf("a store into a reused frame made %v heap allocations, want 0", allocs)
+	}
+	if p.frames[id].caps[0] != old {
+		t.Error("the reused frame's store did not take the recycled block")
+	}
+	for g := 0; g < 64; g++ {
+		if got := p.LoadCap(id, g); got.Tag() != (g == 5) {
+			t.Errorf("granule %d of the recycled block loads %v", g, got)
+		}
+	}
+}

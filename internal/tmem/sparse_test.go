@@ -223,9 +223,10 @@ func TestTaggedFrameWalkSurvivesFrameTableGrowth(t *testing.T) {
 }
 
 // TestCapsRecyclingInvisible pins the tag-guard argument that makes dirty
-// capability-array recycling safe: a frame that inherits a freed frame's
-// array must read as entirely untagged data until it stores its own
-// capabilities.
+// capability-block recycling safe: a frame reusing a freed frame's storage
+// must read as entirely untagged data until it stores its own
+// capabilities. (TestCapStorageFollowsLiveTags checks the stale slots of a
+// block that a store has taken from the recycling list.)
 func TestCapsRecyclingInvisible(t *testing.T) {
 	p := NewPhys(64)
 	a := mustAlloc(t, p)

@@ -32,10 +32,13 @@ type FrameID uint32
 // NoFrame is the sentinel for "no frame".
 const NoFrame FrameID = ^FrameID(0)
 
-// frame is the per-frame storage. Capability and color arrays are allocated
-// lazily: most frames never hold a capability. refs counts the address
-// spaces sharing the frame (copy-on-write fork); it is 1 for private
-// frames.
+// frame is the per-frame storage. Capability values live in one 64-slot
+// block per tag word, allocated when the word's first tag is stored, so a
+// frame holding a single capability costs one block rather than a whole
+// page of values; most frames never hold a capability and cost none. A set
+// bit in tags[w] implies caps[w] != nil. The color array is allocated
+// lazily too. refs counts the address spaces sharing the frame
+// (copy-on-write fork); it is 1 for private frames.
 //
 // summary is a one-bit-per-tag-word digest of tags: bit w is set iff
 // tags[w] != 0. Every tag mutation maintains it (via setTag/clearTag), so
@@ -46,7 +49,7 @@ const NoFrame FrameID = ^FrameID(0)
 type frame struct {
 	tags    [tagWords]uint64
 	summary uint8
-	caps    *[GranulesPerPage]ca.Capability
+	caps    [tagWords]*[64]ca.Capability
 	colors  *[GranulesPerPage]uint8
 	refs    int32
 	inUse   bool
@@ -101,12 +104,12 @@ type Phys struct {
 	regionSum    []uint64 // bit g%64 set iff groupSum[g] != 0
 	taggedFrames int
 
-	// capsFree recycles capability arrays of freed frames. A recycled
-	// array is handed out without zeroing: every read of caps is guarded
-	// by the granule's tag bit (LoadCap, SweepTags, ForEachTag), and a
-	// fresh frame starts with all tags clear, so stale values are
-	// unobservable.
-	capsFree []*[GranulesPerPage]ca.Capability
+	// capsFree recycles the capability blocks of freed frames and of
+	// copy destinations. A recycled block is handed out without zeroing:
+	// every read of a block is guarded by the granule's tag bit (LoadCap,
+	// SweepTags, ForEachTag, the SweepTagsWords mask), and a block joins a
+	// word whose tags are all clear, so stale values are unobservable.
+	capsFree []*[64]ca.Capability
 
 	// SweepFilter, when non-nil, is consulted for every tagged granule a
 	// SweepTags scan visits; returning true hides the granule from that
@@ -143,20 +146,20 @@ func (p *Phys) unmarkTagged(id FrameID) {
 	p.taggedFrames--
 }
 
-// newCaps returns a capability array for a frame, recycling a freed
-// frame's array when one is available (see capsFree).
-func (p *Phys) newCaps() *[GranulesPerPage]ca.Capability {
+// newCaps returns a capability block for one tag word, recycling a freed
+// block when one is available (see capsFree).
+func (p *Phys) newCaps() *[64]ca.Capability {
 	if n := len(p.capsFree); n > 0 {
 		c := p.capsFree[n-1]
 		p.capsFree[n-1] = nil
 		p.capsFree = p.capsFree[:n-1]
 		return c
 	}
-	return new([GranulesPerPage]ca.Capability)
+	return new([64]ca.Capability)
 }
 
-// recycleCaps returns a no-longer-referenced capability array to the pool.
-func (p *Phys) recycleCaps(c *[GranulesPerPage]ca.Capability) {
+// recycleCaps returns a no-longer-referenced capability block to the pool.
+func (p *Phys) recycleCaps(c *[64]ca.Capability) {
 	if c != nil {
 		p.capsFree = append(p.capsFree, c)
 	}
@@ -186,7 +189,7 @@ func (p *Phys) AllocFrame() (FrameID, error) {
 	f := p.frames[id]
 	f.tags = [tagWords]uint64{}
 	f.summary = 0
-	f.caps = nil
+	f.caps = [tagWords]*[64]ca.Capability{}
 	f.colors = nil
 	f.refs = 1
 	f.inUse = true
@@ -215,8 +218,10 @@ func (p *Phys) FreeFrame(id FrameID) {
 	f.inUse = false
 	f.tags = [tagWords]uint64{}
 	f.summary = 0
-	p.recycleCaps(f.caps)
-	f.caps = nil
+	for w, c := range f.caps {
+		p.recycleCaps(c)
+		f.caps[w] = nil
+	}
 	f.colors = nil
 	f.refs = 0
 	p.allocated--
@@ -275,10 +280,10 @@ func (p *Phys) loc(id FrameID, g int) (f *frame, w int, m uint64) {
 func (p *Phys) StoreCap(id FrameID, g int, c ca.Capability) {
 	f, w, m := p.loc(id, g)
 	if c.Tag() {
-		if f.caps == nil {
-			f.caps = p.newCaps()
+		if f.caps[w] == nil {
+			f.caps[w] = p.newCaps()
 		}
-		f.caps[g] = c
+		f.caps[w][g&63] = c
 		f.setTag(w, m)
 	} else {
 		f.clearTag(w, m)
@@ -317,10 +322,10 @@ func (p *Phys) StoreData(id FrameID, g, n int) {
 // read as untagged (null-derived) data.
 func (p *Phys) LoadCap(id FrameID, g int) ca.Capability {
 	f, w, m := p.loc(id, g)
-	if f.tags[w]&m == 0 || f.caps == nil {
+	if f.tags[w]&m == 0 {
 		return ca.Null(0)
 	}
-	return f.caps[g]
+	return f.caps[w][g&63]
 }
 
 // TagSet reports whether granule g holds a valid capability.
@@ -362,7 +367,7 @@ func (p *Phys) TagCount(id FrameID) int {
 // revocation sweep.
 func (p *Phys) SweepTags(id FrameID, fn func(g int, c ca.Capability) bool) (visited, revoked int) {
 	f := p.frame(id)
-	if f.caps == nil || f.summary == 0 {
+	if f.summary == 0 {
 		return 0, 0
 	}
 	for w := 0; w < tagWords; w++ {
@@ -374,11 +379,11 @@ func (p *Phys) SweepTags(id FrameID, fn func(g int, c ca.Capability) bool) (visi
 			b := bits.TrailingZeros64(word)
 			word &^= 1 << b
 			g := w*64 + b
-			if p.SweepFilter != nil && p.SweepFilter(id, g, f.caps[g]) {
+			if p.SweepFilter != nil && p.SweepFilter(id, g, f.caps[w][b]) {
 				continue
 			}
 			visited++
-			if fn(g, f.caps[g]) {
+			if fn(g, f.caps[w][b]) {
 				f.clearTag(w, 1<<uint(b))
 				revoked++
 			}
@@ -406,10 +411,11 @@ func (cur *SweepCursor) Revoke(g int) {
 
 // SweepWordFn processes one nonzero tag word of a word-wise sweep: w is
 // the word index within the frame, mask the tag bits snapshotted when the
-// word was reached, and caps the frame's capability array (granule index
-// w*64+bit). The callback must handle every set bit of mask, in ascending
-// bit order, revoking through cur.
-type SweepWordFn func(cur *SweepCursor, w int, mask uint64, caps *[GranulesPerPage]ca.Capability)
+// word was reached, and caps that word's capability block, read at the
+// same moment (bit b of mask is granule w*64+b, whose value is caps[b]).
+// The callback must handle every set bit of mask, in ascending bit order,
+// revoking through cur.
+type SweepWordFn func(cur *SweepCursor, w int, mask uint64, caps *[64]ca.Capability)
 
 // SweepTagsWords is the batch sweep kernel: instead of one callback per
 // tagged granule it hands fn whole nonzero tag words (guided by the frame
@@ -424,15 +430,20 @@ type SweepWordFn func(cur *SweepCursor, w int, mask uint64, caps *[GranulesPerPa
 // and invokes fn with single-bit masks: filter decisions may depend on the
 // simulated cycle at which each granule is reached, so pre-masking a whole
 // word would change what the filter observes.
+//
+// Each word's block is read together with its mask, never captured when
+// the frame's sweep starts: fn may yield virtual time, and an application
+// thread storing the first capability of a later word meanwhile creates
+// that word's block.
 func (p *Phys) SweepTagsWords(id FrameID, fn SweepWordFn) (visited, revoked int) {
 	f := p.frame(id)
-	if f.caps == nil || f.summary == 0 {
+	if f.summary == 0 {
 		return 0, 0
 	}
 	cur := SweepCursor{f: f}
 	if p.SweepFilter != nil {
 		v, _ := p.SweepTags(id, func(g int, _ ca.Capability) bool {
-			fn(&cur, g>>6, 1<<(uint(g)&63), f.caps)
+			fn(&cur, g>>6, 1<<(uint(g)&63), f.caps[g>>6])
 			return false // revocations land through cur.Revoke
 		})
 		return v, cur.revoked
@@ -443,7 +454,7 @@ func (p *Phys) SweepTagsWords(id FrameID, fn SweepWordFn) (visited, revoked int)
 		}
 		mask := f.tags[w]
 		visited += bits.OnesCount64(mask)
-		fn(&cur, w, mask, f.caps)
+		fn(&cur, w, mask, f.caps[w])
 	}
 	return visited, cur.revoked
 }
@@ -454,7 +465,7 @@ func (p *Phys) SweepTagsWords(id FrameID, fn SweepWordFn) (visited, revoked int)
 // truth.
 func (p *Phys) ForEachTag(id FrameID, fn func(g int, c ca.Capability)) {
 	f := p.frame(id)
-	if f.caps == nil || f.summary == 0 {
+	if f.summary == 0 {
 		return
 	}
 	for w := 0; w < tagWords; w++ {
@@ -465,14 +476,14 @@ func (p *Phys) ForEachTag(id FrameID, fn func(g int, c ca.Capability)) {
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
 			word &^= 1 << b
-			g := w*64 + b
-			fn(g, f.caps[g])
+			fn(w*64+b, f.caps[w][b])
 		}
 	}
 }
 
 // CopyFrame copies src's tags, capabilities and colors into dst, as a
-// fork-style address-space clone does.
+// fork-style address-space clone does. dst ends up with a block exactly
+// where src has one; a dst block whose src word has none is recycled.
 func (p *Phys) CopyFrame(dst, src FrameID) {
 	d, sf := p.frame(dst), p.frame(src)
 	had := d.summary != 0
@@ -485,14 +496,16 @@ func (p *Phys) CopyFrame(dst, src FrameID) {
 			p.unmarkTagged(dst)
 		}
 	}
-	if sf.caps != nil {
-		if d.caps == nil {
-			d.caps = p.newCaps()
+	for w, sc := range sf.caps {
+		if sc == nil {
+			p.recycleCaps(d.caps[w])
+			d.caps[w] = nil
+			continue
 		}
-		*d.caps = *sf.caps
-	} else {
-		p.recycleCaps(d.caps)
-		d.caps = nil
+		if d.caps[w] == nil {
+			d.caps[w] = p.newCaps()
+		}
+		*d.caps[w] = *sc
 	}
 	if sf.colors != nil {
 		colors := *sf.colors
