@@ -182,7 +182,7 @@ func (t *Thread) RegCount() int { return len(t.regs) }
 func (t *Thread) translate(va uint64) (pte *vm.PTE, tlbGen uint8, err error) {
 	core := t.Sim.CoreID()
 	costs := t.P.M.Costs
-	if cached, ok := t.P.AS.TLBLookup(core, va); ok {
+	if gen, ok := t.P.AS.TLBLookup(core, va); ok {
 		t.Sim.Tick(costs.TLBHit)
 		live, lok := t.P.AS.Lookup(va)
 		if !lok {
@@ -190,7 +190,7 @@ func (t *Thread) translate(va uint64) (pte *vm.PTE, tlbGen uint8, err error) {
 			// slow path, which will fault.
 			t.P.AS.TLBInvalidate(core, va)
 		} else {
-			return live, cached.Gen, nil
+			return live, gen, nil
 		}
 	}
 	t.Sim.Tick(costs.TLBMiss)

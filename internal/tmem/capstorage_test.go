@@ -227,7 +227,7 @@ func FuzzCapStorage(f *testing.F) {
 // blocks counts a frame's capability blocks.
 func blocks(p *Phys, id FrameID) int {
 	n := 0
-	for _, c := range p.frames[id].caps {
+	for _, c := range p.frame(id).caps {
 		if c != nil {
 			n++
 		}
@@ -274,7 +274,7 @@ func TestCapStorageFollowsLiveTags(t *testing.T) {
 	for g := 0; g < 64; g++ {
 		p.StoreCap(id, g, c)
 	}
-	old := p.frames[id].caps[0]
+	old := p.frame(id).caps[0]
 	allocs := testing.AllocsPerRun(100, func() {
 		p.FreeFrame(id)
 		id, _ = p.AllocFrame()
@@ -283,7 +283,7 @@ func TestCapStorageFollowsLiveTags(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("a store into a reused frame made %v heap allocations, want 0", allocs)
 	}
-	if p.frames[id].caps[0] != old {
+	if p.frame(id).caps[0] != old {
 		t.Error("the reused frame's store did not take the recycled block")
 	}
 	for g := 0; g < 64; g++ {

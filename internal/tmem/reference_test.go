@@ -8,8 +8,8 @@ package tmem
 // scan of the whole frame table checking each frame's summary, O(bank
 // size) where the summary walk is O(live tags).
 func (p *Phys) forEachTaggedFrameFlat(fn func(id FrameID) bool) bool {
-	for i := 0; i < len(p.frames); i++ {
-		f := p.frames[i]
+	for i := 0; i < p.nframes; i++ {
+		f := p.slot(FrameID(i))
 		if f.inUse && f.summary != 0 {
 			if !fn(FrameID(i)) {
 				return false

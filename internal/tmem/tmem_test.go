@@ -214,6 +214,32 @@ func BenchmarkSweepDensePage(b *testing.B) {
 	}
 }
 
+// TestFrameSurvivesChunkGrowth pins the chunked frame table: a *frame
+// taken before the table grows across chunk boundaries still addresses the
+// same frame afterwards, so a write through it is seen by every accessor.
+func TestFrameSurvivesChunkGrowth(t *testing.T) {
+	p := NewPhys(3 * frameChunk)
+	var id FrameID
+	for p.FrameCount() < frameChunk-1 {
+		id = mustAlloc(t, p)
+	}
+	p.StoreCap(id, 3, ca.NewRoot(0x1000, 16, ca.PermsData))
+	f := p.frame(id)
+	for p.FrameCount() < 2*frameChunk+1 {
+		mustAlloc(t, p)
+	}
+	if n := len(p.chunks); n != 3 {
+		t.Fatalf("%d frames fill %d chunks, want 3", p.FrameCount(), n)
+	}
+	if p.frame(id) != f {
+		t.Fatal("frame moved when the table grew")
+	}
+	f.clearTag(0, 1<<3)
+	if p.TagSet(id, 3) || p.HasTags(id) {
+		t.Fatal("a tag clear through the pointer taken before the growth was lost")
+	}
+}
+
 // TestSweepSurvivesFrameTableGrowth pins the stable-frame-pointer
 // guarantee: a sweep caught mid-page by frame-table growth (an app-thread
 // demand map during a virtual-time yield) must not lose its tag clears to

@@ -6,6 +6,12 @@
 // The package is purely functional state: it performs translations and
 // raises faults but charges no cycles. The kernel layer charges costs for
 // TLB misses, PTE updates and fault handling.
+//
+// The page table is a directory of small leaves indexed by vpn, and every
+// core's TLB entry for a page sits in the page's leaf beside its PTE, so a
+// translation is a few array loads, never a map lookup. The TLB has no
+// capacity: an entry leaves only by TLBInvalidate, or by a ShootdownAll
+// whose IPI reached its core.
 package vm
 
 import (
@@ -105,15 +111,38 @@ func (f *Fault) Error() string {
 type PTE struct {
 	Frame tmem.FrameID
 	Bits  PTEBits
-	// Gen is the page's capability load generation bit. A tagged capability
-	// load traps unless Gen equals the loading core's generation (§4.1).
+	// Gen is the page's capability load generation bit, 0 or 1. A tagged
+	// capability load traps unless Gen equals the loading core's generation
+	// (§4.1).
 	Gen uint8
 }
 
-// tlbEntry caches a PTE snapshot, including its generation bit.
-type tlbEntry struct {
-	pte   PTE
-	valid bool
+const (
+	// leafShift is log2 of the number of pages one page-table leaf maps.
+	leafShift = 4
+	// leafPages is the number of pages one leaf maps: 64 KiB of address
+	// space. Leaves this small keep sparse reservations cheap (a
+	// reservation with two resident pages far apart costs two leaves).
+	leafPages = 1 << leafShift
+	// heapBaseVPN is the vpn of HeapBase, which leaf 0 starts at.
+	heapBaseVPN = HeapBase >> PageShift
+	// stampLimit bounds the 31-bit TLB stamps: a core whose stamp reaches
+	// it has its entries cleared and restarts at 1.
+	stampLimit = 1 << 31
+)
+
+// leaf is one page-table leaf: the PTEs of leafPages consecutive pages and
+// every core's TLB entry for each of them. PTEs live in place and a leaf
+// never moves, so a *PTE stays valid for as long as it is held. A slot
+// whose Bits are zero is absent; every present PTE has PTEValid or
+// PTEGuard set.
+type leaf struct {
+	ptes [leafPages]PTE
+	// tlb holds core c's TLB entry for page i at tlb[c<<leafShift|i]: the
+	// cached generation in bit 0 and a shootdown stamp above it. The entry
+	// is valid while its stamp equals the core's current stamp; zero is
+	// never valid.
+	tlb []uint32
 }
 
 // Reservation is a kernel mmap reservation (§6.2): a naturally-padded span
@@ -146,17 +175,24 @@ type Stats struct {
 
 // AddressSpace is one process's virtual memory map.
 type AddressSpace struct {
-	phys  *tmem.Phys
-	pages map[uint64]*PTE // keyed by vpn
-	vpns  []uint64        // sorted; mirrors pages for deterministic sweeps
-	ptes  []*PTE          // parallel to vpns, so page walks skip the map
-	resv  []*Reservation
-	next  uint64 // bump pointer for reservations
+	phys *tmem.Phys
+	// dir is the page table: dir[li] maps the leafPages pages from vpn
+	// heapBaseVPN + li<<leafShift. A leaf is allocated where a page is
+	// first mapped or guarded, and dropped when a released reservation
+	// leaves it with no present PTE and no valid TLB entry. Reservations
+	// come from a bump pointer that only grows, so a released page is
+	// never mapped again.
+	dir  []*leaf
+	resv []*Reservation
+	next uint64 // bump pointer for reservations
 
 	// coreGen is the per-core in-core "capability load generation" control
 	// register value for this address space (§4.1).
 	coreGen []uint8
-	tlbs    []map[uint64]tlbEntry
+	// stamp is each core's TLB stamp, 1 to stampLimit-1. A shootdown that
+	// reaches a core bumps its stamp, which invalidates every entry the
+	// core holds without touching any of them.
+	stamp []uint32
 
 	// OnShootdown, when non-nil, is invoked once per ShootdownAll — vm has
 	// no clock of its own, so the kernel layer hooks this to timestamp and
@@ -184,13 +220,12 @@ const HeapBase = 0x1_0000_0000
 func NewAddressSpace(phys *tmem.Phys, ncores int) *AddressSpace {
 	as := &AddressSpace{
 		phys:    phys,
-		pages:   make(map[uint64]*PTE),
 		next:    HeapBase,
 		coreGen: make([]uint8, ncores),
-		tlbs:    make([]map[uint64]tlbEntry, ncores),
+		stamp:   make([]uint32, ncores),
 	}
-	for i := range as.tlbs {
-		as.tlbs[i] = make(map[uint64]tlbEntry)
+	for i := range as.stamp {
+		as.stamp[i] = 1
 	}
 	return as
 }
@@ -225,32 +260,48 @@ func (as *AddressSpace) Reserve(length uint64, perms ca.Perms) (*Reservation, er
 	return r, nil
 }
 
-// insertVPN keeps the sorted vpn list (and its parallel PTE slice) in
-// sync with the page map. A vpn above the current maximum appends in O(1)
-// — the overwhelmingly common case, since reservations are carved from a
-// monotone bump pointer — so sequential heap growth costs O(pages), not
-// O(pages²); any other vpn takes the copy-shift sorted insert.
-func (as *AddressSpace) insertVPN(vpn uint64, pte *PTE) {
-	if n := len(as.vpns); n == 0 || as.vpns[n-1] < vpn {
-		as.vpns = append(as.vpns, vpn)
-		as.ptes = append(as.ptes, pte)
-		return
+// leafOf returns the leaf mapping vpn, or nil. A vpn below HeapBase wraps
+// past the directory's end and misses.
+func (as *AddressSpace) leafOf(vpn uint64) *leaf {
+	li := (vpn - heapBaseVPN) >> leafShift
+	if li >= uint64(len(as.dir)) {
+		return nil
 	}
-	i := sort.Search(len(as.vpns), func(i int) bool { return as.vpns[i] >= vpn })
-	as.vpns = append(as.vpns, 0)
-	copy(as.vpns[i+1:], as.vpns[i:])
-	as.vpns[i] = vpn
-	as.ptes = append(as.ptes, nil)
-	copy(as.ptes[i+1:], as.ptes[i:])
-	as.ptes[i] = pte
+	return as.dir[li]
 }
 
-func (as *AddressSpace) removeVPN(vpn uint64) {
-	i := sort.Search(len(as.vpns), func(i int) bool { return as.vpns[i] >= vpn })
-	if i < len(as.vpns) && as.vpns[i] == vpn {
-		as.vpns = append(as.vpns[:i], as.vpns[i+1:]...)
-		as.ptes = append(as.ptes[:i], as.ptes[i+1:]...)
+// slot returns vpn's PTE slot, allocating its leaf (and growing the
+// directory) if needed. vpn must lie in a reservation.
+func (as *AddressSpace) slot(vpn uint64) *PTE {
+	li := (vpn - heapBaseVPN) >> leafShift
+	if n := uint64(len(as.dir)); li >= n {
+		as.dir = append(as.dir, make([]*leaf, li+1-n)...)
 	}
+	l := as.dir[li]
+	if l == nil {
+		l = &leaf{tlb: make([]uint32, len(as.stamp)<<leafShift)}
+		as.dir[li] = l
+	}
+	return &l.ptes[vpn&(leafPages-1)]
+}
+
+// idle reports whether leaf l holds no present PTE and no valid TLB entry
+// of any core, so that dropping it changes no translation and no TLB
+// answer.
+func (as *AddressSpace) idle(l *leaf) bool {
+	for i := range l.ptes {
+		if l.ptes[i].Bits != 0 {
+			return false
+		}
+	}
+	for c, s := range as.stamp {
+		for _, v := range l.tlb[c<<leafShift : (c+1)<<leafShift] {
+			if v>>1 == s {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // reservationOf returns the reservation containing va, or nil. The list is
@@ -273,11 +324,13 @@ func (as *AddressSpace) reservationOf(va uint64) *Reservation {
 // (new frame) occurred.
 func (as *AddressSpace) EnsureMapped(va uint64) (*PTE, bool, error) {
 	vpn := va >> PageShift
-	if pte, ok := as.pages[vpn]; ok {
-		if pte.Bits&PTEGuard != 0 {
-			return nil, false, &Fault{Kind: FaultUnmapped, VA: va}
+	if l := as.leafOf(vpn); l != nil {
+		if pte := &l.ptes[vpn&(leafPages-1)]; pte.Bits != 0 {
+			if pte.Bits&PTEGuard != 0 {
+				return nil, false, &Fault{Kind: FaultUnmapped, VA: va}
+			}
+			return pte, false, nil
 		}
-		return pte, false, nil
 	}
 	r := as.reservationOf(va)
 	if r == nil || r.Dead {
@@ -291,7 +344,8 @@ func (as *AddressSpace) EnsureMapped(va uint64) (*PTE, bool, error) {
 	if r.NoCaps {
 		bits &^= PTECapWrite
 	}
-	pte := &PTE{
+	pte := as.slot(vpn)
+	*pte = PTE{
 		Frame: frame,
 		Bits:  bits,
 		// New pages adopt the current generation of core 0's view; all
@@ -299,8 +353,6 @@ func (as *AddressSpace) EnsureMapped(va uint64) (*PTE, bool, error) {
 		// revoker owns generation maintenance for fresh pages.
 		Gen: as.coreGen[0],
 	}
-	as.pages[vpn] = pte
-	as.insertVPN(vpn, pte)
 	as.stats.SoftFaults++
 	as.stats.MappedPages++
 	if as.stats.MappedPages > as.stats.PeakMappedPages {
@@ -311,8 +363,13 @@ func (as *AddressSpace) EnsureMapped(va uint64) (*PTE, bool, error) {
 
 // Lookup returns the PTE for va without materializing anything.
 func (as *AddressSpace) Lookup(va uint64) (*PTE, bool) {
-	pte, ok := as.pages[va>>PageShift]
-	if !ok || pte.Bits&PTEGuard != 0 {
+	vpn := va >> PageShift
+	l := as.leafOf(vpn)
+	if l == nil {
+		return nil, false
+	}
+	pte := &l.ptes[vpn&(leafPages-1)]
+	if pte.Bits == 0 || pte.Bits&PTEGuard != 0 {
 		return nil, false
 	}
 	return pte, true
@@ -334,31 +391,22 @@ func (as *AddressSpace) UnmapRange(va, length uint64) (*Reservation, bool, error
 	start := va >> PageShift
 	end := (va + length + PageSize - 1) >> PageShift
 	for vpn := start; vpn < end; vpn++ {
-		if pte, ok := as.pages[vpn]; ok {
-			if pte.Bits&PTEGuard == 0 {
-				as.phys.FreeFrame(pte.Frame)
-				as.stats.MappedPages--
-			}
-			pte.Bits = PTEGuard
-			pte.Frame = tmem.NoFrame
-		} else {
-			g := &PTE{Frame: tmem.NoFrame, Bits: PTEGuard}
-			as.pages[vpn] = g
-			as.insertVPN(vpn, g)
+		pte := as.slot(vpn)
+		if pte.Bits != 0 && pte.Bits&PTEGuard == 0 {
+			as.phys.FreeFrame(pte.Frame)
+			as.stats.MappedPages--
 		}
+		pte.Bits = PTEGuard
+		pte.Frame = tmem.NoFrame
 	}
 	as.ShootdownAll()
-	// Dead if every page of the reservation is a guard (or never touched
-	// but covered by explicit guards).
+	// Dead if every page of the reservation is a guard (untouched pages
+	// are still mappable).
 	allGone := true
 	for vpn := r.Base >> PageShift; vpn < (r.Base+r.Length)>>PageShift; vpn++ {
-		pte, ok := as.pages[vpn]
-		if ok && pte.Bits&PTEGuard == 0 {
+		l := as.leafOf(vpn)
+		if l == nil || l.ptes[vpn&(leafPages-1)].Bits&PTEGuard == 0 {
 			allGone = false
-			break
-		}
-		if !ok {
-			allGone = false // untouched pages are still mappable
 			break
 		}
 	}
@@ -376,15 +424,23 @@ func (as *AddressSpace) MarkNoCaps(r *Reservation) {
 }
 
 // ReleaseReservation recycles a Dead reservation's guard entries. Only safe
-// after revocation has swept stale capabilities to it.
+// after revocation has swept stale capabilities to it. A leaf left with no
+// present PTE is dropped unless some core still holds a valid TLB entry in
+// it: a core whose shootdown IPI was dropped keeps its stale translations,
+// released pages included, until its next shootdown.
 func (as *AddressSpace) ReleaseReservation(r *Reservation) {
 	if !r.Dead {
 		panic("vm: releasing live reservation")
 	}
-	for vpn := r.Base >> PageShift; vpn < (r.Base+r.Length)>>PageShift; vpn++ {
-		if _, ok := as.pages[vpn]; ok {
-			delete(as.pages, vpn)
-			as.removeVPN(vpn)
+	first, end := r.Base>>PageShift, (r.Base+r.Length)>>PageShift
+	for vpn := first; vpn < end; vpn++ {
+		if l := as.leafOf(vpn); l != nil {
+			l.ptes[vpn&(leafPages-1)].Bits = 0
+		}
+	}
+	for li := (first - heapBaseVPN) >> leafShift; li <= (end-1-heapBaseVPN)>>leafShift; li++ {
+		if l := as.dir[li]; l != nil && as.idle(l) {
+			as.dir[li] = nil
 		}
 	}
 	for i, rr := range as.resv {
@@ -398,16 +454,28 @@ func (as *AddressSpace) ReleaseReservation(r *Reservation) {
 // Reservations returns the live reservations in creation order.
 func (as *AddressSpace) Reservations() []*Reservation { return as.resv }
 
-// ForEachMappedPage visits every resident page in ascending VA order. fn
-// may mutate the PTE; it must not map or unmap pages.
+// ForEachMappedPage visits every resident page in ascending VA order,
+// skipping guards. fn may mutate the PTE; it must not map or unmap pages,
+// and it must not yield virtual time (no caller's callback does: each only
+// reads PTE bits or collects the pages it will sweep afterwards).
 func (as *AddressSpace) ForEachMappedPage(fn func(vpn uint64, pte *PTE) bool) {
-	for i, vpn := range as.vpns {
-		pte := as.ptes[i]
-		if pte.Bits&PTEGuard != 0 {
+	as.walk(func(vpn uint64, pte *PTE) bool {
+		return pte.Bits&PTEGuard != 0 || fn(vpn, pte)
+	})
+}
+
+// walk visits every present PTE, guards included, in ascending vpn order
+// until fn returns false. fork's clones copy the page table with it, so
+// they allocate and reference frames in vpn order.
+func (as *AddressSpace) walk(fn func(vpn uint64, pte *PTE) bool) {
+	for li, l := range as.dir {
+		if l == nil {
 			continue
 		}
-		if !fn(vpn, pte) {
-			return
+		for i := range l.ptes {
+			if pte := &l.ptes[i]; pte.Bits != 0 && !fn(heapBaseVPN+uint64(li)<<leafShift+uint64(i), pte) {
+				return
+			}
 		}
 	}
 }
@@ -433,42 +501,74 @@ func (as *AddressSpace) GenMismatch(core int, pte *PTE) bool {
 
 // --- TLBs ----------------------------------------------------------------
 
-// TLBLookup consults core's TLB for va's page, returning the cached PTE
-// snapshot.
-func (as *AddressSpace) TLBLookup(core int, va uint64) (PTE, bool) {
-	e, ok := as.tlbs[core][va>>PageShift]
-	if !ok || !e.valid {
-		return PTE{}, false
+// TLBLookup consults core's TLB for va's page, returning the generation it
+// cached when it was filled (the load barrier's check, §4.1, reads only
+// that).
+func (as *AddressSpace) TLBLookup(core int, va uint64) (gen uint8, ok bool) {
+	vpn := va >> PageShift
+	l := as.leafOf(vpn)
+	if l == nil {
+		return 0, false
 	}
-	return e.pte, true
+	v := l.tlb[core<<leafShift|int(vpn&(leafPages-1))]
+	if v>>1 != as.stamp[core] {
+		return 0, false
+	}
+	return uint8(v & 1), true
 }
 
-// TLBFill caches the current PTE (including its generation) in core's TLB.
+// TLBFill caches pte, va's translation, in core's TLB entry for va's page;
+// only its generation is kept. It is only ever called on a present page (a
+// guard counts: the page may have been unmapped while the caller held its
+// PTE), and filling an absent one panics.
 func (as *AddressSpace) TLBFill(core int, va uint64, pte *PTE) {
-	as.tlbs[core][va>>PageShift] = tlbEntry{pte: *pte, valid: true}
+	vpn := va >> PageShift
+	l := as.leafOf(vpn)
+	if l == nil || l.ptes[vpn&(leafPages-1)].Bits == 0 {
+		panic(fmt.Sprintf("vm: TLB fill of unmapped page %#x", va))
+	}
+	l.tlb[core<<leafShift|int(vpn&(leafPages-1))] = as.stamp[core]<<1 | uint32(pte.Gen&1)
 }
 
 // TLBInvalidate removes va's page from core's TLB.
 func (as *AddressSpace) TLBInvalidate(core int, va uint64) {
-	delete(as.tlbs[core], va>>PageShift)
+	vpn := va >> PageShift
+	if l := as.leafOf(vpn); l != nil {
+		l.tlb[core<<leafShift|int(vpn&(leafPages-1))] = 0
+	}
 }
 
 // ShootdownAll flushes every core's TLB for this address space (an IPI
-// broadcast in hardware). The cycle cost is charged by the kernel layer.
+// broadcast in hardware) by bumping each reached core's stamp; it
+// allocates nothing. The cycle cost is charged by the kernel layer.
 func (as *AddressSpace) ShootdownAll() {
 	dropped := false
-	for i := range as.tlbs {
-		if as.ShootdownFilter != nil && as.ShootdownFilter(i) {
+	for c := range as.stamp {
+		if as.ShootdownFilter != nil && as.ShootdownFilter(c) {
 			dropped = true
 			continue
 		}
-		as.tlbs[i] = make(map[uint64]tlbEntry)
+		if as.stamp[c]++; as.stamp[c] == stampLimit {
+			as.restartStamp(c)
+		}
 	}
 	as.incomplete = dropped
 	as.stats.Shootdowns++
 	if as.OnShootdown != nil {
 		as.OnShootdown()
 	}
+}
+
+// restartStamp clears core c's entries in every leaf and restarts its
+// stamp at 1, so that no entry filled before the wrap can carry a stamp
+// the core reaches again.
+func (as *AddressSpace) restartStamp(c int) {
+	for _, l := range as.dir {
+		if l != nil {
+			clear(l.tlb[c<<leafShift : (c+1)<<leafShift])
+		}
+	}
+	as.stamp[c] = 1
 }
 
 // ShootdownIncomplete reports whether the most recent ShootdownAll left
@@ -489,20 +589,17 @@ func (as *AddressSpace) CloneCOW() *AddressSpace {
 		nr := *r
 		c.resv = append(c.resv, &nr)
 	}
-	for i, vpn := range as.vpns {
-		pte := as.ptes[i]
-		np := &PTE{Frame: pte.Frame, Bits: pte.Bits, Gen: as.coreGen[0]}
-		np.Bits &^= PTECapLoadTrap
+	as.walk(func(vpn uint64, pte *PTE) bool {
+		np := c.slot(vpn)
+		*np = PTE{Frame: pte.Frame, Bits: pte.Bits &^ PTECapLoadTrap, Gen: as.coreGen[0]}
 		if pte.Bits&PTEGuard == 0 {
 			as.phys.Ref(pte.Frame)
 			pte.Bits |= PTECOW
 			np.Bits |= PTECOW
 			c.stats.MappedPages++
 		}
-		c.pages[vpn] = np
-		c.vpns = append(c.vpns, vpn)
-		c.ptes = append(c.ptes, np)
-	}
+		return true
+	})
 	as.ShootdownAll() // parents' cached writable translations are stale
 	c.stats.PeakMappedPages = c.stats.MappedPages
 	return c
@@ -547,22 +644,23 @@ func (as *AddressSpace) Clone() (*AddressSpace, error) {
 		nr := *r
 		c.resv = append(c.resv, &nr)
 	}
-	for i, vpn := range as.vpns {
-		pte := as.ptes[i]
-		np := &PTE{Frame: tmem.NoFrame, Bits: pte.Bits, Gen: as.coreGen[0]}
+	var err error
+	as.walk(func(vpn uint64, pte *PTE) bool {
+		np := PTE{Frame: tmem.NoFrame, Bits: pte.Bits &^ PTECapLoadTrap, Gen: as.coreGen[0]}
 		if pte.Bits&PTEGuard == 0 {
-			f, err := as.phys.AllocFrame()
-			if err != nil {
-				return nil, err
+			var f tmem.FrameID
+			if f, err = as.phys.AllocFrame(); err != nil {
+				return false
 			}
 			as.phys.CopyFrame(f, pte.Frame)
 			np.Frame = f
 			c.stats.MappedPages++
 		}
-		np.Bits &^= PTECapLoadTrap
-		c.pages[vpn] = np
-		c.vpns = append(c.vpns, vpn)
-		c.ptes = append(c.ptes, np)
+		*c.slot(vpn) = np
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	c.stats.PeakMappedPages = c.stats.MappedPages
 	return c, nil

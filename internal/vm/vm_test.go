@@ -2,6 +2,7 @@ package vm
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/ca"
@@ -177,11 +178,11 @@ func TestTLBCachesStaleGeneration(t *testing.T) {
 		as.BumpCoreGen(c)
 	}
 	pte.Gen = as.CoreGen(0)
-	cached, ok := as.TLBLookup(1, r.Base)
+	gen, ok := as.TLBLookup(1, r.Base)
 	if !ok {
 		t.Fatal("TLB entry lost")
 	}
-	if cached.Gen == as.CoreGen(1) {
+	if gen == as.CoreGen(1) {
 		t.Fatal("TLB magically saw the new generation")
 	}
 	// After a shootdown the stale entry is gone.
@@ -288,5 +289,132 @@ func TestUnmapFreesFrames(t *testing.T) {
 	as.UnmapRange(r.Base, r.Length)
 	if phys.Allocated() != 0 {
 		t.Fatalf("frames after unmap = %d, want 0", phys.Allocated())
+	}
+}
+
+// TestSparseReservationsCostLittlePerPage pins the page table's memory on
+// conn-fleet's shape: 8,192 one-MiB reservations, each with resident pages
+// at offsets 0 and 512 KiB and their TLB entries filled on 4 cores. Every
+// resident page then sits in a leaf of its own, and the whole address
+// space may allocate at most 1 KiB per resident page. A page table of
+// 512-entry leaves spends about 7 KiB per page here.
+func TestSparseReservationsCostLittlePerPage(t *testing.T) {
+	const resv, cores = 8192, 4
+	phys := tmem.NewPhys(2 * resv)
+	// Warm the frame pool, so that only the address space's own
+	// allocations are counted.
+	ids := make([]tmem.FrameID, 2*resv)
+	for i := range ids {
+		ids[i], _ = phys.AllocFrame()
+	}
+	for _, id := range ids {
+		phys.FreeFrame(id)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	as := NewAddressSpace(phys, cores)
+	for i := 0; i < resv; i++ {
+		r, err := as.Reserve(1<<20, ca.PermsData)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, va := range []uint64{r.Base, r.Base + 512<<10} {
+			pte, _, err := as.EnsureMapped(va)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c := 0; c < cores; c++ {
+				as.TLBFill(c, va, pte)
+			}
+		}
+	}
+	runtime.ReadMemStats(&after)
+	pages := uint64(as.MappedPageCount())
+	if pages != 2*resv {
+		t.Fatalf("%d resident pages, want %d", pages, 2*resv)
+	}
+	per := (after.TotalAlloc - before.TotalAlloc) / pages
+	t.Logf("%d B allocated per resident page", per)
+	if per > 1<<10 {
+		t.Errorf("sparse reservations allocated %d B per resident page, want at most 1 KiB", per)
+	}
+}
+
+// TestShootdownAllocatesNothing pins the stamped TLBs: a shootdown
+// invalidates every core's entries by bumping stamps, without allocating.
+func TestShootdownAllocatesNothing(t *testing.T) {
+	as := newAS(t)
+	r, _ := as.Reserve(4*PageSize, ca.PermsData)
+	pte, _, _ := as.EnsureMapped(r.Base)
+	allocs := testing.AllocsPerRun(100, func() {
+		for c := 0; c < 4; c++ {
+			as.TLBFill(c, r.Base, pte)
+		}
+		as.ShootdownAll()
+	})
+	if allocs != 0 {
+		t.Errorf("ShootdownAll made %v heap allocations, want 0", allocs)
+	}
+	if _, ok := as.TLBLookup(0, r.Base); ok {
+		t.Error("TLB entry survived the shootdown")
+	}
+}
+
+// TestTLBStampWrap drives a core's stamp through its 31-bit wrap: entries
+// filled before the wrap must not come back to life when the restarted
+// stamp climbs to the value they carry, and a core whose IPI is dropped
+// keeps its stamp and its entries.
+func TestTLBStampWrap(t *testing.T) {
+	as := newAS(t)
+	r, _ := as.Reserve(2*PageSize, ca.PermsData)
+	a, _, _ := as.EnsureMapped(r.Base)
+	b, _, _ := as.EnsureMapped(r.Base + PageSize)
+	// Core 0's entry for page a carries stamp 2, which the restarted stamp
+	// reaches again one shootdown after the wrap.
+	as.stamp[0] = 2
+	as.TLBFill(0, r.Base, a)
+	as.stamp[0] = stampLimit - 1
+	as.TLBFill(0, r.Base+PageSize, b)
+	as.TLBFill(1, r.Base, a)
+	as.ShootdownFilter = func(core int) bool { return core == 1 }
+	as.ShootdownAll()
+	if as.stamp[0] != 1 {
+		t.Fatalf("core 0 stamp %d after the wrap, want 1", as.stamp[0])
+	}
+	as.ShootdownAll()
+	for _, va := range []uint64{r.Base, r.Base + PageSize} {
+		if _, ok := as.TLBLookup(0, va); ok {
+			t.Errorf("core 0 entry for %#x survived the stamp wrap", va)
+		}
+	}
+	if _, ok := as.TLBLookup(1, r.Base); !ok {
+		t.Error("core 1, whose IPIs were dropped, lost its entry")
+	}
+}
+
+// TestReleaseDropsIdleLeaves checks that a released reservation's leaves
+// are dropped, unless a core whose shootdown IPI was dropped still caches
+// one of its pages: that core keeps answering from its stale entry.
+func TestReleaseDropsIdleLeaves(t *testing.T) {
+	as := newAS(t)
+	r1, _ := as.Reserve(64<<10, ca.PermsData)
+	r2, _ := as.Reserve(64<<10, ca.PermsData)
+	pte, _, _ := as.EnsureMapped(r1.Base)
+	as.TLBFill(3, r1.Base, pte)
+	as.UnmapRange(r1.Base, r1.Length)
+	pte, _, _ = as.EnsureMapped(r2.Base)
+	as.TLBFill(3, r2.Base, pte)
+	as.ShootdownFilter = func(core int) bool { return core == 3 }
+	as.UnmapRange(r2.Base, r2.Length)
+	as.ReleaseReservation(r1)
+	as.ReleaseReservation(r2)
+	if l := as.leafOf(r1.Base >> PageShift); l != nil {
+		t.Error("a released reservation no core caches kept its leaf")
+	}
+	if _, ok := as.TLBLookup(3, r2.Base); !ok {
+		t.Error("core 3 lost the stale entry its dropped IPI left behind")
+	}
+	if _, ok := as.Lookup(r2.Base); ok {
+		t.Error("released page still translates")
 	}
 }
