@@ -589,10 +589,11 @@ func (a *Allocator) release(base, size uint64) error {
 			a.partial[s.class] = append(a.partial[s.class], s)
 			s.inPartial = true
 		}
-		if s.used == 0 && s.next == s.base+SlabSize {
-			// The slab emptied after being fully carved: return its span
-			// to the chunk so another size class can reuse it (snmalloc's
-			// slab recycling).
+		if s.used == 0 && s.next+ClassSize(s.class) > s.base+SlabSize {
+			// The slab emptied after being fully carved (no room is left
+			// for another object; classes whose size does not divide the
+			// slab leave a tail): return its span to the chunk so another
+			// size class can reuse it (snmalloc's slab recycling).
 			a.reclaimSlab(ch, s)
 		}
 		// Write the in-band freelist node over the object's first granule

@@ -108,3 +108,44 @@ func TestEmptySlabReclaimedAcrossClasses(t *testing.T) {
 		}
 	})
 }
+
+// TestEmptySlabReclaimedWithTail covers the classes whose size does not
+// divide the slab: a fully carved class-48 slab ends 16 bytes short of
+// its span, and freeing every object must still return the span to the
+// chunk, where the next slab of another class reuses it.
+func TestEmptySlabReclaimedWithTail(t *testing.T) {
+	withHeap(t, func(h *Heap, th *kernel.Thread) {
+		if ClassSize(SizeToClass(48)) != 48 || SlabSize%48 == 0 {
+			t.Fatal("class 48 no longer leaves a tail in its slab")
+		}
+		n := SlabSize / 48
+		objs := make([]ca.Capability, 0, n)
+		for i := 0; i < n; i++ {
+			c, err := h.Alloc(th, 48)
+			if err != nil {
+				t.Fatal(err)
+			}
+			objs = append(objs, c)
+		}
+		span := objs[0].Base()
+		if last := objs[n-1].Base(); last != span+uint64(n-1)*48 {
+			t.Fatalf("the %d objects do not fill one slab: first %#x, last %#x", n, span, last)
+		}
+		chunksBefore := h.Chunks()
+		for _, c := range objs {
+			if err := h.Free(th, c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c, err := h.Alloc(th, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Base() != span {
+			t.Fatalf("a 4096-byte object landed at %#x, not in the emptied class-48 span at %#x", c.Base(), span)
+		}
+		if h.Chunks() != chunksBefore {
+			t.Fatalf("chunks grew %d -> %d despite a reclaimable span", chunksBefore, h.Chunks())
+		}
+	})
+}

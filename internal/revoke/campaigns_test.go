@@ -37,8 +37,8 @@ var campaignDigests = map[string]string{
 	"Reloaded":       "b5cf9f8d413c1427de501efb4ffcd347babd029c4295b95a7eb57135b6e51c83",
 	"Reloaded-w2":    "e4e79fdc7af86e8452dccdb00a7d0ec414a2f75a779a13f97fafc65dd2a683fe",
 	"Reloaded-AT":    "88b1151e5726a8e7c32747c0a0d8fea28d51e6685a0d7fa96799314e32095c50",
-	"tag-stale-read": "37c8745b8b0135ea03a13f52e43343210ff230e2777b6d7dba92d27e131196c4",
-	"all-classes":    "e9d9e8c732a3edcf3fa10e06e570b298ee9cf822479d4e151aba63602a151321",
+	"tag-stale-read": "a56fe622c3fa199dd8c0fd7a2fecf1bf6ab728de609ec597eda4266f8d009888",
+	"all-classes":    "0dda5bbcdba389eb2cf76b9c2afe3e126d1364e4a517a905944f04e8d7c89cb9",
 }
 
 // runTraced executes one campaign with tracing armed.
