@@ -49,7 +49,7 @@ flake:
 	$(GO) test -count=5 ./internal/dist
 	$(GO) test -count=5 -short ./internal/expt
 
-# fuzz: short runs of the two differential fuzzers, 10 s each (go test
+# fuzz: short runs of the three differential fuzzers, 10 s each (go test
 # -fuzz takes one target per call); go test runs only their seed inputs,
 # this target searches beyond them. FuzzCapStorage (internal/tmem) drives a
 # bank of frames through random capability stores, data stores, tag
@@ -57,12 +57,15 @@ flake:
 # FuzzAddressSpace (internal/vm) drives the leaf page table and its stamped
 # TLBs through reservations, maps, unmaps, releases, TLB fills and
 # shootdowns with dropped IPIs, checked against the map-based page table
-# and TLBs they replaced. Each of its inputs compares every touched page on
-# every core after every operation, so minimizing a new input can outlast
-# the budget; -fuzzminimizetime keeps the 10 s for searching.
+# and TLBs they replaced. FuzzCapability (internal/ca) drives capability
+# derivations with extreme perms, colors, object types and cursors, checked
+# against the seven-field capability the four-word one replaced. The last
+# two compare much state after every step, so minimizing a new input can
+# outlast the budget; -fuzzminimizetime keeps the 10 s for searching.
 fuzz:
 	$(GO) test ./internal/tmem -run '^$$' -fuzz '^FuzzCapStorage$$' -fuzztime 10s
 	$(GO) test ./internal/vm -run '^$$' -fuzz '^FuzzAddressSpace$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/ca -run '^$$' -fuzz '^FuzzCapability$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # chaos: a strict fault-injection smoke campaign against Reloaded. Every
 # protocol-subverting class must be flagged by the soundness oracle and

@@ -232,13 +232,13 @@ func main() {
 	if *timeline && len(r.Epochs) > 0 {
 		hz := r.HzGHz * 1e6
 		fmt.Println("\nepoch timeline (ms):")
-		fmt.Printf("  %5s %10s %9s %9s %9s %7s %8s %8s\n",
-			"epoch", "start", "stw", "concur", "faults", "nfault", "pages", "revoked")
+		fmt.Printf("  %5s %10s %9s %9s %9s %7s %8s %8s %8s\n",
+			"epoch", "start", "stw", "concur", "faults", "nfault", "pages", "resweep", "revoked")
 		for _, e := range r.Epochs {
-			fmt.Printf("  %5d %10.3f %9.4f %9.4f %9.4f %7d %8d %8d\n",
+			fmt.Printf("  %5d %10.3f %9.4f %9.4f %9.4f %7d %8d %8d %8d\n",
 				e.Epoch, float64(e.StartCycle)/hz, float64(e.STWCycles)/hz,
 				float64(e.ConcurrentCycles)/hz, float64(e.FaultCycles)/hz,
-				e.FaultCount, e.PagesVisited, e.CapsRevoked)
+				e.FaultCount, e.PagesVisited, e.PagesResweptSTW, e.CapsRevoked)
 		}
 	}
 	if r.Lat.N() > 0 {

@@ -108,15 +108,38 @@ var (
 
 // Capability is a CHERI capability value. The zero value is an untagged
 // null capability.
+//
+// It is four machine words: the bounds, the cursor, and one meta word that
+// packs the permissions, object type, version color and tag. The simulator
+// copies a capability on every load, store and derivation, and the Go
+// compiler keeps a struct in registers only when it has at most four fields
+// in at most four words; a wider struct goes through the stack on every
+// copy.
 type Capability struct {
-	base  uint64
-	top   uint64 // exclusive; may be 0 with base 0 for null
-	addr  uint64
-	perms Perms
-	otype uint32 // 0 when unsealed
-	color uint8  // version color (§7.3 composition); 0 in plain CHERI mode
-	tag   bool
+	base uint64
+	top  uint64 // exclusive; may be 0 with base 0 for null
+	addr uint64
+	meta uint64 // see the layout below
 }
+
+// Layout of Capability.meta (bit 0 least significant). Each field keeps the
+// full width of its accessor, wider than the 128-bit encoding's fields, so
+// that Encode can reject values the encoding cannot hold.
+//
+//	[   56] tag
+//	[55:48] color (§7.3 composition; 0 in plain CHERI mode)
+//	[47:16] otype (0 when unsealed)
+//	[15: 0] perms
+//
+// Bits 57–63 stay zero, and every mutator rewrites only its own field, so
+// == compares capabilities field by field.
+const (
+	otypeShift = 16
+	colorShift = 48
+	otypeMask  = uint64(1<<32-1) << otypeShift
+	colorMask  = uint64(1<<8-1) << colorShift
+	tagBit     = uint64(1) << 56
+)
 
 // Null returns the canonical untagged null capability carrying the given
 // address as plain data. Loading integer data through the model produces
@@ -132,11 +155,11 @@ func Null(addr uint64) Capability {
 // hardware root register would hold.
 func NewRoot(base, length uint64, perms Perms) Capability {
 	b, t := RepresentableBounds(base, length)
-	return Capability{base: b, top: t, addr: base, perms: perms, tag: true}
+	return Capability{base: b, top: t, addr: base, meta: uint64(perms) | tagBit}
 }
 
 // Tag reports whether the capability is valid (architecturally tagged).
-func (c Capability) Tag() bool { return c.tag }
+func (c Capability) Tag() bool { return c.meta&tagBit != 0 }
 
 // Base returns the inclusive lower bound. The revocation bitmap is indexed
 // by Base, not Addr, because CHERI guarantees the base cannot be moved
@@ -153,31 +176,31 @@ func (c Capability) Len() uint64 { return c.top - c.base }
 func (c Capability) Addr() uint64 { return c.addr }
 
 // Perms returns the permission bits.
-func (c Capability) Perms() Perms { return c.perms }
+func (c Capability) Perms() Perms { return Perms(c.meta) }
 
 // Color returns the version color (§7.3 memory-coloring composition).
-func (c Capability) Color() uint8 { return c.color }
+func (c Capability) Color() uint8 { return uint8(c.meta >> colorShift) }
 
 // Sealed reports whether the capability is sealed.
-func (c Capability) Sealed() bool { return c.otype != 0 }
+func (c Capability) Sealed() bool { return c.meta&otypeMask != 0 }
 
 // OType returns the object type, or zero if unsealed.
-func (c Capability) OType() uint32 { return c.otype }
+func (c Capability) OType() uint32 { return uint32(c.meta >> otypeShift) }
 
 // IsNull reports whether this is (tag-free) null-derived data.
-func (c Capability) IsNull() bool { return !c.tag && c.base == 0 && c.top == 0 }
+func (c Capability) IsNull() bool { return !c.Tag() && c.base == 0 && c.top == 0 }
 
 // String renders the capability in a CheriBSD-like format.
 func (c Capability) String() string {
 	t := 'v'
-	if !c.tag {
+	if !c.Tag() {
 		t = 'i'
 	}
 	sealed := ""
-	if c.otype != 0 {
-		sealed = fmt.Sprintf(" sealed(%d)", c.otype)
+	if c.Sealed() {
+		sealed = fmt.Sprintf(" sealed(%d)", c.OType())
 	}
-	return fmt.Sprintf("cap{%c 0x%x [0x%x,0x%x) %s c%d%s}", t, c.addr, c.base, c.top, c.perms, c.color, sealed)
+	return fmt.Sprintf("cap{%c 0x%x [0x%x,0x%x) %s c%d%s}", t, c.addr, c.base, c.top, c.Perms(), c.Color(), sealed)
 }
 
 // InBounds reports whether an access of size bytes at the current address
@@ -187,18 +210,18 @@ func (c Capability) InBounds(size uint64) bool {
 }
 
 // HasPerms reports whether every permission in want is present.
-func (c Capability) HasPerms(want Perms) bool { return c.perms&want == want }
+func (c Capability) HasPerms(want Perms) bool { return c.Perms()&want == want }
 
 // CheckAccess validates an access of size bytes at the current address
 // requiring perms. It returns a descriptive error on failure, nil otherwise.
 func (c Capability) CheckAccess(size uint64, want Perms) error {
 	switch {
-	case !c.tag:
+	case !c.Tag():
 		return ErrTagCleared
-	case c.otype != 0:
+	case c.Sealed():
 		return ErrSealed
 	case !c.HasPerms(want):
-		return fmt.Errorf("%w: have %s want %s", ErrPermEscalation, c.perms, want)
+		return fmt.Errorf("%w: have %s want %s", ErrPermEscalation, c.Perms(), want)
 	case !c.InBounds(size):
 		return fmt.Errorf("ca: access [0x%x,+%d) outside bounds [0x%x,0x%x)", c.addr, size, c.base, c.top)
 	}
@@ -208,7 +231,7 @@ func (c Capability) CheckAccess(size uint64, want Perms) error {
 // ClearTag returns the capability with its tag cleared. This is what
 // revocation does to stale capabilities found in memory.
 func (c Capability) ClearTag() Capability {
-	c.tag = false
+	c.meta &^= tagBit
 	return c
 }
 
@@ -216,13 +239,13 @@ func (c Capability) ClearTag() Capability {
 // Removing permissions is always monotone and requires no checks beyond the
 // tag being set.
 func (c Capability) ClearPerms(drop Perms) Capability {
-	c.perms &^= drop
+	c.meta &^= uint64(drop)
 	return c
 }
 
 // WithPerms returns the capability restricted to exactly keep ∩ current.
 func (c Capability) WithPerms(keep Perms) Capability {
-	c.perms &= keep
+	c.meta &^= uint64(^keep)
 	return c
 }
 
@@ -230,13 +253,13 @@ func (c Capability) WithPerms(keep Perms) Capability {
 // live under the tag's integrity protection (§7.3): deriving a new color
 // requires PermRecolor.
 func (c Capability) WithColor(color uint8) (Capability, error) {
-	if !c.tag {
+	if !c.Tag() {
 		return c.ClearTag(), ErrTagCleared
 	}
 	if !c.HasPerms(PermRecolor) {
 		return c.ClearTag(), ErrPermEscalation
 	}
-	c.color = color
+	c.meta = c.meta&^colorMask | uint64(color)<<colorShift
 	return c, nil
 }
 
@@ -245,8 +268,8 @@ func (c Capability) WithColor(color uint8) (Capability, error) {
 // the bounds clears the tag, per CHERI Concentrate.
 func (c Capability) WithAddr(addr uint64) Capability {
 	c.addr = addr
-	if c.tag && !representableCursor(c.base, c.top, addr) {
-		c.tag = false
+	if c.Tag() && !representableCursor(c.base, c.top, addr) {
+		c.meta &^= tagBit
 	}
 	return c
 }
@@ -262,10 +285,10 @@ func (c Capability) AddAddr(delta uint64) Capability {
 // rounded bounds would escape the parent's bounds the derivation fails.
 // The cursor is placed at addr.
 func (c Capability) SetBounds(length uint64) (Capability, error) {
-	if !c.tag {
+	if !c.Tag() {
 		return c.ClearTag(), ErrTagCleared
 	}
-	if c.otype != 0 {
+	if c.Sealed() {
 		return c.ClearTag(), ErrSealed
 	}
 	base := c.addr
@@ -299,10 +322,10 @@ func (c Capability) SetBoundsExact(length uint64) (Capability, error) {
 // Seal returns the capability sealed with the sealer's address as otype.
 // Sealed capabilities are immutable and non-dereferenceable until unsealed.
 func (c Capability) Seal(sealer Capability) (Capability, error) {
-	if !c.tag || !sealer.tag {
+	if !c.Tag() || !sealer.Tag() {
 		return c.ClearTag(), ErrTagCleared
 	}
-	if c.otype != 0 {
+	if c.Sealed() {
 		return c.ClearTag(), ErrSealed
 	}
 	if !sealer.HasPerms(PermSeal) || !sealer.InBounds(1) {
@@ -312,26 +335,26 @@ func (c Capability) Seal(sealer Capability) (Capability, error) {
 		// Object types must fit the 13-bit field of the 128-bit encoding.
 		return c.ClearTag(), fmt.Errorf("ca: otype 0x%x out of range", sealer.addr)
 	}
-	c.otype = uint32(sealer.addr)
+	c.meta |= sealer.addr << otypeShift // the otype field is zero: c is unsealed
 	return c, nil
 }
 
 // Unseal returns the capability unsealed, verifying the unsealer authorizes
 // the object type.
 func (c Capability) Unseal(unsealer Capability) (Capability, error) {
-	if !c.tag || !unsealer.tag {
+	if !c.Tag() || !unsealer.Tag() {
 		return c.ClearTag(), ErrTagCleared
 	}
-	if c.otype == 0 {
+	if !c.Sealed() {
 		return c.ClearTag(), ErrNotSealed
 	}
 	if !unsealer.HasPerms(PermUnseal) || !unsealer.InBounds(1) {
 		return c.ClearTag(), ErrPermEscalation
 	}
-	if uint32(unsealer.addr) != c.otype {
+	if uint32(unsealer.addr) != c.OType() {
 		return c.ClearTag(), ErrWrongOType
 	}
-	c.otype = 0
+	c.meta &^= otypeMask
 	return c, nil
 }
 
@@ -340,7 +363,7 @@ func (c Capability) Unseal(unsealer Capability) (Capability, error) {
 // (§2.2): a heap allocator holding p can demonstrate its progenitor claim
 // over any c with Subset(c, p).
 func (c Capability) Subset(p Capability) bool {
-	return c.base >= p.base && c.top <= p.top && p.perms&c.perms == c.perms
+	return c.base >= p.base && c.top <= p.top && p.HasPerms(c.Perms())
 }
 
 // --- CHERI-Concentrate-style bounds compression -------------------------

@@ -2,9 +2,26 @@ package ca
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestCapabilityFitsRegisters pins the layout the simulator's speed rests
+// on. The Go compiler keeps a struct in registers, as an argument, a
+// result or a local, only when it has at most four fields in at most four
+// machine words (cmd/compile's SSA limit); a wider one goes through the
+// stack on every copy, and a capability is copied on every load, store
+// and derivation.
+func TestCapabilityFitsRegisters(t *testing.T) {
+	if n := reflect.TypeOf(Capability{}).NumField(); n > 4 {
+		t.Errorf("Capability has %d fields, want at most 4", n)
+	}
+	if size := unsafe.Sizeof(Capability{}); size != 32 {
+		t.Errorf("Capability is %d bytes, want 32", size)
+	}
+}
 
 func TestNullIsUntagged(t *testing.T) {
 	n := Null(0x1234)

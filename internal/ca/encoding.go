@@ -57,7 +57,7 @@ const (
 // Encode serializes the capability (sans tag) into 16 bytes.
 func (c Capability) Encode() ([EncodedSize]byte, error) {
 	var out [EncodedSize]byte
-	if c.IsNull() || (!c.tag && c.base == 0 && c.top == 0) {
+	if c.IsNull() {
 		binary.LittleEndian.PutUint64(out[0:8], c.addr)
 		binary.LittleEndian.PutUint64(out[8:16], 0)
 		return out, nil
@@ -71,14 +71,15 @@ func (c Capability) Encode() ([EncodedSize]byte, error) {
 	if lenQ > 1<<(MantissaWidth-1) {
 		return out, fmt.Errorf("%w: length %d quanta exceeds mantissa", ErrNotRepresentable, lenQ)
 	}
-	if c.perms > 1<<12-1 {
-		return out, fmt.Errorf("%w: perms %#x exceed 12 bits", ErrNotRepresentable, c.perms)
+	perms, otype, color := c.Perms(), c.OType(), c.Color()
+	if perms > 1<<12-1 {
+		return out, fmt.Errorf("%w: perms %#x exceed 12 bits", ErrNotRepresentable, perms)
 	}
-	if c.otype > 1<<13-1 {
-		return out, fmt.Errorf("%w: otype %#x exceeds 13 bits", ErrNotRepresentable, c.otype)
+	if otype > 1<<13-1 {
+		return out, fmt.Errorf("%w: otype %#x exceeds 13 bits", ErrNotRepresentable, otype)
 	}
-	if c.color > 1<<4-1 {
-		return out, fmt.Errorf("%w: color %d exceeds 4 bits", ErrNotRepresentable, c.color)
+	if color > 1<<4-1 {
+		return out, fmt.Errorf("%w: color %d exceeds 4 bits", ErrNotRepresentable, color)
 	}
 	// A tagged capability's cursor must sit inside the representable
 	// window or the encoding cannot reconstruct the bounds — WithAddr
@@ -86,16 +87,16 @@ func (c Capability) Encode() ([EncodedSize]byte, error) {
 	// Untagged capabilities encode unconditionally: their bits no longer
 	// promise anything (decoding one whose cursor escaped the window
 	// yields different bounds, exactly as on hardware).
-	if c.tag && !representableCursor(c.base, c.top, c.addr) {
+	if c.Tag() && !representableCursor(c.base, c.top, c.addr) {
 		return out, fmt.Errorf("%w: tagged cursor %#x outside window of [%#x,%#x)", ErrNotRepresentable, c.addr, c.base, c.top)
 	}
 	baseQ := c.base >> exp
-	meta := uint64(c.perms) << 52
-	meta |= uint64(c.otype) << 39
+	meta := uint64(perms) << 52
+	meta |= uint64(otype) << 39
 	meta |= uint64(exp) << 33
 	meta |= (baseQ & mwMask) << 19
 	meta |= (lenQ & mwMask) << 5
-	meta |= uint64(c.color) << 1
+	meta |= uint64(color) << 1
 	binary.LittleEndian.PutUint64(out[0:8], c.addr)
 	binary.LittleEndian.PutUint64(out[8:16], meta)
 	return out, nil
@@ -107,16 +108,17 @@ func Decode(b [EncodedSize]byte, tag bool) Capability {
 	addr := binary.LittleEndian.Uint64(b[0:8])
 	meta := binary.LittleEndian.Uint64(b[8:16])
 	if meta == 0 {
-		c := Null(addr)
-		c.tag = tag && false // an all-zero metadata word is never a valid capability
-		return c
+		return Null(addr) // an all-zero metadata word is never a valid capability
 	}
-	perms := Perms(meta >> 52)
-	otype := uint32((meta >> 39) & 0x1fff)
 	exp := uint((meta >> 33) & 0x3f)
 	bMant := (meta >> 19) & mwMask
 	lenQ := (meta >> 5) & mwMask
-	color := uint8((meta >> 1) & 0xf)
+	// Perms, otype and color move from the encoding's fields into the
+	// Capability's packed word (see capability.go).
+	packed := meta>>52 | (meta>>39&0x1fff)<<otypeShift | (meta>>1&0xf)<<colorShift
+	if tag {
+		packed |= tagBit
+	}
 
 	// CHERI-Concentrate region correction: R splits the window an eighth
 	// below the base mantissa. Quanta with mantissa ≥ R share the base's
@@ -137,13 +139,5 @@ func Decode(b [EncodedSize]byte, tag bool) Capability {
 	baseQ := high<<MantissaWidth | bMant
 	base := baseQ << exp
 	top := base + lenQ<<exp
-	return Capability{
-		base:  base,
-		top:   top,
-		addr:  addr,
-		perms: perms,
-		otype: otype,
-		color: color,
-		tag:   tag,
-	}
+	return Capability{base: base, top: top, addr: addr, meta: packed}
 }

@@ -64,12 +64,12 @@ func TestEncodeNull(t *testing.T) {
 
 func TestEncodeRejectsOversizedFields(t *testing.T) {
 	c := NewRoot(0x1000, 64, PermsData)
-	c.otype = 1 << 13 // out of field range
+	c.meta |= 1 << 13 << otypeShift // out of field range
 	if _, err := c.Encode(); err == nil {
 		t.Fatal("oversized otype encoded")
 	}
 	c = NewRoot(0x1000, 64, PermsData)
-	c.color = 16
+	c.meta |= 16 << colorShift
 	if _, err := c.Encode(); err == nil {
 		t.Fatal("oversized color encoded")
 	}

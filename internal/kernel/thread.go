@@ -181,7 +181,7 @@ func (t *Thread) RegCount() int { return len(t.regs) }
 // genuine load-generation fault (§4.3).
 func (t *Thread) translate(va uint64) (pte *vm.PTE, tlbGen uint8, err error) {
 	core := t.Sim.CoreID()
-	costs := t.P.M.Costs
+	costs := &t.P.M.Costs // a copy would move the whole table on every access
 	if gen, ok := t.P.AS.TLBLookup(core, va); ok {
 		t.Sim.Tick(costs.TLBHit)
 		live, lok := t.P.AS.Lookup(va)

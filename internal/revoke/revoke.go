@@ -498,7 +498,7 @@ func (s *Service) releaseDeadReservations(th *kernel.Thread) {
 // returned (clean pages need no visit under CHERIvoke/Cornucopia, whose
 // correctness rests on the store barrier, §2.2.4).
 func (s *Service) snapshotPages(dirtyOnly bool) []pageRef {
-	var pages []pageRef
+	pages := make([]pageRef, 0, s.P.AS.MappedPageCount())
 	s.P.AS.ForEachMappedPage(func(vpn uint64, pte *vm.PTE) bool {
 		if !dirtyOnly || pte.Bits&vm.PTEEverCapDirty != 0 {
 			pages = append(pages, pageRef{vpn, pte})

@@ -140,8 +140,8 @@ type Telemetry struct {
 
 	nodes     []pnode
 	rootChild [numComponents]int32
-	threads   map[int]*tstate
-	base      map[int]Component
+	threads   []*tstate   // by sim thread id (dense from 0); nil until first use
+	base      []Component // by sim thread id; the zero value is CompApp
 
 	coreClock []uint64 // per-core clock rebuilt from observed deltas
 	idle      []uint64 // per-core unattributed (idle) cycles
@@ -153,11 +153,7 @@ type Telemetry struct {
 
 // New creates an enabled recorder.
 func New(opt Options) *Telemetry {
-	t := &Telemetry{
-		opt:     opt.withDefaults(),
-		threads: map[int]*tstate{},
-		base:    map[int]Component{},
-	}
+	t := &Telemetry{opt: opt.withDefaults()}
 	for i := range t.rootChild {
 		t.rootChild[i] = -1
 	}
@@ -179,11 +175,14 @@ func (t *Telemetry) Bind(eng *sim.Engine) {
 // node returns the trie position for thread id, creating the base frame
 // on first sight.
 func (t *Telemetry) state(id int) *tstate {
+	if id >= len(t.threads) {
+		t.threads = append(t.threads, make([]*tstate, id+1-len(t.threads))...)
+	}
 	ts := t.threads[id]
 	if ts == nil {
-		base, ok := t.base[id]
-		if !ok {
-			base = CompApp
+		base := CompApp
+		if id < len(t.base) {
+			base = t.base[id]
 		}
 		ts = &tstate{node: t.childOf(-1, base), depth: 1}
 		t.threads[id] = ts
@@ -225,9 +224,14 @@ func (t *Telemetry) SetBase(th *sim.Thread, c Component) {
 	}
 	t.eng.FlushClock()
 	id := th.ID()
+	if id >= len(t.base) {
+		t.base = append(t.base, make([]Component, id+1-len(t.base))...)
+	}
 	t.base[id] = c
-	if ts := t.threads[id]; ts != nil && ts.depth == 1 {
-		ts.node = t.childOf(-1, c)
+	if id < len(t.threads) {
+		if ts := t.threads[id]; ts != nil && ts.depth == 1 {
+			ts.node = t.childOf(-1, c)
+		}
 	}
 }
 

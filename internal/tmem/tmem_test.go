@@ -3,6 +3,7 @@ package tmem
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/ca"
 )
@@ -268,5 +269,15 @@ func TestSweepSurvivesFrameTableGrowth(t *testing.T) {
 	}
 	if p.TagCount(id) != 0 {
 		t.Fatalf("%d tags survived a full revoking sweep across frame-table growth", p.TagCount(id))
+	}
+}
+
+// TestCapBlockFillsSizeClass pins a capability block at 2,048 bytes, which
+// is one of Go's allocation size classes, so a block wastes no tail. A
+// 40-byte capability would make it 2,560 bytes, rounded up to the
+// 2,688-byte class.
+func TestCapBlockFillsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof([64]ca.Capability{}); size != 2048 {
+		t.Fatalf("capability block is %d bytes, want 2048", size)
 	}
 }
