@@ -67,10 +67,6 @@ import (
 // Schema versions the campaign report document.
 const Schema = "cornucopia-chaos/v1"
 
-// seedStride separates per-rep seeds, matching harness.Repeat's cold-boot
-// batches.
-const seedStride = 1000003
-
 // controlClass labels the faults-disabled control row.
 const controlClass = "none"
 
@@ -286,7 +282,7 @@ func main() {
 			keys = append(keys, k)
 			for i := 0; i < *seeds; i++ {
 				cfg := harness.DefaultConfig()
-				cfg.Seed = *seed + int64(i)*seedStride
+				cfg.Seed = *seed + int64(i)*harness.RepeatStride
 				// The campaign regime: frequent epochs (small quarantine
 				// floor) and a tight scheduler skew quantum so application
 				// capability loads interleave with the concurrent sweep in
@@ -380,9 +376,7 @@ func main() {
 			if jr.Oracle != nil {
 				ro.Violations = jr.Oracle.ViolationCount
 			}
-			if jr.Recovery != nil {
-				ro.Recoveries = jr.Recovery.Total()
-			}
+			ro.Recoveries = jr.Recovery.Total()
 			cell.add(ro)
 		}
 		cell.Verdict = verdict(cell)

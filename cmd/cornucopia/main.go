@@ -19,12 +19,17 @@
 // or chrome://tracing) — the same writer and layout as the sweep/chaos
 // campaign timelines.
 //
-// The telemetry flags arm the cycle profiler and metrics registry
-// (internal/telemetry) for the run: -prof-folded writes folded
-// flame-graph stacks, -prof-pprof a gzipped pprof proto, -metrics-out
-// the final metric values as OpenMetrics text, and -series-csv the
-// sampled time series. The profile is conservation-checked: every
-// simulated cycle on every core is attributed exactly once.
+// The telemetry flags, shared with cmd/sweep, arm the cycle profiler and
+// metrics registry (internal/telemetry) for the run: -prof-folded writes
+// folded flame-graph stacks, -prof-pprof a gzipped pprof proto,
+// -metrics-out the final metric values as OpenMetrics text, and
+// -series-csv the sampled time series. The profile is
+// conservation-checked: every simulated cycle on every core is attributed
+// exactly once.
+//
+// The run is one expt.Job executed by expt.RunJob, the path every sweep,
+// chaos and fleet job takes, so it computes what a campaign cell with the
+// same workload, condition and configuration computes.
 package main
 
 import (
@@ -34,15 +39,13 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/expt"
 	"repro/internal/expt/cliflags"
 	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/revoke"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
-	"repro/internal/workload"
-	"repro/internal/workload/pgbench"
-	"repro/internal/workload/qps"
 	"repro/internal/workload/spec"
 )
 
@@ -63,21 +66,17 @@ func condition(name string, workers int) (harness.Condition, error) {
 	return cond, nil
 }
 
-// writeTrace exports the run's trace: CSV when path ends in .csv, and
-// otherwise the one-job canonical timeline as Chrome JSON.
-func writeTrace(r *harness.Result, seed int64, path string) error {
+// writeTrace exports the run's trace ring: CSV when path ends in .csv,
+// and otherwise the one-job canonical timeline as Chrome JSON.
+func writeTrace(r *expt.JobResult, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	if strings.HasSuffix(path, ".csv") {
-		err = r.Trace.WriteCSV(f)
+		err = trace.WriteCSV(f, r.Telem.Trace)
 	} else {
-		err = trace.WriteTimeline(f, []trace.TimelineJob{{
-			Workload: r.Workload, Condition: r.Condition, Seed: seed,
-			WallCycles: r.WallCycles, HzGHz: r.HzGHz,
-			Trace: r.Trace.Events(), TraceDropped: r.Trace.Dropped(),
-		}}, true)
+		err = trace.WriteTimeline(f, expt.TimelineJobs([]expt.Completed{{Result: r}}, nil), true)
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -85,59 +84,19 @@ func writeTrace(r *harness.Result, seed int64, path string) error {
 	return err
 }
 
-// writeTelemetry snapshots the recorder, verifies cycle conservation,
-// and writes the requested exports.
-func writeTelemetry(tl *telemetry.Telemetry, folded, pprofOut, metricsOut, seriesCSV string) error {
-	snap := tl.Snapshot()
-	if err := snap.CheckConservation(); err != nil {
-		return err
-	}
-	write := func(path string, fn func(*os.File) error) error {
-		if path == "" {
-			return nil
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := fn(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("telemetry  wrote %s\n", path)
-		return nil
-	}
-	if err := write(folded, func(f *os.File) error { return snap.WriteFolded(f) }); err != nil {
-		return err
-	}
-	if err := write(pprofOut, func(f *os.File) error { return snap.WritePprof(f) }); err != nil {
-		return err
-	}
-	if err := write(metricsOut, func(f *os.File) error { return snap.WriteOpenMetrics(f, true) }); err != nil {
-		return err
-	}
-	return write(seriesCSV, func(f *os.File) error {
-		return telemetry.WriteSeriesCSV(f, []telemetry.Keyed{{Key: "run", Snap: snap}})
-	})
-}
-
-func pick(name string, cfg *harness.Config) (workload.Workload, error) {
+// pick resolves a workload name to its job reference and configuration.
+func pick(name string) (expt.WorkloadRef, harness.Config, error) {
 	switch strings.ToLower(name) {
 	case "pgbench":
-		*cfg = harness.PgbenchConfig()
-		return pgbench.New(4000), nil
+		return expt.PgbenchWorkload(4000), harness.PgbenchConfig(), nil
 	case "qps", "grpc-qps":
-		*cfg = harness.QPSConfig()
-		return qps.New(1_000_000_000, 100_000_000), nil
+		return expt.QPSWorkload(1_000_000_000, 100_000_000), harness.QPSConfig(), nil
 	}
 	ps := spec.ByName(name)
 	if len(ps) == 0 {
-		return nil, fmt.Errorf("unknown workload %q", name)
+		return expt.WorkloadRef{}, harness.Config{}, fmt.Errorf("unknown workload %q", name)
 	}
-	return ps[0], nil
+	return expt.SpecWorkload(ps[0].Name()), harness.SpecConfig(), nil
 }
 
 func main() {
@@ -151,16 +110,11 @@ func main() {
 	timeline := flag.Bool("timeline", false, "print a per-epoch timeline")
 	traceOut := flag.String("trace", "", "write a structured event trace to this file (CSV if it ends in .csv, else Chrome JSON)")
 	traceEvents := flag.Int("trace-events", 1<<19, "trace ring capacity (most recent events kept)")
-	profFolded := flag.String("prof-folded", "", "write the cycle profile as folded flame-graph stacks to this file")
-	profPprof := flag.String("prof-pprof", "", "write the cycle profile as a gzipped pprof proto to this file")
-	metricsOut := flag.String("metrics-out", "", "write the final metrics in OpenMetrics text format to this file")
-	seriesCSV := flag.String("series-csv", "", "write the sampled metrics time series as CSV to this file")
-	sampleEvery := flag.Uint64("sample-every", telemetry.DefaultSampleEvery, "time-series sampling interval, simulated cycles")
+	tf := cliflags.RegisterTelemetry()
 	flag.Parse()
 	cliflags.ExitOnArgs(flag.CommandLine, 0)
 
-	cfg := harness.SpecConfig()
-	w, err := pick(*wl, &cfg)
+	ref, cfg, err := pick(*wl)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -172,27 +126,28 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *traceOut != "" {
-		cfg.Trace = trace.New(*traceEvents)
-	}
-	wantTelem := *profFolded != "" || *profPprof != "" || *metricsOut != "" || *seriesCSV != ""
-	if wantTelem {
-		cfg.Telem = telemetry.New(telemetry.Options{SampleEvery: *sampleEvery})
+	// The trace ring rides the telemetry snapshot, so -trace arms both.
+	var telem *telemetry.Options
+	if *traceOut != "" || tf.Wanted() {
+		telem = &telemetry.Options{SampleEvery: tf.SampleEvery}
+		if *traceOut != "" {
+			telem.TraceEvents = *traceEvents
+		}
 	}
 
-	r, err := harness.Run(w, cond, cfg)
+	r, err := expt.RunJob(expt.Job{Workload: ref, Cond: cond, Cfg: cfg}, telem)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if *traceOut != "" {
-		if err := writeTrace(r, cfg.Seed, *traceOut); err != nil {
+		if err := writeTrace(r, *traceOut); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("trace      %d events → %s (%d dropped by ring wrap)\n",
-			r.Trace.Len(), *traceOut, r.Trace.Dropped())
+			len(r.Telem.Trace), *traceOut, r.Telem.TraceDropped)
 	}
-	if wantTelem {
-		if err := writeTelemetry(cfg.Telem, *profFolded, *profPprof, *metricsOut, *seriesCSV); err != nil {
+	if tf.Wanted() {
+		if err := tf.Write("cornucopia", []telemetry.Keyed{{Key: "run", Snap: r.Telem}}); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -201,7 +156,7 @@ func main() {
 	fmt.Printf("wall       %.3f ms   (%d cycles)\n", r.Millis(r.WallCycles), r.WallCycles)
 	fmt.Printf("cpu total  %.3f ms   app thread %.3f ms\n", r.Millis(r.CPUCycles), r.Millis(r.AppCPUCycles))
 	fmt.Printf("DRAM       %d transactions (app %d, alloc %d, revoker %d, kernel %d)\n",
-		r.DRAMTotal, r.DRAMByAgent[0], r.DRAMByAgent[1], r.DRAMByAgent[2], r.DRAMByAgent[3])
+		r.DRAMTotal, r.DRAMByAgent["app"], r.DRAMByAgent["alloc"], r.DRAMByAgent["revoker"], r.DRAMByAgent["kernel"])
 	fmt.Printf("peak RSS   %d pages (%.1f MiB)\n", r.PeakRSSPages, float64(r.PeakRSSPages)*4096/(1<<20))
 	fmt.Printf("heap       allocs %d frees %d peak live %.2f MiB\n",
 		r.Heap.Allocs, r.Heap.Frees, float64(r.Heap.PeakLiveBytes)/(1<<20))
@@ -241,10 +196,10 @@ func main() {
 				e.FaultCount, e.PagesVisited, e.PagesResweptSTW, e.CapsRevoked)
 		}
 	}
-	if r.Lat.N() > 0 {
+	if lat := r.Lat(); lat.N() > 0 {
 		hz := r.HzGHz * 1e6
 		fmt.Printf("latency    n=%d p50=%.3f p90=%.3f p99=%.3f p99.9=%.3f ms\n",
-			r.Lat.N(), r.Lat.Percentile(50)/hz, r.Lat.Percentile(90)/hz,
-			r.Lat.Percentile(99)/hz, r.Lat.Percentile(99.9)/hz)
+			lat.N(), lat.Percentile(50)/hz, lat.Percentile(90)/hz,
+			lat.Percentile(99)/hz, lat.Percentile(99.9)/hz)
 	}
 }

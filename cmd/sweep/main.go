@@ -108,11 +108,7 @@ func main() {
 	out := flag.String("out", "", "write machine-readable JSON results to this file")
 	canonical := flag.Bool("canonical", false, "strip host-execution metadata (host_ms, attempts, pool counters) from -out for byte-stable diffs")
 	dryRun := flag.Bool("dry-run", false, "resolve and print the job grid (keys, workloads, conditions, seeds) without executing")
-	profFolded := flag.String("prof-folded", "", "write the merged cycle profile as folded flame-graph stacks to this file")
-	profPprof := flag.String("prof-pprof", "", "write the merged cycle profile as a gzipped pprof proto to this file")
-	metricsOut := flag.String("metrics-out", "", "write the merged final metrics in OpenMetrics text format to this file")
-	seriesCSV := flag.String("series-csv", "", "write every job's sampled time series as CSV to this file")
-	sampleEvery := flag.Uint64("sample-every", telemetry.DefaultSampleEvery, "time-series sampling interval, simulated cycles")
+	tf := cliflags.RegisterTelemetry()
 	reps := flag.Int("reps", 3, "runs per grid cell")
 	scale := flag.Uint64("scale", 64, "SPEC footprint divisor (pgbench scales at 1/8 of this)")
 	txs := flag.Int("txs", 6000, "pgbench transactions per run")
@@ -144,11 +140,7 @@ func main() {
 	o.PgCfg.Seed = *seed
 	o.QPSCfg.Seed = *seed
 	if *scale != 64 {
-		pg := *scale / 8
-		if pg == 0 {
-			pg = 1
-		}
-		o.PgCfg.Scale = pg
+		o.PgCfg.Scale = harness.PgbenchScale(*scale)
 		o.QPSCfg.Scale = *scale
 	}
 	perMs := uint64(o.QPSCfg.Machine.Sim.HzGHz * 1e6)
@@ -188,8 +180,7 @@ func main() {
 	// Telemetry is armed by any consumer of it: an export file, the live
 	// server's merged-metrics families, or the cycle tracer (trace rings
 	// ride inside telemetry snapshots).
-	wantTelem := *profFolded != "" || *profPprof != "" || *metricsOut != "" ||
-		*seriesCSV != "" || shared.Live.Addr != "" || shared.TraceEvents > 0
+	wantTelem := tf.Wanted() || shared.Live.Addr != "" || shared.TraceEvents > 0
 
 	// The manifest header pins the exact grid this file caches: the
 	// sorted figure set plus every flag that changes job content. A
@@ -205,7 +196,7 @@ func main() {
 	if wantTelem {
 		// Sample interval shapes the recorded series; mixing intervals in
 		// one manifest would merge incomparable rows.
-		grid += fmt.Sprintf(" telemetry-sample-every=%d", *sampleEvery)
+		grid += fmt.Sprintf(" telemetry-sample-every=%d", tf.SampleEvery)
 	}
 	if shared.TraceEvents > 0 {
 		// Ring depth shapes the recorded trace the same way: snapshots
@@ -228,7 +219,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if wantTelem {
-		pcfg.Telemetry = &telemetry.Options{SampleEvery: *sampleEvery, TraceEvents: shared.TraceEvents}
+		pcfg.Telemetry = &telemetry.Options{SampleEvery: tf.SampleEvery, TraceEvents: shared.TraceEvents}
 	}
 	pool, closeExec, err := shared.NewExecutor("sweep", grid, pcfg, live)
 	if err != nil {
@@ -310,7 +301,7 @@ func main() {
 	}
 
 	if wantTelem {
-		if err := writeTelemetry(pool, *profFolded, *profPprof, *metricsOut, *seriesCSV); err != nil {
+		if err := tf.Write("sweep", telemetrySnaps(pool)); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -335,46 +326,4 @@ func telemetrySnaps(pool expt.Executor) []telemetry.Keyed {
 		}
 	}
 	return out
-}
-
-// writeTelemetry emits the requested merged exports. Merge sorts by job
-// key, so every file is byte-identical at any -workers count.
-func writeTelemetry(pool expt.Executor, folded, pprofOut, metricsOut, seriesCSV string) error {
-	snaps := telemetrySnaps(pool)
-	if len(snaps) == 0 {
-		fmt.Fprintln(os.Stderr, "sweep: no telemetry recorded (all jobs served from a pre-telemetry manifest?)")
-	}
-	merged := telemetry.Merge(snaps)
-	if merged.TraceDropped > 0 {
-		fmt.Fprintf(os.Stderr, "sweep: trace ring overflowed: %d event(s) dropped across the campaign (raise -trace-events)\n",
-			merged.TraceDropped)
-	}
-	write := func(path string, fn func(*os.File) error) error {
-		if path == "" {
-			return nil
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := fn(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("sweep: wrote %s\n", path)
-		return nil
-	}
-	if err := write(folded, func(f *os.File) error { return merged.WriteFolded(f) }); err != nil {
-		return err
-	}
-	if err := write(pprofOut, func(f *os.File) error { return merged.WritePprof(f) }); err != nil {
-		return err
-	}
-	if err := write(metricsOut, func(f *os.File) error { return merged.WriteOpenMetrics(f, true) }); err != nil {
-		return err
-	}
-	return write(seriesCSV, func(f *os.File) error { return telemetry.WriteSeriesCSV(f, snaps) })
 }

@@ -27,7 +27,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		hz := r.HzGHz * 1e6
+		hz, lat := r.HzGHz*1e6, r.Lat()
 		var stwMax float64
 		for _, e := range r.Epochs {
 			if v := float64(e.STWCycles) / hz; v > stwMax {
@@ -36,9 +36,9 @@ func main() {
 		}
 		fmt.Printf("%-12s %8.3f %8.3f %8.3f %8.3f %8.3f %8.3fms\n",
 			cond.Name,
-			r.Lat.Percentile(50)/hz, r.Lat.Percentile(90)/hz,
-			r.Lat.Percentile(99)/hz, r.Lat.Percentile(99.9)/hz,
-			r.Lat.Max()/hz, stwMax)
+			lat.Percentile(50)/hz, lat.Percentile(90)/hz,
+			lat.Percentile(99)/hz, lat.Percentile(99.9)/hz,
+			lat.Max()/hz, stwMax)
 	}
 	fmt.Println("\n(pauses = longest stop-the-world; Reloaded's is microseconds, so its tail")
 	fmt.Println(" tracks the quarantine machinery rather than revocation pauses)")

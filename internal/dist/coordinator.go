@@ -551,19 +551,14 @@ func (c *Coordinator) handleHello(w http.ResponseWriter, r *http.Request) {
 	c.lastWorker = time.Now()
 	c.mu.Unlock()
 	c.jnl().Emit(journal.Event{Kind: journal.KindWorkerJoin, Worker: id, Detail: name})
-	rep := HelloReply{
+	reply(w, HelloReply{
 		OK:          true,
 		WorkerID:    id,
 		Tool:        c.cfg.Tool,
 		Grid:        c.cfg.Grid,
+		Telemetry:   c.cfg.Pool.Telemetry,
 		HeartbeatMS: c.hbEvery.Milliseconds(),
-	}
-	if t := c.cfg.Pool.Telemetry; t != nil {
-		rep.Telemetry = &TelemetryOptions{
-			SampleEvery: t.SampleEvery, MaxRows: t.MaxRows, TraceEvents: t.TraceEvents,
-		}
-	}
-	reply(w, rep)
+	})
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {

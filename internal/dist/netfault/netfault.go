@@ -7,7 +7,7 @@
 // circuit breakers, result caching, local fallback) is proven against the
 // failure classes production networks actually exhibit.
 //
-// Decisions mirror internal/fault's splitmix style: each injection
+// Decisions use internal/fault's splitmix hash (fault.Mix): each injection
 // opportunity hashes (seed, class, per-class opportunity counter), so the
 // decision stream per class is a pure function of the Spec — the same
 // spec replays the same hit/miss sequence on any host. (Unlike the
@@ -44,6 +44,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/fault"
 )
 
 // Class enumerates the injectable network fault classes.
@@ -202,20 +204,6 @@ func New(spec Spec) (*Injector, error) {
 	return in, nil
 }
 
-// mix is the same splitmix64-style avalanche internal/fault uses, so the
-// two injectors share one reproducibility story.
-func mix(vals ...uint64) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, v := range vals {
-		h ^= v
-		h *= 0xbf58476d1ce4e5b9
-		h ^= h >> 27
-		h *= 0x94d049bb133111eb
-		h ^= h >> 31
-	}
-	return h
-}
-
 // uniform maps a hash to [0, 1).
 func uniform(h uint64) float64 { return float64(h>>11) / float64(1<<53) }
 
@@ -249,7 +237,7 @@ func (in *Injector) Should(c Class) bool {
 	}
 	n := in.opps[c]
 	in.opps[c]++
-	if in.rate < 1 && uniform(mix(uint64(in.spec.Seed), uint64(c), n)) >= in.rate {
+	if in.rate < 1 && uniform(fault.Mix(uint64(in.spec.Seed), uint64(c), n)) >= in.rate {
 		return false
 	}
 	in.counts[c]++
@@ -266,7 +254,7 @@ func (in *Injector) InPartition(workerID string) bool {
 	}
 	h := fnv.New64a()
 	h.Write([]byte(workerID))
-	return uniform(mix(uint64(in.spec.Seed), uint64(Partition), h.Sum64())) < in.frac
+	return uniform(fault.Mix(uint64(in.spec.Seed), uint64(Partition), h.Sum64())) < in.frac
 }
 
 // Total returns the number of injections so far. Nil-safe.

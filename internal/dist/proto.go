@@ -39,7 +39,10 @@
 // revoke layer's abort-and-retry recovery, but at campaign granularity.
 package dist
 
-import "repro/internal/expt"
+import (
+	"repro/internal/expt"
+	"repro/internal/telemetry"
+)
 
 // Proto is the wire-protocol version. Hello requests carrying any other
 // value are rejected: job descriptions and results are structural JSON,
@@ -66,16 +69,6 @@ type Hello struct {
 	Name string `json:"name"`
 }
 
-// TelemetryOptions mirrors telemetry.Options on the wire. TraceEvents
-// is a backwards-compatible cornucopia-dist/v1 extension: an old worker
-// ignores the field and simply ships untraced snapshots, while a new
-// worker against an old coordinator sees the zero value (tracing off).
-type TelemetryOptions struct {
-	SampleEvery uint64 `json:"sample_every,omitempty"`
-	MaxRows     int    `json:"max_rows,omitempty"`
-	TraceEvents int    `json:"trace_events,omitempty"`
-}
-
 // HelloReply accepts or rejects a worker.
 type HelloReply struct {
 	OK     bool   `json:"ok"`
@@ -88,8 +81,11 @@ type HelloReply struct {
 	Tool string `json:"tool,omitempty"`
 	Grid string `json:"grid,omitempty"`
 	// Telemetry, when non-nil, arms per-job recording so snapshots ride
-	// back inside the JobResult.
-	Telemetry *TelemetryOptions `json:"telemetry,omitempty"`
+	// back inside the JobResult. Its trace_events field is a
+	// backwards-compatible cornucopia-dist/v1 extension: an old worker
+	// ignores it and ships untraced snapshots, while a new worker against
+	// an old coordinator sees the zero value (tracing off).
+	Telemetry *telemetry.Options `json:"telemetry,omitempty"`
 	// HeartbeatMS is how often the worker must renew each held lease.
 	HeartbeatMS int64 `json:"heartbeat_ms,omitempty"`
 }

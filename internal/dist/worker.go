@@ -234,12 +234,7 @@ func (w *Worker) hello() error {
 			w.mu.Lock()
 			w.row.ID = w.id
 			w.mu.Unlock()
-			if rep.Telemetry != nil {
-				w.telem = &telemetry.Options{
-					SampleEvery: rep.Telemetry.SampleEvery, MaxRows: rep.Telemetry.MaxRows,
-					TraceEvents: rep.Telemetry.TraceEvents,
-				}
-			}
+			w.telem = rep.Telemetry
 			w.logf("worker %s joined %s campaign %q (heartbeat=%s)",
 				w.id, rep.Tool, rep.Grid, w.hb)
 			return nil

@@ -1,6 +1,10 @@
 package expt
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/fault"
+)
 
 // Backoff is the unified retry-spacing policy shared by the local pool's
 // job retries and internal/dist's degraded-mode paths (worker hello,
@@ -18,25 +22,11 @@ type Backoff struct {
 	// Max caps the un-jittered delay (0 = uncapped).
 	Max time.Duration
 	// Jitter adds up to this fraction of the computed delay, keyed by
-	// (Seed, attempt) through the same splitmix avalanche the fault
-	// injectors use. 0 = no jitter; values are clamped to [0, 1].
+	// (Seed, attempt) through fault.Mix, the fault injectors' hash. 0 =
+	// no jitter; values are clamped to [0, 1].
 	Jitter float64
 	// Seed keys the jitter stream.
 	Seed int64
-}
-
-// backoffMix is the splitmix64-style avalanche shared with the fault
-// injectors, duplicated here to keep expt free of fault imports.
-func backoffMix(vals ...uint64) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, v := range vals {
-		h ^= v
-		h *= 0xbf58476d1ce4e5b9
-		h ^= h >> 27
-		h *= 0x94d049bb133111eb
-		h ^= h >> 31
-	}
-	return h
 }
 
 // Delay returns how long to wait before the given retry attempt
@@ -61,7 +51,7 @@ func (b Backoff) Delay(attempt int) time.Duration {
 		if j > 1 {
 			j = 1
 		}
-		u := float64(backoffMix(uint64(b.Seed), uint64(attempt))>>11) / float64(1<<53)
+		u := float64(fault.Mix(uint64(b.Seed), uint64(attempt))>>11) / float64(1<<53)
 		d += d * j * u
 	}
 	return time.Duration(d)

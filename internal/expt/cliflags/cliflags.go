@@ -7,13 +7,16 @@
 // -timeline, -timeline-canonical, -trace-events). Both commands register
 // the same flags with the same defaults and get the same progress
 // formatting, so the tools stay drop-in consistent. LiveFlags is the
-// live server's flag set on its own, which cmd/worker registers too, and
-// CheckArgs is every command's guard against a stray positional argument.
+// live server's flag set on its own, which cmd/worker registers too;
+// TelemetryFlags is the telemetry export flag set, which cmd/sweep and
+// cmd/cornucopia register; and CheckArgs is every command's guard against
+// a stray positional argument.
 package cliflags
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -449,6 +452,73 @@ func (f *Flags) WriteTimeline(tool string, ex expt.Executor) error {
 		return fmt.Errorf("cliflags: -timeline: %w", err)
 	}
 	fmt.Printf("%s: wrote %s\n", tool, f.Timeline)
+	return nil
+}
+
+// TelemetryFlags is the telemetry export flag set, shared by cmd/sweep
+// and cmd/cornucopia: -prof-folded, -prof-pprof, -metrics-out and
+// -series-csv name the export files, and -sample-every sets the time
+// series' sampling interval.
+type TelemetryFlags struct {
+	Folded, Pprof, Metrics, SeriesCSV string
+	SampleEvery                       uint64
+}
+
+// RegisterTelemetry installs the telemetry export flags on the process
+// flag set. Call before flag.Parse.
+func RegisterTelemetry() *TelemetryFlags {
+	tf := &TelemetryFlags{}
+	flag.StringVar(&tf.Folded, "prof-folded", "", "write the cycle profile (merged over jobs) as folded flame-graph stacks to this file")
+	flag.StringVar(&tf.Pprof, "prof-pprof", "", "write the cycle profile (merged over jobs) as a gzipped pprof proto to this file")
+	flag.StringVar(&tf.Metrics, "metrics-out", "", "write the final metrics (merged over jobs) in OpenMetrics text format to this file")
+	flag.StringVar(&tf.SeriesCSV, "series-csv", "", "write every job's sampled metrics time series as CSV to this file")
+	flag.Uint64Var(&tf.SampleEvery, "sample-every", telemetry.DefaultSampleEvery, "time-series sampling interval, simulated cycles")
+	return tf
+}
+
+// Wanted reports whether any export file was named.
+func (tf *TelemetryFlags) Wanted() bool {
+	return tf.Folded != "" || tf.Pprof != "" || tf.Metrics != "" || tf.SeriesCSV != ""
+}
+
+// Write merges the jobs' snapshots and writes every requested export,
+// printing a "tool: wrote FILE" line for each. Merge sorts by key, so the
+// files are byte-identical at any worker count, and one snapshot merges
+// to itself.
+func (tf *TelemetryFlags) Write(tool string, snaps []telemetry.Keyed) error {
+	if len(snaps) == 0 {
+		fmt.Fprintf(os.Stderr, "%s: no telemetry recorded (all jobs served from a pre-telemetry manifest?)\n", tool)
+	}
+	merged := telemetry.Merge(snaps)
+	if merged.TraceDropped > 0 {
+		fmt.Fprintf(os.Stderr, "%s: trace ring overflowed: %d event(s) dropped (raise -trace-events)\n",
+			tool, merged.TraceDropped)
+	}
+	for _, e := range []struct {
+		path  string
+		write func(io.Writer) error
+	}{
+		{tf.Folded, merged.WriteFolded},
+		{tf.Pprof, merged.WritePprof},
+		{tf.Metrics, func(w io.Writer) error { return merged.WriteOpenMetrics(w, true) }},
+		{tf.SeriesCSV, func(w io.Writer) error { return telemetry.WriteSeriesCSV(w, snaps) }},
+	} {
+		if e.path == "" {
+			continue
+		}
+		f, err := os.Create(e.path)
+		if err != nil {
+			return err
+		}
+		if err := e.write(f); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Printf("%s: wrote %s\n", tool, e.path)
+	}
 	return nil
 }
 

@@ -113,11 +113,11 @@ func collect(g Getter, jobs []Job) ([]*harness.Result, error) {
 	g.Prefetch(jobs)
 	out := make([]*harness.Result, len(jobs))
 	for i, j := range jobs {
-		jr, err := g.Get(j)
+		r, err := g.Get(j)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = jr.Harness()
+		out[i] = r
 	}
 	return out, nil
 }
@@ -134,7 +134,7 @@ func specMatrix(g Getter, profiles []spec.Profile, conds []harness.Condition,
 	var cells []cell
 	for _, p := range profiles {
 		for _, c := range all {
-			jobs := repeatJobs(SpecWorkload(p.Name()), c, cfg, reps, strideRepeat)
+			jobs := repeatJobs(SpecWorkload(p.Name()), c, cfg, reps, harness.RepeatStride)
 			g.Prefetch(jobs)
 			cells = append(cells, cell{p.Name(), c.Name, jobs})
 		}
@@ -146,11 +146,11 @@ func specMatrix(g Getter, profiles []spec.Profile, conds []harness.Condition,
 		}
 		rs := make([]*harness.Result, len(cl.jobs))
 		for i, j := range cl.jobs {
-			jr, err := g.Get(j)
+			r, err := g.Get(j)
 			if err != nil {
 				return nil, err
 			}
-			rs[i] = jr.Harness()
+			rs[i] = r
 		}
 		out[cl.prof][cl.cond] = rs
 	}
@@ -162,7 +162,7 @@ func pgbenchMatrix(g Getter, txs int, cfg harness.Config, reps int) (map[string]
 	conds := append([]harness.Condition{harness.Baseline()}, harness.StandardConditions()...)
 	grids := make([][]Job, len(conds))
 	for i, c := range conds {
-		grids[i] = repeatJobs(PgbenchWorkload(txs), c, cfg, reps, strideRepeat)
+		grids[i] = repeatJobs(PgbenchWorkload(txs), c, cfg, reps, harness.RepeatStride)
 		g.Prefetch(grids[i])
 	}
 	out := map[string][]*harness.Result{}
@@ -385,7 +385,7 @@ func fig6Build(o Options, g Getter) (*harness.Table, error) {
 	revokerDRAM := func(rs []*harness.Result) float64 {
 		var s metrics.Samples
 		for _, r := range rs {
-			s.AddU(r.DRAMByAgent[bus.AgentRevoker])
+			s.AddU(r.DRAMByAgent[bus.AgentRevoker.String()])
 		}
 		return s.Mean()
 	}
@@ -419,7 +419,7 @@ func Fig7Samples(o Options, g Getter) (map[string]*metrics.Samples, error) {
 	for name, rs := range m {
 		lat := &metrics.Samples{}
 		for _, r := range rs {
-			lat.Merge(r.Lat.Scaled(r.HzGHz * 1e6)) // cycles → ms
+			lat.Merge(r.Lat().Scaled(r.HzGHz * 1e6)) // cycles → ms
 		}
 		out[name] = lat
 	}
@@ -443,7 +443,7 @@ func fig7Build(o Options, g Getter) (*harness.Table, error) {
 		rs := m[name]
 		lat := &metrics.Samples{}
 		for _, r := range rs {
-			lat.Merge(r.Lat)
+			lat.Merge(r.Lat())
 		}
 		hz := cyclesPerMs(rs)
 		row := []string{name}
@@ -505,7 +505,7 @@ func pctCell(lat *metrics.Samples, p, hz float64) string {
 func table1Build(o Options, g Getter) (*harness.Table, error) {
 	cfg, txs, reps := o.PgCfg, o.Txs, o.Reps
 	cond := harness.Condition{Name: "Reloaded", Shimmed: true, Strategy: revoke.Reloaded, RevokerCores: []int{2}}
-	un, err := collect(g, repeatJobs(PgbenchWorkload(txs), cond, cfg, reps, strideRepeat))
+	un, err := collect(g, repeatJobs(PgbenchWorkload(txs), cond, cfg, reps, harness.RepeatStride))
 	if err != nil {
 		return nil, err
 	}
@@ -517,7 +517,7 @@ func table1Build(o Options, g Getter) (*harness.Table, error) {
 	addRow := func(label string, rs []*harness.Result) {
 		lat := &metrics.Samples{}
 		for _, r := range rs {
-			lat.Merge(r.Lat)
+			lat.Merge(r.Lat())
 		}
 		hz := cyclesPerMs(rs)
 		row := []string{label}
@@ -529,7 +529,7 @@ func table1Build(o Options, g Getter) (*harness.Table, error) {
 	fracs := []float64{0.35, 0.53, 0.88}
 	rated := make([][]Job, len(fracs))
 	for i, frac := range fracs {
-		rated[i] = repeatJobs(PgbenchRatedWorkload(txs, unTPS*frac), cond, cfg, reps, strideRepeat)
+		rated[i] = repeatJobs(PgbenchRatedWorkload(txs, unTPS*frac), cond, cfg, reps, harness.RepeatStride)
 		g.Prefetch(rated[i])
 	}
 	for i, frac := range fracs {
@@ -564,19 +564,19 @@ func fig8Build(o Options, g Getter) (*harness.Table, error) {
 		}
 		tput := &metrics.Samples{}
 		for _, j := range jobs {
-			jr, err := g.Get(j)
+			r, err := g.Get(j)
 			if err != nil {
 				return nil, nil, err
 			}
-			r := jr.Harness()
+			lat := r.Lat()
 			for _, p := range pcts {
 				// A run with no measured events contributes no percentile
 				// samples (instead of panicking the whole figure).
-				if v, ok := r.Lat.PercentileOK(p); ok {
+				if v, ok := lat.PercentileOK(p); ok {
 					cs.perRun[p].Add(v)
 				}
 			}
-			tput.Add(float64(jr.Messages) / jr.Seconds(jr.MeasureCycles))
+			tput.Add(float64(r.Messages) / r.Seconds(r.MeasureCycles))
 		}
 		return cs, tput, nil
 	}
@@ -660,10 +660,7 @@ func fig9Scales(cfg harness.Config) (pgCfg, qpsCfg harness.Config) {
 	pgCfg = harness.PgbenchConfig()
 	qpsCfg = harness.QPSConfig()
 	if cfg.Scale != 0 && cfg.Scale != 64 {
-		pgCfg.Scale = cfg.Scale / 8
-		if pgCfg.Scale == 0 {
-			pgCfg.Scale = 1
-		}
+		pgCfg.Scale = harness.PgbenchScale(cfg.Scale)
 		qpsCfg.Scale = cfg.Scale
 	}
 	return pgCfg, qpsCfg
@@ -685,14 +682,14 @@ func fig9Build(o Options, g Getter) (*harness.Table, error) {
 		p := spec.ByName(name)[0]
 		specJobs[name] = map[string][]Job{}
 		for _, c := range harness.SweepConditions() {
-			jobs := repeatJobs(SpecWorkload(p.Name()), c, cfg, o.Reps, strideRepeat)
+			jobs := repeatJobs(SpecWorkload(p.Name()), c, cfg, o.Reps, harness.RepeatStride)
 			g.Prefetch(jobs)
 			specJobs[name][c.Name] = jobs
 		}
 	}
 	pgJobs := map[string][]Job{}
 	for _, c := range harness.SweepConditions() {
-		jobs := repeatJobs(PgbenchWorkload(3000), c, pgCfg, o.Reps, strideRepeat)
+		jobs := repeatJobs(PgbenchWorkload(3000), c, pgCfg, o.Reps, harness.RepeatStride)
 		g.Prefetch(jobs)
 		pgJobs[c.Name] = jobs
 	}
@@ -753,10 +750,10 @@ func table2Build(o Options, g Getter) (*harness.Table, error) {
 	subset := []string{"xalancbmk", "astar", "omnetpp", "hmmer", "gobmk"}
 	specJobs := make([][]Job, len(subset))
 	for i, name := range subset {
-		specJobs[i] = repeatJobs(SpecWorkload(spec.ByName(name)[0].Name()), cond, cfg, o.Reps, strideRepeat)
+		specJobs[i] = repeatJobs(SpecWorkload(spec.ByName(name)[0].Name()), cond, cfg, o.Reps, harness.RepeatStride)
 		g.Prefetch(specJobs[i])
 	}
-	pgJobs := repeatJobs(PgbenchWorkload(3000), cond, pgCfg, o.Reps, strideRepeat)
+	pgJobs := repeatJobs(PgbenchWorkload(3000), cond, pgCfg, o.Reps, harness.RepeatStride)
 	g.Prefetch(pgJobs)
 	qpsCond := cond
 	qpsCond.RevokerCores = nil
@@ -824,7 +821,7 @@ func heapscaleBuild(o Options, g Getter) (*harness.Table, error) {
 	conds := append([]harness.Condition{harness.Baseline()}, harness.SweepConditions()...)
 	grids := make([][]Job, len(conds))
 	for i, c := range conds {
-		grids[i] = repeatJobs(wref, c, cfg, o.Reps, strideRepeat)
+		grids[i] = repeatJobs(wref, c, cfg, o.Reps, harness.RepeatStride)
 		g.Prefetch(grids[i])
 	}
 	var base []*harness.Result

@@ -140,13 +140,13 @@ func (j Job) Key() string {
 }
 
 // repeatJobs expands reps jobs for (w, cond, cfg) with the per-rep seed
-// derivation seed+i*stride. strideRepeat matches harness.Repeat, so a
-// sweep regenerates exactly the runs the sequential figure drivers did.
+// derivation seed+i*stride. The SPEC and pgbench grids use
+// harness.RepeatStride, harness.Repeat's, so a sweep regenerates exactly
+// the runs the sequential figure drivers did; the gRPC grids use these.
 const (
-	strideRepeat = 1000003  // harness.Repeat's cold-boot batches
-	strideQPS    = 7919     // Figure 8's per-rep seeds
-	strideQPS9   = 104729   // Figure 9's gRPC rows
-	strideQPS2   = 15485863 // Table 2's gRPC row
+	strideQPS  = 7919     // Figure 8's per-rep seeds
+	strideQPS9 = 104729   // Figure 9's gRPC rows
+	strideQPS2 = 15485863 // Table 2's gRPC row
 )
 
 func repeatJobs(w WorkloadRef, cond harness.Condition, cfg harness.Config, reps int, stride int64) []Job {

@@ -131,10 +131,10 @@ func (p *Pool) SetRun(run func(Job) (*JobResult, time.Duration, error)) {
 }
 
 // RunJob executes one job for real: instantiate the workload, cold-boot a
-// machine, run, flatten. With telem set, the run is profiled and the
-// snapshot must conserve cycles. This is the one true execution path —
-// local pool workers and internal/dist network workers both call it, so
-// a job computes the same result wherever it runs.
+// machine, run. With telem set, the run is profiled and the snapshot must
+// conserve cycles. This is the one true execution path — local pool
+// workers, internal/dist network workers and cmd/cornucopia all call it,
+// so a job computes the same result wherever it runs.
 //
 // The trailing ints are ignored. They stand where the sweep-kernel,
 // sim-engine and memory-path selectors used to be passed, so callers
@@ -160,10 +160,9 @@ func RunJob(j Job, telem *telemetry.Options, _ ...int) (*JobResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	jr := FromHarness(r, cfg.Seed)
 	if q, ok := w.(*qps.QPS); ok {
-		jr.Messages = q.Messages
-		jr.MeasureCycles = q.MeasureCycles
+		r.Messages = q.Messages
+		r.MeasureCycles = q.MeasureCycles
 	}
 	if cfg.Telem.Enabled() {
 		snap := cfg.Telem.Snapshot()
@@ -172,11 +171,13 @@ func RunJob(j Job, telem *telemetry.Options, _ ...int) (*JobResult, error) {
 		}
 		// The retained ring rides the snapshot, so traces survive
 		// manifest resume and distributed result shipping. The ring is
-		// deterministic for a given job, so shipped traces are too.
+		// deterministic for a given job, so shipped traces are too. The
+		// tracer itself is dropped, so a pool does not hold every ring
+		// twice.
 		snap.Trace, snap.TraceDropped = cfg.Trace.Events(), cfg.Trace.Dropped()
-		jr.Telem = snap
+		r.Telem, r.Trace = snap, nil
 	}
-	return jr, nil
+	return r, nil
 }
 
 // Prefetch schedules jobs for execution without waiting for them. The

@@ -1,141 +1,15 @@
 package expt
 
-import (
-	"repro/internal/alloc"
-	"repro/internal/bus"
-	"repro/internal/fault"
-	"repro/internal/harness"
-	"repro/internal/kernel"
-	"repro/internal/metrics"
-	"repro/internal/oracle"
-	"repro/internal/quarantine"
-	"repro/internal/revoke"
-	"repro/internal/telemetry"
-)
+import "repro/internal/harness"
 
-// agents lists the bus agents a Result reports traffic for, in a stable
-// order; JSON keys use their String names so the schema outlives the
-// numeric constants.
-var agents = []bus.Agent{bus.AgentApp, bus.AgentAlloc, bus.AgentRevoker, bus.AgentKernel}
+// JobResult is the record of one run: harness.Result itself, which
+// manifests, dist results and sweep documents carry as JSON.
+type JobResult = harness.Result
 
-// JobResult is the serializable form of everything one run measured: a
-// harness.Result flattened to plain data (plus the qps workload's own
-// outputs), so it can live in a manifest and round-trip through JSON
-// without loss. float64 fields round-trip exactly (Go emits the shortest
-// representation that parses back to the same value), so tables built
-// from manifest-loaded results are byte-identical to freshly-run ones.
-type JobResult struct {
-	Workload  string `json:"workload"`
-	Condition string `json:"condition"`
-	Seed      int64  `json:"seed"`
-
-	WallCycles   uint64 `json:"wall_cycles"`
-	CPUCycles    uint64 `json:"cpu_cycles"`
-	AppCPUCycles uint64 `json:"app_cpu_cycles"`
-
-	DRAMTotal   uint64            `json:"dram_total"`
-	DRAMByAgent map[string]uint64 `json:"dram_by_agent,omitempty"`
-	DRAMByCore  []uint64          `json:"dram_by_core,omitempty"`
-
-	PeakRSSPages int `json:"peak_rss_pages"`
-
-	Proc   kernel.ProcStats     `json:"proc"`
-	Heap   alloc.Stats          `json:"heap"`
-	Quar   quarantine.Stats     `json:"quarantine"`
-	Epochs []revoke.EpochRecord `json:"epochs,omitempty"`
-
-	// Fault, Oracle, and Recovery carry the fault-campaign outputs
-	// (cmd/chaos); all nil outside campaigns.
-	Fault    *fault.Report         `json:"fault,omitempty"`
-	Oracle   *oracle.Report        `json:"oracle,omitempty"`
-	Recovery *revoke.RecoveryStats `json:"recovery,omitempty"`
-
-	// LatCycles holds the per-event latency samples, in cycles.
-	LatCycles []float64 `json:"lat_cycles,omitempty"`
-
-	HzGHz float64 `json:"hz_ghz"`
-
-	// Messages and MeasureCycles are the qps workload's throughput
-	// outputs (zero for other workloads).
-	Messages      uint64 `json:"messages,omitempty"`
-	MeasureCycles uint64 `json:"measure_cycles,omitempty"`
-
-	// Telem is the run's telemetry snapshot (profile + metrics) when the
-	// pool ran with PoolConfig.Telemetry; nil otherwise. It rides the
-	// manifest, so resumed sweeps keep their profiles.
-	Telem *telemetry.Snapshot `json:"telem,omitempty"`
-}
-
-// FromHarness flattens a harness result.
+// FromHarness sets r's seed and returns it. harness.Run already records
+// the seed, so this only keeps callers written against the old flattening
+// converter compiling.
 func FromHarness(r *harness.Result, seed int64) *JobResult {
-	jr := &JobResult{
-		Workload:     r.Workload,
-		Condition:    r.Condition,
-		Seed:         seed,
-		WallCycles:   r.WallCycles,
-		CPUCycles:    r.CPUCycles,
-		AppCPUCycles: r.AppCPUCycles,
-		DRAMTotal:    r.DRAMTotal,
-		DRAMByCore:   r.DRAMByCore,
-		PeakRSSPages: r.PeakRSSPages,
-		Proc:         r.Proc,
-		Heap:         r.Heap,
-		Quar:         r.Quar,
-		Epochs:       r.Epochs,
-		HzGHz:        r.HzGHz,
-	}
-	if len(r.DRAMByAgent) > 0 {
-		jr.DRAMByAgent = make(map[string]uint64, len(r.DRAMByAgent))
-		for _, a := range agents {
-			jr.DRAMByAgent[a.String()] = r.DRAMByAgent[a]
-		}
-	}
-	if r.Lat != nil && r.Lat.N() > 0 {
-		jr.LatCycles = append([]float64(nil), r.Lat.Values()...)
-	}
-	jr.Fault = r.Fault
-	jr.Oracle = r.Oracle
-	if r.Recovery.Total() > 0 {
-		rec := r.Recovery
-		jr.Recovery = &rec
-	}
-	return jr
-}
-
-// Harness reconstructs the harness view the figure aggregators consume.
-func (jr *JobResult) Harness() *harness.Result {
-	r := &harness.Result{
-		Workload:     jr.Workload,
-		Condition:    jr.Condition,
-		WallCycles:   jr.WallCycles,
-		CPUCycles:    jr.CPUCycles,
-		AppCPUCycles: jr.AppCPUCycles,
-		DRAMTotal:    jr.DRAMTotal,
-		DRAMByCore:   jr.DRAMByCore,
-		PeakRSSPages: jr.PeakRSSPages,
-		Proc:         jr.Proc,
-		Heap:         jr.Heap,
-		Quar:         jr.Quar,
-		Epochs:       jr.Epochs,
-		Lat:          &metrics.Samples{},
-		HzGHz:        jr.HzGHz,
-	}
-	r.DRAMByAgent = make(map[bus.Agent]uint64, len(agents))
-	for _, a := range agents {
-		r.DRAMByAgent[a] = jr.DRAMByAgent[a.String()]
-	}
-	for _, x := range jr.LatCycles {
-		r.Lat.Add(x)
-	}
-	r.Fault = jr.Fault
-	r.Oracle = jr.Oracle
-	if jr.Recovery != nil {
-		r.Recovery = *jr.Recovery
-	}
+	r.Seed = seed
 	return r
-}
-
-// Seconds converts cycles to seconds at the run's clock.
-func (jr *JobResult) Seconds(cycles uint64) float64 {
-	return float64(cycles) / (jr.HzGHz * 1e9)
 }

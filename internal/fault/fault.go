@@ -173,8 +173,10 @@ func New(spec Spec) (*Injector, error) {
 	return in, nil
 }
 
-// mix is a splitmix64-style avalanche over its inputs.
-func mix(vals ...uint64) uint64 {
+// Mix is a splitmix64-style avalanche over its inputs: the one hash that
+// keys every deterministic decision stream in the simulator and its fleet
+// (fault injection, network fault injection, retry jitter).
+func Mix(vals ...uint64) uint64 {
 	h := uint64(0x9e3779b97f4a7c15)
 	for _, v := range vals {
 		h ^= v
@@ -206,7 +208,7 @@ func (in *Injector) Should(c Class, cycle, arg uint64) bool {
 	n := in.opps[c]
 	in.opps[c]++
 	if in.rate < 1 {
-		h := mix(uint64(in.spec.Seed), uint64(c), n, cycle)
+		h := Mix(uint64(in.spec.Seed), uint64(c), n, cycle)
 		if float64(h>>11)/float64(1<<53) >= in.rate {
 			return false
 		}

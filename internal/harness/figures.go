@@ -17,6 +17,11 @@ func PgbenchConfig() Config {
 	return cfg
 }
 
+// PgbenchScale is the pgbench footprint divisor that goes with a SPEC
+// divisor: an eighth of it, at least 1 (PgbenchConfig's 8 goes with
+// SpecConfig's 64).
+func PgbenchScale(specScale uint64) uint64 { return max(specScale/8, 1) }
+
 // QPSConfig returns the gRPC QPS configuration.
 func QPSConfig() Config {
 	cfg := DefaultConfig()

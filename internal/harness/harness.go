@@ -77,49 +77,78 @@ func ColoringCondition(s revoke.Strategy) Condition {
 	}
 }
 
-// Result carries everything measured in one run.
+// Result carries everything measured in one run. It is also the run's
+// record on disk and on the wire: manifests, dist results and sweep
+// documents carry it as JSON (expt.JobResult is this type), so every
+// field is plain data, and float64 fields round-trip exactly (Go emits the
+// shortest representation that parses back to the same value), so tables
+// built from decoded results are byte-identical to freshly-run ones.
 type Result struct {
-	Workload  string
-	Condition string
+	Workload  string `json:"workload"`
+	Condition string `json:"condition"`
+	Seed      int64  `json:"seed"`
 
-	WallCycles uint64
+	WallCycles uint64 `json:"wall_cycles"`
 	// CPUCycles is busy cycles summed over all cores ("total CPU time,
 	// both cores" in Figure 2).
-	CPUCycles uint64
+	CPUCycles uint64 `json:"cpu_cycles"`
 	// AppCPUCycles is the primary application thread's busy cycles.
-	AppCPUCycles uint64
+	AppCPUCycles uint64 `json:"app_cpu_cycles"`
 
-	DRAMTotal   uint64
-	DRAMByAgent map[bus.Agent]uint64
-	DRAMByCore  []uint64
+	DRAMTotal uint64 `json:"dram_total"`
+	// DRAMByAgent is keyed by bus.Agent name ("app", "alloc", "revoker",
+	// "kernel"), so the schema outlives the numeric constants.
+	DRAMByAgent map[string]uint64 `json:"dram_by_agent,omitempty"`
+	DRAMByCore  []uint64          `json:"dram_by_core,omitempty"`
 
 	// PeakRSSPages is the process's peak resident set, in pages.
-	PeakRSSPages int
-	// BaselineRSS-style accounting for Figure 3 comes from comparing runs.
+	PeakRSSPages int `json:"peak_rss_pages"`
 
-	Proc   kernel.ProcStats
-	Heap   alloc.Stats
-	Quar   quarantine.Stats
-	Epochs []revoke.EpochRecord
+	Proc   kernel.ProcStats     `json:"proc"`
+	Heap   alloc.Stats          `json:"heap"`
+	Quar   quarantine.Stats     `json:"quarantine"`
+	Epochs []revoke.EpochRecord `json:"epochs,omitempty"`
 
-	// Recovery counts the revoker's abort-and-retry actions (all zero
-	// outside fault campaigns).
-	Recovery revoke.RecoveryStats
 	// Fault and Oracle report the injection campaign and soundness audit
 	// when Config.Fault / Config.Oracle were set (nil otherwise).
-	Fault  *fault.Report
-	Oracle *oracle.Report
+	Fault  *fault.Report  `json:"fault,omitempty"`
+	Oracle *oracle.Report `json:"oracle,omitempty"`
+	// Recovery counts the revoker's abort-and-retry actions (all zero,
+	// and absent from the JSON, outside fault campaigns).
+	Recovery revoke.RecoveryStats `json:"recovery,omitzero"`
 
-	// Lat holds per-event latencies (cycles) for interactive workloads.
-	Lat *metrics.Samples
+	// LatCycles holds the per-event latencies (cycles) of interactive
+	// workloads, sorted ascending.
+	LatCycles []float64 `json:"lat_cycles,omitempty"`
 
 	// HzGHz converts cycles to seconds for reporting.
-	HzGHz float64
+	HzGHz float64 `json:"hz_ghz"`
+
+	// Messages and MeasureCycles are the qps workload's throughput
+	// outputs (zero for other workloads); expt.RunJob fills them.
+	Messages      uint64 `json:"messages,omitempty"`
+	MeasureCycles uint64 `json:"measure_cycles,omitempty"`
+
+	// Telem is the run's checked telemetry snapshot (profile, metrics and
+	// any trace ring) when expt.RunJob ran it with telemetry; nil
+	// otherwise. It rides the manifest, so resumed sweeps keep their
+	// profiles.
+	Telem *telemetry.Snapshot `json:"telem,omitempty"`
 
 	// Trace is the run's tracer when Config.Trace was set (nil otherwise);
-	// export with Trace.WriteCSV, or render Trace.Events() with
-	// trace.WriteTimeline.
-	Trace *trace.Tracer
+	// export Trace.Events() with trace.WriteCSV or trace.WriteTimeline.
+	// It is never serialized: expt.RunJob exports the ring into Telem
+	// instead.
+	Trace *trace.Tracer `json:"-"`
+}
+
+// Lat returns the per-event latencies as a sample set.
+func (r *Result) Lat() *metrics.Samples {
+	s := &metrics.Samples{}
+	for _, x := range r.LatCycles {
+		s.Add(x)
+	}
+	return s
 }
 
 // Seconds converts cycles to seconds at the machine's clock.
@@ -266,23 +295,24 @@ func Run(w workload.Workload, cond Condition, cfg Config) (*Result, error) {
 	res := &Result{
 		Workload:     w.Name(),
 		Condition:    cond.Name,
+		Seed:         cfg.Seed,
 		WallCycles:   m.Eng.WallClock(),
 		CPUCycles:    m.Eng.TotalCPU(),
 		AppCPUCycles: appTh.Sim.CPU(),
 		DRAMTotal:    bs.TotalDRAM(),
-		DRAMByAgent: map[bus.Agent]uint64{
-			bus.AgentApp:     bs.DRAMByAgent[bus.AgentApp],
-			bus.AgentAlloc:   bs.DRAMByAgent[bus.AgentAlloc],
-			bus.AgentRevoker: bs.DRAMByAgent[bus.AgentRevoker],
-			bus.AgentKernel:  bs.DRAMByAgent[bus.AgentKernel],
-		},
+		DRAMByAgent:  make(map[string]uint64, len(bs.DRAMByAgent)),
 		DRAMByCore:   bs.DRAMByCore,
 		PeakRSSPages: p.AS.Stats().PeakMappedPages,
 		Proc:         p.Stats(),
 		Heap:         h.Stats(),
-		Lat:          rig.Lat,
 		HzGHz:        cfg.Machine.Sim.HzGHz,
 		Trace:        cfg.Trace,
+	}
+	for a, n := range bs.DRAMByAgent {
+		res.DRAMByAgent[bus.Agent(a).String()] = n
+	}
+	if rig.Lat.N() > 0 {
+		res.LatCycles = rig.Lat.Values()
 	}
 	if shim != nil {
 		res.Quar = shim.Stats()
@@ -331,13 +361,17 @@ func bindTelemetrySources(tl *telemetry.Telemetry, m *kernel.Machine, p *kernel.
 	}
 }
 
+// RepeatStride separates the seeds of repeated runs: run i of a batch uses
+// seed+i*RepeatStride.
+const RepeatStride = 1000003
+
 // Repeat runs (w, cond) reps times with distinct seeds ("batches" with a
 // cold boot each, as §5.1 does) and returns all results.
 func Repeat(w workload.Workload, cond Condition, cfg Config, reps int) ([]*Result, error) {
 	var out []*Result
 	for i := 0; i < reps; i++ {
 		c := cfg
-		c.Seed = cfg.Seed + int64(i)*1000003
+		c.Seed = cfg.Seed + int64(i)*RepeatStride
 		r, err := Run(w, cond, c)
 		if err != nil {
 			return nil, err

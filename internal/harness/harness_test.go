@@ -158,8 +158,8 @@ func TestShapePgbench(t *testing.T) {
 		}
 		res[c.Name] = r
 	}
-	p50 := func(n string) float64 { return res[n].Lat.Percentile(50) }
-	p99 := func(n string) float64 { return res[n].Lat.Percentile(99) }
+	p50 := func(n string) float64 { return res[n].Lat().Percentile(50) }
+	p99 := func(n string) float64 { return res[n].Lat().Percentile(99) }
 	for _, n := range []string{"Reloaded", "Cornucopia", "CHERIvoke"} {
 		if r := p50(n) / p50("Paint+sync"); r > 1.25 {
 			t.Errorf("%s median %.2fx Paint+sync's; conditions should be similar at p50", n, r)

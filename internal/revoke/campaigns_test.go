@@ -52,14 +52,17 @@ func runTraced(t *testing.T, w workload.Workload, cond harness.Condition, cfg ha
 	return r
 }
 
-// campaignDigest hashes everything a run measures. Maps print with
-// sorted keys, and every struct hashed here is pointer-free, so the
-// encoding is deterministic across processes.
+// campaignDigest hashes everything a run measures. DRAMByAgent prints in
+// agent order (app, alloc, revoker, kernel), the order the pinned digests
+// were recorded in; maps print with sorted keys, and every struct hashed
+// here is pointer-free, so the encoding is deterministic across processes.
 func campaignDigest(t *testing.T, r *harness.Result) string {
 	t.Helper()
 	h := sha256.New()
 	fmt.Fprintf(h, "clocks %d %d %d\n", r.WallCycles, r.CPUCycles, r.AppCPUCycles)
-	fmt.Fprintf(h, "dram %d %v %v\n", r.DRAMTotal, r.DRAMByAgent, r.DRAMByCore)
+	a := r.DRAMByAgent
+	fmt.Fprintf(h, "dram %d map[app:%d alloc:%d revoker:%d kernel:%d] %v\n",
+		r.DRAMTotal, a["app"], a["alloc"], a["revoker"], a["kernel"], r.DRAMByCore)
 	fmt.Fprintf(h, "rss %d\nproc %+v\nheap %+v\nquar %+v\n", r.PeakRSSPages, r.Proc, r.Heap, r.Quar)
 	for i, e := range r.Epochs {
 		fmt.Fprintf(h, "epoch %d %+v\n", i, e)
@@ -71,7 +74,7 @@ func campaignDigest(t *testing.T, r *harness.Result) string {
 	if r.Oracle != nil {
 		fmt.Fprintf(h, "oracle %+v\n", *r.Oracle)
 	}
-	if err := r.Trace.WriteCSV(h); err != nil {
+	if err := trace.WriteCSV(h, r.Trace.Events()); err != nil {
 		t.Fatal(err)
 	}
 	return hex.EncodeToString(h.Sum(nil))

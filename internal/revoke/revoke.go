@@ -508,6 +508,27 @@ func (s *Service) snapshotPages(dirtyOnly bool) []pageRef {
 	return pages
 }
 
+// redirtiedPages collects the pages whose capability-dirty bit is set, in
+// VA order: the pages stored to since their last sweep.
+func (s *Service) redirtiedPages() []pageRef {
+	var pages []pageRef
+	s.P.AS.ForEachMappedPage(func(vpn uint64, pte *vm.PTE) bool {
+		if pte.Bits&vm.PTECapDirty != 0 {
+			pages = append(pages, pageRef{vpn, pte})
+		}
+		return true
+	})
+	return pages
+}
+
+// scanRoots scans thread register files and kernel hoards on th,
+// accumulating into rec.
+func (s *Service) scanRoots(th *kernel.Thread, rec *EpochRecord) {
+	sc, rv := s.P.ScanRoots(th)
+	rec.CapsVisited += uint64(sc)
+	rec.CapsRevoked += uint64(rv)
+}
+
 // sweepPages sweeps the given pages on th, accumulating into rec.
 func (s *Service) sweepPages(th *kernel.Thread, pages []pageRef, rec *EpochRecord) {
 	s.P.M.Telem.Enter(th.Sim, telemetry.CompSweep)
@@ -526,9 +547,7 @@ func (s *Service) epochCHERIvoke(th *kernel.Thread, rec *EpochRecord) {
 	p := s.P
 	t0 := th.Sim.Now()
 	p.StopTheWorld(th)
-	sc, rv := p.ScanRoots(th)
-	rec.CapsVisited += uint64(sc)
-	rec.CapsRevoked += uint64(rv)
+	s.scanRoots(th, rec)
 	s.sweepPages(th, s.snapshotPages(true), rec)
 	p.ResumeTheWorld(th)
 	rec.STWCycles = th.Sim.Now() - t0
@@ -537,30 +556,25 @@ func (s *Service) epochCHERIvoke(th *kernel.Thread, rec *EpochRecord) {
 // --- Cornucopia (§2.2.5) -----------------------------------------------------
 
 func (s *Service) epochCornucopia(th *kernel.Thread, rec *EpochRecord) {
-	p := s.P
 	// Phase 1, concurrent: sweep every capability-carrying page while the
 	// application runs. SweepPage clears the dirty bit before scanning, so
 	// pages the application stores capabilities to afterwards are re-marked.
 	t0 := th.Sim.Now()
 	s.sweepShared(th, s.snapshotPages(true), rec, 0)
 	rec.ConcurrentCycles = th.Sim.Now() - t0
+	s.cornucopiaSTW(th, rec)
+}
 
-	// Phase 2, stop-the-world: scan thread registers and kernel hoards,
-	// then re-sweep the pages re-dirtied during phase 1.
+// cornucopiaSTW is Cornucopia's stop-the-world phase: scan thread
+// registers and kernel hoards, then re-sweep the pages re-dirtied during
+// the concurrent phase.
+func (s *Service) cornucopiaSTW(th *kernel.Thread, rec *EpochRecord) {
+	p := s.P
 	t1 := th.Sim.Now()
 	p.StopTheWorld(th)
-	sc, rv := p.ScanRoots(th)
-	rec.CapsVisited += uint64(sc)
-	rec.CapsRevoked += uint64(rv)
-	var redirtied []pageRef
-	p.AS.ForEachMappedPage(func(vpn uint64, pte *vm.PTE) bool {
-		if pte.Bits&vm.PTECapDirty != 0 {
-			redirtied = append(redirtied, pageRef{vpn, pte})
-		}
-		return true
-	})
+	s.scanRoots(th, rec)
 	before := rec.PagesVisited
-	s.sweepPages(th, redirtied, rec)
+	s.sweepPages(th, s.redirtiedPages(), rec)
 	rec.PagesResweptSTW = rec.PagesVisited - before
 	p.ResumeTheWorld(th)
 	rec.STWCycles = th.Sim.Now() - t1
@@ -572,37 +586,12 @@ func (s *Service) epochCornucopia(th *kernel.Thread, rec *EpochRecord) {
 // dirtying pages during the second pass too, so the reduction is marginal
 // while the total work grows.
 func (s *Service) epochCornucopiaTwoPass(th *kernel.Thread, rec *EpochRecord) {
-	p := s.P
 	t0 := th.Sim.Now()
 	s.sweepShared(th, s.snapshotPages(true), rec, 0)
 	// Second concurrent pass: whatever got re-dirtied meanwhile.
-	var redirtied []pageRef
-	p.AS.ForEachMappedPage(func(vpn uint64, pte *vm.PTE) bool {
-		if pte.Bits&vm.PTECapDirty != 0 {
-			redirtied = append(redirtied, pageRef{vpn, pte})
-		}
-		return true
-	})
-	s.sweepShared(th, redirtied, rec, 0)
+	s.sweepShared(th, s.redirtiedPages(), rec, 0)
 	rec.ConcurrentCycles = th.Sim.Now() - t0
-
-	t1 := th.Sim.Now()
-	p.StopTheWorld(th)
-	sc, rv := p.ScanRoots(th)
-	rec.CapsVisited += uint64(sc)
-	rec.CapsRevoked += uint64(rv)
-	redirtied = redirtied[:0]
-	p.AS.ForEachMappedPage(func(vpn uint64, pte *vm.PTE) bool {
-		if pte.Bits&vm.PTECapDirty != 0 {
-			redirtied = append(redirtied, pageRef{vpn, pte})
-		}
-		return true
-	})
-	before := rec.PagesVisited
-	s.sweepPages(th, redirtied, rec)
-	rec.PagesResweptSTW = rec.PagesVisited - before
-	p.ResumeTheWorld(th)
-	rec.STWCycles = th.Sim.Now() - t1
+	s.cornucopiaSTW(th, rec)
 }
 
 // --- Cornucopia Reloaded (§3.2, §4.3) -----------------------------------------
@@ -618,9 +607,7 @@ func (s *Service) epochReloaded(th *kernel.Thread, rec *EpochRecord) {
 	p.BumpGenerations(th)
 	s.verifyShootdown(th, rec)
 	p.M.Telem.Observe(telemetry.StdShootdownLatencyCycles, float64(th.Sim.Now()-t0))
-	sc, rv := p.ScanRoots(th)
-	rec.CapsVisited += uint64(sc)
-	rec.CapsRevoked += uint64(rv)
+	s.scanRoots(th, rec)
 	p.ResumeTheWorld(th)
 	rec.STWCycles = th.Sim.Now() - t0
 

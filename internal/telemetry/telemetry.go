@@ -10,12 +10,10 @@
 // Instrumentation never advances virtual time — enabling telemetry cannot
 // change a run's results.
 //
-// The fast sim engine batches consecutive same-thread Busy deliveries
-// between scheduling points; SetBase/Enter/Exit call Engine.FlushClock
-// first so cycles ticked before an attribution change land under the old
-// frame. Totals, per-component attribution, and conservation are thus
-// identical under both engines — only the instants at which time-series
-// samples fire within a slice can shift by at most one batch.
+// The sim engine batches consecutive same-thread Busy deliveries between
+// scheduling points; SetBase/Enter/Exit call Engine.FlushClock first so
+// cycles ticked before an attribution change land under the old frame,
+// which keeps totals, per-component attribution and conservation exact.
 //
 // Like trace.Tracer, a nil *Telemetry is a valid disabled instance: every
 // method no-ops, so emit sites pay one branch when telemetry is off.
@@ -87,16 +85,16 @@ const idleFrame = "idle"
 type Options struct {
 	// SampleEvery is the simulated-cycle interval between time-series
 	// rows. Zero selects DefaultSampleEvery.
-	SampleEvery uint64
+	SampleEvery uint64 `json:"sample_every,omitempty"`
 	// MaxRows bounds the retained time series; when exceeded the series
 	// is downsampled 2:1 and the interval doubled (deterministically).
 	// Zero selects DefaultMaxRows.
-	MaxRows int
+	MaxRows int `json:"max_rows,omitempty"`
 	// TraceEvents, when positive, arms a per-job trace.Tracer ring of
 	// that capacity; the retained events are exported into the job's
 	// Snapshot (Snapshot.Trace) so traces survive manifest resume and
 	// distributed shipping. Zero leaves tracing off.
-	TraceEvents int
+	TraceEvents int `json:"trace_events,omitempty"`
 }
 
 // Defaults for Options.

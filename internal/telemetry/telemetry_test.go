@@ -275,6 +275,38 @@ func TestMergeDeterministicAcrossShardOrders(t *testing.T) {
 	}
 }
 
+// TestMergeOfOneSnapshotIsItself pins what lets a single run and a
+// campaign share one export writer: merging one snapshot reproduces that
+// snapshot's own folded, pprof and OpenMetrics bytes.
+func TestMergeOfOneSnapshotIsItself(t *testing.T) {
+	tl := New(Options{SampleEvery: 50})
+	runTinySim(t, tl)
+	tl.Idle(1, 320) // the revoker's core waits out the app's run
+	tl.Add(StdShootdownsTotal, 3)
+	tl.Observe(StdEpochCycles, 2_000)
+	snap := tl.Snapshot()
+	merged := Merge([]Keyed{{Key: "run", Snap: snap}})
+	for _, e := range []struct {
+		name  string
+		write func(*Snapshot, io.Writer) error
+	}{
+		{"folded", (*Snapshot).WriteFolded},
+		{"pprof", (*Snapshot).WritePprof},
+		{"openmetrics", func(s *Snapshot, w io.Writer) error { return s.WriteOpenMetrics(w, true) }},
+	} {
+		var own, got bytes.Buffer
+		if err := e.write(snap, &own); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.write(merged, &got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(own.Bytes(), got.Bytes()) {
+			t.Errorf("%s export of the one-snapshot merge differs from the snapshot's own", e.name)
+		}
+	}
+}
+
 func TestOpenMetricsShape(t *testing.T) {
 	snap := synthSnap(2)
 	var buf bytes.Buffer

@@ -71,17 +71,17 @@ func (ev Event) Detail() string {
 // csvHeader is the column layout of WriteCSV output.
 var csvHeader = []string{"cycle", "phase", "kind", "core", "agent", "epoch", "arg", "arg2", "detail"}
 
-// WriteCSV renders the retained events as RFC 4180 CSV (encoding/csv
-// quoting), one event per row in emission order:
-// cycle,phase,kind,core,agent,epoch,arg,arg2,detail. The detail column
-// repeats arg/arg2 with their kind-specific names and hex rendering for
-// addresses; it contains commas and is quoted accordingly.
-func (t *Tracer) WriteCSV(w io.Writer) error {
+// WriteCSV renders events (a Tracer's Events, or a snapshot's retained
+// ring) as RFC 4180 CSV (encoding/csv quoting), one event per row in
+// order: cycle,phase,kind,core,agent,epoch,arg,arg2,detail. The detail
+// column repeats arg/arg2 with their kind-specific names and hex
+// rendering for addresses; it contains commas and is quoted accordingly.
+func WriteCSV(w io.Writer, evs []Event) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(csvHeader); err != nil {
 		return err
 	}
-	for _, ev := range t.Events() {
+	for _, ev := range evs {
 		rec := []string{
 			strconv.FormatUint(ev.Cycle, 10),
 			ev.Phase.String(),

@@ -26,7 +26,7 @@ func TestNilTracerIsNoOp(t *testing.T) {
 		t.Fatal("nil tracer retained events")
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteCSV(&buf); err != nil {
+	if err := WriteCSV(&buf, tr.Events()); err != nil {
 		t.Fatalf("nil WriteCSV: %v", err)
 	}
 }
@@ -122,7 +122,7 @@ func TestWriteCSV(t *testing.T) {
 	tr.End(50, 2, bus.AgentRevoker, KindSweep, 2, 1, 8)
 	tr.Instant(60, -1, bus.AgentKernel, KindShootdown, 3, 0, 0)
 	var buf bytes.Buffer
-	if err := tr.WriteCSV(&buf); err != nil {
+	if err := WriteCSV(&buf, tr.Events()); err != nil {
 		t.Fatalf("WriteCSV: %v", err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -156,7 +156,7 @@ func TestWriteCSVRoundTrip(t *testing.T) {
 		tr.Emit(ev)
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteCSV(&buf); err != nil {
+	if err := WriteCSV(&buf, tr.Events()); err != nil {
 		t.Fatalf("WriteCSV: %v", err)
 	}
 	recs, err := csv.NewReader(&buf).ReadAll()
