@@ -12,7 +12,7 @@ RACE_PKGS = ./internal/bus ./internal/ca ./internal/dist/netfault \
             ./internal/sim ./internal/telemetry ./internal/tmem \
             ./internal/trace ./internal/vm ./internal/workload/heapscale
 
-.PHONY: all fmt build vet test race verify flake chaos sweep-bench \
+.PHONY: all fmt build vet inline test race verify flake chaos sweep-bench \
         fleet-smoke hostbench-smoke bench-test fuzz
 
 all: verify
@@ -28,6 +28,15 @@ build:
 vet:
 	$(GO) vet ./...
 
+# inline fails unless the compiler inlines sim's Thread.Tick, which every
+# simulated load, store and swept granule calls: its fast path sits at the
+# edge of the inlining budget, so a one-line edit could turn each charge
+# back into a call without changing any result.
+inline:
+	@out="$$($(GO) build -gcflags=-m ./internal/sim 2>&1)"; \
+	if ! printf '%s\n' "$$out" | grep -q 'can inline (\*Thread).Tick$$'; then \
+		echo "go build -gcflags=-m ./internal/sim no longer inlines (*Thread).Tick"; exit 1; fi
+
 test:
 	$(GO) test ./...
 
@@ -40,7 +49,7 @@ race:
 	$(GO) test -race -short ./internal/expt ./internal/dist
 
 # verify is the tier-1 gate: everything must pass before a change lands.
-verify: fmt build vet test race
+verify: fmt build vet inline test race
 
 # flake: the flake detector. dist's coordinator/worker protocol and expt's
 # pool run on the wall clock; five runs each catch a verdict that depends
@@ -49,7 +58,7 @@ flake:
 	$(GO) test -count=5 ./internal/dist
 	$(GO) test -count=5 -short ./internal/expt
 
-# fuzz: short runs of the three differential fuzzers, 10 s each (go test
+# fuzz: short runs of the four differential fuzzers, 10 s each (go test
 # -fuzz takes one target per call); go test runs only their seed inputs,
 # this target searches beyond them. FuzzCapStorage (internal/tmem) drives a
 # bank of frames through random capability stores, data stores, tag
@@ -59,13 +68,17 @@ flake:
 # shootdowns with dropped IPIs, checked against the map-based page table
 # and TLBs they replaced. FuzzCapability (internal/ca) drives capability
 # derivations with extreme perms, colors, object types and cursors, checked
-# against the seven-field capability the four-word one replaced. The last
-# two compare much state after every step, so minimizing a new input can
-# outlast the budget; -fuzzminimizetime keeps the 10 s for searching.
+# against the seven-field capability the four-word one replaced. FuzzBus
+# (internal/bus) drives the flat recency-ordered caches through accesses and
+# ranges on two cores over a footprint of a few sets, checked call by call
+# against the struct-array cache with last-use ticks. The last three compare
+# much state after every step, so minimizing a new input can outlast the
+# budget; -fuzzminimizetime keeps the 10 s for searching.
 fuzz:
 	$(GO) test ./internal/tmem -run '^$$' -fuzz '^FuzzCapStorage$$' -fuzztime 10s
 	$(GO) test ./internal/vm -run '^$$' -fuzz '^FuzzAddressSpace$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/ca -run '^$$' -fuzz '^FuzzCapability$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/bus -run '^$$' -fuzz '^FuzzBus$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # chaos: a strict fault-injection smoke campaign against Reloaded. Every
 # protocol-subverting class must be flagged by the soundness oracle and

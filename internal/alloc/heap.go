@@ -424,17 +424,19 @@ func (h *Heap) insertChunk(ch *chunk) {
 }
 
 // find locates the owner of addr: its chunk (or nil) and large record (or
-// nil).
+// nil). The chunks are searched first, since nearly every allocation lives
+// in one; a large has its own reservation, never inside a chunk, so the
+// larges map is consulted only for an address no chunk holds.
 func (h *Heap) find(addr uint64) (*chunk, *large, bool) {
-	if l, ok := h.larges[addr]; ok {
-		return nil, l, true
-	}
 	i := sort.Search(len(h.chunks), func(i int) bool { return h.chunks[i].res.Base > addr })
 	if i > 0 {
 		ch := h.chunks[i-1]
 		if addr < ch.res.Base+ch.res.Length {
 			return ch, nil, true
 		}
+	}
+	if l, ok := h.larges[addr]; ok {
+		return nil, l, true
 	}
 	return nil, nil, false
 }

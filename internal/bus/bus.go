@@ -103,17 +103,20 @@ func (s Stats) TotalDRAM() uint64 {
 
 // Bus is the memory hierarchy model: one cache per core over shared DRAM.
 //
-// Each core's cache is one slice of Sets*Ways entries, set-major. A set's
-// ways are kept in recency order: the most recently used line first,
-// invalid entries (0) at the tail. A valid entry is (lineAddr+1)<<1 with
-// the dirty flag in bit 0, so it is never 0. A hit moves its entry to the
-// front; a miss shifts the set down one way and evicts the tail, which is
-// an invalid way while one remains and the least recently used line
-// otherwise.
+// Every core's cache lives in one flat slice, core-major then set-major,
+// each set padded to a power-of-two stride of ways so an entry's index is
+// (core<<setShift | set) << wayShift. A set's ways are kept in recency
+// order: the most recently used line first, invalid entries (0) at the
+// tail. A valid entry is (lineAddr+1)<<1 with the dirty flag in bit 0, so
+// it is never 0. A hit moves its entry to the front; a miss shifts the set
+// down one way and evicts the tail, which is an invalid way while one
+// remains and the least recently used line otherwise.
 type Bus struct {
 	cfg       Config
-	caches    [][]uint64
+	lines     []uint64
 	setMask   uint64
+	setShift  uint
+	wayShift  uint
 	lineShift uint
 	stats     Stats
 }
@@ -134,13 +137,12 @@ func New(ncores int, cfg Config) *Bus {
 	}
 	b := &Bus{
 		cfg:       cfg,
-		caches:    make([][]uint64, ncores),
 		setMask:   uint64(cfg.Sets - 1),
+		setShift:  uint(bits.TrailingZeros64(uint64(cfg.Sets))),
+		wayShift:  uint(bits.Len64(uint64(cfg.Ways - 1))),
 		lineShift: uint(bits.TrailingZeros64(cfg.LineSize)),
 	}
-	for i := range b.caches {
-		b.caches[i] = make([]uint64, cfg.Sets*cfg.Ways)
-	}
+	b.lines = make([]uint64, ncores<<(b.setShift+b.wayShift))
 	b.stats.DRAMByCore = make([]uint64, ncores)
 	return b
 }
@@ -175,7 +177,9 @@ func (b *Bus) AccessRange(core int, addr, size uint64, agent Agent, write bool) 
 }
 
 // access looks lineAddr up in core's cache, keeping its set in recency
-// order, and returns the cycle cost.
+// order, and returns the cycle cost. Below the front way it moves the set
+// down one way as it scans, so the scan that finds the line (or the first
+// invalid way, or none) has already made room for it at the front.
 func (b *Bus) access(core int, lineAddr uint64, agent Agent, write bool) uint64 {
 	b.stats.Accesses++
 	var dirty uint64
@@ -183,37 +187,39 @@ func (b *Bus) access(core int, lineAddr uint64, agent Agent, write bool) uint64 
 		dirty = 1
 	}
 	key := (lineAddr + 1) << 1
-	ways := b.cfg.Ways
-	i := int(lineAddr&b.setMask) * ways
-	set := b.caches[core][i : i+ways : i+ways]
+	i := (uint64(core)<<b.setShift | lineAddr&b.setMask) << b.wayShift
+	set := b.lines[i : i+uint64(b.cfg.Ways)]
 	// A repeat access to the set's most recent line, the common case,
 	// needs no reordering.
-	if set[0]&^1 == key {
-		set[0] |= dirty
+	prev := set[0]
+	if prev&^1 == key {
+		set[0] = prev | dirty
 		return b.cfg.HitCycles
 	}
 	for w := 1; w < len(set); w++ {
 		e := set[w]
+		set[w] = prev
 		if e&^1 == key {
-			copy(set[1:w+1], set[:w])
 			set[0] = e | dirty
 			return b.cfg.HitCycles
 		}
 		if e == 0 {
+			prev = 0
 			break
 		}
+		prev = e
 	}
 
+	// prev is the evicted entry: the tail line, or 0 for an invalid way.
 	b.stats.Misses++
 	b.stats.DRAMByAgent[agent]++
 	b.stats.DRAMByCore[core]++
 	cost := b.cfg.MissCycles
-	if set[len(set)-1]&1 != 0 {
+	if prev&1 != 0 {
 		b.stats.DRAMByAgent[agent]++
 		b.stats.DRAMByCore[core]++
 		cost += b.cfg.WritebackCycles
 	}
-	copy(set[1:], set[:len(set)-1])
 	set[0] = key | dirty
 	return cost
 }

@@ -152,3 +152,64 @@ func TestAccessMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// FuzzBus decodes its input into a geometry and a sequence of Access and
+// AccessRange calls on two cores, and requires the Bus to charge every
+// call what the reference charges and to end with the same Stats.
+//
+// The first byte picks 1–8 ways and 1, 2, 4 or 8 sets. Every call is then
+// three bytes. The first packs the core (bit 0), the agent (bits 1–2), the
+// write flag (bit 3), a range call (bit 4), an address mirrored to the top
+// of the address space (bit 5) and the offset into the line in quarters
+// (bits 6–7). The second picks a line from a footprint of the cache's
+// lines plus two extra ways per set, so hits, conflicts, clean and dirty
+// evictions and invalid ways all occur. The third is a range's size, up to
+// three lines.
+func FuzzBus(f *testing.F) {
+	// Two ways, one set: a dirty line hit below the front, then evicted.
+	f.Add([]byte{0x01, 0x08, 0, 0, 0x00, 1, 0, 0x00, 0, 0, 0x00, 2, 0, 0x00, 3, 0})
+	// Eight ways, four sets: ranges from both cores, mirrored addresses.
+	f.Add([]byte{0x17, 0x10, 3, 130, 0x19, 40, 64, 0x2a, 7, 0, 0x33, 9, 190, 0x0c, 3, 0, 0xc5, 60, 0})
+	// Three ways, two sets: every agent, writes and reads interleaved.
+	f.Add([]byte{0x0a, 0x08, 1, 0, 0x02, 3, 0, 0x0c, 5, 0, 0x06, 7, 0, 0x08, 9, 0, 0x00, 1, 0, 0x04, 11, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		const cores = 2
+		cfg := DefaultConfig()
+		cfg.Ways = 1 + int(data[0]&7)
+		cfg.Sets = 1 << (data[0] >> 3 & 3)
+		got, want := New(cores, cfg), newRef(cores, cfg)
+		footprint := uint64(cfg.Sets * (cfg.Ways + 2))
+		for i := 1; i+3 <= len(data); i += 3 {
+			op, line, size := data[i], uint64(data[i+1]), uint64(data[i+2])
+			core := int(op & 1)
+			agent := Agent(op >> 1 & 3)
+			write := op&8 != 0
+			addr := line%footprint*cfg.LineSize + uint64(op>>6)*cfg.LineSize/4
+			if op&0x20 != 0 {
+				addr = ^uint64(0) - addr
+			}
+			var g, w uint64
+			if op&0x10 != 0 {
+				size %= 3*cfg.LineSize + 1
+				if addr > ^uint64(0)-size {
+					addr -= size
+				}
+				g = got.AccessRange(core, addr, size, agent, write)
+				w = want.AccessRange(core, addr, size, agent, write)
+			} else {
+				g = got.Access(core, addr, agent, write)
+				w = want.Access(core, addr, agent, write)
+			}
+			if g != w {
+				t.Fatalf("call %d (core %d, addr %#x, agent %v, write %v, range %v): cost %d, reference %d",
+					i/3, core, addr, agent, write, op&0x10 != 0, g, w)
+			}
+		}
+		if gs, ws := got.Stats(), want.stats; !reflect.DeepEqual(gs, ws) {
+			t.Fatalf("stats %+v, reference %+v", gs, ws)
+		}
+	})
+}

@@ -141,8 +141,8 @@ func (j Job) Key() string {
 
 // repeatJobs expands reps jobs for (w, cond, cfg) with the per-rep seed
 // derivation seed+i*stride. The SPEC and pgbench grids use
-// harness.RepeatStride, harness.Repeat's, so a sweep regenerates exactly
-// the runs the sequential figure drivers did; the gRPC grids use these.
+// harness.RepeatStride, so a sweep regenerates exactly the runs of the
+// sequential per-figure generators; the gRPC grids use these.
 const (
 	strideQPS  = 7919     // Figure 8's per-rep seeds
 	strideQPS9 = 104729   // Figure 9's gRPC rows

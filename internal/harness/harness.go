@@ -361,25 +361,9 @@ func bindTelemetrySources(tl *telemetry.Telemetry, m *kernel.Machine, p *kernel.
 	}
 }
 
-// RepeatStride separates the seeds of repeated runs: run i of a batch uses
-// seed+i*RepeatStride.
+// RepeatStride separates the seeds of repeated runs ("batches" with a
+// cold boot each, as §5.1 does): run i of a batch uses seed+i*RepeatStride.
 const RepeatStride = 1000003
-
-// Repeat runs (w, cond) reps times with distinct seeds ("batches" with a
-// cold boot each, as §5.1 does) and returns all results.
-func Repeat(w workload.Workload, cond Condition, cfg Config, reps int) ([]*Result, error) {
-	var out []*Result
-	for i := 0; i < reps; i++ {
-		c := cfg
-		c.Seed = cfg.Seed + int64(i)*RepeatStride
-		r, err := Run(w, cond, c)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
 
 // MeanWall returns the mean wall-clock cycles over results.
 func MeanWall(rs []*Result) float64 {

@@ -70,14 +70,19 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
+// TestRepeatVariesSeeds pins that repeated runs, seeded RepeatStride
+// apart, do not all simulate the same run.
 func TestRepeatVariesSeeds(t *testing.T) {
 	p := spec.ByName("hmmer")[1]
-	rs, err := Repeat(p, Baseline(), fastCfg(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 3 {
-		t.Fatalf("got %d results", len(rs))
+	var rs []*Result
+	for i := 0; i < 3; i++ {
+		cfg := fastCfg()
+		cfg.Seed += int64(i) * RepeatStride
+		r, err := Run(p, Baseline(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs = append(rs, r)
 	}
 	if rs[0].WallCycles == rs[1].WallCycles && rs[1].WallCycles == rs[2].WallCycles {
 		t.Fatal("all repeats identical; seeds not varied")

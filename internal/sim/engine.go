@@ -87,7 +87,7 @@ func (s State) String() string {
 type core struct {
 	id    int
 	clock uint64
-	busy  uint64
+	idle  uint64 // the gaps place jumped the clock over; busy is clock − idle
 	runq  []*Thread
 }
 
@@ -113,6 +113,11 @@ type Thread struct {
 	sliceEnd   uint64 // end of current engine skew slice (core clock)
 	osSliceEnd uint64 // end of current OS preemption slice (core clock)
 	cpu        uint64 // busy cycles consumed
+	obsCPU     uint64 // cpu already delivered to the observer
+	// limit is the core clock at which Tick leaves its fast path: sliceEnd,
+	// or 0 (every Tick) while a poll is pending or a classic engine has an
+	// observer. setSliceEnd and refreshLimit keep it current.
+	limit uint64
 
 	pollPending bool
 	poll        func(*Thread)
@@ -120,20 +125,21 @@ type Thread struct {
 	blockedOn *Event
 }
 
-// ClockObserver receives every core-clock advance as it happens. Busy is
-// invoked from Tick with the cycles charged by the running thread; Idle is
-// invoked when a core's clock jumps forward to a waking thread's ready time
-// (the core had nothing to run in the gap). For any core, the busy and idle
-// cycles delivered to an observer sum exactly to that core's clock — the
+// ClockObserver receives every core-clock advance. Busy delivers cycles
+// charged by Tick to the running thread; Idle is invoked when a core's
+// clock jumps forward to a waking thread's ready time (the core had
+// nothing to run in the gap). For any core, the busy and idle cycles
+// delivered to an observer sum exactly to that core's clock — the
 // invariant the telemetry profiler's conservation check rests on.
 //
-// Consecutive charges by the same thread are coalesced into one Busy
-// call, flushed at every scheduling point, before every Idle, and
-// whenever Engine.FlushClock is called (telemetry flushes around
-// attribution changes): totals, per-(core,thread) attribution and the
-// conservation invariant are exact; only the call granularity — and
-// therefore the instant at which a time-series sample boundary is
-// noticed within a slice — is coarser than one call per Tick.
+// Tick itself never calls the observer: the running thread's cycles since
+// its last delivery go out as one Busy call at every scheduling point
+// (yield, slice end, thread end), before every Idle, and whenever
+// Engine.FlushClock is called (telemetry flushes around attribution
+// changes). Totals, per-(core,thread) attribution and the conservation
+// invariant are exact; only the call granularity — and therefore the
+// instant at which a time-series sample boundary is noticed within a
+// slice — is coarser than one call per Tick.
 //
 // Callbacks run synchronously, from the running thread or the Run loop
 // (exactly one runs at a time), so observers need no locking and see a
@@ -154,13 +160,9 @@ type Engine struct {
 	running bool
 	obs     ClockObserver
 
-	// Scheduler state (see fast.go). sleepers is the min-heap of
-	// Sleeping threads ordered by (wakeAt, id); pend* batch consecutive
-	// same-thread Busy deliveries between scheduling points.
-	sleepers   []*Thread
-	pendCore   int
-	pendThread int
-	pendBusy   uint64
+	// sleepers is the min-heap of Sleeping threads ordered by (wakeAt,
+	// id) (see fast.go).
+	sleepers []*Thread
 
 	// classic selects the reference scheduler the production one is
 	// verified against, switched on only by this package's tests. It
@@ -170,9 +172,18 @@ type Engine struct {
 	classic bool
 }
 
-// SetClockObserver installs the observer delivered every clock advance.
-// Install before Run; a nil observer disables delivery.
-func (e *Engine) SetClockObserver(o ClockObserver) { e.obs = o }
+// SetClockObserver installs the observer delivered every clock advance; a
+// nil observer disables delivery. The running thread's undelivered cycles
+// go to the previous observer first, and the new one receives only
+// cycles charged and gaps jumped from here on.
+func (e *Engine) SetClockObserver(o ClockObserver) {
+	e.flushObs()
+	e.obs = o
+	for _, th := range e.threads {
+		th.obsCPU = th.cpu
+		th.refreshLimit()
+	}
+}
 
 // New creates an engine.
 func New(cfg Config) *Engine {
@@ -308,7 +319,6 @@ func (e *Engine) Run() error {
 	for {
 		th := e.pick()
 		if th == nil {
-			e.flushObs()
 			if e.allFinished() {
 				return nil
 			}
@@ -374,13 +384,14 @@ func (e *Engine) place(th *Thread) {
 	if th.readyAt > c.clock {
 		gap := th.readyAt - c.clock
 		c.clock = th.readyAt // the core was idle until the thread woke
+		c.idle += gap
 		if e.obs != nil {
-			e.flushObs() // batched busy cycles precede the gap
+			e.flushObs() // undelivered busy cycles precede the gap
 			e.obs.Idle(c.id, gap)
 		}
 	}
 	th.state = Running
-	th.sliceEnd = c.clock + e.cfg.SkewQuantum
+	th.setSliceEnd(c.clock + e.cfg.SkewQuantum)
 	if th.osSliceEnd <= c.clock {
 		th.osSliceEnd = c.clock + e.cfg.OSQuantum
 	}
@@ -412,7 +423,7 @@ func (th *Thread) body(park func(struct{}) bool) {
 // classic scheduler parks at every yield.
 func (th *Thread) yield() {
 	e := th.eng
-	e.flushObs() // pending busy belongs to th; deliver before scheduling
+	e.flushObs() // th's undelivered busy cycles go out before scheduling
 	if c := th.core.clock; c > th.lastClock {
 		th.lastClock = c
 	}
@@ -432,8 +443,27 @@ func (th *Thread) yield() {
 // way virtual time advances. If the thread exhausts its engine slice it may
 // be rotated out; if it exhausts its OS slice and other threads are waiting
 // for the core, it is preempted to the back of the run queue.
+//
+// Tick is small enough to inline at every call site: it advances the core
+// clock and the thread's CPU and compares the clock with one limit; the
+// slice end, a pending poll and a classic engine's immediate observer
+// delivery all wait behind that one comparison in tickSlow.
 func (th *Thread) Tick(cycles uint64) {
-	th.charge(cycles)
+	c := th.core
+	c.clock += cycles
+	th.cpu += cycles
+	if c.clock >= th.limit {
+		th.tickSlow()
+	}
+}
+
+// tickSlow is Tick's path past the limit: the classic engine's immediate
+// Busy delivery, then the pending poll, then the end of the engine slice.
+func (th *Thread) tickSlow() {
+	e := th.eng
+	if e.classic {
+		e.flushObs()
+	}
 	if th.pollPending && th.poll != nil {
 		th.pollPending = false
 		th.poll(th)
@@ -441,31 +471,29 @@ func (th *Thread) Tick(cycles uint64) {
 	if th.core.clock >= th.sliceEnd {
 		th.reschedule()
 	}
+	th.refreshLimit()
 }
 
-// charge is the one accounting path: cycles of work advance the core
-// clock, the core's busy counter, the thread's CPU counter, and reach the
-// observer (batched; immediate under the classic scheduler).
-func (th *Thread) charge(cycles uint64) {
-	c := th.core
-	c.clock += cycles
-	c.busy += cycles
-	th.cpu += cycles
-	if cycles > 0 {
-		if o := th.eng.obs; o != nil {
-			if th.eng.classic {
-				o.Busy(c.id, th.id, cycles)
-			} else {
-				th.eng.accumBusy(c.id, th.id, cycles)
-			}
-		}
+// setSliceEnd starts a new engine slice ending at core clock end.
+func (th *Thread) setSliceEnd(end uint64) {
+	th.sliceEnd = end
+	th.refreshLimit()
+}
+
+// refreshLimit recomputes the clock at which Tick must take its slow path.
+func (th *Thread) refreshLimit() {
+	th.limit = th.sliceEnd
+	if (th.pollPending && th.poll != nil) || (th.eng.classic && th.eng.obs != nil) {
+		th.limit = 0
 	}
 }
 
 // reschedule ends the current engine slice: the thread goes back to Ready
 // (front of queue if its OS slice continues, back otherwise) and control
-// returns to the scheduler to run whoever is globally behind.
+// returns to the scheduler to run whoever is globally behind. Its cycles
+// are delivered first, on the core that ran them: enqueue may migrate it.
 func (th *Thread) reschedule() {
+	th.eng.flushObs()
 	c := th.core
 	th.state = Ready
 	th.readyAt = c.clock
@@ -481,7 +509,7 @@ func (th *Thread) reschedule() {
 	th.yield()
 	th.state = Running
 	c = th.core
-	th.sliceEnd = c.clock + th.eng.cfg.SkewQuantum
+	th.setSliceEnd(c.clock + th.eng.cfg.SkewQuantum)
 	if th.osSliceEnd <= c.clock {
 		th.osSliceEnd = c.clock + th.eng.cfg.OSQuantum
 	}
@@ -490,7 +518,7 @@ func (th *Thread) reschedule() {
 // Yield voluntarily ends the thread's OS slice.
 func (th *Thread) Yield() {
 	th.osSliceEnd = 0
-	th.sliceEnd = 0
+	th.setSliceEnd(0)
 	th.Tick(0)
 }
 
@@ -500,7 +528,7 @@ func (th *Thread) Sleep(cycles uint64) {
 	th.wakeAt = th.core.clock + cycles
 	th.yield()
 	th.state = Running
-	th.sliceEnd = th.core.clock + th.eng.cfg.SkewQuantum
+	th.setSliceEnd(th.core.clock + th.eng.cfg.SkewQuantum)
 	th.osSliceEnd = th.core.clock + th.eng.cfg.OSQuantum
 }
 
@@ -524,12 +552,18 @@ func (th *Thread) State() State { return th.state }
 
 // SetPoll installs the safepoint poll function; it runs in thread context
 // at the next Tick after Interrupt is called, and may block.
-func (th *Thread) SetPoll(fn func(*Thread)) { th.poll = fn }
+func (th *Thread) SetPoll(fn func(*Thread)) {
+	th.poll = fn
+	th.refreshLimit()
+}
 
 // Interrupt requests that the thread run its poll function at its next
 // safepoint. Call from any simulated thread (e.g. to begin a stop-the-world
 // rendezvous).
-func (th *Thread) Interrupt() { th.pollPending = true }
+func (th *Thread) Interrupt() {
+	th.pollPending = true
+	th.refreshLimit()
+}
 
 // Engine returns the owning engine.
 func (th *Thread) Engine() *Engine { return th.eng }
@@ -548,14 +582,15 @@ func (e *Engine) WallClock() uint64 {
 // CoreClock returns core i's clock.
 func (e *Engine) CoreClock(i int) uint64 { return e.cores[i].clock }
 
-// CoreBusy returns core i's cumulative busy cycles (CPU time).
-func (e *Engine) CoreBusy(i int) uint64 { return e.cores[i].busy }
+// CoreBusy returns core i's cumulative busy cycles (CPU time): its clock
+// less the idle gaps it jumped over.
+func (e *Engine) CoreBusy(i int) uint64 { return e.cores[i].clock - e.cores[i].idle }
 
 // TotalCPU returns busy cycles summed over all cores.
 func (e *Engine) TotalCPU() uint64 {
 	var t uint64
 	for i := range e.cores {
-		t += e.cores[i].busy
+		t += e.CoreBusy(i)
 	}
 	return t
 }
@@ -587,7 +622,7 @@ func (ev *Event) Wait(th *Thread) {
 	ev.waiters = append(ev.waiters, th)
 	th.yield()
 	th.state = Running
-	th.sliceEnd = th.core.clock + th.eng.cfg.SkewQuantum
+	th.setSliceEnd(th.core.clock + th.eng.cfg.SkewQuantum)
 	th.osSliceEnd = th.core.clock + th.eng.cfg.OSQuantum
 }
 

@@ -359,6 +359,89 @@ func TestSecondsConversion(t *testing.T) {
 	}
 }
 
+// TestObserverAttachedMidRun pins that an observer installed while
+// threads are running receives exactly the busy cycles charged after it was
+// installed: none of the cycles the running thread ticked earlier in its
+// slice, and none of any other thread's earlier work.
+func TestObserverAttachedMidRun(t *testing.T) {
+	for _, s := range schedulers {
+		t.Run(s.name, func(t *testing.T) {
+			e := s.new(cfg())
+			obs := newRecObs()
+			var cpuAt []uint64
+			e.Spawn("attacher", []int{0}, func(th *Thread) {
+				for i := 0; i < 10; i++ {
+					th.Tick(100)
+				}
+				th.Sleep(2_000)
+				th.Tick(250) // undelivered when the observer arrives
+				for _, o := range e.Threads() {
+					cpuAt = append(cpuAt, o.CPU())
+				}
+				e.SetClockObserver(obs)
+				for i := 0; i < 7; i++ {
+					th.Tick(300)
+				}
+				th.Sleep(1_000)
+				th.Tick(50)
+			})
+			// The peer outruns one skew window before the observer
+			// arrives and keeps working after.
+			e.Spawn("peer", []int{1}, func(th *Thread) {
+				for i := 0; i < 40; i++ {
+					th.Tick(4_000)
+				}
+			})
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			for i, th := range e.Threads() {
+				var got uint64
+				for k, v := range obs.busy {
+					if k[1] == i {
+						got += v
+					}
+				}
+				if want := th.CPU() - cpuAt[i]; got != want {
+					t.Errorf("%s: observer received %d busy cycles, %d were charged after it was installed",
+						th.Name(), got, want)
+				}
+			}
+			if obs.busy[[2]int{0, 0}] != 7*300+50 || obs.busy[[2]int{1, 1}] == 0 {
+				t.Errorf("busy deliveries %v, want 2150 for the attacher and some for the peer", obs.busy)
+			}
+		})
+	}
+}
+
+// TestCoreBusyExcludesIdle pins that a core's busy cycles are its clock
+// less the gaps it idled over: a thread that sleeps S cycles and then ticks
+// T leaves its core's clock at S+T and its busy cycles at T.
+func TestCoreBusyExcludesIdle(t *testing.T) {
+	const sleep, work = 70_000, 1_234
+	for _, s := range schedulers {
+		t.Run(s.name, func(t *testing.T) {
+			e := s.new(cfg())
+			e.Spawn("sleeper", []int{0}, func(th *Thread) {
+				th.Sleep(sleep)
+				th.Tick(work)
+			})
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got := e.CoreClock(0); got != sleep+work {
+				t.Errorf("core clock %d, want %d", got, sleep+work)
+			}
+			if got := e.CoreBusy(0); got != work {
+				t.Errorf("CoreBusy %d, want %d", got, work)
+			}
+			if got := e.TotalCPU(); got != work {
+				t.Errorf("TotalCPU %d, want %d", got, work)
+			}
+		})
+	}
+}
+
 // benchEngines runs a benchmark body under both schedulers, so their
 // host cost is directly comparable in one -bench run.
 func benchEngines(b *testing.B, body func(b *testing.B, newEngine func(Config) *Engine)) {

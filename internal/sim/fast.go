@@ -1,9 +1,10 @@
 // What the production scheduler adds over the classic reference: a
 // sleeper min-heap keyed (wakeAt, id), so a dispatch decision need not
-// scan e.threads for sleepers, and coalescing of ClockObserver Busy
-// deliveries for consecutive work by the same thread into one call,
-// flushed at every scheduling point (and by Engine.FlushClock) so the
-// per-core busy + idle == clock conservation invariant holds exactly.
+// scan e.threads for sleepers, and lazy ClockObserver Busy delivery: the
+// running thread's cycles since its last delivery go out in one call at
+// every scheduling point (and from Engine.FlushClock), so Tick never
+// calls the observer and the per-core busy + idle == clock conservation
+// invariant still holds exactly.
 //
 // Every dispatch decision and engine-state mutation is identical to the
 // classic scheduler's, so simulated results are bit-identical; this
@@ -102,29 +103,22 @@ func sleepsBefore(a, b *Thread) bool {
 	return a.wakeAt < b.wakeAt || (a.wakeAt == b.wakeAt && a.id < b.id)
 }
 
-// accumBusy coalesces an observer Busy delivery with the pending batch,
-// flushing first if the batch belongs to a different (core, thread).
-func (e *Engine) accumBusy(core, thread int, cycles uint64) {
-	if e.pendBusy != 0 && (e.pendCore != core || e.pendThread != thread) {
-		e.obs.Busy(e.pendCore, e.pendThread, e.pendBusy)
-		e.pendBusy = 0
-	}
-	e.pendCore, e.pendThread = core, thread
-	e.pendBusy += cycles
-}
-
-// flushObs delivers the pending batched Busy cycles, if any. A no-op
-// under the classic scheduler, which delivers every charge immediately.
+// flushObs delivers the running thread's cycles charged since its last
+// delivery, if any, to the core it runs on. Under the classic scheduler
+// every Tick with an observer takes the slow path, which flushes, so each
+// charge is delivered as it happens.
 func (e *Engine) flushObs() {
-	if e.pendBusy != 0 {
-		e.obs.Busy(e.pendCore, e.pendThread, e.pendBusy)
-		e.pendBusy = 0
+	th := e.current
+	if th == nil || e.obs == nil || th.cpu == th.obsCPU {
+		return
 	}
+	e.obs.Busy(th.core.id, th.id, th.cpu-th.obsCPU)
+	th.obsCPU = th.cpu
 }
 
-// FlushClock delivers any batched observer cycles immediately. The
-// engine coalesces consecutive same-thread Busy deliveries between
-// scheduling points; a caller about to change how cycles are attributed
+// FlushClock delivers the running thread's undelivered observer cycles
+// immediately. The engine delivers a thread's cycles only at scheduling
+// points; a caller about to change how cycles are attributed
 // (telemetry's Enter/Exit/SetBase) flushes first so the cycles ticked
 // before the change land under the old attribution. Nil-receiver safe.
 func (e *Engine) FlushClock() {

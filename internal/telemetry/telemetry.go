@@ -10,7 +10,7 @@
 // Instrumentation never advances virtual time — enabling telemetry cannot
 // change a run's results.
 //
-// The sim engine batches consecutive same-thread Busy deliveries between
+// The sim engine delivers a running thread's Busy cycles only at
 // scheduling points; SetBase/Enter/Exit call Engine.FlushClock first so
 // cycles ticked before an attribution change land under the old frame,
 // which keeps totals, per-component attribution and conservation exact.
