@@ -29,13 +29,17 @@ vet:
 	$(GO) vet ./...
 
 # inline fails unless the compiler inlines sim's Thread.Tick, which every
-# simulated load, store and swept granule calls: its fast path sits at the
-# edge of the inlining budget, so a one-line edit could turn each charge
+# simulated load, store and swept granule calls, and tmem's WordCaps.Get,
+# which reads every capability a sweep visits: each sits near the edge of
+# the inlining budget, so a one-line edit could turn each charge or read
 # back into a call without changing any result.
 inline:
 	@out="$$($(GO) build -gcflags=-m ./internal/sim 2>&1)"; \
 	if ! printf '%s\n' "$$out" | grep -q 'can inline (\*Thread).Tick$$'; then \
 		echo "go build -gcflags=-m ./internal/sim no longer inlines (*Thread).Tick"; exit 1; fi
+	@out="$$($(GO) build -gcflags=-m ./internal/tmem 2>&1)"; \
+	if ! printf '%s\n' "$$out" | grep -q 'can inline WordCaps.Get$$'; then \
+		echo "go build -gcflags=-m ./internal/tmem no longer inlines WordCaps.Get"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -62,7 +66,8 @@ flake:
 # -fuzz takes one target per call); go test runs only their seed inputs,
 # this target searches beyond them. FuzzCapStorage (internal/tmem) drives a
 # bank of frames through random capability stores, data stores, tag
-# clears, copies, frees and sweeps, checked against a flat model.
+# clears, copies, frees and sweeps (some storing into the word being swept
+# from inside the sweep callback), checked against a flat model.
 # FuzzAddressSpace (internal/vm) drives the leaf page table and its stamped
 # TLBs through reservations, maps, unmaps, releases, TLB fills and
 # shootdowns with dropped IPIs, checked against the map-based page table
@@ -71,11 +76,11 @@ flake:
 # against the seven-field capability the four-word one replaced. FuzzBus
 # (internal/bus) drives the flat recency-ordered caches through accesses and
 # ranges on two cores over a footprint of a few sets, checked call by call
-# against the struct-array cache with last-use ticks. The last three compare
-# much state after every step, so minimizing a new input can outlast the
-# budget; -fuzzminimizetime keeps the 10 s for searching.
+# against the struct-array cache with last-use ticks. Each compares much
+# state after every step, so minimizing a new input can outlast the budget;
+# -fuzzminimizetime keeps the 10 s for searching.
 fuzz:
-	$(GO) test ./internal/tmem -run '^$$' -fuzz '^FuzzCapStorage$$' -fuzztime 10s
+	$(GO) test ./internal/tmem -run '^$$' -fuzz '^FuzzCapStorage$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/vm -run '^$$' -fuzz '^FuzzAddressSpace$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/ca -run '^$$' -fuzz '^FuzzCapability$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/bus -run '^$$' -fuzz '^FuzzBus$$' -fuzztime 10s -fuzzminimizetime 1s

@@ -124,9 +124,9 @@ type Stats struct {
 // Heap is a process-wide view over per-thread Allocators.
 type Heap struct {
 	P *kernel.Process
-	// allocs in creation order; threads map into it.
+	// allocs in creation order; byID indexes them by sim thread id.
 	allocs   []*Allocator
-	byTh     map[*kernel.Thread]*Allocator
+	byID     []*Allocator
 	chunks   []*chunk // sorted by reservation base
 	larges   map[uint64]*large
 	stats    Stats
@@ -137,7 +137,6 @@ type Heap struct {
 func NewHeap(p *kernel.Process) *Heap {
 	return &Heap{
 		P:      p,
-		byTh:   make(map[*kernel.Thread]*Allocator),
 		larges: make(map[uint64]*large),
 	}
 }
@@ -154,13 +153,27 @@ func (h *Heap) LiveBytes() uint64 { return h.stats.LiveBytes }
 
 // AllocatorFor returns (creating on demand) th's allocator.
 func (h *Heap) AllocatorFor(th *kernel.Thread) *Allocator {
-	if a, ok := h.byTh[th]; ok {
+	if a := h.allocatorOf(th); a != nil {
 		return a
 	}
 	a := &Allocator{heap: h, th: th, partial: make([][]*slab, NumClasses())}
-	h.byTh[th] = a
+	id := th.Sim.ID()
+	if id >= len(h.byID) {
+		h.byID = append(h.byID, make([]*Allocator, id+1-len(h.byID))...)
+	}
+	h.byID[id] = a
 	h.allocs = append(h.allocs, a)
 	return a
+}
+
+// allocatorOf returns th's allocator, or nil if it has none yet. Sim
+// thread ids are dense from 0, so byID is never longer than the engine's
+// thread list.
+func (h *Heap) allocatorOf(th *kernel.Thread) *Allocator {
+	if id := th.Sim.ID(); id < len(h.byID) {
+		return h.byID[id]
+	}
+	return nil
 }
 
 // asAllocator runs f with th's traffic attributed to the allocator agent.
@@ -516,7 +529,7 @@ func (h *Heap) Release(th *kernel.Thread, base, size uint64) error {
 		} else {
 			owner = ch.owner
 		}
-		mine := h.byTh[th]
+		mine := h.allocatorOf(th)
 		if owner != mine {
 			// snmalloc message passing: enqueue on the owner's remote
 			// queue; the owner drains at its next allocation.

@@ -90,7 +90,7 @@ func BenchmarkSweepTagsWords(b *testing.B) {
 	hits := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.SweepTagsWords(f, func(cur *tmem.SweepCursor, w int, mask uint64, caps *[64]ca.Capability) {
+		p.SweepTagsWords(f, func(cur *tmem.SweepCursor, w int, mask uint64, caps tmem.WordCaps) {
 			wordBase := uint64(heapBase + w*64*ca.GranuleSize)
 			for m := mask & sh.PaintedWord(wordBase); m != 0; m &= m - 1 {
 				hits++
@@ -299,7 +299,7 @@ func (h *campaignHeap) restoreEpoch(e int) {
 func (h *campaignHeap) sweepWord() (visited, revoked int) {
 	for i, id := range h.ids {
 		base := h.frameVA(i)
-		v, r := h.p.SweepTagsWords(id, func(cur *tmem.SweepCursor, w int, mask uint64, _ *[64]ca.Capability) {
+		v, r := h.p.SweepTagsWords(id, func(cur *tmem.SweepCursor, w int, mask uint64, _ tmem.WordCaps) {
 			for m := mask & h.sh.PaintedWord(base+uint64(w*64*ca.GranuleSize)); m != 0; m &= m - 1 {
 				cur.Revoke(w*64 + bits.TrailingZeros64(m))
 			}

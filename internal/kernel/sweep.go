@@ -48,12 +48,12 @@ func (t *Thread) SweepPage(vpn uint64, pte *vm.PTE) (visited, revoked int) {
 		// upgrade the page (break the sharing) and scan again.
 		needsWrite := false
 		t.Sim.Tick(b.AccessRange(core, tagTableBase+vpn*tagBytesPerPage, tagBytesPerPage, t.Agent, false))
-		v, _ := t.P.M.Phys.SweepTagsWords(pte.Frame, func(_ *tmem.SweepCursor, w int, mask uint64, caps *[64]ca.Capability) {
+		v, _ := t.P.M.Phys.SweepTagsWords(pte.Frame, func(_ *tmem.SweepCursor, w int, mask uint64, caps tmem.WordCaps) {
 			wordVA := vm.TagWordVA(vpn, w)
 			for m := mask; m != 0; {
 				bit := bits.TrailingZeros64(m)
 				m &^= 1 << uint(bit)
-				c := caps[bit]
+				c := caps.Get(bit)
 				t.Sim.Tick(b.Access(core, wordVA+uint64(bit)*ca.GranuleSize, t.Agent, false))
 				t.Sim.Tick(opCost + b.Access(core, shadow.VAOf(c.Base()), t.Agent, false))
 				if sh.PaintedWord(c.Base())&(1<<(c.Base()/ca.GranuleSize%64)) != 0 {
@@ -84,13 +84,13 @@ func (t *Thread) SweepPage(vpn uint64, pte *vm.PTE) (visited, revoked int) {
 	// data reads below. This is what makes sweeping sparse pages cheap on
 	// Morello.
 	t.Sim.Tick(b.AccessRange(core, tagTableBase+vpn*tagBytesPerPage, tagBytesPerPage, t.Agent, false))
-	v, rev := t.P.M.Phys.SweepTagsWords(pte.Frame, func(cur *tmem.SweepCursor, w int, mask uint64, caps *[64]ca.Capability) {
+	v, rev := t.P.M.Phys.SweepTagsWords(pte.Frame, func(cur *tmem.SweepCursor, w int, mask uint64, caps tmem.WordCaps) {
 		wordVA := vm.TagWordVA(vpn, w)
 		for m := mask; m != 0; {
 			bit := bits.TrailingZeros64(m)
 			m &^= 1 << uint(bit)
 			g := w*64 + bit
-			c := caps[bit]
+			c := caps.Get(bit)
 			// Read the tagged granule's data line (repeats within a line
 			// hit in cache) and probe the revocation bitmap at the base.
 			t.Sim.Tick(b.Access(core, wordVA+uint64(bit)*ca.GranuleSize, t.Agent, false))

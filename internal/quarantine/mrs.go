@@ -87,6 +87,10 @@ type Shim struct {
 
 	cur      buffer  // accumulating frees
 	inflight *buffer // awaiting the in-flight (or a future) epoch
+	// spare is the entry array of the last drained buffer, emptied: the
+	// next trigger starts the accumulating buffer from it, so Free does
+	// not regrow one from nil every epoch.
+	spare []entry
 
 	// drainObs, when non-nil, observes the start of every quarantine
 	// drain with the draining buffer's clearance target and the spans
@@ -166,7 +170,8 @@ func (q *Shim) trigger(th *kernel.Thread) {
 	th.P.M.Trace.Instant(th.Sim.Now(), th.Sim.CoreID(), bus.AgentAlloc,
 		trace.KindQuarTrigger, e, buf.bytes, buf.target)
 	q.inflight = &buf
-	q.cur = buffer{}
+	q.cur = buffer{entries: q.spare}
+	q.spare = nil
 	q.stats.Triggers++
 	q.stats.LiveAtTriggerSum += q.H.LiveBytes()
 	q.stats.LiveAtTriggerCount++
@@ -211,6 +216,9 @@ func (q *Shim) drainIfClear(th *kernel.Thread) {
 			panic(fmt.Sprintf("quarantine: release: %v", err))
 		}
 	}
+	// The drain observer got its own copy of the spans, so nothing else
+	// holds the array now.
+	q.spare = buf.entries[:0]
 }
 
 // Free validates the capability against the heap, paints its span in the

@@ -274,6 +274,14 @@ type Service struct {
 	abandoned [][]pageRef
 	respawned int
 
+	// pageBuf backs the page lists of snapshotPages and redirtiedPages.
+	// workSlices and abandoned remainders alias a list only until the
+	// sweepShared (or sweepPages) call that sweeps it returns: sweepShared
+	// waits until every slice has been swept or reclaimed. Each list is
+	// taken after the previous one's sweep has returned, so refilling the
+	// array from the next call on overwrites nothing still in use.
+	pageBuf []pageRef
+
 	obs   EpochObserver
 	hooks FaultHooks
 	recov RecoveryStats
@@ -498,26 +506,31 @@ func (s *Service) releaseDeadReservations(th *kernel.Thread) {
 // returned (clean pages need no visit under CHERIvoke/Cornucopia, whose
 // correctness rests on the store barrier, §2.2.4).
 func (s *Service) snapshotPages(dirtyOnly bool) []pageRef {
-	pages := make([]pageRef, 0, s.P.AS.MappedPageCount())
+	if n := s.P.AS.MappedPageCount(); cap(s.pageBuf) < n {
+		s.pageBuf = make([]pageRef, 0, n)
+	}
+	pages := s.pageBuf[:0]
 	s.P.AS.ForEachMappedPage(func(vpn uint64, pte *vm.PTE) bool {
 		if !dirtyOnly || pte.Bits&vm.PTEEverCapDirty != 0 {
 			pages = append(pages, pageRef{vpn, pte})
 		}
 		return true
 	})
+	s.pageBuf = pages
 	return pages
 }
 
 // redirtiedPages collects the pages whose capability-dirty bit is set, in
 // VA order: the pages stored to since their last sweep.
 func (s *Service) redirtiedPages() []pageRef {
-	var pages []pageRef
+	pages := s.pageBuf[:0]
 	s.P.AS.ForEachMappedPage(func(vpn uint64, pte *vm.PTE) bool {
 		if pte.Bits&vm.PTECapDirty != 0 {
 			pages = append(pages, pageRef{vpn, pte})
 		}
 		return true
 	})
+	s.pageBuf = pages
 	return pages
 }
 

@@ -29,6 +29,6 @@ func (p *Phys) storeDataGranules(id FrameID, g, n int) {
 	checkGranule(g + n - 1)
 	f := p.frame(id)
 	for i := g; i < g+n; i++ {
-		f.clearTag(i>>6, 1<<(uint(i)&63))
+		p.clearTag(id, f, i>>6, 1<<(uint(i)&63))
 	}
 }

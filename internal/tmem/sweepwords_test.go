@@ -49,13 +49,13 @@ func TestSweepTagsWordsMatchesSweepTags(t *testing.T) {
 		})
 
 		var orderW []int
-		vw, rw := pw.SweepTagsWords(fw, func(cur *SweepCursor, w int, mask uint64, caps *[64]ca.Capability) {
+		vw, rw := pw.SweepTagsWords(fw, func(cur *SweepCursor, w int, mask uint64, caps WordCaps) {
 			for m := mask; m != 0; {
 				b := bits.TrailingZeros64(m)
 				m &^= 1 << uint(b)
 				g := w*64 + b
 				orderW = append(orderW, g)
-				if caps[b].Base() != uint64(g)*ca.GranuleSize {
+				if caps.Get(b).Base() != uint64(g)*ca.GranuleSize {
 					t.Fatalf("caps[%d] does not hold the stored capability", g)
 				}
 				if revoke[g] {
@@ -109,7 +109,7 @@ func TestSweepTagsWordsFilterFallback(t *testing.T) {
 
 	pg, pw := build(), build()
 	vg, rg := pg.SweepTags(0, func(g int, c ca.Capability) bool { return g%2 == 0 })
-	vw, rw := pw.SweepTagsWords(0, func(cur *SweepCursor, w int, mask uint64, caps *[64]ca.Capability) {
+	vw, rw := pw.SweepTagsWords(0, func(cur *SweepCursor, w int, mask uint64, caps WordCaps) {
 		if bits.OnesCount64(mask) != 1 {
 			t.Fatalf("filtered sweep passed a multi-bit mask %#x", mask)
 		}
@@ -140,7 +140,7 @@ func TestSweepCursorClearsImmediately(t *testing.T) {
 	f, _ := p.AllocFrame()
 	p.StoreCap(f, 3, ca.NewRoot(3*ca.GranuleSize, 16, ca.PermsData))
 	p.StoreCap(f, 9, ca.NewRoot(9*ca.GranuleSize, 16, ca.PermsData))
-	p.SweepTagsWords(f, func(cur *SweepCursor, w int, mask uint64, caps *[64]ca.Capability) {
+	p.SweepTagsWords(f, func(cur *SweepCursor, w int, mask uint64, caps WordCaps) {
 		cur.Revoke(3)
 		if p.TagSet(f, 3) {
 			t.Fatal("Revoke(3) not visible inside the word callback")

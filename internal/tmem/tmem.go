@@ -34,50 +34,93 @@ type FrameID uint32
 // NoFrame is the sentinel for "no frame".
 const NoFrame FrameID = ^FrameID(0)
 
-// frame is the per-frame storage. Capability values live in one 64-slot
-// block per tag word, allocated when the word's first tag is stored, so a
-// frame holding a single capability costs one block rather than a whole
-// page of values; most frames never hold a capability and cost none. A set
-// bit in tags[w] implies caps[w] != nil. The color array is allocated
-// lazily too. refs counts the address spaces sharing the frame
-// (copy-on-write fork); it is 1 for private frames.
+// frame is the per-frame storage, 64 bytes: one host cache line, since a
+// chunk of the frame table is page-aligned. Capability values sit behind
+// one directory pointer, allocated on the frame's first tag and recycled
+// with the frame, so a frame that never holds a capability costs nothing
+// beyond its 64 bytes. Each tag word's values live in a block sized by what
+// the word has tagged (see capWord): 16 slots for the quarter where its
+// first tag landed (quarter[w]), 64 slots once a tag lands in another
+// quarter. A set bit in tags[w] implies caps[w] holds a slot for it. The
+// color array is allocated lazily too. refs counts the address spaces
+// sharing the frame (copy-on-write fork); it is 1 for private frames.
 //
 // summary is a one-bit-per-tag-word digest of tags: bit w is set iff
-// tags[w] != 0. Every tag mutation maintains it (via setTag/clearTag), so
-// HasTags and sweep scans skip empty words and empty frames in O(1). The
-// bank back-pointer lets those same mutators maintain the bank-level
-// frame-group and region summaries (see Phys) on the frame's 0↔nonzero
-// transitions.
+// tags[w] != 0. Every tag mutation maintains it (via Phys.setTag and
+// Phys.clearTag), so HasTags and sweep scans skip empty words and empty
+// frames in O(1).
 type frame struct {
 	tags    [tagWords]uint64
-	caps    [tagWords]*[64]ca.Capability
+	caps    *capDir
 	colors  *[GranulesPerPage]uint8
-	bank    *Phys
 	refs    int32
-	id      FrameID
 	summary uint8
 	inUse   bool
+	quarter [tagWords]uint8
+}
+
+// capDir is a frame's capability directory: one entry per tag word.
+type capDir [tagWords]capWord
+
+// capWord holds the capability values of one tag word: a 64-slot block
+// once the word has held tags in two of its quarters, otherwise a 16-slot
+// block for the quarter where its first tag landed. A 16-slot block never
+// moves to another quarter: the first tag in another quarter copies its 16
+// values into a 64-slot block, so every slot keeps its value, and a slot
+// keeps it across a tag clear too. A 64-slot block never moves at all.
+type capWord struct {
+	full *[64]ca.Capability
+	part *[16]ca.Capability
+}
+
+// get returns the value in slot b (granule w*64+b of the word's frame). b
+// must lie in a quarter the word has tagged; every bit of a mask read from
+// the word's tags does, also after that bit's tag is cleared.
+func (cw *capWord) get(b int) ca.Capability {
+	if cw.full != nil {
+		return cw.full[b&63]
+	}
+	return cw.part[b&15]
+}
+
+// WordCaps reads one tag word's capability values for a SweepTagsWords
+// callback. If the word had a 64-slot block when the sweep reached it,
+// WordCaps holds that block, which never moves, so a read is one load.
+// Otherwise it reads through the word's directory entry, which a store
+// into another quarter of the word may upgrade while the callback yields.
+type WordCaps struct {
+	full *[64]ca.Capability
+	word *capWord
+}
+
+// Get returns the current value in slot b of the word: bit b of the
+// callback's mask.
+func (wc WordCaps) Get(b int) ca.Capability {
+	if wc.full != nil {
+		return wc.full[b&63]
+	}
+	return wc.word.get(b)
 }
 
 // setTag and clearTag are the only writers of the tag bitmap: they keep the
 // nonzero-word summary in lockstep with tags, which every fast path
 // (HasTags, TagCount, the word-wise sweep kernel) relies on, and propagate
-// the frame's empty↔tagged transitions up the bank hierarchy.
-func (f *frame) setTag(w int, m uint64) {
+// frame id's empty↔tagged transitions up the bank hierarchy.
+func (p *Phys) setTag(id FrameID, f *frame, w int, m uint64) {
 	if f.summary == 0 {
-		f.bank.markTagged(f.id)
+		p.markTagged(id)
 	}
 	f.tags[w] |= m
 	f.summary |= 1 << uint(w)
 }
 
-func (f *frame) clearTag(w int, m uint64) {
+func (p *Phys) clearTag(id FrameID, f *frame, w int, m uint64) {
 	old := f.tags[w]
 	f.tags[w] = old &^ m
 	if f.tags[w] == 0 && old != 0 {
 		f.summary &^= 1 << uint(w)
 		if f.summary == 0 {
-			f.bank.unmarkTagged(f.id)
+			p.unmarkTagged(id)
 		}
 	}
 }
@@ -109,12 +152,23 @@ type Phys struct {
 	regionSum    []uint64 // bit g%64 set iff groupSum[g] != 0
 	taggedFrames int
 
-	// capsFree recycles the capability blocks of freed frames and of
-	// copy destinations. A recycled block is handed out without zeroing:
-	// every read of a block is guarded by the granule's tag bit (LoadCap,
-	// SweepTags, ForEachTag, the SweepTagsWords mask), and a block joins a
-	// word whose tags are all clear, so stale values are unobservable.
-	capsFree []*[64]ca.Capability
+	// capsFree recycles capability storage: the directories and blocks of
+	// freed frames, the blocks of copy destinations whose source word has
+	// none, and the 16-slot blocks that upgrades to 64 slots replace. A
+	// recycled directory is empty; a recycled block is handed out without
+	// zeroing: every read of a block is guarded by the granule's tag bit
+	// (LoadCap, SweepTags, ForEachTag, the SweepTagsWords mask), and a block
+	// joins a word whose tags are all clear (or, on an upgrade, receives
+	// the word's 16 values), so stale values are unobservable.
+	capsFree struct {
+		dirs  []*capDir
+		parts []*[16]ca.Capability
+		fulls []*[64]ca.Capability
+	}
+
+	// cursors recycles SweepTagsWords cursors. Sweeps of different frames
+	// interleave at virtual-time yields, so each call takes its own.
+	cursors []*SweepCursor
 
 	// SweepFilter, when non-nil, is consulted for every tagged granule a
 	// SweepTags scan visits; returning true hides the granule from that
@@ -151,23 +205,73 @@ func (p *Phys) unmarkTagged(id FrameID) {
 	p.taggedFrames--
 }
 
-// newCaps returns a capability block for one tag word, recycling a freed
-// block when one is available (see capsFree).
-func (p *Phys) newCaps() *[64]ca.Capability {
-	if n := len(p.capsFree); n > 0 {
-		c := p.capsFree[n-1]
-		p.capsFree[n-1] = nil
-		p.capsFree = p.capsFree[:n-1]
-		return c
+// recycled pops an object from a free list, or allocates one.
+func recycled[T any](free *[]*T) *T {
+	if n := len(*free); n > 0 {
+		x := (*free)[n-1]
+		(*free)[n-1] = nil
+		*free = (*free)[:n-1]
+		return x
 	}
-	return new([64]ca.Capability)
+	return new(T)
 }
 
-// recycleCaps returns a no-longer-referenced capability block to the pool.
-func (p *Phys) recycleCaps(c *[64]ca.Capability) {
-	if c != nil {
-		p.capsFree = append(p.capsFree, c)
+// newCaps returns the 16 slots of quarter q of frame f's tag word w,
+// creating the frame's directory and the word's block on first use, and
+// upgrading the word to a 64-slot block when its 16-slot block holds
+// another quarter (see capWord).
+func (p *Phys) newCaps(f *frame, w, q int) []ca.Capability {
+	if f.caps == nil {
+		f.caps = recycled(&p.capsFree.dirs)
 	}
+	wc := &f.caps[w]
+	switch {
+	case wc.full != nil:
+	case wc.part == nil:
+		wc.part = recycled(&p.capsFree.parts)
+		f.quarter[w] = uint8(q)
+		return wc.part[:]
+	case int(f.quarter[w]) == q:
+		return wc.part[:]
+	default:
+		p.upgradeCaps(f, w)
+	}
+	return wc.full[q*16 : q*16+16]
+}
+
+// upgradeCaps gives tag word w a 64-slot block, moving the values of its
+// 16-slot block, if it has one, into their quarter.
+func (p *Phys) upgradeCaps(f *frame, w int) {
+	wc := &f.caps[w]
+	full := recycled(&p.capsFree.fulls)
+	if wc.part != nil {
+		copy(full[int(f.quarter[w])*16:], wc.part[:])
+		p.capsFree.parts = append(p.capsFree.parts, wc.part)
+	}
+	wc.full, wc.part = full, nil
+}
+
+// recycleWord returns a tag word's block to capsFree and empties its entry.
+func (p *Phys) recycleWord(wc *capWord) {
+	if wc.full != nil {
+		p.capsFree.fulls = append(p.capsFree.fulls, wc.full)
+	}
+	if wc.part != nil {
+		p.capsFree.parts = append(p.capsFree.parts, wc.part)
+	}
+	*wc = capWord{}
+}
+
+// recycleCaps returns frame f's directory and blocks to capsFree.
+func (p *Phys) recycleCaps(f *frame) {
+	if f.caps == nil {
+		return
+	}
+	for w := range f.caps {
+		p.recycleWord(&f.caps[w])
+	}
+	p.capsFree.dirs = append(p.capsFree.dirs, f.caps)
+	f.caps = nil
 }
 
 // AllocFrame allocates a zeroed (all tags clear) frame.
@@ -185,7 +289,6 @@ func (p *Phys) AllocFrame() (FrameID, error) {
 			p.chunks = append(p.chunks, new([frameChunk]frame))
 		}
 		p.nframes++
-		*p.slot(id) = frame{bank: p, id: id}
 		// Grow the bank summaries alongside the frame table. A fresh frame
 		// has no tags, so only capacity changes — never summary bits.
 		if int(id)>>6 >= len(p.groupSum) {
@@ -195,13 +298,8 @@ func (p *Phys) AllocFrame() (FrameID, error) {
 			}
 		}
 	}
-	f := p.slot(id)
-	f.tags = [tagWords]uint64{}
-	f.summary = 0
-	f.caps = [tagWords]*[64]ca.Capability{}
-	f.colors = nil
-	f.refs = 1
-	f.inUse = true
+	// A freed frame has already returned its capability storage.
+	*p.slot(id) = frame{refs: 1, inUse: true}
 	p.allocated++
 	if p.allocated > p.peakAlloc {
 		p.peakAlloc = p.allocated
@@ -227,10 +325,7 @@ func (p *Phys) FreeFrame(id FrameID) {
 	f.inUse = false
 	f.tags = [tagWords]uint64{}
 	f.summary = 0
-	for w, c := range f.caps {
-		p.recycleCaps(c)
-		f.caps[w] = nil
-	}
+	p.recycleCaps(f)
 	f.colors = nil
 	f.refs = 0
 	p.allocated--
@@ -295,13 +390,10 @@ func (p *Phys) loc(id FrameID, g int) (f *frame, w int, m uint64) {
 func (p *Phys) StoreCap(id FrameID, g int, c ca.Capability) {
 	f, w, m := p.loc(id, g)
 	if c.Tag() {
-		if f.caps[w] == nil {
-			f.caps[w] = p.newCaps()
-		}
-		f.caps[w][g&63] = c
-		f.setTag(w, m)
+		p.newCaps(f, w, g>>4&3)[g&15] = c
+		p.setTag(id, f, w, m)
 	} else {
-		f.clearTag(w, m)
+		p.clearTag(id, f, w, m)
 	}
 }
 
@@ -329,7 +421,7 @@ func (p *Phys) StoreData(id FrameID, g, n int) {
 		if last < lo+63 {
 			end = uint(last - lo)
 		}
-		f.clearTag(w, ^uint64(0)>>(63-end)&(^uint64(0)<<start))
+		p.clearTag(id, f, w, ^uint64(0)>>(63-end)&(^uint64(0)<<start))
 	}
 }
 
@@ -340,7 +432,7 @@ func (p *Phys) LoadCap(id FrameID, g int) ca.Capability {
 	if f.tags[w]&m == 0 {
 		return ca.Null(0)
 	}
-	return f.caps[w][g&63]
+	return f.caps[w].get(g & 63)
 }
 
 // TagSet reports whether granule g holds a valid capability.
@@ -353,7 +445,7 @@ func (p *Phys) TagSet(id FrameID, g int) bool {
 // untagged data. This is revocation's fundamental write.
 func (p *Phys) ClearTag(id FrameID, g int) {
 	f, w, m := p.loc(id, g)
-	f.clearTag(w, m)
+	p.clearTag(id, f, w, m)
 }
 
 // HasTags reports whether any granule of the frame holds a capability.
@@ -394,12 +486,12 @@ func (p *Phys) SweepTags(id FrameID, fn func(g int, c ca.Capability) bool) (visi
 			b := bits.TrailingZeros64(word)
 			word &^= 1 << b
 			g := w*64 + b
-			if p.SweepFilter != nil && p.SweepFilter(id, g, f.caps[w][b]) {
+			if p.SweepFilter != nil && p.SweepFilter(id, g, f.caps[w].get(b)) {
 				continue
 			}
 			visited++
-			if fn(g, f.caps[w][b]) {
-				f.clearTag(w, 1<<uint(b))
+			if fn(g, f.caps[w].get(b)) {
+				p.clearTag(id, f, w, 1<<uint(b))
 				revoked++
 			}
 		}
@@ -407,30 +499,36 @@ func (p *Phys) SweepTags(id FrameID, fn func(g int, c ca.Capability) bool) (visi
 	return visited, revoked
 }
 
-// SweepCursor is the revocation handle passed to a SweepTagsWords callback.
-// Revoke applies a tag clear immediately, granule by granule: mid-word
-// virtual-time yields let application threads observe tag state, so clears
-// deferred to the end of a word would open a divergence window against a
-// per-granule sweep.
+// SweepCursor is the revocation handle passed to a SweepTagsWords callback,
+// valid until the callback returns. Revoke applies a tag clear
+// immediately, granule by granule: mid-word virtual-time yields let
+// application threads observe tag state, so clears deferred to the end of
+// a word would open a divergence window against a per-granule sweep.
 type SweepCursor struct {
+	p       *Phys
 	f       *frame
+	id      FrameID
 	revoked int
 }
 
 // Revoke clears granule g's tag — revocation's fundamental write — and
 // counts it against the sweep's revoked total.
 func (cur *SweepCursor) Revoke(g int) {
-	cur.f.clearTag(g>>6, 1<<(uint(g)&63))
+	cur.p.clearTag(cur.id, cur.f, g>>6, 1<<(uint(g)&63))
 	cur.revoked++
 }
 
 // SweepWordFn processes one nonzero tag word of a word-wise sweep: w is
 // the word index within the frame, mask the tag bits snapshotted when the
-// word was reached, and caps that word's capability block, read at the
-// same moment (bit b of mask is granule w*64+b, whose value is caps[b]).
-// The callback must handle every set bit of mask, in ascending bit order,
-// revoking through cur.
-type SweepWordFn func(cur *SweepCursor, w int, mask uint64, caps *[64]ca.Capability)
+// word was reached, and caps the word's values: bit b of mask is granule
+// w*64+b, whose value is caps.Get(b). Read each value through caps when it
+// is needed, never through a block taken from it earlier: a capability
+// that an application thread stores into another quarter of a 16-slot
+// word while the callback yields moves the word's values into a 64-slot
+// block. A read sees the slot's current value, which a tag clear leaves in
+// place. The callback must handle every set bit of mask, in ascending bit
+// order, revoking through cur.
+type SweepWordFn func(cur *SweepCursor, w int, mask uint64, caps WordCaps)
 
 // SweepTagsWords is the batch sweep kernel: instead of one callback per
 // tagged granule it hands fn whole nonzero tag words (guided by the frame
@@ -439,39 +537,40 @@ type SweepWordFn func(cur *SweepCursor, w int, mask uint64, caps *[64]ca.Capabil
 // (shadow.PaintedWord) and descend only to set bits. Semantics are
 // identical to SweepTags — same ascending visit order, same
 // snapshot-at-word-arrival view, same immediate tag clears — only the
-// callback granularity differs.
+// callback granularity differs. A call allocates nothing: its cursor is
+// recycled.
 //
 // When a SweepFilter is armed the sweep falls back to the per-granule path
 // and invokes fn with single-bit masks: filter decisions may depend on the
 // simulated cycle at which each granule is reached, so pre-masking a whole
 // word would change what the filter observes.
-//
-// Each word's block is read together with its mask, never captured when
-// the frame's sweep starts: fn may yield virtual time, and an application
-// thread storing the first capability of a later word meanwhile creates
-// that word's block.
 func (p *Phys) SweepTagsWords(id FrameID, fn SweepWordFn) (visited, revoked int) {
 	f := p.frame(id)
 	if f.summary == 0 {
 		return 0, 0
 	}
-	cur := SweepCursor{f: f}
+	cur := recycled(&p.cursors)
+	*cur = SweepCursor{p: p, f: f, id: id}
 	if p.SweepFilter != nil {
-		v, _ := p.SweepTags(id, func(g int, _ ca.Capability) bool {
-			fn(&cur, g>>6, 1<<(uint(g)&63), f.caps[g>>6])
+		visited, _ = p.SweepTags(id, func(g int, _ ca.Capability) bool {
+			cw := &f.caps[g>>6]
+			fn(cur, g>>6, 1<<(uint(g)&63), WordCaps{cw.full, cw})
 			return false // revocations land through cur.Revoke
 		})
-		return v, cur.revoked
-	}
-	for w := 0; w < tagWords; w++ {
-		if f.summary&(1<<uint(w)) == 0 {
-			continue
+	} else {
+		for w := 0; w < tagWords; w++ {
+			if f.summary&(1<<uint(w)) == 0 {
+				continue
+			}
+			mask := f.tags[w]
+			visited += bits.OnesCount64(mask)
+			cw := &f.caps[w]
+			fn(cur, w, mask, WordCaps{cw.full, cw})
 		}
-		mask := f.tags[w]
-		visited += bits.OnesCount64(mask)
-		fn(&cur, w, mask, f.caps[w])
 	}
-	return visited, cur.revoked
+	revoked = cur.revoked
+	p.cursors = append(p.cursors, cur)
+	return visited, revoked
 }
 
 // ForEachTag visits every tagged granule of the frame in ascending order,
@@ -491,16 +590,20 @@ func (p *Phys) ForEachTag(id FrameID, fn func(g int, c ca.Capability)) {
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
 			word &^= 1 << b
-			fn(w*64+b, f.caps[w][b])
+			fn(w*64+b, f.caps[w].get(b))
 		}
 	}
 }
 
 // CopyFrame copies src's tags, capabilities and colors into dst, as a
-// fork-style address-space clone does. dst ends up with a block exactly
-// where src has one; a dst block whose src word has none is recycled.
+// fork-style address-space clone does. Each dst word gets a block covering
+// the quarters its src word's block covers; a dst block whose src word has
+// none is recycled. Copying a frame onto itself changes nothing.
 func (p *Phys) CopyFrame(dst, src FrameID) {
 	d, sf := p.frame(dst), p.frame(src)
+	if d == sf {
+		return
+	}
 	had := d.summary != 0
 	d.tags = sf.tags
 	d.summary = sf.summary
@@ -511,16 +614,26 @@ func (p *Phys) CopyFrame(dst, src FrameID) {
 			p.unmarkTagged(dst)
 		}
 	}
-	for w, sc := range sf.caps {
-		if sc == nil {
-			p.recycleCaps(d.caps[w])
-			d.caps[w] = nil
-			continue
+	if sf.caps == nil {
+		p.recycleCaps(d)
+	} else {
+		if d.caps == nil {
+			d.caps = recycled(&p.capsFree.dirs)
 		}
-		if d.caps[w] == nil {
-			d.caps[w] = p.newCaps()
+		for w := range sf.caps {
+			sc, dc := &sf.caps[w], &d.caps[w]
+			switch {
+			case sc.full != nil:
+				if dc.full == nil {
+					p.upgradeCaps(d, w)
+				}
+				*dc.full = *sc.full
+			case sc.part != nil:
+				copy(p.newCaps(d, w, int(sf.quarter[w])), sc.part[:])
+			default:
+				p.recycleWord(dc)
+			}
 		}
-		*d.caps[w] = *sc
 	}
 	if sf.colors != nil {
 		colors := *sf.colors

@@ -1,6 +1,7 @@
 package tmem
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -235,7 +236,7 @@ func TestFrameSurvivesChunkGrowth(t *testing.T) {
 	if p.frame(id) != f {
 		t.Fatal("frame moved when the table grew")
 	}
-	f.clearTag(0, 1<<3)
+	p.clearTag(id, f, 0, 1<<3)
 	if p.TagSet(id, 3) || p.HasTags(id) {
 		t.Fatal("a tag clear through the pointer taken before the growth was lost")
 	}
@@ -279,5 +280,46 @@ func TestSweepSurvivesFrameTableGrowth(t *testing.T) {
 func TestCapBlockFillsSizeClass(t *testing.T) {
 	if size := unsafe.Sizeof([64]ca.Capability{}); size != 2048 {
 		t.Fatalf("capability block is %d bytes, want 2048", size)
+	}
+}
+
+// allocatedSize returns the bytes Go's allocator hands out for one new(T):
+// T's size rounded up to its size class. Other allocations during a round
+// can only add to it, so the least of three rounds is taken.
+func allocatedSize[T any]() uint64 {
+	const n = 4096
+	least := ^uint64(0)
+	for round := 0; round < 3; round++ {
+		objs := make([]*T, n)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := range objs {
+			objs[i] = new(T)
+		}
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(objs)
+		least = min(least, (after.TotalAlloc-before.TotalAlloc)/n)
+	}
+	return least
+}
+
+// TestCapStorageSizes pins the host layout of capability storage: a frame
+// is 64 bytes, one host cache line (a chunk of the frame table is
+// page-aligned, so no frame straddles two lines); a 16-slot block is 512
+// bytes; and the 16-slot block and the directory each fill a Go size
+// class, so neither wastes a tail.
+func TestCapStorageSizes(t *testing.T) {
+	if size := unsafe.Sizeof(frame{}); size != 64 {
+		t.Errorf("frame is %d bytes, want 64", size)
+	}
+	if size := unsafe.Sizeof([16]ca.Capability{}); size != 512 {
+		t.Errorf("16-slot capability block is %d bytes, want 512", size)
+	}
+	if size, got := uint64(unsafe.Sizeof([16]ca.Capability{})), allocatedSize[[16]ca.Capability](); got != size {
+		t.Errorf("a 16-slot block of %d bytes takes %d from the allocator", size, got)
+	}
+	if size, got := uint64(unsafe.Sizeof(capDir{})), allocatedSize[capDir](); got != size {
+		t.Errorf("a directory of %d bytes takes %d from the allocator", size, got)
 	}
 }
