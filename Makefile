@@ -29,10 +29,12 @@ vet:
 	$(GO) vet ./...
 
 # inline fails unless the compiler inlines sim's Thread.Tick, which every
-# simulated load, store and swept granule calls, and tmem's WordCaps.Get,
-# which reads every capability a sweep visits: each sits near the edge of
-# the inlining budget, so a one-line edit could turn each charge or read
-# back into a call without changing any result.
+# simulated load, store and swept granule calls, tmem's WordCaps.Get,
+# which reads every capability a sweep visits, and shadow's
+# Bitmap.PaintedWord, which reads the painted word for every tag word a
+# sweep visits: each sits near the edge of the inlining budget, so a
+# one-line edit could turn each charge or read back into a call without
+# changing any result.
 inline:
 	@out="$$($(GO) build -gcflags=-m ./internal/sim 2>&1)"; \
 	if ! printf '%s\n' "$$out" | grep -q 'can inline (\*Thread).Tick$$'; then \
@@ -40,6 +42,9 @@ inline:
 	@out="$$($(GO) build -gcflags=-m ./internal/tmem 2>&1)"; \
 	if ! printf '%s\n' "$$out" | grep -q 'can inline WordCaps.Get$$'; then \
 		echo "go build -gcflags=-m ./internal/tmem no longer inlines WordCaps.Get"; exit 1; fi
+	@out="$$($(GO) build -gcflags=-m ./internal/shadow 2>&1)"; \
+	if ! printf '%s\n' "$$out" | grep -q 'can inline (\*Bitmap).PaintedWord$$'; then \
+		echo "go build -gcflags=-m ./internal/shadow no longer inlines (*Bitmap).PaintedWord"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -62,7 +67,7 @@ flake:
 	$(GO) test -count=5 ./internal/dist
 	$(GO) test -count=5 -short ./internal/expt
 
-# fuzz: short runs of the four differential fuzzers, 10 s each (go test
+# fuzz: short runs of the five differential fuzzers, 10 s each (go test
 # -fuzz takes one target per call); go test runs only their seed inputs,
 # this target searches beyond them. FuzzCapStorage (internal/tmem) drives a
 # bank of frames through random capability stores, data stores, tag
@@ -76,7 +81,10 @@ flake:
 # against the seven-field capability the four-word one replaced. FuzzBus
 # (internal/bus) drives the flat recency-ordered caches through accesses and
 # ranges on two cores over a footprint of a few sets, checked call by call
-# against the struct-array cache with last-use ticks. Each compares much
+# against the struct-array cache with last-use ticks. FuzzShadow
+# (internal/shadow) drives the revocation bitmap through paints, unpaints
+# and every query over spans straddling its 64 KiB chunk and 4 MiB group
+# edges, checked against a flat map of painted words. Each compares much
 # state after every step, so minimizing a new input can outlast the budget;
 # -fuzzminimizetime keeps the 10 s for searching.
 fuzz:
@@ -84,6 +92,7 @@ fuzz:
 	$(GO) test ./internal/vm -run '^$$' -fuzz '^FuzzAddressSpace$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/ca -run '^$$' -fuzz '^FuzzCapability$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/bus -run '^$$' -fuzz '^FuzzBus$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/shadow -run '^$$' -fuzz '^FuzzShadow$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # chaos: a strict fault-injection smoke campaign against Reloaded. Every
 # protocol-subverting class must be flagged by the soundness oracle and

@@ -18,7 +18,6 @@ package alloc
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/bus"
 	"repro/internal/ca"
@@ -38,6 +37,7 @@ var (
 // slab serves one size class from a 64 KiB span.
 type slab struct {
 	class int
+	ch    *chunk // the chunk the span lies in
 	base  uint64
 	used  int
 	free  []uint64 // LIFO free list of object addresses
@@ -63,9 +63,10 @@ type chunk struct {
 	// indexed by span (nil where no slab is: span 0, which holds the
 	// metadata page, and spans given to medium allocations or freed).
 	slabs [chunkSize / SlabSize]*slab
-	// mediumLive maps live medium allocation addresses to sizes.
+	// mediumLive maps live medium allocation addresses to sizes, and
+	// mediumFree holds freed medium extents keyed by size. Both are nil
+	// until the chunk's first medium allocation.
 	mediumLive map[uint64]uint64
-	// mediumFree holds freed medium extents keyed by size.
 	mediumFree map[uint64][]uint64
 	// freeSpans holds slab-sized spans reclaimed from emptied slabs,
 	// available to back a new slab of any size class.
@@ -98,6 +99,12 @@ type Allocator struct {
 	remote  []remoteFree
 	// cur is the chunk currently being carved.
 	cur *chunk
+	// spanChunks lists the allocator's chunks that hold a reclaimed span,
+	// and extentChunks, per extent size, those that hold a freed medium
+	// extent of that size; both in base order, so reuse takes the
+	// lowest-base chunk without visiting chunks that hold nothing.
+	spanChunks   []*chunk
+	extentChunks map[uint64][]*chunk
 }
 
 type remoteFree struct {
@@ -125,9 +132,12 @@ type Stats struct {
 type Heap struct {
 	P *kernel.Process
 	// allocs in creation order; byID indexes them by sim thread id.
-	allocs   []*Allocator
-	byID     []*Allocator
-	chunks   []*chunk // sorted by reservation base
+	allocs []*Allocator
+	byID   []*Allocator
+	// chunks lists every chunk in base order, and bases their reservation
+	// bases, which find binary-searches.
+	chunks   []*chunk
+	bases    []uint64
 	larges   map[uint64]*large
 	stats    Stats
 	coloring bool
@@ -276,12 +286,13 @@ func (a *Allocator) colorAt(addr uint64) uint8 {
 	return a.th.P.M.Phys.ColorOf(pte.Frame, g)
 }
 
-// newSlab returns an empty slab of class cl over the span at base, already
-// on its owner's partial list.
-func newSlab(cl int, base uint64) *slab {
+// newSlab returns an empty slab of class cl over the span of ch at base,
+// already on its owner's partial list.
+func newSlab(cl int, ch *chunk, base uint64) *slab {
 	slots := SlabSize / ClassSize(cl)
 	return &slab{
 		class:     cl,
+		ch:        ch,
 		base:      base,
 		next:      base,
 		live:      make([]uint64, (slots+63)/64),
@@ -319,20 +330,23 @@ func (a *Allocator) slabFor(cl int) (*slab, *chunk, error) {
 		s := lst[len(lst)-1]
 		if s.hasSpace() {
 			a.partial[cl] = lst
-			return s, a.chunkOf(s.base), nil
+			return s, s.ch, nil
 		}
 		s.inPartial = false
 		lst = lst[:len(lst)-1]
 	}
 	a.partial[cl] = lst
-	// Prefer a span reclaimed from an emptied slab.
-	for _, ch := range a.heap.chunks {
-		if ch.owner != a || len(ch.freeSpans) == 0 {
-			continue
+	// Prefer a span reclaimed from an emptied slab: the last one reclaimed
+	// in the lowest-base chunk that holds one.
+	if len(a.spanChunks) > 0 {
+		ch := a.spanChunks[0]
+		n := len(ch.freeSpans) - 1
+		base := ch.freeSpans[n]
+		ch.freeSpans = ch.freeSpans[:n]
+		if n == 0 {
+			a.spanChunks = dropFirst(a.spanChunks)
 		}
-		base := ch.freeSpans[len(ch.freeSpans)-1]
-		ch.freeSpans = ch.freeSpans[:len(ch.freeSpans)-1]
-		s := newSlab(cl, base)
+		s := newSlab(cl, ch, base)
 		ch.slabs[(base-ch.res.Base)/SlabSize] = s
 		a.partial[cl] = append(a.partial[cl], s)
 		a.th.Work(200)
@@ -342,18 +356,12 @@ func (a *Allocator) slabFor(cl int) (*slab, *chunk, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	s := newSlab(cl, ch.res.Base+off)
+	s := newSlab(cl, ch, ch.res.Base+off)
 	ch.slabs[off/SlabSize] = s
 	a.partial[cl] = append(a.partial[cl], s)
 	// Initialize slab metadata.
 	a.th.Work(200)
 	return s, ch, nil
-}
-
-// chunkOf finds the chunk containing addr; addr must be heap-owned.
-func (a *Allocator) chunkOf(addr uint64) *chunk {
-	ch, _, _ := a.heap.find(addr)
-	return ch
 }
 
 // carve takes size bytes (aligned to align) from the allocator's current
@@ -371,12 +379,10 @@ func (a *Allocator) carve(size, align uint64) (*chunk, uint64, error) {
 		return nil, 0, err
 	}
 	ch := &chunk{
-		owner:      a,
-		res:        res,
-		root:       res.Root,
-		bump:       vm.PageSize, // first page is metadata
-		mediumLive: make(map[uint64]uint64),
-		mediumFree: make(map[uint64][]uint64),
+		owner: a,
+		res:   res,
+		root:  res.Root,
+		bump:  vm.PageSize, // first page is metadata
 	}
 	a.heap.insertChunk(ch)
 	a.heap.stats.Chunks++
@@ -390,18 +396,20 @@ func (a *Allocator) carve(size, align uint64) (*chunk, uint64, error) {
 
 // allocMedium serves page-granular allocations from chunk space.
 func (a *Allocator) allocMedium(rounded uint64) (uint64, *chunk, error) {
-	// Reuse a freed extent of the same size if available.
-	for _, ch := range a.heap.chunks {
-		if ch.owner != a {
-			continue
+	// Reuse a freed extent of the same size if available: the last one
+	// freed in the lowest-base chunk that holds one.
+	if chs := a.extentChunks[rounded]; len(chs) > 0 {
+		ch := chs[0]
+		lst := ch.mediumFree[rounded]
+		n := len(lst) - 1
+		addr := lst[n]
+		ch.mediumFree[rounded] = lst[:n]
+		if n == 0 {
+			a.extentChunks[rounded] = dropFirst(chs)
 		}
-		if lst := ch.mediumFree[rounded]; len(lst) > 0 {
-			addr := lst[len(lst)-1]
-			ch.mediumFree[rounded] = lst[:len(lst)-1]
-			ch.mediumLive[addr] = rounded
-			a.th.Work(60)
-			return addr, ch, nil
-		}
+		ch.mediumLive[addr] = rounded
+		a.th.Work(60)
+		return addr, ch, nil
 	}
 	align := ca.RepresentableAlign(rounded)
 	if align < vm.PageSize {
@@ -410,6 +418,10 @@ func (a *Allocator) allocMedium(rounded uint64) (uint64, *chunk, error) {
 	ch, off, err := a.carve(rounded, align)
 	if err != nil {
 		return 0, nil, err
+	}
+	if ch.mediumLive == nil {
+		ch.mediumLive = make(map[uint64]uint64)
+		ch.mediumFree = make(map[uint64][]uint64)
 	}
 	addr := ch.res.Base + off
 	ch.mediumLive[addr] = rounded
@@ -428,25 +440,58 @@ func (a *Allocator) allocLarge(rounded uint64) (*large, error) {
 	return l, nil
 }
 
-// insertChunk keeps the chunk list sorted by base.
+// insertByBase inserts ch into chs, which is in base order.
+func insertByBase(chs []*chunk, ch *chunk) []*chunk {
+	i := len(chs)
+	for i > 0 && chs[i-1].res.Base > ch.res.Base {
+		i--
+	}
+	chs = append(chs, nil)
+	copy(chs[i+1:], chs[i:])
+	chs[i] = ch
+	return chs
+}
+
+// dropFirst removes chs[0], keeping chs's array.
+func dropFirst(chs []*chunk) []*chunk {
+	n := copy(chs, chs[1:])
+	chs[n] = nil
+	return chs[:n]
+}
+
+// chunksAtOrBelow returns the number of chunks whose base is at most addr.
+func (h *Heap) chunksAtOrBelow(addr uint64) int {
+	i, j := 0, len(h.bases)
+	for i < j {
+		m := int(uint(i+j) >> 1)
+		if h.bases[m] <= addr {
+			i = m + 1
+		} else {
+			j = m
+		}
+	}
+	return i
+}
+
+// insertChunk keeps the chunk list and its bases in base order.
 func (h *Heap) insertChunk(ch *chunk) {
-	i := sort.Search(len(h.chunks), func(i int) bool { return h.chunks[i].res.Base >= ch.res.Base })
+	i := h.chunksAtOrBelow(ch.res.Base)
 	h.chunks = append(h.chunks, nil)
 	copy(h.chunks[i+1:], h.chunks[i:])
 	h.chunks[i] = ch
+	h.bases = append(h.bases, 0)
+	copy(h.bases[i+1:], h.bases[i:])
+	h.bases[i] = ch.res.Base
 }
 
 // find locates the owner of addr: its chunk (or nil) and large record (or
 // nil). The chunks are searched first, since nearly every allocation lives
 // in one; a large has its own reservation, never inside a chunk, so the
-// larges map is consulted only for an address no chunk holds.
+// larges map is consulted only for an address no chunk holds. Every chunk
+// reservation is chunkSize long.
 func (h *Heap) find(addr uint64) (*chunk, *large, bool) {
-	i := sort.Search(len(h.chunks), func(i int) bool { return h.chunks[i].res.Base > addr })
-	if i > 0 {
-		ch := h.chunks[i-1]
-		if addr < ch.res.Base+ch.res.Length {
-			return ch, nil, true
-		}
+	if i := h.chunksAtOrBelow(addr); i > 0 && addr-h.bases[i-1] < chunkSize {
+		return h.chunks[i-1], nil, true
 	}
 	if l, ok := h.larges[addr]; ok {
 		return nil, l, true
@@ -555,6 +600,9 @@ func (a *Allocator) reclaimSlab(ch *chunk, s *slab) {
 	a.partial[s.class] = kept
 	s.inPartial = false
 	ch.freeSpans = append(ch.freeSpans, s.base)
+	if len(ch.freeSpans) == 1 {
+		a.spanChunks = insertByBase(a.spanChunks, ch)
+	}
 	a.th.Work(120)
 }
 
@@ -624,6 +672,12 @@ func (a *Allocator) release(base, size uint64) error {
 		}
 		delete(ch.mediumLive, base)
 		ch.mediumFree[sz] = append(ch.mediumFree[sz], base)
+		if len(ch.mediumFree[sz]) == 1 {
+			if a.extentChunks == nil {
+				a.extentChunks = make(map[uint64][]*chunk)
+			}
+			a.extentChunks[sz] = insertByBase(a.extentChunks[sz], ch)
+		}
 		th.Work(60)
 	}
 	h.stats.Frees++

@@ -655,13 +655,15 @@ func phaseRows(t *harness.Table, label string, results map[string][]*harness.Res
 }
 
 // fig9Scales derives the pgbench and gRPC configurations from the SPEC
-// scale, as Figure 9 and Table 2 always have.
-func fig9Scales(cfg harness.Config) (pgCfg, qpsCfg harness.Config) {
+// scale, as Figure 9 and Table 2 always have, at the options' pgbench and
+// gRPC seeds.
+func fig9Scales(o Options) (pgCfg, qpsCfg harness.Config) {
 	pgCfg = harness.PgbenchConfig()
 	qpsCfg = harness.QPSConfig()
-	if cfg.Scale != 0 && cfg.Scale != 64 {
-		pgCfg.Scale = harness.PgbenchScale(cfg.Scale)
-		qpsCfg.Scale = cfg.Scale
+	pgCfg.Seed, qpsCfg.Seed = o.PgCfg.Seed, o.QPSCfg.Seed
+	if s := o.SpecCfg.Scale; s != 0 && s != 64 {
+		pgCfg.Scale = harness.PgbenchScale(s)
+		qpsCfg.Scale = s
 	}
 	return pgCfg, qpsCfg
 }
@@ -670,7 +672,7 @@ func fig9Scales(cfg harness.Config) (pgCfg, qpsCfg harness.Config) {
 // representative subset of benchmarks.
 func fig9Build(o Options, g Getter) (*harness.Table, error) {
 	cfg := o.SpecCfg
-	pgCfg, qpsCfg := fig9Scales(cfg)
+	pgCfg, qpsCfg := fig9Scales(o)
 	t := &harness.Table{
 		Title:  "Figure 9: revocation phase times, min/p25/median/p75/max (ms)",
 		Header: []string{"benchmark", "strategy", "phase", "distribution(ms)"},
@@ -740,7 +742,7 @@ func fig9Build(o Options, g Getter) (*harness.Table, error) {
 // the representative subset.
 func table2Build(o Options, g Getter) (*harness.Table, error) {
 	cfg := o.SpecCfg
-	pgCfg, qpsCfg := fig9Scales(cfg)
+	pgCfg, qpsCfg := fig9Scales(o)
 	t := &harness.Table{
 		Title: "Table 2: Reloaded revocation rate statistics",
 		Header: []string{"benchmark", "meanAlloc(MiB)", "sumFreed(MiB)", "F:A",

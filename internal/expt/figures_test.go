@@ -1,6 +1,9 @@
 package expt
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -347,5 +350,49 @@ func TestBuildAggregatesEmptyLat(t *testing.T) {
 		if a.Workload != "w" || a.Condition != "c" {
 			t.Errorf("unexpected cell %+v", a)
 		}
+	}
+}
+
+// fig9SeedOneKeys is the sha256 of the sorted job keys, one a line, that
+// Figure 9 and Table 2 plan at seed 1 with DefaultOptions and one rep.
+const fig9SeedOneKeys = "a7ddad14d27c3253c532ad0c1448958179e124f8e267fa2b2c4692973204aed8"
+
+// TestFig9SeedsFollowOptions pins that Figure 9's and Table 2's pgbench
+// and gRPC jobs run at the options' seed, like their SPEC jobs: planned at
+// seed 5, as `cmd/sweep -figures fig9,table2 -dry-run -seed 5 -reps 1`
+// plans them, every job is at seed 5, and at seed 1 the job keys are
+// those recorded before pgbench and gRPC followed the seed.
+func TestFig9SeedsFollowOptions(t *testing.T) {
+	plan := func(seed int64) []PlannedJob {
+		o := DefaultOptions()
+		o.Reps = 1
+		o.SpecCfg.Seed, o.PgCfg.Seed, o.QPSCfg.Seed = seed, seed, seed
+		p := NewPlanner()
+		for _, id := range []string{"fig9", "table2"} {
+			f, _ := ByID(id)
+			if _, err := f.Build(o, p); err != nil {
+				t.Fatalf("%s dry-run build: %v", id, err)
+			}
+		}
+		return p.Jobs()
+	}
+	kinds := map[string]int{}
+	for _, j := range plan(5) {
+		kinds[j.Workload.Kind]++
+		if j.Seed != 5 {
+			t.Errorf("%s under %s planned at seed %d, want 5", j.Workload, j.Cond, j.Seed)
+		}
+	}
+	for _, k := range []string{"spec", "pgbench", "qps"} {
+		if kinds[k] == 0 {
+			t.Errorf("no %s job planned", k)
+		}
+	}
+	h := sha256.New()
+	for _, j := range plan(1) {
+		fmt.Fprintln(h, j.Key)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != fig9SeedOneKeys {
+		t.Errorf("seed-1 job keys hash to %s, recorded %s", got, fig9SeedOneKeys)
 	}
 }

@@ -46,12 +46,12 @@ func TestPaintBoundsViolations(t *testing.T) {
 	}
 }
 
-// TestChunkEdgeStraddle paints a span straddling the 512 KiB chunk
+// TestChunkEdgeStraddle paints a span straddling the 64 KiB chunk
 // boundary and probes granules on both sides of the edge.
 func TestChunkEdgeStraddle(t *testing.T) {
 	b := New()
 	a := ca.NewRoot(0, 1<<32, ca.PermPaint)
-	edge := uint64(chunkGranules) * ca.GranuleSize // 512 KiB: first addr of chunk 1
+	edge := uint64(chunkGranules) * ca.GranuleSize // 64 KiB: first addr of chunk 1
 	start := edge - 2*ca.GranuleSize
 	if err := b.Paint(a, start, 4*ca.GranuleSize); err != nil {
 		t.Fatal(err)
@@ -87,10 +87,10 @@ func TestNeverPaintedChunkProbe(t *testing.T) {
 	if b.Test(far) || b.Test(far+ca.GranuleSize) {
 		t.Fatal("probe of a never-painted chunk returned painted")
 	}
-	if b.AnyPaintedInRange(far, 512<<10) {
+	if b.AnyPaintedInRange(far, chunkSpan) {
 		t.Fatal("AnyPaintedInRange true over a never-painted chunk")
 	}
-	if got := b.CountPaintedInRange(far, 512<<10); got != 0 {
+	if got := b.CountPaintedInRange(far, chunkSpan); got != 0 {
 		t.Fatalf("CountPaintedInRange over a never-painted chunk = %d", got)
 	}
 	visited := 0

@@ -11,12 +11,13 @@ func (b *Bitmap) setFlat(addr, length uint64, v bool) {
 	b.cacheOK = false
 	for g := addr / ca.GranuleSize; g < (addr+length)/ca.GranuleSize; g++ {
 		ck, word, bit := g/chunkGranules, int(g%chunkGranules)/64, uint(g%64)
-		c := b.chunks[ck]
+		grp := b.groups[ck>>6]
+		c := b.chunk(ck)
 		if c == nil {
 			if !v {
 				continue
 			}
-			c = b.addChunk(ck)
+			grp, c = b.addChunk(grp, ck)
 		}
 		old := c.words[word]
 		if v {
@@ -37,7 +38,7 @@ func (b *Bitmap) setFlat(addr, length uint64, v bool) {
 					c.sum[word>>6] &^= 1 << uint(word&63)
 				}
 				if c.painted == 0 {
-					b.freeChunk(ck, c)
+					b.freeChunk(grp, ck)
 				}
 			}
 		}

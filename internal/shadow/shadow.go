@@ -9,16 +9,20 @@
 // whose bounds cover the painted range, so allocators can only quarantine
 // their own heaps.
 //
-// Storage is chunked, sparse and hierarchical: each 512 KiB chunk carries a
-// nonzero-word summary (one bit per 64-granule word), and a chunk-group
-// index (one bit per present chunk, 64 chunks — 32 MiB — per group word)
-// sits above the chunk map. Whole-bitmap iteration therefore skips empty
-// spans at every level and costs O(painted words), not O(address-space
-// size); chunks whose last bit is cleared are freed back to a pool, so the
+// Storage is chunked, sparse and hierarchical: each 64 KiB chunk carries a
+// nonzero-word summary (one bit per 64-granule word, so one summary word),
+// and a chunk-group index (one bit per present chunk, 64 chunks — 4 MiB —
+// per group word) sits above the chunks, each group word next to the
+// pointers of the chunks it marks. Whole-bitmap iteration therefore skips
+// empty spans at every level and costs O(painted words), not
+// O(address-space size); chunks whose last bit is cleared are freed back
+// to a pool, and groups whose last chunk is freed likewise, so the
 // bitmap's footprint tracks the quarantine, not the heap's high-water
-// mark. VAOf exposes the virtual address of the bitmap word covering a
-// heap address so callers can charge memory-system costs for paints and
-// probes at the right locations.
+// mark. A chunk is 528 B, so a heap that paints a few objects (one
+// connection's allocator, say) holds one small chunk rather than a bitmap
+// sized for a large heap. VAOf exposes the virtual address of the bitmap
+// word covering a heap address so callers can charge memory-system costs
+// for paints and probes at the right locations.
 package shadow
 
 import (
@@ -30,8 +34,8 @@ import (
 )
 
 // chunkGranules is the number of granule bits per storage chunk; each chunk
-// covers chunkGranules*16 bytes = 512 KiB of address space.
-const chunkGranules = 32768
+// covers chunkGranules*16 bytes = 64 KiB of address space.
+const chunkGranules = 4096
 const chunkWords = chunkGranules / 64
 
 // chunkSumWords is the size of a chunk's nonzero-word summary: one bit per
@@ -42,7 +46,8 @@ const chunkSumWords = chunkWords / 64
 // simulated processes. Only used for cost attribution.
 const Base = 0x4000_0000_0000
 
-// chunk is one 512 KiB span's worth of bitmap. sum is the nonzero-word
+// chunk is one 64 KiB span's worth of bitmap: 64 words, one summary word
+// and a count, 528 B (Go's 576-byte size class). sum is the nonzero-word
 // summary (bit w set iff words[w] != 0) and painted counts the chunk's set
 // bits, so an emptied chunk is detected in O(1) and iteration descends
 // only to nonzero words.
@@ -52,12 +57,21 @@ type chunk struct {
 	painted int
 }
 
+// group is one word of the chunk-group index with the chunks it marks:
+// bit i of mask is set iff chunks[i], the chunk at index group*64+i, is
+// present. Looking a chunk up is one map read for its group and an array
+// index, and chunks of one group are found without another map read.
+type group struct {
+	mask   uint64
+	chunks [64]*chunk
+}
+
 // Bitmap is a process's revocation bitmap.
 //
 // A single-entry chunk cache accelerates the sweep's probe sequence: a
 // revocation sweep probes capability bases in allocation-address order, so
-// consecutive probes overwhelmingly land in the same 512 KiB chunk and the
-// chunk-map lookup amortizes away. The cache also remembers misses (a nil
+// consecutive probes overwhelmingly land in the same 64 KiB chunk and the
+// chunk lookup amortizes away. The cache also remembers misses (a nil
 // chunk), since huge unpainted spans are the common case. Every mutation
 // path (set, and chunk freeing inside it) invalidates the cache — a freed
 // chunk must never be readable through a stale positive entry. Reads
@@ -65,14 +79,16 @@ type chunk struct {
 // machine — are not safe for concurrent host access; the engine's
 // one-thread-at-a-time execution provides the exclusion.
 type Bitmap struct {
-	chunks  map[uint64]*chunk
-	groups  map[uint64]uint64 // group index → present-chunk mask
+	groups  map[uint64]*group // group index → its word and chunks
+	nchunks int               // present chunks
 	painted uint64            // currently-set bits
 
-	// chunkFree recycles freed chunks. A chunk is freed only when its
-	// last bit clears, so a recycled chunk is all-zero by construction
-	// and needs no re-zeroing.
+	// chunkFree and groupFree recycle freed chunks and groups. A chunk is
+	// freed only when its last bit clears, and a group when its last chunk
+	// is freed, so a recycled one is all-zero by construction and needs no
+	// re-zeroing.
 	chunkFree []*chunk
+	groupFree []*group
 
 	cacheKey   uint64
 	cacheChunk *chunk // nil = chunk absent (negative entry)
@@ -81,10 +97,15 @@ type Bitmap struct {
 
 // New creates an empty bitmap.
 func New() *Bitmap {
-	return &Bitmap{
-		chunks: make(map[uint64]*chunk),
-		groups: make(map[uint64]uint64),
+	return &Bitmap{groups: make(map[uint64]*group)}
+}
+
+// chunk returns chunk ck, or nil if it is absent.
+func (b *Bitmap) chunk(ck uint64) *chunk {
+	if g := b.groups[ck>>6]; g != nil {
+		return g.chunks[ck&63]
 	}
+	return nil
 }
 
 // coords converts a heap address to chunk/word/bit coordinates.
@@ -147,8 +168,19 @@ func (b *Bitmap) Unpaint(auth ca.Capability, addr, length uint64) error {
 	return nil
 }
 
-// addChunk materializes chunk ck, registering it in the group index.
-func (b *Bitmap) addChunk(ck uint64) *chunk {
+// addChunk materializes chunk ck in its group g, or in a new group if g
+// is nil, registering it in the group index. It returns the group.
+func (b *Bitmap) addChunk(g *group, ck uint64) (*group, *chunk) {
+	if g == nil {
+		if n := len(b.groupFree); n > 0 {
+			g = b.groupFree[n-1]
+			b.groupFree[n-1] = nil
+			b.groupFree = b.groupFree[:n-1]
+		} else {
+			g = new(group)
+		}
+		b.groups[ck>>6] = g
+	}
 	var c *chunk
 	if n := len(b.chunkFree); n > 0 {
 		c = b.chunkFree[n-1]
@@ -157,24 +189,30 @@ func (b *Bitmap) addChunk(ck uint64) *chunk {
 	} else {
 		c = new(chunk)
 	}
-	b.chunks[ck] = c
-	b.groups[ck>>6] |= 1 << uint(ck&63)
-	return c
+	g.chunks[ck&63] = c
+	g.mask |= 1 << (ck & 63)
+	b.nchunks++
+	return g, c
 }
 
-// freeChunk releases an emptied chunk: it leaves the map and group index
-// and joins the recycle pool. The single-entry cache
-// may hold a positive entry for exactly this chunk, so it is dropped here
-// — set already invalidates on entry, but freeing must be safe on its own.
-func (b *Bitmap) freeChunk(ck uint64, c *chunk) {
-	delete(b.chunks, ck)
-	g := ck >> 6
-	b.groups[g] &^= 1 << uint(ck&63)
-	if b.groups[g] == 0 {
-		delete(b.groups, g)
-	}
-	b.chunkFree = append(b.chunkFree, c)
+// freeChunk releases emptied chunk ck of group g: it leaves the group
+// index and joins the recycle pool, and g, once it marks no chunk, leaves
+// the map for its own pool. It returns g, or nil if g was freed. The
+// single-entry cache may hold a positive entry for exactly this chunk, so
+// it is dropped here — set already invalidates on entry, but freeing must
+// be safe on its own.
+func (b *Bitmap) freeChunk(g *group, ck uint64) *group {
+	b.chunkFree = append(b.chunkFree, g.chunks[ck&63])
+	g.chunks[ck&63] = nil
+	g.mask &^= 1 << (ck & 63)
+	b.nchunks--
 	b.cacheOK = false
+	if g.mask != 0 {
+		return g
+	}
+	delete(b.groups, ck>>6)
+	b.groupFree = append(b.groupFree, g)
+	return nil
 }
 
 // set writes [addr, addr+length)'s bits. It applies whole word-masks — a
@@ -187,15 +225,24 @@ func (b *Bitmap) set(addr, length uint64, v bool) {
 	b.cacheOK = false
 	g := addr / ca.GranuleSize
 	end := (addr + length) / ca.GranuleSize
+	var grp *group // group gk, read from the map once per group
+	gk := ^uint64(0)
 	for g < end {
 		ck := g / chunkGranules
-		c := b.chunks[ck]
+		if ck>>6 != gk {
+			gk = ck >> 6
+			grp = b.groups[gk]
+		}
+		var c *chunk
+		if grp != nil {
+			c = grp.chunks[ck&63]
+		}
 		if c == nil {
 			if !v {
 				g = (ck + 1) * chunkGranules // nothing to clear here
 				continue
 			}
-			c = b.addChunk(ck)
+			grp, c = b.addChunk(grp, ck)
 		}
 		stop := (ck + 1) * chunkGranules
 		if stop > end {
@@ -237,7 +284,7 @@ func (b *Bitmap) set(addr, length uint64, v bool) {
 			g += n
 		}
 		if !v && c.painted == 0 {
-			b.freeChunk(ck, c)
+			grp = b.freeChunk(grp, ck)
 		}
 	}
 }
@@ -247,27 +294,27 @@ func (b *Bitmap) set(addr, length uint64, v bool) {
 func (b *Bitmap) Clone() *Bitmap {
 	c := New()
 	c.painted = b.painted
-	for k, v := range b.chunks {
-		w := *v
-		c.chunks[k] = &w
-	}
-	for k, v := range b.groups {
-		c.groups[k] = v
+	c.nchunks = b.nchunks
+	for k, g := range b.groups {
+		ng := &group{mask: g.mask}
+		for m := g.mask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			w := *g.chunks[i]
+			ng.chunks[i] = &w
+		}
+		c.groups[k] = ng
 	}
 	return c
 }
 
 // Test reports whether addr's granule is painted. Revocation's per-granule
 // sweep kernel probes this for the base of every capability it inspects;
-// each call pays a chunk-map lookup, which is exactly the host cost
+// each call pays a group-map lookup, which is exactly the host cost
 // PaintedWord amortizes for the word-wise kernel.
 func (b *Bitmap) Test(addr uint64) bool {
 	ck, word, bit := coords(addr)
-	c := b.chunks[ck]
-	if c == nil {
-		return false
-	}
-	return c.words[word]&(1<<bit) != 0
+	c := b.chunk(ck)
+	return c != nil && c.words[word]&(1<<bit) != 0
 }
 
 // PaintedWord returns the 64-granule painted mask containing addr: bit i
@@ -279,16 +326,13 @@ func (b *Bitmap) Test(addr uint64) bool {
 // 64-granule word never spans chunks (chunkGranules is a multiple of 64).
 func (b *Bitmap) PaintedWord(addr uint64) uint64 {
 	g := addr / ca.GranuleSize
-	ck, word := g/chunkGranules, int(g%chunkGranules)/64
-	if !b.cacheOK || b.cacheKey != ck {
-		b.cacheKey = ck
-		b.cacheChunk = b.chunks[ck]
-		b.cacheOK = true
+	if ck := g / chunkGranules; !b.cacheOK || b.cacheKey != ck {
+		b.cacheKey, b.cacheChunk, b.cacheOK = ck, b.chunk(ck), true
 	}
-	if b.cacheChunk == nil {
-		return 0
+	if c := b.cacheChunk; c != nil {
+		return c.words[g%chunkGranules/64]
 	}
-	return b.cacheChunk.words[word]
+	return 0
 }
 
 // PaintedGranules returns the number of currently painted granules.
@@ -299,15 +343,16 @@ func (b *Bitmap) PaintedGranules() uint64 { return b.painted }
 func (b *Bitmap) PaintedBytes() uint64 { return b.painted * ca.GranuleSize }
 
 // ChunkCount returns the number of materialized chunks (the bitmap's
-// sparse footprint, in 4 KiB units).
-func (b *Bitmap) ChunkCount() int { return len(b.chunks) }
+// sparse footprint, in chunks of 528 B that each cover 64 KiB of address
+// space).
+func (b *Bitmap) ChunkCount() int { return b.nchunks }
 
 // AnyPaintedInRange reports whether any granule in [addr, addr+length) is
 // painted; used by sweep heuristics and tests.
 func (b *Bitmap) AnyPaintedInRange(addr, length uint64) bool {
 	for g := addr / ca.GranuleSize; g < (addr+length+ca.GranuleSize-1)/ca.GranuleSize; g++ {
 		ck, word, bit := g/chunkGranules, int(g%chunkGranules)/64, uint(g%64)
-		if c := b.chunks[ck]; c != nil && c.words[word]&(1<<bit) != 0 {
+		if c := b.chunk(ck); c != nil && c.words[word]&(1<<bit) != 0 {
 			return true
 		}
 	}
@@ -327,11 +372,10 @@ func (b *Bitmap) ForEachPaintedWord(fn func(base uint64, mask uint64) bool) bool
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	for _, gk := range keys {
-		gw := b.groups[gk]
-		for gw != 0 {
-			ck := gk<<6 + uint64(bits.TrailingZeros64(gw))
-			gw &= gw - 1
-			c := b.chunks[ck]
+		grp := b.groups[gk]
+		for gw := grp.mask; gw != 0; gw &= gw - 1 {
+			i := bits.TrailingZeros64(gw)
+			ck, c := gk<<6+uint64(i), grp.chunks[i]
 			for si := 0; si < chunkSumWords; si++ {
 				sw := c.sum[si]
 				for sw != 0 {
@@ -368,7 +412,7 @@ func (b *Bitmap) CountPaintedInRange(addr, length uint64) int {
 	n := 0
 	for g := addr / ca.GranuleSize; g < (addr+length)/ca.GranuleSize; {
 		ck, word, bit := g/chunkGranules, int(g%chunkGranules)/64, uint(g%64)
-		c := b.chunks[ck]
+		c := b.chunk(ck)
 		if c == nil {
 			// Skip to next chunk boundary.
 			g = (g/chunkGranules + 1) * chunkGranules

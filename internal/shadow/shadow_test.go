@@ -91,8 +91,8 @@ func TestRangeQueries(t *testing.T) {
 func TestCountAcrossChunks(t *testing.T) {
 	b := New()
 	a := ca.NewRoot(0, 1<<32, ca.PermPaint)
-	// Paint a run spanning a chunk boundary (chunk covers 512 KiB).
-	start := uint64(512<<10) - 64
+	// Paint a run spanning a chunk boundary (chunk covers 64 KiB).
+	start := uint64(chunkSpan) - 64
 	if err := b.Paint(a, start, 128); err != nil {
 		t.Fatal(err)
 	}

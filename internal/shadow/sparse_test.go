@@ -7,8 +7,8 @@ import (
 	"repro/internal/ca"
 )
 
-// hugeAuth spans several chunk groups (one group word covers 64 chunks =
-// 32 MiB of address space), so tests can paint across group boundaries.
+// hugeAuth spans many chunk groups (one group word covers 64 chunks =
+// 4 MiB of address space), so tests can paint across group boundaries.
 func hugeAuth() ca.Capability {
 	return ca.NewRoot(0, 1<<28, ca.PermsData|ca.PermPaint)
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // wideAuth covers several chunks so tests can paint across chunk
-// boundaries (one chunk spans 512 KiB of address space).
+// boundaries (one chunk spans 64 KiB of address space).
 func wideAuth() ca.Capability {
 	return ca.NewRoot(0, 1<<24, ca.PermsData|ca.PermPaint)
 }

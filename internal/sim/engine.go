@@ -88,7 +88,56 @@ type core struct {
 	id    int
 	clock uint64
 	idle  uint64 // the gaps place jumped the clock over; busy is clock − idle
-	runq  []*Thread
+	runq  runQueue
+}
+
+// runQueue is a core's FIFO run queue: a ring over a power-of-two array
+// that doubles when full, so pushing at either end and popping the head
+// are O(1) and reuse the array. A fleet of connection threads puts
+// thousands in one queue, so neither re-slicing past the head (which
+// reallocates on every refill) nor copying down on each pop will do.
+type runQueue struct {
+	buf  []*Thread
+	head int // index of the first thread in buf
+	n    int
+}
+
+func (q *runQueue) len() int { return q.n }
+
+// front returns the head thread; the queue must not be empty.
+func (q *runQueue) front() *Thread { return q.buf[q.head] }
+
+func (q *runQueue) pushBack(th *Thread) {
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = th
+	q.n++
+}
+
+func (q *runQueue) pushFront(th *Thread) {
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	q.head = (q.head - 1) & (len(q.buf) - 1)
+	q.buf[q.head] = th
+	q.n++
+}
+
+// popFront removes the head thread; the queue must not be empty.
+func (q *runQueue) popFront() {
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+}
+
+// grow doubles the array, unwrapping the ring to start at index 0.
+func (q *runQueue) grow() {
+	buf := make([]*Thread, max(8, 2*len(q.buf)))
+	for i := 0; i < q.n; i++ {
+		buf[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+	}
+	q.buf, q.head = buf, 0
 }
 
 // Thread is a simulated thread of execution.
@@ -248,17 +297,14 @@ func (e *Engine) enqueue(th *Thread) {
 		}
 	}
 	th.core = best
-	best.runq = append(best.runq, th)
+	best.runq.pushBack(th)
 }
 
 // pushFront reinserts th at the head of c's queue: its engine slice
 // expired but its OS slice continues, so it keeps the core and runs again
-// once it is the globally-minimal entity. The in-place shift reuses the
-// queue's backing array instead of allocating per slice expiry.
+// once it is the globally-minimal entity.
 func (c *core) pushFront(th *Thread) {
-	c.runq = append(c.runq, nil)
-	copy(c.runq[1:], c.runq[:len(c.runq)-1])
-	c.runq[0] = th
+	c.runq.pushFront(th)
 	th.core = c
 }
 
@@ -286,12 +332,13 @@ func (e *Engine) nextEntity() *Thread {
 	}
 	for i := range e.cores {
 		c := &e.cores[i]
-		if len(c.runq) > 0 {
+		if c.runq.len() > 0 {
+			h := c.runq.front()
 			t := c.clock
-			if r := c.runq[0].readyAt; r > t {
-				t = r
+			if h.readyAt > t {
+				t = h.readyAt
 			}
-			consider(c.runq[0], t)
+			consider(h, t)
 		}
 	}
 	for _, th := range e.threads {
@@ -377,10 +424,10 @@ func (e *Engine) deadlockError() error {
 // this exact mutation sequence for every dispatch decision.
 func (e *Engine) place(th *Thread) {
 	c := th.core
-	if len(c.runq) == 0 || c.runq[0] != th {
+	if c.runq.len() == 0 || c.runq.front() != th {
 		panic("sim: dispatch of thread not at queue head")
 	}
-	c.runq = c.runq[1:]
+	c.runq.popFront()
 	if th.readyAt > c.clock {
 		gap := th.readyAt - c.clock
 		c.clock = th.readyAt // the core was idle until the thread woke
@@ -497,7 +544,7 @@ func (th *Thread) reschedule() {
 	c := th.core
 	th.state = Ready
 	th.readyAt = c.clock
-	if c.clock >= th.osSliceEnd && len(c.runq) > 0 {
+	if c.clock >= th.osSliceEnd && c.runq.len() > 0 {
 		// OS preemption: rotate to the back of a run queue, allowing
 		// migration.
 		th.osSliceEnd = 0
@@ -629,12 +676,14 @@ func (ev *Event) Wait(th *Thread) {
 // Broadcast wakes all waiters at the waker's current virtual time. A
 // waiter whose own clock already passed that time resumes at its own clock
 // instead: causality never runs backwards, even when a lagging core's
-// thread performs the wake.
+// thread performs the wake. Waking never yields, so no thread can Wait
+// during the loop, and the emptied waiter list keeps its array.
 func (ev *Event) Broadcast(waker *Thread) {
 	now := waker.core.clock
 	ws := ev.waiters
-	ev.waiters = nil
-	for _, th := range ws {
+	ev.waiters = ws[:0]
+	for i, th := range ws {
+		ws[i] = nil
 		th.blockedOn = nil
 		th.state = Ready
 		th.readyAt = now

@@ -535,3 +535,44 @@ func BenchmarkSleepFleet(b *testing.B) {
 		}
 	})
 }
+
+// TestRunQueueRing drives a run queue through random pushes at both ends
+// and pops, across wrap-arounds and growths of its array, against a slice
+// holding the same threads in order.
+func TestRunQueueRing(t *testing.T) {
+	ths := make([]*Thread, 64)
+	for i := range ths {
+		ths[i] = &Thread{id: i}
+	}
+	var q runQueue
+	var model []*Thread
+	rng := uint64(7)
+	for step := 0; step < 5000; step++ {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		switch op := rng >> 61; {
+		case op < 3 && len(model) < len(ths):
+			th := ths[(rng>>32)%uint64(len(ths))]
+			q.pushBack(th)
+			model = append(model, th)
+		case op < 5 && len(model) < len(ths):
+			th := ths[(rng>>32)%uint64(len(ths))]
+			q.pushFront(th)
+			model = append([]*Thread{th}, model...)
+		case len(model) > 0:
+			q.popFront()
+			model = model[1:]
+		}
+		if q.len() != len(model) {
+			t.Fatalf("step %d: len %d, model %d", step, q.len(), len(model))
+		}
+		if len(model) > 0 && q.front() != model[0] {
+			t.Fatalf("step %d: front is thread %d, model %d", step, q.front().id, model[0].id)
+		}
+	}
+	for i := range model {
+		if got := q.front(); got != model[i] {
+			t.Fatalf("drain %d: thread %d, model %d", i, got.id, model[i].id)
+		}
+		q.popFront()
+	}
+}

@@ -26,8 +26,8 @@ func (e *Engine) pickNext() *Thread {
 		var bestT uint64
 		for i := range e.cores {
 			c := &e.cores[i]
-			if len(c.runq) > 0 {
-				h := c.runq[0]
+			if c.runq.len() > 0 {
+				h := c.runq.front()
 				t := c.clock
 				if h.readyAt > t {
 					t = h.readyAt
