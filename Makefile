@@ -30,18 +30,21 @@ vet:
 
 # inline fails unless the compiler inlines sim's Thread.Tick, which every
 # simulated load, store and swept granule calls, tmem's WordCaps.Get,
-# which reads every capability a sweep visits, and shadow's
-# Bitmap.PaintedWord, which reads the painted word for every tag word a
-# sweep visits: each sits near the edge of the inlining budget, so a
-# one-line edit could turn each charge or read back into a call without
-# changing any result.
+# which reads every capability a sweep visits, tmem's frame.clearTag,
+# which every data store and every revocation clears tags through, and
+# shadow's Bitmap.PaintedWord, which reads the painted word for every tag
+# word a sweep visits: each sits near the edge of the inlining budget, so
+# a one-line edit could turn each charge, clear or read back into a call
+# without changing any result.
 inline:
 	@out="$$($(GO) build -gcflags=-m ./internal/sim 2>&1)"; \
 	if ! printf '%s\n' "$$out" | grep -q 'can inline (\*Thread).Tick$$'; then \
 		echo "go build -gcflags=-m ./internal/sim no longer inlines (*Thread).Tick"; exit 1; fi
 	@out="$$($(GO) build -gcflags=-m ./internal/tmem 2>&1)"; \
 	if ! printf '%s\n' "$$out" | grep -q 'can inline WordCaps.Get$$'; then \
-		echo "go build -gcflags=-m ./internal/tmem no longer inlines WordCaps.Get"; exit 1; fi
+		echo "go build -gcflags=-m ./internal/tmem no longer inlines WordCaps.Get"; exit 1; fi; \
+	if ! printf '%s\n' "$$out" | grep -q 'can inline (\*frame).clearTag$$'; then \
+		echo "go build -gcflags=-m ./internal/tmem no longer inlines (*frame).clearTag"; exit 1; fi
 	@out="$$($(GO) build -gcflags=-m ./internal/shadow 2>&1)"; \
 	if ! printf '%s\n' "$$out" | grep -q 'can inline (\*Bitmap).PaintedWord$$'; then \
 		echo "go build -gcflags=-m ./internal/shadow no longer inlines (*Bitmap).PaintedWord"; exit 1; fi
@@ -120,9 +123,9 @@ fleet-smoke:
 
 # hostbench-smoke: CI liveness for the host-performance benchmarks
 # (internal/hostbench, a test-only package): every benchmark runs once,
-# including the heap-scale million-frame sweep and the allocation-bound
-# fleet-setup campaign. Whether a change is faster is decided by the
-# repository benchmark (bash bench/run.sh -compare). The differentials
+# including the scheduler-bound and allocation-bound fleet campaigns.
+# Whether a change is faster is decided by the repository benchmark
+# (bash bench/run.sh -compare). The differentials
 # against the replaced implementations (internal/kernel, internal/sim,
 # internal/tmem, internal/shadow) and the pinned campaign and document
 # digests (internal/revoke, internal/expt) run under `make verify`.

@@ -12,9 +12,6 @@ const (
 	MaxSmall = 4096
 	// SlabSize is the span carved per size class.
 	SlabSize = 64 << 10
-	// ChunkDataPages is the number of usable pages per chunk after the
-	// metadata page.
-	chunkPages = chunkSize / 4096
 	// chunkSize is the reservation unit requested from the kernel.
 	chunkSize = 1 << 20
 	// MaxMedium is the largest size served page-granularly from chunks;

@@ -441,51 +441,6 @@ func BenchmarkSimCampaignFast(b *testing.B) {
 	b.ReportMetric(float64(w.Messages), "messages")
 }
 
-// The heap-scale sweep: a million-frame bank (4 GiB of simulated memory)
-// of which a sparse minority of frames holds tags — the geometry of a
-// million-allocation heap whose pointer-bearing granules are rare relative
-// to its data bulk. The walk descends the region → frame-group summary
-// tree and touches only tagged frames, O(live tags).
-const (
-	heapFrames    = 1 << 20 // 4 GiB simulated memory
-	heapTagStride = 128     // one tagged frame per 128 (8192 tagged frames)
-)
-
-func newHeapScaleBank() *tmem.Phys {
-	p := tmem.NewPhys(heapFrames)
-	for i := 0; i < heapFrames; i++ {
-		f, err := p.AllocFrame()
-		if err != nil {
-			panic(err)
-		}
-		if i%heapTagStride == 0 {
-			base := uint64(heapBase) + uint64(i)*tmem.PageSize
-			p.StoreCap(f, i%tmem.GranulesPerPage, ca.NewRoot(base, ca.GranuleSize, ca.PermsData))
-		}
-	}
-	return p
-}
-
-// BenchmarkHeapSweepSparse times whole-bank audit sweeps (every tagged
-// granule visited, read-only) through the summary tree.
-func BenchmarkHeapSweepSparse(b *testing.B) {
-	p := newHeapScaleBank()
-	visited := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		visited = 0
-		p.ForEachTaggedFrame(func(id tmem.FrameID) bool {
-			p.ForEachTag(id, func(int, ca.Capability) { visited++ })
-			return true
-		})
-		if visited != heapFrames/heapTagStride {
-			b.Fatalf("visited %d tagged granules, want %d", visited, heapFrames/heapTagStride)
-		}
-	}
-	sink = visited
-	b.ReportMetric(float64(visited), "caps-visited")
-}
-
 // BenchmarkFleetSetupFast times the same open-loop connection fleet as
 // BenchmarkSimCampaignFast, but allocation-bound instead of
 // scheduler-bound: fewer connections, each building a large session pool

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bus"
 	"repro/internal/ca"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
@@ -371,6 +372,87 @@ func TestLoadBarrierFaultPath(t *testing.T) {
 	}
 	if p.Stats().GenFaultCycles == 0 {
 		t.Fatal("no fault cycles recorded")
+	}
+}
+
+// TestLoadBarrierFaultCases drives both ways a tagged load can fault on the
+// load barrier, an always-trap page (§7.6) and a generation mismatch
+// (§4.3), each with the fault taken and with it suppressed by the
+// fault-injection hook. A taken fault runs the handler once, which revokes
+// the painted capability before the reload, and records one fault instant
+// whose Arg2 names the cause; a suppressed one returns the stale value
+// unchecked and records nothing.
+func TestLoadBarrierFaultCases(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		alwaysTrap bool
+		suppress   bool
+	}{
+		{"always-trap", true, false},
+		{"always-trap-suppressed", true, true},
+		{"generation", false, false},
+		{"generation-suppressed", false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := testMachine()
+			m.Trace = trace.New(64)
+			p := m.NewProcess(1)
+			fb := &fakeBarrier{}
+			p.SetLoadBarrier(fb)
+			suppressed := 0
+			if tc.suppress {
+				p.Inject.SuppressGenFault = func(uint64, ca.Capability) bool {
+					suppressed++
+					return true
+				}
+			}
+			var va uint64
+			var got ca.Capability
+			p.Spawn("app", []int{3}, func(th *Thread) {
+				_, root := mustMmap(t, th, 1<<16)
+				va = root.Base()
+				stale, _ := root.WithAddr(root.Base() + 1024).SetBoundsExact(64)
+				th.StoreCap(root, 0, stale)
+				th.PaintShadow(root, stale.Base(), 64)
+				if tc.alwaysTrap {
+					pte, _ := th.P.AS.Lookup(va)
+					pte.Bits |= vm.PTECapLoadTrap
+				} else {
+					p.BumpGenerations(th)
+				}
+				var err error
+				if got, err = th.LoadCap(root, 0); err != nil {
+					t.Error(err)
+				}
+			})
+			if err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			var faults []trace.Event
+			for _, ev := range m.Trace.Events() {
+				if ev.Kind == trace.KindFault {
+					faults = append(faults, ev)
+				}
+			}
+			if tc.suppress {
+				if !got.Tag() || suppressed != 1 || fb.faults != 0 || p.Stats().GenFaults != 0 || len(faults) != 0 {
+					t.Fatalf("suppressed fault: tag=%v hook calls=%d handler calls=%d GenFaults=%d fault instants=%d, want true 1 0 0 0",
+						got.Tag(), suppressed, fb.faults, p.Stats().GenFaults, len(faults))
+				}
+				return
+			}
+			if got.Tag() || fb.faults != 1 || p.Stats().GenFaults != 1 || len(faults) != 1 {
+				t.Fatalf("taken fault: tag=%v handler calls=%d GenFaults=%d fault instants=%d, want false 1 1 1",
+					got.Tag(), fb.faults, p.Stats().GenFaults, len(faults))
+			}
+			wantArg2 := uint64(1)
+			if tc.alwaysTrap {
+				wantArg2 = 0
+			}
+			if ev := faults[0]; ev.Arg != va || ev.Arg2 != wantArg2 {
+				t.Fatalf("fault instant Arg=0x%x Arg2=%d, want 0x%x %d", ev.Arg, ev.Arg2, va, wantArg2)
+			}
+		})
 	}
 }
 

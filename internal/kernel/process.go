@@ -171,22 +171,7 @@ func (p *Process) Fork(th *Thread) (*Process, error) {
 		return nil, err
 	}
 	th.Sim.Tick(uint64(as.MappedPageCount()) * p.M.Costs.ForkPageCopy)
-	child := &Process{
-		M:      p.M,
-		AS:     as,
-		Shadow: p.Shadow.Clone(),
-		rng:    rand.New(rand.NewSource(int64(p.rng.Uint64()))),
-	}
-	child.epochEv = p.M.Eng.NewEvent()
-	child.stwEv = p.M.Eng.NewEvent()
-	child.resumeEv = p.M.Eng.NewEvent()
-	for _, h := range p.hoards {
-		nh := child.NewHoard(h.Name)
-		nh.caps = append([]ca.Capability(nil), h.caps...)
-	}
-	child.colorMode = p.colorMode
-	p.M.procs = append(p.M.procs, child)
-	return child, nil
+	return p.forkChild(as), nil
 }
 
 // ForkCOW clones the process with copy-on-write frame sharing instead of
@@ -201,6 +186,13 @@ func (p *Process) ForkCOW(th *Thread) *Process {
 	th.Syscall(p.M.Costs.Syscall)
 	as := p.AS.CloneCOW()
 	th.Sim.Tick(uint64(as.MappedPageCount()) * p.M.Costs.PTEUpdate)
+	return p.forkChild(as)
+}
+
+// forkChild registers the child of a fork around its cloned address space:
+// a copy of the revocation bitmap and hoards, the coloring mode, and an RNG
+// seeded from the parent's, drawn only once the address space is cloned.
+func (p *Process) forkChild(as *vm.AddressSpace) *Process {
 	child := &Process{
 		M:      p.M,
 		AS:     as,
@@ -271,9 +263,6 @@ func (p *Process) SetLoadBarrier(h LoadBarrierHandler) {
 // compares the capability's color with the memory's color and fails on
 // mismatch.
 func (p *Process) SetColorMode(on bool) { p.colorMode = on }
-
-// ColorMode reports whether the coloring composition is active.
-func (p *Process) ColorMode() bool { return p.colorMode }
 
 // --- epoch counter (§2.2.3) ----------------------------------------------
 

@@ -148,9 +148,6 @@ func (t *Thread) CopyRange(dst, src ca.Capability, n uint64) error {
 	return nil
 }
 
-// InSyscall reports whether the thread is inside a simulated system call.
-func (t *Thread) InSyscall() bool { return t.inSyscall }
-
 // Reg returns register i's capability.
 func (t *Thread) Reg(i int) ca.Capability {
 	if i >= len(t.regs) {
@@ -348,25 +345,10 @@ func (t *Thread) LoadCap(c ca.Capability, off uint64) (ca.Capability, error) {
 	}
 	core := t.Sim.CoreID()
 	if pte.Bits&vm.PTECapLoadTrap != 0 && t.P.barrierArmed {
-		if h := t.P.Inject.SuppressGenFault; h != nil && h(va, v) {
-			// Injected fault: the always-trap disposition fails to fire and
-			// the load completes with the unchecked value.
-			return t.filterColor(v), nil
-		}
 		// §7.6 always-trap disposition: every tagged load from this page
 		// traps; the handler installs a current-generation PTE (and sweeps
 		// if the page has become dirty during an epoch).
-		t.P.stats.GenFaults++
-		t.P.M.Trace.Instant(t.Sim.Now(), core, bus.AgentKernel,
-			trace.KindFault, t.P.epoch, va, 0)
-		start := t.Sim.CPU()
-		t.P.M.Telem.Enter(t.Sim, telemetry.CompBarrierFault)
-		t.Sim.Tick(t.P.M.Costs.TrapEntry)
-		t.P.barrier.HandleLoadGenFault(t, va, pte)
-		t.P.M.Telem.Exit(t.Sim)
-		t.P.stats.GenFaultCycles += t.Sim.CPU() - start
-		t.P.AS.TLBFill(core, va, pte)
-		return t.reloadCap(pte, g, va)
+		return t.loadBarrierFault(v, va, pte, g, core, 0)
 	}
 	if tlbGen != t.P.AS.CoreGen(core) {
 		// The TLB's generation does not match the core's: trap.
@@ -378,24 +360,9 @@ func (t *Thread) LoadCap(c ca.Capability, off uint64) (ca.Capability, error) {
 			t.P.AS.TLBFill(core, va, pte)
 			t.P.stats.TLBRefills++
 		} else if t.P.barrierArmed {
-			if h := t.P.Inject.SuppressGenFault; h != nil && h(va, v) {
-				// Injected fault: the load barrier fails to fire and the
-				// load completes with the stale-generation value.
-				return t.filterColor(v), nil
-			}
 			// Genuine load-generation fault: the armed revoker sweeps the
 			// page in our context and self-heals the load (§3.2).
-			t.P.stats.GenFaults++
-			t.P.M.Trace.Instant(t.Sim.Now(), core, bus.AgentKernel,
-				trace.KindFault, t.P.epoch, va, 1)
-			start := t.Sim.CPU()
-			t.P.M.Telem.Enter(t.Sim, telemetry.CompBarrierFault)
-			t.Sim.Tick(t.P.M.Costs.TrapEntry)
-			t.P.barrier.HandleLoadGenFault(t, va, pte)
-			t.P.M.Telem.Exit(t.Sim)
-			t.P.stats.GenFaultCycles += t.Sim.CPU() - start
-			t.P.AS.TLBFill(core, va, pte)
-			return t.reloadCap(pte, g, va)
+			return t.loadBarrierFault(v, va, pte, g, core, 1)
 		} else {
 			// No barrier armed: generations must always match.
 			panic(fmt.Sprintf("kernel: generation mismatch at 0x%x without armed barrier", va))
@@ -404,8 +371,28 @@ func (t *Thread) LoadCap(c ca.Capability, off uint64) (ca.Capability, error) {
 	return t.filterColor(v), nil
 }
 
-// reloadCap re-executes the capability load after a self-healing fault.
-func (t *Thread) reloadCap(pte *vm.PTE, g int, va uint64) (ca.Capability, error) {
+// loadBarrierFault takes the capability load barrier's fault on the tagged
+// value v loaded from va (granule g of pte's frame): the armed revoker's
+// handler runs in this thread's context, then the load is re-executed.
+// core is the core the load ran on, captured before the handler, which can
+// yield and migrate the thread. arg2 is the fault instant's Arg2: 0 for an
+// always-trap page, 1 for a generation mismatch.
+func (t *Thread) loadBarrierFault(v ca.Capability, va uint64, pte *vm.PTE, g, core int, arg2 uint64) (ca.Capability, error) {
+	if h := t.P.Inject.SuppressGenFault; h != nil && h(va, v) {
+		// Injected fault: the barrier fails to fire and the load completes
+		// with the unchecked, possibly stale value.
+		return t.filterColor(v), nil
+	}
+	t.P.stats.GenFaults++
+	t.P.M.Trace.Instant(t.Sim.Now(), core, bus.AgentKernel,
+		trace.KindFault, t.P.epoch, va, arg2)
+	start := t.Sim.CPU()
+	t.P.M.Telem.Enter(t.Sim, telemetry.CompBarrierFault)
+	t.Sim.Tick(t.P.M.Costs.TrapEntry)
+	t.P.barrier.HandleLoadGenFault(t, va, pte)
+	t.P.M.Telem.Exit(t.Sim)
+	t.P.stats.GenFaultCycles += t.Sim.CPU() - start
+	t.P.AS.TLBFill(core, va, pte)
 	t.busAccess(va, false)
 	return t.filterColor(t.P.M.Phys.LoadCap(pte.Frame, g)), nil
 }

@@ -275,12 +275,6 @@ func (c *Counters) Add(name string, n uint64) {
 	c.vals[name] += n
 }
 
-// Get returns the named counter's value (zero if never added).
-func (c *Counters) Get(name string) uint64 { return c.vals[name] }
-
-// Names returns the counter names in first-insertion order.
-func (c *Counters) Names() []string { return append([]string(nil), c.names...) }
-
 // Snapshot returns all counters in first-insertion order.
 func (c *Counters) Snapshot() []Counter {
 	out := make([]Counter, 0, len(c.names))

@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -199,7 +198,3 @@ func (p *BoxStrip) Render() string {
 	b.WriteString("\n")
 	return b.String()
 }
-
-// sortFloats is kept for future plot helpers; exported sorting lives in
-// Samples.
-var _ = sort.Float64s

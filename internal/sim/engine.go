@@ -164,12 +164,9 @@ type Thread struct {
 	cpu        uint64 // busy cycles consumed
 	obsCPU     uint64 // cpu already delivered to the observer
 	// limit is the core clock at which Tick leaves its fast path: sliceEnd,
-	// or 0 (every Tick) while a poll is pending or a classic engine has an
-	// observer. setSliceEnd and refreshLimit keep it current.
+	// or 0 (every Tick) while a classic engine has an observer. setSliceEnd
+	// and refreshLimit keep it current.
 	limit uint64
-
-	pollPending bool
-	poll        func(*Thread)
 
 	blockedOn *Event
 }
@@ -493,8 +490,8 @@ func (th *Thread) yield() {
 //
 // Tick is small enough to inline at every call site: it advances the core
 // clock and the thread's CPU and compares the clock with one limit; the
-// slice end, a pending poll and a classic engine's immediate observer
-// delivery all wait behind that one comparison in tickSlow.
+// slice end and a classic engine's immediate observer delivery both wait
+// behind that one comparison in tickSlow.
 func (th *Thread) Tick(cycles uint64) {
 	c := th.core
 	c.clock += cycles
@@ -505,15 +502,11 @@ func (th *Thread) Tick(cycles uint64) {
 }
 
 // tickSlow is Tick's path past the limit: the classic engine's immediate
-// Busy delivery, then the pending poll, then the end of the engine slice.
+// Busy delivery, then the end of the engine slice.
 func (th *Thread) tickSlow() {
 	e := th.eng
 	if e.classic {
 		e.flushObs()
-	}
-	if th.pollPending && th.poll != nil {
-		th.pollPending = false
-		th.poll(th)
 	}
 	if th.core.clock >= th.sliceEnd {
 		th.reschedule()
@@ -530,7 +523,7 @@ func (th *Thread) setSliceEnd(end uint64) {
 // refreshLimit recomputes the clock at which Tick must take its slow path.
 func (th *Thread) refreshLimit() {
 	th.limit = th.sliceEnd
-	if (th.pollPending && th.poll != nil) || (th.eng.classic && th.eng.obs != nil) {
+	if th.eng.classic && th.eng.obs != nil {
 		th.limit = 0
 	}
 }
@@ -596,21 +589,6 @@ func (th *Thread) CoreID() int { return th.core.id }
 
 // State returns the thread's scheduling state.
 func (th *Thread) State() State { return th.state }
-
-// SetPoll installs the safepoint poll function; it runs in thread context
-// at the next Tick after Interrupt is called, and may block.
-func (th *Thread) SetPoll(fn func(*Thread)) {
-	th.poll = fn
-	th.refreshLimit()
-}
-
-// Interrupt requests that the thread run its poll function at its next
-// safepoint. Call from any simulated thread (e.g. to begin a stop-the-world
-// rendezvous).
-func (th *Thread) Interrupt() {
-	th.pollPending = true
-	th.refreshLimit()
-}
 
 // Engine returns the owning engine.
 func (th *Thread) Engine() *Engine { return th.eng }

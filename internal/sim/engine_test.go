@@ -246,32 +246,6 @@ func TestThreadGoexitSurfacesFromRun(t *testing.T) {
 	}
 }
 
-func TestInterruptPollRunsAtSafepoint(t *testing.T) {
-	e := New(cfg())
-	polled := uint64(0)
-	var target *Thread
-	target = e.Spawn("t", []int{0}, func(th *Thread) {
-		th.SetPoll(func(p *Thread) { polled = p.Now() })
-		for i := 0; i < 100; i++ {
-			th.Tick(1000)
-		}
-	})
-	e.Spawn("irq", []int{1}, func(th *Thread) {
-		th.Tick(5_500)
-		target.Interrupt()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if polled == 0 {
-		t.Fatal("poll never ran")
-	}
-	// Poll must run within one skew quantum + one tick of the interrupt.
-	if polled > 5_500+cfg().SkewQuantum+1_000 {
-		t.Fatalf("poll ran at %d, too late after interrupt at 5500", polled)
-	}
-}
-
 func TestSpawnFromRunningThread(t *testing.T) {
 	e := New(cfg())
 	var childStart uint64

@@ -226,27 +226,20 @@ func TestEngineEquivalence(t *testing.T) {
 		})
 	})
 
-	t.Run("yield-poll", func(t *testing.T) {
-		runBoth(t, "yield-poll", base, func(e *Engine, logf func(string, ...interface{})) {
-			var target *Thread
-			target = e.Spawn("t", []int{0}, func(th *Thread) {
-				th.SetPoll(func(p *Thread) { logf("polled at %d", p.Now()) })
+	t.Run("yield", func(t *testing.T) {
+		runBoth(t, "yield", base, func(e *Engine, logf func(string, ...interface{})) {
+			e.Spawn("t", []int{0}, func(th *Thread) {
 				for i := 0; i < 300; i++ {
 					th.Tick(1_000)
 					if i%50 == 0 {
 						th.Yield()
+						logf("t resumed at %d", th.Now())
 					}
 				}
 			})
 			e.Spawn("peer", []int{0}, func(th *Thread) {
 				for i := 0; i < 300; i++ {
 					th.Tick(1_000)
-				}
-			})
-			e.Spawn("irq", []int{1}, func(th *Thread) {
-				for i := 0; i < 5; i++ {
-					th.Tick(40_000)
-					target.Interrupt()
 				}
 			})
 		})

@@ -46,9 +46,8 @@ const NoFrame FrameID = ^FrameID(0)
 // sharing the frame (copy-on-write fork); it is 1 for private frames.
 //
 // summary is a one-bit-per-tag-word digest of tags: bit w is set iff
-// tags[w] != 0. Every tag mutation maintains it (via Phys.setTag and
-// Phys.clearTag), so HasTags and sweep scans skip empty words and empty
-// frames in O(1).
+// tags[w] != 0. Every tag mutation maintains it (via setTag and clearTag),
+// so HasTags and sweep scans skip empty words and empty frames in O(1).
 type frame struct {
 	tags    [tagWords]uint64
 	caps    *capDir
@@ -104,24 +103,16 @@ func (wc WordCaps) Get(b int) ca.Capability {
 
 // setTag and clearTag are the only writers of the tag bitmap: they keep the
 // nonzero-word summary in lockstep with tags, which every fast path
-// (HasTags, TagCount, the word-wise sweep kernel) relies on, and propagate
-// frame id's empty↔tagged transitions up the bank hierarchy.
-func (p *Phys) setTag(id FrameID, f *frame, w int, m uint64) {
-	if f.summary == 0 {
-		p.markTagged(id)
-	}
+// (HasTags, TagCount, the word-wise sweep kernel) relies on.
+func (f *frame) setTag(w int, m uint64) {
 	f.tags[w] |= m
 	f.summary |= 1 << uint(w)
 }
 
-func (p *Phys) clearTag(id FrameID, f *frame, w int, m uint64) {
-	old := f.tags[w]
-	f.tags[w] = old &^ m
-	if f.tags[w] == 0 && old != 0 {
+func (f *frame) clearTag(w int, m uint64) {
+	f.tags[w] &^= m
+	if f.tags[w] == 0 {
 		f.summary &^= 1 << uint(w)
-		if f.summary == 0 {
-			p.unmarkTagged(id)
-		}
 	}
 }
 
@@ -132,14 +123,6 @@ func (p *Phys) clearTag(id FrameID, f *frame, w int, m uint64) {
 // under it (an app-thread demand map mid-sweep) must not orphan the
 // sweeper's view — a relocated backing array would silently discard its
 // tag clears.
-//
-// Above each frame's nonzero-word summary sits a two-level bank summary:
-// bit f%64 of groupSum[f/64] is set iff frame f holds at least one tag, and
-// bit g%64 of regionSum[g/64] is set iff frame-group g is nonzero. One
-// region word therefore digests 4096 frames (16 MiB), so bank-wide
-// iteration (ForEachTaggedFrame, ForEachTagAll) skips empty regions in
-// O(1) and costs O(live-tagged frames), not O(bank size) — the property
-// that keeps million-allocation heaps sweepable.
 type Phys struct {
 	chunks    []*[frameChunk]frame // frame id is chunks[id/frameChunk][id%frameChunk]
 	nframes   int                  // frames ever materialized
@@ -147,10 +130,6 @@ type Phys struct {
 	maxFrames int
 	allocated int
 	peakAlloc int
-
-	groupSum     []uint64 // bit f%64 set iff frames[f] has tags
-	regionSum    []uint64 // bit g%64 set iff groupSum[g] != 0
-	taggedFrames int
 
 	// capsFree recycles capability storage: the directories and blocks of
 	// freed frames, the blocks of copy destinations whose source word has
@@ -182,27 +161,6 @@ type Phys struct {
 // Frames are materialized lazily.
 func NewPhys(maxFrames int) *Phys {
 	return &Phys{maxFrames: maxFrames}
-}
-
-// markTagged records frame id's empty→tagged transition in the bank
-// summaries.
-func (p *Phys) markTagged(id FrameID) {
-	g := int(id) >> 6
-	if p.groupSum[g] == 0 {
-		p.regionSum[g>>6] |= 1 << (uint(g) & 63)
-	}
-	p.groupSum[g] |= 1 << (uint(id) & 63)
-	p.taggedFrames++
-}
-
-// unmarkTagged records frame id's tagged→empty transition.
-func (p *Phys) unmarkTagged(id FrameID) {
-	g := int(id) >> 6
-	p.groupSum[g] &^= 1 << (uint(id) & 63)
-	if p.groupSum[g] == 0 {
-		p.regionSum[g>>6] &^= 1 << (uint(g) & 63)
-	}
-	p.taggedFrames--
 }
 
 // recycled pops an object from a free list, or allocates one.
@@ -289,14 +247,6 @@ func (p *Phys) AllocFrame() (FrameID, error) {
 			p.chunks = append(p.chunks, new([frameChunk]frame))
 		}
 		p.nframes++
-		// Grow the bank summaries alongside the frame table. A fresh frame
-		// has no tags, so only capacity changes — never summary bits.
-		if int(id)>>6 >= len(p.groupSum) {
-			p.groupSum = append(p.groupSum, 0)
-			if (len(p.groupSum)-1)>>6 >= len(p.regionSum) {
-				p.regionSum = append(p.regionSum, 0)
-			}
-		}
 	}
 	// A freed frame has already returned its capability storage.
 	*p.slot(id) = frame{refs: 1, inUse: true}
@@ -319,9 +269,6 @@ func (p *Phys) FreeFrame(id FrameID) {
 		f.refs--
 		return
 	}
-	if f.summary != 0 {
-		p.unmarkTagged(id)
-	}
 	f.inUse = false
 	f.tags = [tagWords]uint64{}
 	f.summary = 0
@@ -336,9 +283,6 @@ func (p *Phys) FreeFrame(id FrameID) {
 func (p *Phys) Ref(id FrameID) {
 	p.frame(id).refs++
 }
-
-// Refs returns the frame's sharer count.
-func (p *Phys) Refs(id FrameID) int { return int(p.frame(id).refs) }
 
 // Shared reports whether more than one address space references the frame.
 func (p *Phys) Shared(id FrameID) bool { return p.frame(id).refs > 1 }
@@ -391,9 +335,9 @@ func (p *Phys) StoreCap(id FrameID, g int, c ca.Capability) {
 	f, w, m := p.loc(id, g)
 	if c.Tag() {
 		p.newCaps(f, w, g>>4&3)[g&15] = c
-		p.setTag(id, f, w, m)
+		f.setTag(w, m)
 	} else {
-		p.clearTag(id, f, w, m)
+		f.clearTag(w, m)
 	}
 }
 
@@ -421,7 +365,7 @@ func (p *Phys) StoreData(id FrameID, g, n int) {
 		if last < lo+63 {
 			end = uint(last - lo)
 		}
-		p.clearTag(id, f, w, ^uint64(0)>>(63-end)&(^uint64(0)<<start))
+		f.clearTag(w, ^uint64(0)>>(63-end)&(^uint64(0)<<start))
 	}
 }
 
@@ -445,7 +389,7 @@ func (p *Phys) TagSet(id FrameID, g int) bool {
 // untagged data. This is revocation's fundamental write.
 func (p *Phys) ClearTag(id FrameID, g int) {
 	f, w, m := p.loc(id, g)
-	p.clearTag(id, f, w, m)
+	f.clearTag(w, m)
 }
 
 // HasTags reports whether any granule of the frame holds a capability.
@@ -491,7 +435,7 @@ func (p *Phys) SweepTags(id FrameID, fn func(g int, c ca.Capability) bool) (visi
 			}
 			visited++
 			if fn(g, f.caps[w].get(b)) {
-				p.clearTag(id, f, w, 1<<uint(b))
+				f.clearTag(w, 1<<uint(b))
 				revoked++
 			}
 		}
@@ -505,16 +449,14 @@ func (p *Phys) SweepTags(id FrameID, fn func(g int, c ca.Capability) bool) (visi
 // application threads observe tag state, so clears deferred to the end of
 // a word would open a divergence window against a per-granule sweep.
 type SweepCursor struct {
-	p       *Phys
 	f       *frame
-	id      FrameID
 	revoked int
 }
 
 // Revoke clears granule g's tag — revocation's fundamental write — and
 // counts it against the sweep's revoked total.
 func (cur *SweepCursor) Revoke(g int) {
-	cur.p.clearTag(cur.id, cur.f, g>>6, 1<<(uint(g)&63))
+	cur.f.clearTag(g>>6, 1<<(uint(g)&63))
 	cur.revoked++
 }
 
@@ -550,7 +492,7 @@ func (p *Phys) SweepTagsWords(id FrameID, fn SweepWordFn) (visited, revoked int)
 		return 0, 0
 	}
 	cur := recycled(&p.cursors)
-	*cur = SweepCursor{p: p, f: f, id: id}
+	*cur = SweepCursor{f: f}
 	if p.SweepFilter != nil {
 		visited, _ = p.SweepTags(id, func(g int, _ ca.Capability) bool {
 			cw := &f.caps[g>>6]
@@ -604,16 +546,8 @@ func (p *Phys) CopyFrame(dst, src FrameID) {
 	if d == sf {
 		return
 	}
-	had := d.summary != 0
 	d.tags = sf.tags
 	d.summary = sf.summary
-	if has := d.summary != 0; has != had {
-		if has {
-			p.markTagged(dst)
-		} else {
-			p.unmarkTagged(dst)
-		}
-	}
 	if sf.caps == nil {
 		p.recycleCaps(d)
 	} else {
@@ -643,55 +577,9 @@ func (p *Phys) CopyFrame(dst, src FrameID) {
 	}
 }
 
-// TaggedFrames returns the number of frames currently holding at least one
-// tagged granule. O(1): maintained by the bank summaries.
-func (p *Phys) TaggedFrames() int { return p.taggedFrames }
-
 // FrameCount returns the number of frames ever materialized (the frame
 // table's length, including freed frames awaiting reuse).
 func (p *Phys) FrameCount() int { return p.nframes }
-
-// ForEachTaggedFrame visits, in ascending frame order, every frame holding
-// at least one tagged granule, descending the region → frame-group summary
-// tree so empty spans of the bank cost O(1). It returns false if fn
-// stopped the iteration early.
-//
-// The iteration is weakly consistent: each region and group word is
-// snapshotted when the walk reaches it, so frames tagged for the whole
-// iteration are visited exactly once in ascending order, while frames
-// whose first tag arrives or last tag is cleared concurrently (by fn) may
-// or may not be visited. Growing the frame table from fn is safe: the
-// summary slices are indexed positionally, so a reallocation never
-// invalidates the walk (the same guarantee the chunked frame table gives
-// SweepTags).
-func (p *Phys) ForEachTaggedFrame(fn func(id FrameID) bool) bool {
-	for r := 0; r < len(p.regionSum); r++ {
-		rw := p.regionSum[r]
-		for rw != 0 {
-			g := r<<6 + bits.TrailingZeros64(rw)
-			rw &= rw - 1
-			gw := p.groupSum[g]
-			for gw != 0 {
-				id := FrameID(g<<6 + bits.TrailingZeros64(gw))
-				gw &= gw - 1
-				if !fn(id) {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
-// ForEachTagAll visits every tagged granule of the whole bank in ascending
-// (frame, granule) order — the bank-wide audit sweep. O(live tags): empty
-// regions, groups, frames and words are all skipped via their summaries.
-func (p *Phys) ForEachTagAll(fn func(id FrameID, g int, c ca.Capability)) {
-	p.ForEachTaggedFrame(func(id FrameID) bool {
-		p.ForEachTag(id, func(g int, c ca.Capability) { fn(id, g, c) })
-		return true
-	})
-}
 
 // SetColor paints the version color of granules [g, g+n) (§7.3). Colors
 // survive data stores: they are a property of the memory, not the value.

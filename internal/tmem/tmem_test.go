@@ -236,7 +236,7 @@ func TestFrameSurvivesChunkGrowth(t *testing.T) {
 	if p.frame(id) != f {
 		t.Fatal("frame moved when the table grew")
 	}
-	p.clearTag(id, f, 0, 1<<3)
+	f.clearTag(0, 1<<3)
 	if p.TagSet(id, 3) || p.HasTags(id) {
 		t.Fatal("a tag clear through the pointer taken before the growth was lost")
 	}

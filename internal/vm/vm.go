@@ -678,15 +678,7 @@ func GranuleOf(va uint64) (vpn uint64, g int) {
 const TagWordSpan = 64 * ca.GranuleSize
 
 // TagWordVA returns the VA of the first granule covered by tag word w of
-// page vpn — the inverse of GranuleWordOf for a word's base.
+// page vpn.
 func TagWordVA(vpn uint64, w int) uint64 {
 	return vpn<<PageShift + uint64(w)*TagWordSpan
-}
-
-// GranuleWordOf converts a VA to its (vpn, tag word, bit) coordinates: the
-// page, the 64-bit tag word within the page's tag bitmap, and the
-// granule's bit within that word.
-func GranuleWordOf(va uint64) (vpn uint64, w int, bit uint) {
-	vpn, g := GranuleOf(va)
-	return vpn, g >> 6, uint(g) & 63
 }
