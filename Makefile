@@ -30,12 +30,13 @@ vet:
 
 # inline fails unless the compiler inlines sim's Thread.Tick, which every
 # simulated load, store and swept granule calls, tmem's WordCaps.Get,
-# which reads every capability a sweep visits, tmem's frame.clearTag,
-# which every data store and every revocation clears tags through, and
-# shadow's Bitmap.PaintedWord, which reads the painted word for every tag
-# word a sweep visits: each sits near the edge of the inlining budget, so
-# a one-line edit could turn each charge, clear or read back into a call
-# without changing any result.
+# which reads every capability a sweep visits, tmem's capWord.get, which
+# LoadCap and ForEachTag read every capability through, tmem's
+# frame.clearTag, which every data store and every revocation clears tags
+# through, and shadow's Bitmap.PaintedWord, which reads the painted word
+# for every tag word a sweep visits: each sits near the edge of the
+# inlining budget, so a one-line edit could turn each charge, clear or
+# read back into a call without changing any result.
 inline:
 	@out="$$($(GO) build -gcflags=-m ./internal/sim 2>&1)"; \
 	if ! printf '%s\n' "$$out" | grep -q 'can inline (\*Thread).Tick$$'; then \
@@ -43,6 +44,8 @@ inline:
 	@out="$$($(GO) build -gcflags=-m ./internal/tmem 2>&1)"; \
 	if ! printf '%s\n' "$$out" | grep -q 'can inline WordCaps.Get$$'; then \
 		echo "go build -gcflags=-m ./internal/tmem no longer inlines WordCaps.Get"; exit 1; fi; \
+	if ! printf '%s\n' "$$out" | grep -q 'can inline (\*capWord).get$$'; then \
+		echo "go build -gcflags=-m ./internal/tmem no longer inlines (*capWord).get"; exit 1; fi; \
 	if ! printf '%s\n' "$$out" | grep -q 'can inline (\*frame).clearTag$$'; then \
 		echo "go build -gcflags=-m ./internal/tmem no longer inlines (*frame).clearTag"; exit 1; fi
 	@out="$$($(GO) build -gcflags=-m ./internal/shadow 2>&1)"; \
@@ -73,9 +76,11 @@ flake:
 # fuzz: short runs of the five differential fuzzers, 10 s each (go test
 # -fuzz takes one target per call); go test runs only their seed inputs,
 # this target searches beyond them. FuzzCapStorage (internal/tmem) drives a
-# bank of frames through random capability stores, data stores, tag
-# clears, copies, frees and sweeps (some storing into the word being swept
-# from inside the sweep callback), checked against a flat model.
+# bank of frames, whose tag words pack their capability values by rank,
+# through random capability stores, data stores, tag clears, copies, frees
+# and sweeps (some storing anywhere into the word being swept from inside
+# the sweep callback, inserting slots below and above the granule it reads
+# next), checked against a flat model.
 # FuzzAddressSpace (internal/vm) drives the leaf page table and its stamped
 # TLBs through reservations, maps, unmaps, releases, TLB fills and
 # shootdowns with dropped IPIs, checked against the map-based page table

@@ -214,15 +214,10 @@ func (p *Process) forkChild(as *vm.AddressSpace) *Process {
 // AdoptKernelThread wraps an existing simulated thread as an in-kernel
 // thread of this process: it charges costs and initiates stop-the-world
 // against this process, but is not itself subject to the process's pauses
-// (in-kernel revocation workers are not user threads, §7.1). Pair with
-// ReleaseKernelThread.
+// (in-kernel revocation workers are not user threads, §7.1).
 func (p *Process) AdoptKernelThread(st *sim.Thread, agent bus.Agent) *Thread {
 	return &Thread{Sim: st, P: p, Agent: agent}
 }
-
-// ReleaseKernelThread ends an AdoptKernelThread borrow. (The wrapper holds
-// no process state; this exists for symmetry and future accounting.)
-func (p *Process) ReleaseKernelThread(t *Thread) {}
 
 // Threads returns the process's threads.
 func (p *Process) Threads() []*Thread { return p.threads }

@@ -72,11 +72,61 @@ type Stats struct {
 
 type entry struct{ base, size uint64 }
 
+// chunkEntries is the number of entries in one chunk of a quarantine list:
+// with the link to the next chunk, a chunk is 16 KiB, one Go size class.
+const chunkEntries = 1023
+
+// chunk is one fixed-size piece of a quarantine list. A drain returns its
+// buffer's chunks to the shim's free list, which the next frees take them
+// from, so a list that has reached its size allocates nothing more.
+type chunk struct {
+	entries [chunkEntries]entry
+	next    *chunk
+}
+
+// buffer is a quarantine list: a chain of chunks from head to tail, every
+// chunk but the tail full.
 type buffer struct {
-	entries []entry
-	bytes   uint64
+	head, tail *chunk
+	count      int // entries in the list
+	bytes      uint64
 	// target is the epoch counter value at which the buffer may drain.
 	target uint64
+}
+
+// push appends e to b, taking a chunk from the free list (or the heap, if
+// the list is empty) when the tail is full.
+func (b *buffer) push(e entry, free **chunk) {
+	i := b.count % chunkEntries
+	if i == 0 {
+		c := *free
+		if c != nil {
+			*free, c.next = c.next, nil
+		} else {
+			c = new(chunk)
+		}
+		if b.tail == nil {
+			b.head = c
+		} else {
+			b.tail.next = c
+		}
+		b.tail = c
+	}
+	b.tail.entries[i] = e
+	b.count++
+}
+
+// each calls fn on b's entries in the order they were pushed.
+func (b *buffer) each(fn func(e entry)) {
+	for c := b.head; c != nil; c = c.next {
+		n := chunkEntries
+		if c == b.tail {
+			n = (b.count-1)%chunkEntries + 1
+		}
+		for _, e := range c.entries[:n] {
+			fn(e)
+		}
+	}
 }
 
 // Shim is one process's mrs instance.
@@ -87,10 +137,7 @@ type Shim struct {
 
 	cur      buffer  // accumulating frees
 	inflight *buffer // awaiting the in-flight (or a future) epoch
-	// spare is the entry array of the last drained buffer, emptied: the
-	// next trigger starts the accumulating buffer from it, so Free does
-	// not regrow one from nil every epoch.
-	spare []entry
+	free     *chunk  // drained chunks, linked through next
 
 	// drainObs, when non-nil, observes the start of every quarantine
 	// drain with the draining buffer's clearance target and the spans
@@ -170,8 +217,7 @@ func (q *Shim) trigger(th *kernel.Thread) {
 	th.P.M.Trace.Instant(th.Sim.Now(), th.Sim.CoreID(), bus.AgentAlloc,
 		trace.KindQuarTrigger, e, buf.bytes, buf.target)
 	q.inflight = &buf
-	q.cur = buffer{entries: q.spare}
-	q.spare = nil
+	q.cur = buffer{}
 	q.stats.Triggers++
 	q.stats.LiveAtTriggerSum += q.H.LiveBytes()
 	q.stats.LiveAtTriggerCount++
@@ -193,18 +239,16 @@ func (q *Shim) drainIfClear(th *kernel.Thread) {
 	if q.inflight == nil || th.P.Epoch() < q.inflight.target {
 		return
 	}
-	if q.drainObs != nil {
-		spans := make([]Span, len(q.inflight.entries))
-		for i, e := range q.inflight.entries {
-			spans[i] = Span{e.base, e.size}
-		}
-		q.drainObs(th, q.inflight.target, spans)
-	}
 	buf := q.inflight
+	if q.drainObs != nil {
+		spans := make([]Span, 0, buf.count)
+		buf.each(func(e entry) { spans = append(spans, Span{e.base, e.size}) })
+		q.drainObs(th, buf.target, spans)
+	}
 	q.inflight = nil
 	th.P.M.Trace.Instant(th.Sim.Now(), th.Sim.CoreID(), bus.AgentAlloc,
-		trace.KindQuarFlush, th.P.Epoch(), buf.bytes, uint64(len(buf.entries)))
-	for _, e := range buf.entries {
+		trace.KindQuarFlush, th.P.Epoch(), buf.bytes, uint64(buf.count))
+	buf.each(func(e entry) {
 		auth, ok := q.H.PaintAuth(e.base)
 		if !ok {
 			panic(fmt.Sprintf("quarantine: lost paint authority for %#x", e.base))
@@ -215,10 +259,11 @@ func (q *Shim) drainIfClear(th *kernel.Thread) {
 		if err := q.H.Release(th, e.base, e.size); err != nil {
 			panic(fmt.Sprintf("quarantine: release: %v", err))
 		}
+	})
+	// Every entry is released: the chunks join the free list.
+	if buf.tail != nil {
+		buf.tail.next, q.free = q.free, buf.head
 	}
-	// The drain observer got its own copy of the spans, so nothing else
-	// holds the array now.
-	q.spare = buf.entries[:0]
 }
 
 // Free validates the capability against the heap, paints its span in the
@@ -250,7 +295,7 @@ func (q *Shim) Free(th *kernel.Thread, c ca.Capability) error {
 		return err
 	}
 	th.Work(20) // quarantine list append (out-of-band)
-	q.cur.entries = append(q.cur.entries, entry{base, size})
+	q.cur.push(entry{base, size}, &q.free)
 	q.cur.bytes += size
 	q.stats.TotalQuarantined += size
 	if tot := q.cur.bytes + q.inflightBytes(); tot > q.stats.PeakQuarantinedBytes {

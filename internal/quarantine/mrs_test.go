@@ -136,6 +136,51 @@ func TestQuarantineDrainsAndReuses(t *testing.T) {
 	})
 }
 
+// TestFreeAllocatesNothingAfterDrain pins the quarantine list's chunk
+// recycling: once one trigger and drain cycle has returned its chunks to
+// the shim, frees into the next buffer make no heap allocation, also when
+// one crosses into a new chunk. The second round of objects reuses the
+// drained storage, so painting it finds the revocation bitmap's recycled
+// chunks too.
+func TestFreeAllocatesNothingAfterDrain(t *testing.T) {
+	r := newRig(revoke.Reloaded, smallPolicy())
+	r.runApp(t, func(th *kernel.Thread) {
+		const n = 2 * chunkEntries
+		objs := make([]ca.Capability, n)
+		for round := 0; round < 2; round++ {
+			for i := range objs {
+				objs[i], _ = r.q.Malloc(th, 64)
+			}
+			if round == 1 {
+				break
+			}
+			for _, c := range objs {
+				if err := r.q.Free(th, c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r.q.Flush(th)
+		}
+		// AllocsPerRun calls the function once before it counts, so the
+		// counted call starts on a full chunk and takes the second one.
+		next := objs
+		allocs := testing.AllocsPerRun(1, func() {
+			for _, c := range next[:chunkEntries] {
+				if err := r.q.Free(th, c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			next = next[chunkEntries:]
+		})
+		if allocs != 0 {
+			t.Errorf("%d frees after a drain made %v heap allocations, want 0", chunkEntries, allocs)
+		}
+		if got := r.q.cur.count; got != n {
+			t.Errorf("the buffer holds %d entries, want %d", got, n)
+		}
+	})
+}
+
 // TestUAFBecomesHarmlessAfterRevocation is the paper's core security story
 // end-to-end: free, revoke, and the dangling pointer (held in memory and
 // register) is architecturally dead, while the reused storage is intact.

@@ -125,8 +125,6 @@ func (p *Pool) work(th *kernel.Thread) {
 		// Run the epoch on a kernel thread affiliated with the target
 		// process so stop-the-world and cost accounting land there. The
 		// borrowed thread shares our scheduling context (same sim thread).
-		borrowed := s.P.AdoptKernelThread(th.Sim, bus.AgentRevoker)
-		s.RevokeEpoch(borrowed)
-		s.P.ReleaseKernelThread(borrowed)
+		s.RevokeEpoch(s.P.AdoptKernelThread(th.Sim, bus.AgentRevoker))
 	}
 }

@@ -507,7 +507,9 @@ func (s *Service) releaseDeadReservations(th *kernel.Thread) {
 // correctness rests on the store barrier, §2.2.4).
 func (s *Service) snapshotPages(dirtyOnly bool) []pageRef {
 	if n := s.P.AS.MappedPageCount(); cap(s.pageBuf) < n {
-		s.pageBuf = make([]pageRef, 0, n)
+		// At least double it, so a growing heap reallocates the list
+		// O(log pages) times in a run, not at nearly every epoch.
+		s.pageBuf = make([]pageRef, 0, max(n, 2*cap(s.pageBuf)))
 	}
 	pages := s.pageBuf[:0]
 	s.P.AS.ForEachMappedPage(func(vpn uint64, pte *vm.PTE) bool {

@@ -146,17 +146,17 @@ func (b *capBank) sweep(i int, rev uint, hide int, disturb func(g, w int, rest u
 
 // sweepStoring runs sweep over frame i and, after the callback has handled
 // the granule at position at (modulo the granules it will visit), stores a
-// new capability into another quarter (quarter+1+shift%3) of that
-// granule's word: the first tag in a quarter of a word whose 16-slot block
-// holds another one upgrades the word to 64 slots while the callback is
-// mid-word. The stored granule's index within its quarter is offset past
-// that of the next granule the callback will read, so offset 0 lands on
-// the slot a block shared between quarters would alias. action adds a
-// second change to the word: 1 clears the next granule's tag before the
-// store, 2 clears every tag of the word before it, 3 stores a new value
-// into the next granule after it. The callback's later reads must still
-// match the model's slots, cleared ones included.
-func (b *capBank) sweepStoring(i int, rev uint, at, action, shift, offset int) {
+// new capability into that granule's word, delta granules past the next
+// granule the callback will read (modulo the word): delta 0 overwrites the
+// next granule, 63 lands just below it and 1 just above it. A store into a
+// granule without a slot inserts one while the callback is mid-word,
+// shifting the values above it and, when the block is full, moving the
+// word into a bigger block. action adds a second change to the word: 1
+// clears the next granule's tag before the store, 2 clears every tag of
+// the word before it, 3 stores a new value into the next granule after
+// it. The callback's later reads must still match the model's slots,
+// cleared ones included.
+func (b *capBank) sweepStoring(i int, rev uint, at, action, delta int) {
 	tagged := 0
 	for _, w := range b.model[i].tags {
 		tagged += bits.OnesCount64(w)
@@ -176,8 +176,7 @@ func (b *capBank) sweepStoring(i int, rev uint, at, action, shift, offset int) {
 		case action == 2:
 			b.storeData(i, w*64, 64)
 		}
-		q := (g>>4&3 + 1 + shift%3) & 3
-		b.storeCap(i, w*64+q*16+(next+offset)&15, true)
+		b.storeCap(i, w*64+(next+delta)&63, true)
 		if action == 3 && next != g {
 			b.storeCap(i, next, true)
 		}
@@ -219,8 +218,8 @@ const fuzzFrames = 12
 // FuzzCapStorage decodes its input into capability stores (each with a
 // distinct value), untagged stores, data-store spans, tag clears, frame
 // copies, frame frees with reuse, sweeps that revoke by one bit of each
-// value, and sweeps during which a capability lands in another quarter of
-// the word being swept, applies them to a bank of frames and to a flat
+// value, and sweeps during which a capability lands anywhere in the word
+// being swept, applies them to a bank of frames and to a flat
 // model (tag words and a whole page of values per frame), and requires the
 // two to agree: LoadCap on the touched frame after every operation, the
 // values every sweep callback read, and at the end every granule and
@@ -232,12 +231,22 @@ func FuzzCapStorage(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 0, 0, 3, 64, 0, 0, 3, 128, 0, 0, 3, 192, 0, 1, 3, 10, 150, 2, 3, 128, 0, 5, 3, 0, 0x80})
 	f.Add([]byte{0, 4, 255, 0, 3, 5, 4, 0, 0, 4, 5, 0, 3, 4, 6, 0, 6, 5, 9, 1, 4, 5, 0, 0, 3, 5, 4, 0})
 	f.Add([]byte{0, 0, 1, 0, 0, 0, 65, 0, 3, 7, 0, 0, 4, 0, 0, 0, 0, 8, 2, 0, 3, 9, 7, 0, 5, 9, 0, 0x83})
-	// A sweep of a 16-slot word that upgrades it after its first granule,
-	// then stores a new value into the granule it reads next.
+	// Sweeps of a word with slots for granules 66 and 68, which after 66
+	// overwrite the next granule (68) and then store it again (action 3).
 	f.Add([]byte{0, 2, 66, 0, 0, 2, 68, 0, 7, 2, 7, 0x03})
-	// The same, clearing the next granule's tag (action 1) and every tag of
-	// the word (action 2) before the upgrade.
+	// Sweeps that store four and eight granules past the next one, after
+	// clearing its tag (action 1) and every tag of the word (action 2).
 	f.Add([]byte{0, 6, 130, 0, 0, 6, 131, 0, 0, 6, 140, 0, 7, 6, 7, 0x11, 7, 6, 7, 0x22})
+	// Slots for granules 66, 68 and 70 fill three of a 4-slot block; after
+	// 68 the sweep inserts a slot for 69, just below the granule it reads
+	// next, which shifts 70's value up one place in the same block.
+	f.Add([]byte{0, 8, 66, 0, 0, 8, 68, 0, 0, 8, 70, 0, 7, 8, 15, 0xfc})
+	// Slots for granules 130, 131 and 140; after 130 the sweep inserts a
+	// slot for 132, just above the granule it reads next, which shifts
+	// 140's value; a second sweep inserts a slot for 133, two past the
+	// next granule, into the full block, moving the word into an 8-slot
+	// block, and then re-stores the next granule (action 3).
+	f.Add([]byte{0, 9, 130, 0, 0, 9, 131, 0, 0, 9, 140, 0, 7, 9, 7, 0x04, 7, 9, 7, 0x0b})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := newCapBank(t, fuzzFrames)
 		for ; len(data) >= 4; data = data[4:] {
@@ -261,7 +270,7 @@ func FuzzCapStorage(f *testing.F) {
 				}
 				b.sweep(i, uint(arg&7), hide, nil)
 			case 7:
-				b.sweepStoring(i, uint(g&7), g>>3, int(arg&3), int(arg>>2&3), int(arg>>4&3))
+				b.sweepStoring(i, uint(g&7), g>>3, int(arg&3), int(arg>>2))
 			}
 			b.check(i)
 		}
@@ -273,33 +282,26 @@ func FuzzCapStorage(f *testing.F) {
 	})
 }
 
-// blocks counts a frame's 16-slot and 64-slot capability blocks.
-func blocks(p *Phys, id FrameID) (parts, fulls int) {
+// capacity returns the number of slots of frame id's block for tag word w,
+// 0 if the word has none.
+func capacity(p *Phys, id FrameID, w int) int {
 	f := p.frame(id)
 	if f.caps == nil {
-		return 0, 0
+		return 0
 	}
-	for _, wc := range f.caps {
-		if wc.part != nil {
-			parts++
-		}
-		if wc.full != nil {
-			fulls++
-		}
-	}
-	return parts, fulls
+	return len(f.caps[w].vals)
 }
 
 // TestCapStorageFollowsLiveTags pins capability storage to what the tag
-// words hold: a frame with one capability costs a directory and one
-// 16-slot block, not a page of values; a frame with capabilities in one
-// quarter of every word holds one 16-slot block per word; a word with
-// capabilities in two quarters holds one 64-slot block with both
-// quarters' values; and a block freed with its frame serves the next word
-// that needs one without a heap allocation.
+// words have held: a frame with one capability costs a directory and a
+// 1-slot block, not a page of values; a frame with one capability in every
+// word holds a 1-slot block per word; 16 capabilities spread over all four
+// quarters of a word share one 16-slot block; and the blocks freed with a
+// frame serve the same stores into the reused frame without a heap
+// allocation.
 func TestCapStorageFollowsLiveTags(t *testing.T) {
 	const frames = 1024
-	p := NewPhys(frames)
+	p := NewPhys(frames + 2)
 	ids := make([]FrameID, frames)
 	for i := range ids {
 		ids[i] = mustAlloc(t, p)
@@ -312,51 +314,67 @@ func TestCapStorageFollowsLiveTags(t *testing.T) {
 		p.StoreCap(id, 5, c)
 	}
 	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / frames; per >= 1<<10 {
-		t.Errorf("one capability in word 0 allocated %d B per frame, want under 1 KiB", per)
+	if per := (after.TotalAlloc - before.TotalAlloc) / frames; per >= 256 {
+		t.Errorf("one capability in word 0 allocated %d B per frame, want under 256 (a 128 B directory and a 32 B block)", per)
 	}
-	if parts, fulls := blocks(p, ids[0]); parts != 1 || fulls != 0 {
-		t.Errorf("frame with one capability holds %d 16-slot and %d 64-slot blocks, want 1 and 0", parts, fulls)
-	}
-
-	full := ids[1]
 	for w := 0; w < tagWords; w++ {
-		p.StoreCap(full, w*64+7, c)
-	}
-	if parts, fulls := blocks(p, full); parts != tagWords || fulls != 0 {
-		t.Errorf("frame with one quarter of every word tagged holds %d 16-slot and %d 64-slot blocks, want %d and 0",
-			parts, fulls, tagWords)
-	}
-
-	two := ids[3]
-	c2 := ca.NewRoot(0x2000, ca.GranuleSize, ca.PermsData)
-	p.StoreCap(two, 5, c)
-	p.StoreCap(two, 40, c2)
-	if parts, fulls := blocks(p, two); parts != 0 || fulls != 1 {
-		t.Errorf("word with two quarters tagged holds %d 16-slot and %d 64-slot blocks, want 0 and 1", parts, fulls)
-	}
-	if p.LoadCap(two, 5) != c || p.LoadCap(two, 40) != c2 {
-		t.Error("the upgrade to a 64-slot block lost a value")
+		want := 0
+		if w == 0 {
+			want = 1
+		}
+		if got := capacity(p, ids[0], w); got != want {
+			t.Errorf("frame with one capability in word 0: word %d holds a %d-slot block, want %d", w, got, want)
+		}
 	}
 
-	id := ids[2]
-	for g := 0; g < 16; g++ {
-		p.StoreCap(id, g, c)
+	every := mustAlloc(t, p)
+	for w := 0; w < tagWords; w++ {
+		p.StoreCap(every, w*64+7, c)
 	}
-	old := p.frame(id).caps[0].part
+	for w := 0; w < tagWords; w++ {
+		if got := capacity(p, every, w); got != 1 {
+			t.Errorf("frame with one capability in every word: word %d holds a %d-slot block, want 1", w, got)
+		}
+	}
+
+	dense := mustAlloc(t, p)
+	var granules []int
+	for q := 0; q < 4; q++ {
+		for j := 0; j < 4; j++ {
+			granules = append(granules, q*16+j*4+q)
+		}
+	}
+	for k, g := range granules {
+		p.StoreCap(dense, g, value(uint64(k)))
+	}
+	if got := capacity(p, dense, 0); got != 16 {
+		t.Errorf("16 capabilities across the quarters of a word hold a %d-slot block, want 16", got)
+	}
+	for k, g := range granules {
+		if got := p.LoadCap(dense, g); got != value(uint64(k)) {
+			t.Errorf("granule %d loads %v after the word grew to 16 slots, want %v", g, got, value(uint64(k)))
+		}
+	}
+
+	old := &p.frame(dense).caps[0].vals[0]
 	allocs := testing.AllocsPerRun(100, func() {
-		p.FreeFrame(id)
-		id, _ = p.AllocFrame()
-		p.StoreCap(id, 5, c)
+		p.FreeFrame(dense)
+		dense, _ = p.AllocFrame()
+		for k, g := range granules {
+			p.StoreCap(dense, g, value(uint64(k)))
+		}
 	})
 	if allocs != 0 {
-		t.Errorf("a store into a reused frame made %v heap allocations, want 0", allocs)
+		t.Errorf("16 stores into a reused frame made %v heap allocations, want 0", allocs)
 	}
-	if p.frame(id).caps[0].part != old {
-		t.Error("the reused frame's store did not take the recycled block")
+	if &p.frame(dense).caps[0].vals[0] != old {
+		t.Error("the reused frame's word did not take the recycled 16-slot block")
 	}
+	p.FreeFrame(dense)
+	dense, _ = p.AllocFrame()
+	p.StoreCap(dense, 5, c)
 	for g := 0; g < 64; g++ {
-		if got := p.LoadCap(id, g); got.Tag() != (g == 5) {
+		if got := p.LoadCap(dense, g); got.Tag() != (g == 5) {
 			t.Errorf("granule %d of the recycled block loads %v", g, got)
 		}
 	}

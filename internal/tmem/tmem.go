@@ -38,12 +38,11 @@ const NoFrame FrameID = ^FrameID(0)
 // chunk of the frame table is page-aligned. Capability values sit behind
 // one directory pointer, allocated on the frame's first tag and recycled
 // with the frame, so a frame that never holds a capability costs nothing
-// beyond its 64 bytes. Each tag word's values live in a block sized by what
-// the word has tagged (see capWord): 16 slots for the quarter where its
-// first tag landed (quarter[w]), 64 slots once a tag lands in another
-// quarter. A set bit in tags[w] implies caps[w] holds a slot for it. The
-// color array is allocated lazily too. refs counts the address spaces
-// sharing the frame (copy-on-write fork); it is 1 for private frames.
+// beyond its 64 bytes. Each tag word's values are packed into one block
+// sized by the granules the word has tagged (see capWord). A set bit in
+// tags[w] implies caps[w] holds a slot for it. The color array is
+// allocated lazily too. refs counts the address spaces sharing the frame
+// (copy-on-write fork); it is 1 for private frames.
 //
 // summary is a one-bit-per-tag-word digest of tags: bit w is set iff
 // tags[w] != 0. Every tag mutation maintains it (via setTag and clearTag),
@@ -55,51 +54,41 @@ type frame struct {
 	refs    int32
 	summary uint8
 	inUse   bool
-	quarter [tagWords]uint8
+	_       [8]byte // pads the frame to its cache line
 }
 
 // capDir is a frame's capability directory: one entry per tag word.
 type capDir [tagWords]capWord
 
-// capWord holds the capability values of one tag word: a 64-slot block
-// once the word has held tags in two of its quarters, otherwise a 16-slot
-// block for the quarter where its first tag landed. A 16-slot block never
-// moves to another quarter: the first tag in another quarter copies its 16
-// values into a 64-slot block, so every slot keeps its value, and a slot
-// keeps it across a tag clear too. A 64-slot block never moves at all.
+// capWord holds the capability values of one tag word, packed. slots has a
+// bit for every granule of the word that has held a tag since the frame was
+// allocated, and vals holds those granules' values in ascending granule
+// order, so granule b's value is vals[popcount(slots & (1<<b - 1))]. A tag
+// clear leaves the granule's slot and value in place; slots are dropped
+// only when the frame is freed. len(vals) is the block's capacity: the
+// least power of two, from 1 to 64, that holds every slot (nil with no
+// slots). The values past the last slot are stale.
 type capWord struct {
-	full *[64]ca.Capability
-	part *[16]ca.Capability
+	slots uint64
+	vals  []ca.Capability
 }
 
-// get returns the value in slot b (granule w*64+b of the word's frame). b
-// must lie in a quarter the word has tagged; every bit of a mask read from
-// the word's tags does, also after that bit's tag is cleared.
+// get returns the value of granule w*64+b of the word's frame. b must
+// have a slot; every bit of a mask read from the word's tags does, also
+// after that bit's tag is cleared.
 func (cw *capWord) get(b int) ca.Capability {
-	if cw.full != nil {
-		return cw.full[b&63]
-	}
-	return cw.part[b&15]
+	return cw.vals[bits.OnesCount64(cw.slots&(1<<(uint(b)&63)-1))]
 }
 
 // WordCaps reads one tag word's capability values for a SweepTagsWords
-// callback. If the word had a 64-slot block when the sweep reached it,
-// WordCaps holds that block, which never moves, so a read is one load.
-// Otherwise it reads through the word's directory entry, which a store
-// into another quarter of the word may upgrade while the callback yields.
-type WordCaps struct {
-	full *[64]ca.Capability
-	word *capWord
-}
+// callback. It holds the word's directory entry, not its block, and ranks
+// each read against the word's current slots, so a slot that a store
+// inserts below the next granule while the callback yields, moving the
+// values above it or the whole block, is seen.
+type WordCaps struct{ word *capWord }
 
-// Get returns the current value in slot b of the word: bit b of the
-// callback's mask.
-func (wc WordCaps) Get(b int) ca.Capability {
-	if wc.full != nil {
-		return wc.full[b&63]
-	}
-	return wc.word.get(b)
-}
+// Get returns the current value of bit b of the callback's mask.
+func (wc WordCaps) Get(b int) ca.Capability { return wc.word.get(b) }
 
 // setTag and clearTag are the only writers of the tag bitmap: they keep the
 // nonzero-word summary in lockstep with tags, which every fast path
@@ -132,17 +121,16 @@ type Phys struct {
 	peakAlloc int
 
 	// capsFree recycles capability storage: the directories and blocks of
-	// freed frames, the blocks of copy destinations whose source word has
-	// none, and the 16-slot blocks that upgrades to 64 slots replace. A
-	// recycled directory is empty; a recycled block is handed out without
-	// zeroing: every read of a block is guarded by the granule's tag bit
-	// (LoadCap, SweepTags, ForEachTag, the SweepTagsWords mask), and a block
-	// joins a word whose tags are all clear (or, on an upgrade, receives
-	// the word's 16 values), so stale values are unobservable.
+	// freed frames, the blocks that inserts outgrow and the blocks of copy
+	// destinations whose source word needs another capacity. blocks[k]
+	// holds blocks of 1<<k slots. A recycled directory is empty; a
+	// recycled block is handed out without zeroing: a block is read only
+	// at the ranks of its word's slots, each of which is written when the
+	// slot is inserted or the block is filled, so stale values are
+	// unobservable.
 	capsFree struct {
-		dirs  []*capDir
-		parts []*[16]ca.Capability
-		fulls []*[64]ca.Capability
+		dirs   []*capDir
+		blocks [7][][]ca.Capability
 	}
 
 	// cursors recycles SweepTagsWords cursors. Sweeps of different frames
@@ -174,50 +162,51 @@ func recycled[T any](free *[]*T) *T {
 	return new(T)
 }
 
-// newCaps returns the 16 slots of quarter q of frame f's tag word w,
-// creating the frame's directory and the word's block on first use, and
-// upgrading the word to a 64-slot block when its 16-slot block holds
-// another quarter (see capWord).
-func (p *Phys) newCaps(f *frame, w, q int) []ca.Capability {
+// block returns a block of n slots, n a power of two up to 64, or nil for
+// n == 0.
+func (p *Phys) block(n int) []ca.Capability {
+	if n == 0 {
+		return nil
+	}
+	free := &p.capsFree.blocks[bits.TrailingZeros(uint(n))]
+	if k := len(*free); k > 0 {
+		b := (*free)[k-1]
+		(*free)[k-1] = nil
+		*free = (*free)[:k-1]
+		return b
+	}
+	return make([]ca.Capability, n)
+}
+
+// recycleBlock returns a block, if any, to capsFree.
+func (p *Phys) recycleBlock(b []ca.Capability) {
+	if b != nil {
+		k := bits.TrailingZeros(uint(len(b)))
+		p.capsFree.blocks[k] = append(p.capsFree.blocks[k], b)
+	}
+}
+
+// putCap writes c into the slot of granule bit m of frame f's tag word w.
+// A granule without a slot gets one: the values above it shift up one
+// place, after a full block has moved into one of twice its capacity.
+func (p *Phys) putCap(f *frame, w int, m uint64, c ca.Capability) {
 	if f.caps == nil {
 		f.caps = recycled(&p.capsFree.dirs)
 	}
-	wc := &f.caps[w]
-	switch {
-	case wc.full != nil:
-	case wc.part == nil:
-		wc.part = recycled(&p.capsFree.parts)
-		f.quarter[w] = uint8(q)
-		return wc.part[:]
-	case int(f.quarter[w]) == q:
-		return wc.part[:]
-	default:
-		p.upgradeCaps(f, w)
+	cw := &f.caps[w]
+	i := bits.OnesCount64(cw.slots & (m - 1))
+	if cw.slots&m == 0 {
+		n := bits.OnesCount64(cw.slots)
+		if n == len(cw.vals) {
+			vals := p.block(1 << bits.Len(uint(n)))
+			copy(vals, cw.vals)
+			p.recycleBlock(cw.vals)
+			cw.vals = vals
+		}
+		copy(cw.vals[i+1:n+1], cw.vals[i:n])
+		cw.slots |= m
 	}
-	return wc.full[q*16 : q*16+16]
-}
-
-// upgradeCaps gives tag word w a 64-slot block, moving the values of its
-// 16-slot block, if it has one, into their quarter.
-func (p *Phys) upgradeCaps(f *frame, w int) {
-	wc := &f.caps[w]
-	full := recycled(&p.capsFree.fulls)
-	if wc.part != nil {
-		copy(full[int(f.quarter[w])*16:], wc.part[:])
-		p.capsFree.parts = append(p.capsFree.parts, wc.part)
-	}
-	wc.full, wc.part = full, nil
-}
-
-// recycleWord returns a tag word's block to capsFree and empties its entry.
-func (p *Phys) recycleWord(wc *capWord) {
-	if wc.full != nil {
-		p.capsFree.fulls = append(p.capsFree.fulls, wc.full)
-	}
-	if wc.part != nil {
-		p.capsFree.parts = append(p.capsFree.parts, wc.part)
-	}
-	*wc = capWord{}
+	cw.vals[i] = c
 }
 
 // recycleCaps returns frame f's directory and blocks to capsFree.
@@ -226,7 +215,8 @@ func (p *Phys) recycleCaps(f *frame) {
 		return
 	}
 	for w := range f.caps {
-		p.recycleWord(&f.caps[w])
+		p.recycleBlock(f.caps[w].vals)
+		f.caps[w] = capWord{}
 	}
 	p.capsFree.dirs = append(p.capsFree.dirs, f.caps)
 	f.caps = nil
@@ -334,7 +324,7 @@ func (p *Phys) loc(id FrameID, g int) (f *frame, w int, m uint64) {
 func (p *Phys) StoreCap(id FrameID, g int, c ca.Capability) {
 	f, w, m := p.loc(id, g)
 	if c.Tag() {
-		p.newCaps(f, w, g>>4&3)[g&15] = c
+		p.putCap(f, w, m, c)
 		f.setTag(w, m)
 	} else {
 		f.clearTag(w, m)
@@ -464,12 +454,13 @@ func (cur *SweepCursor) Revoke(g int) {
 // the word index within the frame, mask the tag bits snapshotted when the
 // word was reached, and caps the word's values: bit b of mask is granule
 // w*64+b, whose value is caps.Get(b). Read each value through caps when it
-// is needed, never through a block taken from it earlier: a capability
-// that an application thread stores into another quarter of a 16-slot
-// word while the callback yields moves the word's values into a 64-slot
-// block. A read sees the slot's current value, which a tag clear leaves in
-// place. The callback must handle every set bit of mask, in ascending bit
-// order, revoking through cur.
+// is needed, never through a block or rank taken from it earlier: a
+// capability that an application thread stores into a granule of the word
+// without a slot while the callback yields shifts the values above it,
+// and moves the word into a bigger block when its block is full. A read
+// sees the slot's current value, which a tag clear leaves in place. The
+// callback must handle every set bit of mask, in ascending bit order,
+// revoking through cur.
 type SweepWordFn func(cur *SweepCursor, w int, mask uint64, caps WordCaps)
 
 // SweepTagsWords is the batch sweep kernel: instead of one callback per
@@ -495,8 +486,7 @@ func (p *Phys) SweepTagsWords(id FrameID, fn SweepWordFn) (visited, revoked int)
 	*cur = SweepCursor{f: f}
 	if p.SweepFilter != nil {
 		visited, _ = p.SweepTags(id, func(g int, _ ca.Capability) bool {
-			cw := &f.caps[g>>6]
-			fn(cur, g>>6, 1<<(uint(g)&63), WordCaps{cw.full, cw})
+			fn(cur, g>>6, 1<<(uint(g)&63), WordCaps{&f.caps[g>>6]})
 			return false // revocations land through cur.Revoke
 		})
 	} else {
@@ -506,8 +496,7 @@ func (p *Phys) SweepTagsWords(id FrameID, fn SweepWordFn) (visited, revoked int)
 			}
 			mask := f.tags[w]
 			visited += bits.OnesCount64(mask)
-			cw := &f.caps[w]
-			fn(cur, w, mask, WordCaps{cw.full, cw})
+			fn(cur, w, mask, WordCaps{&f.caps[w]})
 		}
 	}
 	revoked = cur.revoked
@@ -538,9 +527,9 @@ func (p *Phys) ForEachTag(id FrameID, fn func(g int, c ca.Capability)) {
 }
 
 // CopyFrame copies src's tags, capabilities and colors into dst, as a
-// fork-style address-space clone does. Each dst word gets a block covering
-// the quarters its src word's block covers; a dst block whose src word has
-// none is recycled. Copying a frame onto itself changes nothing.
+// fork-style address-space clone does: each dst word gets a copy of its
+// src word's slots and values, in a block of the same capacity. Copying a
+// frame onto itself changes nothing.
 func (p *Phys) CopyFrame(dst, src FrameID) {
 	d, sf := p.frame(dst), p.frame(src)
 	if d == sf {
@@ -556,17 +545,12 @@ func (p *Phys) CopyFrame(dst, src FrameID) {
 		}
 		for w := range sf.caps {
 			sc, dc := &sf.caps[w], &d.caps[w]
-			switch {
-			case sc.full != nil:
-				if dc.full == nil {
-					p.upgradeCaps(d, w)
-				}
-				*dc.full = *sc.full
-			case sc.part != nil:
-				copy(p.newCaps(d, w, int(sf.quarter[w])), sc.part[:])
-			default:
-				p.recycleWord(dc)
+			if len(dc.vals) != len(sc.vals) {
+				p.recycleBlock(dc.vals)
+				dc.vals = p.block(len(sc.vals))
 			}
+			dc.slots = sc.slots
+			copy(dc.vals, sc.vals[:bits.OnesCount64(sc.slots)])
 		}
 	}
 	if sf.colors != nil {

@@ -273,9 +273,9 @@ func TestSweepSurvivesFrameTableGrowth(t *testing.T) {
 	}
 }
 
-// TestCapBlockFillsSizeClass pins a capability block at 2,048 bytes, which
-// is one of Go's allocation size classes, so a block wastes no tail. A
-// 40-byte capability would make it 2,560 bytes, rounded up to the
+// TestCapBlockFillsSizeClass pins the 64-slot capability block at 2,048
+// bytes, which is one of Go's allocation size classes, so a block wastes no
+// tail. A 40-byte capability would make it 2,560 bytes, rounded up to the
 // 2,688-byte class.
 func TestCapBlockFillsSizeClass(t *testing.T) {
 	if size := unsafe.Sizeof([64]ca.Capability{}); size != 2048 {
@@ -306,15 +306,25 @@ func allocatedSize[T any]() uint64 {
 
 // TestCapStorageSizes pins the host layout of capability storage: a frame
 // is 64 bytes, one host cache line (a chunk of the frame table is
-// page-aligned, so no frame straddles two lines); a 16-slot block is 512
-// bytes; and the 16-slot block and the directory each fill a Go size
-// class, so neither wastes a tail.
+// page-aligned, so no frame straddles two lines); a directory is four
+// 32-byte word entries; a 1-slot block is 32 bytes and a 16-slot block
+// 512; and the directory and the blocks each fill a Go size class, so
+// none wastes a tail.
 func TestCapStorageSizes(t *testing.T) {
 	if size := unsafe.Sizeof(frame{}); size != 64 {
 		t.Errorf("frame is %d bytes, want 64", size)
 	}
+	if size := unsafe.Sizeof(capDir{}); size != 128 {
+		t.Errorf("directory is %d bytes, want 128", size)
+	}
+	if size := unsafe.Sizeof([1]ca.Capability{}); size != 32 {
+		t.Errorf("1-slot capability block is %d bytes, want 32", size)
+	}
 	if size := unsafe.Sizeof([16]ca.Capability{}); size != 512 {
 		t.Errorf("16-slot capability block is %d bytes, want 512", size)
+	}
+	if size, got := uint64(unsafe.Sizeof([1]ca.Capability{})), allocatedSize[[1]ca.Capability](); got != size {
+		t.Errorf("a 1-slot block of %d bytes takes %d from the allocator", size, got)
 	}
 	if size, got := uint64(unsafe.Sizeof([16]ca.Capability{})), allocatedSize[[16]ca.Capability](); got != size {
 		t.Errorf("a 16-slot block of %d bytes takes %d from the allocator", size, got)
