@@ -13,7 +13,7 @@ RACE_PKGS = ./internal/bus ./internal/ca ./internal/dist/netfault \
             ./internal/trace ./internal/vm ./internal/workload/heapscale
 
 .PHONY: all fmt build vet inline test race verify flake chaos sweep-bench \
-        fleet-smoke hostbench-smoke bench-test fuzz
+        fleet-smoke hostbench-smoke bench-test fuzz examples
 
 all: verify
 
@@ -108,6 +108,14 @@ fuzz:
 # (undetected, unrecovered) fault fails the target.
 chaos:
 	$(GO) run ./cmd/chaos -strategies reloaded -seeds 2 -strict
+
+# examples: run each walkthrough under examples/ once. `go build ./...`
+# only compiles them; each checks the property it demonstrates and exits
+# through log.Fatal when it breaks, and examples/forkserver is the one
+# caller of kernel Fork outside the tests.
+examples:
+	@for d in $(patsubst %/main.go,%,$(wildcard examples/*/main.go)); do \
+		echo "go run ./$$d"; $(GO) run ./$$d || exit 1; done
 
 # fleet-smoke: the end-to-end fleet check. Builds sweep, worker and obs
 # once and runs one grid three times: a local reference (journal, canonical

@@ -76,6 +76,59 @@ func TestForkIsolatesAddressSpaces(t *testing.T) {
 	}
 }
 
+// TestForkRevocationDoesNotDestroyAliases is the footnote-20 scenario: the
+// child quarantines and revokes an object whose page it inherited from the
+// parent. The child's sweep must revoke its own capability and leave the
+// parent's (not quarantined there) alive.
+func TestForkRevocationDoesNotDestroyAliases(t *testing.T) {
+	m := testMachine()
+	parent := m.NewProcess(1)
+	parent.Spawn("parent", []int{3}, func(th *Thread) {
+		_, root := mustMmap(t, th, vm.PageSize)
+		obj, _ := root.WithAddr(root.Base() + 512).SetBoundsExact(64)
+		if err := th.StoreCap(root, 0, obj); err != nil {
+			t.Fatal(err)
+		}
+		child, err := parent.Fork(th)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := false
+		child.Spawn("child-revoker", []int{2}, func(cth *Thread) {
+			// The child quarantines the object in its own shadow and sweeps.
+			if err := cth.PaintShadow(root, obj.Base(), obj.Len()); err != nil {
+				t.Error(err)
+			}
+			pte, ok := child.AS.Lookup(root.Base())
+			if !ok {
+				t.Error("child page missing")
+				return
+			}
+			if _, revoked := cth.SweepPage(root.Base()>>vm.PageShift, pte); revoked != 1 {
+				t.Errorf("child revoked %d capabilities, want 1", revoked)
+			}
+			if got, _ := cth.LoadCap(root, 0); got.Tag() {
+				t.Error("child's revoked capability still alive")
+			}
+			done = true
+		})
+		th.Idle(10_000_000)
+		if !done {
+			t.Fatal("child did not run")
+		}
+		got, err := th.LoadCap(root, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Tag() {
+			t.Fatal("the child's revocation destroyed the parent's capability")
+		}
+	})
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestForkWaitsForRevocationEpoch(t *testing.T) {
 	m := testMachine()
 	p := m.NewProcess(1)

@@ -58,7 +58,11 @@ type Costs struct {
 	// ForkPageCopy is the per-resident-page cost of an eager fork copy.
 	ForkPageCopy uint64
 	// COWFault is the cost of a copy-on-write resolution: write fault,
-	// frame allocation and 4 KiB copy.
+	// frame allocation and 4 KiB copy. Fork copies eagerly, so nothing
+	// charges it; it stays because expt.Job.Key hashes the whole
+	// harness.Config, these costs included, and dropping the field would
+	// re-key every job of BENCH_sweep.json and move bench/golden.json's
+	// figures digest.
 	COWFault uint64
 }
 
@@ -85,7 +89,7 @@ func DefaultCosts() Costs {
 		Mmap:                 2_000,
 		Munmap:               1_500,
 		ForkPageCopy:         1_500,
-		COWFault:             3_500,
+		COWFault:             3_500, // charged by nothing; kept for the job keys (see Costs)
 	}
 }
 

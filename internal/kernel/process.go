@@ -71,10 +71,13 @@ type ProcStats struct {
 	CapLoads, CapStores uint64
 	GenFaults           uint64
 	GenFaultCycles      uint64
-	COWFaults           uint64
-	TLBRefills          uint64
-	ColorTraps          uint64
-	StopTheWorlds       uint64
+	// COWFaults is always zero (fork copies eagerly). It stays because
+	// run records carry these counters as their "proc" object, which
+	// internal/expt/testdata/wire pins byte for byte.
+	COWFaults     uint64
+	TLBRefills    uint64
+	ColorTraps    uint64
+	StopTheWorlds uint64
 	// CDBitSets counts capability-dirty PTE bit transitions (§4.2): the
 	// store-barrier signal Cornucopia's page filter is built on.
 	CDBitSets uint64
@@ -171,28 +174,8 @@ func (p *Process) Fork(th *Thread) (*Process, error) {
 		return nil, err
 	}
 	th.Sim.Tick(uint64(as.MappedPageCount()) * p.M.Costs.ForkPageCopy)
-	return p.forkChild(as), nil
-}
-
-// ForkCOW clones the process with copy-on-write frame sharing instead of
-// an eager copy: fork is cheap (one PTE walk) and pages are copied only
-// when either side writes. Revocation sweeps handle shared frames with the
-// read-only heuristic of §4.3. Like Fork, it is excluded while a
-// revocation pass is in flight.
-func (p *Process) ForkCOW(th *Thread) *Process {
-	if p.epoch%2 == 1 {
-		p.WaitEpochAtLeast(th, p.epoch+1)
-	}
-	th.Syscall(p.M.Costs.Syscall)
-	as := p.AS.CloneCOW()
-	th.Sim.Tick(uint64(as.MappedPageCount()) * p.M.Costs.PTEUpdate)
-	return p.forkChild(as)
-}
-
-// forkChild registers the child of a fork around its cloned address space:
-// a copy of the revocation bitmap and hoards, the coloring mode, and an RNG
-// seeded from the parent's, drawn only once the address space is cloned.
-func (p *Process) forkChild(as *vm.AddressSpace) *Process {
+	// The child's RNG is seeded from the parent's, drawn only once the
+	// address space is cloned and its copy charged.
 	child := &Process{
 		M:      p.M,
 		AS:     as,
@@ -208,7 +191,7 @@ func (p *Process) forkChild(as *vm.AddressSpace) *Process {
 	}
 	child.colorMode = p.colorMode
 	p.M.procs = append(p.M.procs, child)
-	return child
+	return child, nil
 }
 
 // AdoptKernelThread wraps an existing simulated thread as an in-kernel

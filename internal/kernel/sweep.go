@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"fmt"
 	"math/bits"
 
 	"repro/internal/ca"
@@ -39,39 +38,6 @@ func (t *Thread) SweepPage(vpn uint64, pte *vm.PTE) (visited, revoked int) {
 	b := t.P.M.Bus
 	sh := t.P.Shadow
 	opCost := t.P.M.Costs.Op
-	if pte.Bits&vm.PTECOW != 0 {
-		// The frame may be shared copy-on-write with another address
-		// space; a revocation write through this mapping would destroy the
-		// other sharer's (independently quarantined) capabilities — the
-		// aliasing disaster of footnote 20. Apply §4.3's heuristic: scan
-		// read-only first, and only if something must actually be revoked
-		// upgrade the page (break the sharing) and scan again.
-		needsWrite := false
-		t.Sim.Tick(b.AccessRange(core, tagTableBase+vpn*tagBytesPerPage, tagBytesPerPage, t.Agent, false))
-		v, _ := t.P.M.Phys.SweepTagsWords(pte.Frame, func(_ *tmem.SweepCursor, w int, mask uint64, caps tmem.WordCaps) {
-			wordVA := vm.TagWordVA(vpn, w)
-			for m := mask; m != 0; {
-				bit := bits.TrailingZeros64(m)
-				m &^= 1 << uint(bit)
-				c := caps.Get(bit)
-				t.Sim.Tick(b.Access(core, wordVA+uint64(bit)*ca.GranuleSize, t.Agent, false))
-				t.Sim.Tick(opCost + b.Access(core, shadow.VAOf(c.Base()), t.Agent, false))
-				if sh.PaintedWord(c.Base())&(1<<(c.Base()/ca.GranuleSize%64)) != 0 {
-					needsWrite = true
-				}
-			}
-		})
-		visited = v
-		pte.Bits &^= vm.PTECapDirty
-		if !needsWrite {
-			// No writes necessary: the page goes back into service as-is.
-			return visited, 0
-		}
-		visited = 0
-		if err := t.resolveCOW(vpn<<vm.PageShift, pte); err != nil {
-			panic(fmt.Sprintf("kernel: sweep COW upgrade: %v", err))
-		}
-	}
 	// Clear the capability-dirty bit before reading a single granule: any
 	// capability store that lands while the scan is in progress re-marks
 	// the page, so Cornucopia's stop-the-world phase will re-visit it. If
@@ -84,7 +50,7 @@ func (t *Thread) SweepPage(vpn uint64, pte *vm.PTE) (visited, revoked int) {
 	// data reads below. This is what makes sweeping sparse pages cheap on
 	// Morello.
 	t.Sim.Tick(b.AccessRange(core, tagTableBase+vpn*tagBytesPerPage, tagBytesPerPage, t.Agent, false))
-	v, rev := t.P.M.Phys.SweepTagsWords(pte.Frame, func(cur *tmem.SweepCursor, w int, mask uint64, caps tmem.WordCaps) {
+	return t.P.M.Phys.SweepTagsWords(pte.Frame, func(cur *tmem.SweepCursor, w int, mask uint64, caps tmem.WordCaps) {
 		wordVA := vm.TagWordVA(vpn, w)
 		for m := mask; m != 0; {
 			bit := bits.TrailingZeros64(m)
@@ -102,6 +68,4 @@ func (t *Thread) SweepPage(vpn uint64, pte *vm.PTE) (visited, revoked int) {
 			}
 		}
 	})
-	visited += v
-	return visited, rev
 }

@@ -21,27 +21,6 @@ import (
 func (t *Thread) sweepPageGranule(vpn uint64, pte *vm.PTE) (visited, revoked int) {
 	core := t.Sim.CoreID()
 	b := t.P.M.Bus
-	if pte.Bits&vm.PTECOW != 0 {
-		needsWrite := false
-		t.Sim.Tick(b.AccessRange(core, tagTableBase+vpn*tagBytesPerPage, tagBytesPerPage, t.Agent, false))
-		t.P.M.Phys.SweepTags(pte.Frame, func(g int, c ca.Capability) bool {
-			visited++
-			t.Sim.Tick(b.Access(core, vpn<<vm.PageShift+uint64(g)*ca.GranuleSize, t.Agent, false))
-			t.Sim.Tick(t.P.M.Costs.Op + b.Access(core, shadow.VAOf(c.Base()), t.Agent, false))
-			if t.P.Shadow.Test(c.Base()) {
-				needsWrite = true
-			}
-			return false
-		})
-		pte.Bits &^= vm.PTECapDirty
-		if !needsWrite {
-			return visited, 0
-		}
-		visited = 0
-		if err := t.resolveCOW(vpn<<vm.PageShift, pte); err != nil {
-			panic(fmt.Sprintf("kernel: sweep COW upgrade: %v", err))
-		}
-	}
 	pte.Bits &^= vm.PTECapDirty
 	t.Sim.Tick(b.AccessRange(core, tagTableBase+vpn*tagBytesPerPage, tagBytesPerPage, t.Agent, false))
 	_, rev := t.P.M.Phys.SweepTags(pte.Frame, func(g int, c ca.Capability) bool {
@@ -62,7 +41,6 @@ type sweepCase struct {
 	seed    int64
 	density float64 // upper bound of each page's tagged-granule fraction
 	painted float64 // fraction of heap granules in quarantine
-	cow     bool    // sweep a copy-on-write child's shared pages
 	filter  bool    // arm Phys.SweepFilter, keyed on the sweeper's clock
 }
 
@@ -72,9 +50,8 @@ type sweepOutcome struct {
 	Clock   uint64   // sweeper's clock after the last page
 	CPU     uint64   // sweeper's busy cycles
 	Bus     bus.Stats
-	Tags    []uint64 // tag bitmap of every mapped page, both processes
-	PTEs    []vm.PTE // every mapped PTE, both processes
-	Frames  int      // allocated frames (a COW upgrade copies one)
+	Tags    []uint64 // tag bitmap of every mapped page
+	PTEs    []vm.PTE // every mapped PTE
 	Peer    []uint64 // sweeper's clock as seen by a peer at each of its slices
 	Filters int      // SweepFilter consultations
 }
@@ -82,7 +59,7 @@ type sweepOutcome struct {
 const sweepHeapPages = 24
 
 // runSweepCase builds a machine, populates a heap as c describes and
-// sweeps every mapped page of the sweeping process with sweep.
+// sweeps every mapped page with sweep.
 func runSweepCase(t *testing.T, c sweepCase, sweep func(*Thread, uint64, *vm.PTE) (int, int)) sweepOutcome {
 	t.Helper()
 	cfg := DefaultMachineConfig()
@@ -91,11 +68,36 @@ func runSweepCase(t *testing.T, c sweepCase, sweep func(*Thread, uint64, *vm.PTE
 	// every tick, so its log records the sweeper's tick boundaries.
 	cfg.Sim.SkewQuantum = 64
 	m := NewMachine(cfg)
-	parent := m.NewProcess(c.seed)
+	p := m.NewProcess(c.seed)
 	var out sweepOutcome
 	rng := rand.New(rand.NewSource(c.seed))
 
-	sweepAll := func(th *Thread) {
+	p.Spawn("app", []int{3}, func(th *Thread) {
+		_, root := mustMmap(t, th, sweepHeapPages*vm.PageSize)
+		granules := sweepHeapPages * tmem.GranulesPerPage
+		for pg := 0; pg < sweepHeapPages; pg++ {
+			d := c.density * rng.Float64()
+			for g := 0; g < tmem.GranulesPerPage; g++ {
+				if rng.Float64() >= d {
+					continue
+				}
+				target := root.Base() + uint64(rng.Intn(granules))*ca.GranuleSize
+				obj, err := root.WithAddr(target).SetBoundsExact(ca.GranuleSize)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := th.StoreCap(root, uint64(pg*tmem.GranulesPerPage+g)*ca.GranuleSize, obj); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for g := 0; g < granules; g++ {
+			if rng.Float64() < c.painted {
+				if err := th.PaintShadow(root, root.Base()+uint64(g)*ca.GranuleSize, ca.GranuleSize); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 		if c.filter {
 			m.Phys.SweepFilter = func(id tmem.FrameID, g int, _ ca.Capability) bool {
 				out.Filters++
@@ -126,111 +128,62 @@ func runSweepCase(t *testing.T, c sweepCase, sweep func(*Thread, uint64, *vm.PTE
 		}
 		done = true
 		out.Clock, out.CPU = th.Sim.Now(), th.Sim.CPU()
-	}
-
-	var procs []*Process
-	parent.Spawn("app", []int{3}, func(th *Thread) {
-		_, root := mustMmap(t, th, sweepHeapPages*vm.PageSize)
-		granules := sweepHeapPages * tmem.GranulesPerPage
-		for pg := 0; pg < sweepHeapPages; pg++ {
-			d := c.density * rng.Float64()
-			for g := 0; g < tmem.GranulesPerPage; g++ {
-				if rng.Float64() >= d {
-					continue
-				}
-				target := root.Base() + uint64(rng.Intn(granules))*ca.GranuleSize
-				obj, err := root.WithAddr(target).SetBoundsExact(ca.GranuleSize)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := th.StoreCap(root, uint64(pg*tmem.GranulesPerPage+g)*ca.GranuleSize, obj); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		for g := 0; g < granules; g++ {
-			if rng.Float64() < c.painted {
-				if err := th.PaintShadow(root, root.Base()+uint64(g)*ca.GranuleSize, ca.GranuleSize); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		procs = append(procs, parent)
-		if !c.cow {
-			sweepAll(th)
-			return
-		}
-		child := parent.ForkCOW(th)
-		procs = append(procs, child)
-		child.Spawn("sweeper", []int{2}, sweepAll)
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
 
 	out.Bus = m.Bus.Stats()
-	out.Frames = m.Phys.Allocated()
-	for _, p := range procs {
-		p.AS.ForEachMappedPage(func(vpn uint64, pte *vm.PTE) bool {
-			out.PTEs = append(out.PTEs, *pte)
-			var words [tmem.GranulesPerPage / 64]uint64
-			for g := 0; g < tmem.GranulesPerPage; g++ {
-				if m.Phys.TagSet(pte.Frame, g) {
-					words[g/64] |= 1 << uint(g%64)
-				}
+	p.AS.ForEachMappedPage(func(vpn uint64, pte *vm.PTE) bool {
+		out.PTEs = append(out.PTEs, *pte)
+		var words [tmem.GranulesPerPage / 64]uint64
+		for g := 0; g < tmem.GranulesPerPage; g++ {
+			if m.Phys.TagSet(pte.Frame, g) {
+				words[g/64] |= 1 << uint(g%64)
 			}
-			out.Tags = append(out.Tags, words[:]...)
-			return true
-		})
-	}
+		}
+		out.Tags = append(out.Tags, words[:]...)
+		return true
+	})
 	return out
 }
 
 // TestSweepPageMatchesGranuleReference is the sweep kernel's differential:
 // identically built machines sweep the same randomized heaps, one through
 // SweepPage and one through the per-granule reference, over a range of
-// tag densities and quarantined fractions, on private pages and on
-// copy-on-write pages shared with a forked child (read-only pre-scan,
-// then upgrade when something must be revoked), with and without a
-// SweepFilter whose decisions hash the sweeper's clock. Every per-page
-// (visited, revoked) pair, the sweeper's clock and CPU, the bus
-// statistics per core and agent, the post-sweep tags, every PTE and the
-// clock a peer thread observes at each of its slices must be identical.
+// tag densities and quarantined fractions, with and without a SweepFilter
+// whose decisions hash the sweeper's clock. Every per-page (visited,
+// revoked) pair, the sweeper's clock and CPU, the bus statistics per core
+// and agent, the post-sweep tags, every PTE and the clock a peer thread
+// observes at each of its slices must be identical.
 func TestSweepPageMatchesGranuleReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
-	var revoked, upgraded, filtered, readOnly int
+	var revoked, filtered int
 	for seed := int64(1); seed <= 6; seed++ {
-		for _, cow := range []bool{false, true} {
-			for _, filter := range []bool{false, true} {
-				c := sweepCase{
-					seed:    seed,
-					density: []float64{0.05, 0.3, 1}[rng.Intn(3)],
-					painted: []float64{0.002, 0.05, 0.3}[rng.Intn(3)],
-					cow:     cow,
-					filter:  filter,
-				}
-				t.Run(fmt.Sprintf("seed=%d/cow=%v/filter=%v", seed, cow, filter), func(t *testing.T) {
-					got := runSweepCase(t, c, (*Thread).SweepPage)
-					want := runSweepCase(t, c, (*Thread).sweepPageGranule)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("SweepPage diverges from the granule reference on %+v:\n got  %+v\n want %+v", c, got, want)
-					}
-					for _, pr := range got.Pages {
-						revoked += pr[1]
-						if c.cow && pr[1] > 0 {
-							upgraded++
-						}
-						if c.cow && pr[1] == 0 && pr[0] > 0 {
-							readOnly++
-						}
-					}
-					filtered += got.Filters
-				})
+		for _, filter := range []bool{false, true} {
+			c := sweepCase{
+				seed:    seed,
+				density: []float64{0.05, 0.3, 1}[rng.Intn(3)],
+				painted: []float64{0.002, 0.05, 0.3}[rng.Intn(3)],
+				filter:  filter,
 			}
+			// Every page is private (fork copies eagerly); the names keep
+			// the cow=false segment they have always carried, so that test
+			// histories stay comparable.
+			t.Run(fmt.Sprintf("seed=%d/cow=false/filter=%v", seed, filter), func(t *testing.T) {
+				got := runSweepCase(t, c, (*Thread).SweepPage)
+				want := runSweepCase(t, c, (*Thread).sweepPageGranule)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("SweepPage diverges from the granule reference on %+v:\n got  %+v\n want %+v", c, got, want)
+				}
+				for _, pr := range got.Pages {
+					revoked += pr[1]
+				}
+				filtered += got.Filters
+			})
 		}
 	}
-	if revoked == 0 || upgraded == 0 || readOnly == 0 || filtered == 0 {
-		t.Fatalf("cases too idle to differentiate: %d revoked, %d COW upgrades, %d read-only COW scans, %d filter calls",
-			revoked, upgraded, readOnly, filtered)
+	if revoked == 0 || filtered == 0 {
+		t.Fatalf("cases too idle to differentiate: %d revoked, %d filter calls", revoked, filtered)
 	}
 }

@@ -220,27 +220,6 @@ func (t *Thread) checkColor(c ca.Capability, frame tmem.FrameID, g int, va uint6
 	return nil
 }
 
-// resolveCOW breaks copy-on-write sharing before a mutation of the page
-// (a store, a capability store, or a revocation write). Charged as a write
-// fault plus a page copy.
-func (t *Thread) resolveCOW(va uint64, pte *vm.PTE) error {
-	if pte.Bits&vm.PTECOW == 0 {
-		return nil
-	}
-	copied, err := t.P.AS.ResolveCOW(pte)
-	if err != nil {
-		return err
-	}
-	if copied {
-		t.Sim.Tick(t.P.M.Costs.COWFault)
-		t.P.stats.COWFaults++
-	} else {
-		t.Sim.Tick(t.P.M.Costs.PTEUpdate)
-	}
-	t.P.AS.TLBFill(t.Sim.CoreID(), va, pte)
-	return nil
-}
-
 // busAccess charges a memory access at va.
 func (t *Thread) busAccess(va uint64, write bool) {
 	t.Sim.Tick(t.P.M.Bus.Access(t.Sim.CoreID(), va, t.Agent, write))
@@ -289,9 +268,6 @@ func (t *Thread) Store(c ca.Capability, off, size uint64) error {
 		n := end
 		if n > pageEnd {
 			n = pageEnd
-		}
-		if err := t.resolveCOW(va, pte); err != nil {
-			return err
 		}
 		_, g := vm.GranuleOf(va)
 		if err := t.checkColor(d, pte.Frame, g, va); err != nil {
@@ -450,9 +426,6 @@ func (t *Thread) StoreCap(c ca.Capability, off uint64, v ca.Capability) error {
 	}
 	if v.Tag() && pte.Bits&vm.PTECapWrite == 0 {
 		return &vm.Fault{Kind: vm.FaultCapStore, VA: va}
-	}
-	if err := t.resolveCOW(va, pte); err != nil {
-		return err
 	}
 	if v.Tag() && pte.Bits&vm.PTECapDirty == 0 {
 		if h := t.P.Inject.DropCapDirty; h != nil && h(va) {

@@ -274,7 +274,7 @@ type Service struct {
 	abandoned [][]pageRef
 	respawned int
 
-	// pageBuf backs the page lists of snapshotPages and redirtiedPages.
+	// pageBuf backs the page lists pagesWhere returns.
 	// workSlices and abandoned remainders alias a list only until the
 	// sweepShared (or sweepPages) call that sweeps it returns: sweepShared
 	// waits until every slice has been swept or reclaimed. Each list is
@@ -501,11 +501,9 @@ func (s *Service) releaseDeadReservations(th *kernel.Thread) {
 	s.deadResv = kept
 }
 
-// snapshotPages collects the resident pages to sweep, in VA order. If
-// dirtyOnly is set, only pages that have ever carried a capability are
-// returned (clean pages need no visit under CHERIvoke/Cornucopia, whose
-// correctness rests on the store barrier, §2.2.4).
-func (s *Service) snapshotPages(dirtyOnly bool) []pageRef {
+// pagesWhere lists the mapped pages whose PTE satisfies keep, in VA order,
+// in pageBuf.
+func (s *Service) pagesWhere(keep func(*vm.PTE) bool) []pageRef {
 	if n := s.P.AS.MappedPageCount(); cap(s.pageBuf) < n {
 		// At least double it, so a growing heap reallocates the list
 		// O(log pages) times in a run, not at nearly every epoch.
@@ -513,7 +511,7 @@ func (s *Service) snapshotPages(dirtyOnly bool) []pageRef {
 	}
 	pages := s.pageBuf[:0]
 	s.P.AS.ForEachMappedPage(func(vpn uint64, pte *vm.PTE) bool {
-		if !dirtyOnly || pte.Bits&vm.PTEEverCapDirty != 0 {
+		if keep(pte) {
 			pages = append(pages, pageRef{vpn, pte})
 		}
 		return true
@@ -522,19 +520,16 @@ func (s *Service) snapshotPages(dirtyOnly bool) []pageRef {
 	return pages
 }
 
-// redirtiedPages collects the pages whose capability-dirty bit is set, in
-// VA order: the pages stored to since their last sweep.
-func (s *Service) redirtiedPages() []pageRef {
-	pages := s.pageBuf[:0]
-	s.P.AS.ForEachMappedPage(func(vpn uint64, pte *vm.PTE) bool {
-		if pte.Bits&vm.PTECapDirty != 0 {
-			pages = append(pages, pageRef{vpn, pte})
-		}
-		return true
-	})
-	s.pageBuf = pages
-	return pages
-}
+// everCapDirty keeps the pages that have ever carried a capability: clean
+// pages need no visit under CHERIvoke/Cornucopia, whose correctness rests
+// on the store barrier (§2.2.4).
+func everCapDirty(pte *vm.PTE) bool { return pte.Bits&vm.PTEEverCapDirty != 0 }
+
+// capDirty keeps the pages stored to since their last sweep.
+func capDirty(pte *vm.PTE) bool { return pte.Bits&vm.PTECapDirty != 0 }
+
+// anyPage keeps every mapped page.
+func anyPage(*vm.PTE) bool { return true }
 
 // scanRoots scans thread register files and kernel hoards on th,
 // accumulating into rec.
@@ -563,7 +558,7 @@ func (s *Service) epochCHERIvoke(th *kernel.Thread, rec *EpochRecord) {
 	t0 := th.Sim.Now()
 	p.StopTheWorld(th)
 	s.scanRoots(th, rec)
-	s.sweepPages(th, s.snapshotPages(true), rec)
+	s.sweepPages(th, s.pagesWhere(everCapDirty), rec)
 	p.ResumeTheWorld(th)
 	rec.STWCycles = th.Sim.Now() - t0
 }
@@ -575,7 +570,7 @@ func (s *Service) epochCornucopia(th *kernel.Thread, rec *EpochRecord) {
 	// application runs. SweepPage clears the dirty bit before scanning, so
 	// pages the application stores capabilities to afterwards are re-marked.
 	t0 := th.Sim.Now()
-	s.sweepShared(th, s.snapshotPages(true), rec, 0)
+	s.sweepShared(th, s.pagesWhere(everCapDirty), rec, 0)
 	rec.ConcurrentCycles = th.Sim.Now() - t0
 	s.cornucopiaSTW(th, rec)
 }
@@ -589,7 +584,7 @@ func (s *Service) cornucopiaSTW(th *kernel.Thread, rec *EpochRecord) {
 	p.StopTheWorld(th)
 	s.scanRoots(th, rec)
 	before := rec.PagesVisited
-	s.sweepPages(th, s.redirtiedPages(), rec)
+	s.sweepPages(th, s.pagesWhere(capDirty), rec)
 	rec.PagesResweptSTW = rec.PagesVisited - before
 	p.ResumeTheWorld(th)
 	rec.STWCycles = th.Sim.Now() - t1
@@ -602,9 +597,9 @@ func (s *Service) cornucopiaSTW(th *kernel.Thread, rec *EpochRecord) {
 // while the total work grows.
 func (s *Service) epochCornucopiaTwoPass(th *kernel.Thread, rec *EpochRecord) {
 	t0 := th.Sim.Now()
-	s.sweepShared(th, s.snapshotPages(true), rec, 0)
+	s.sweepShared(th, s.pagesWhere(everCapDirty), rec, 0)
 	// Second concurrent pass: whatever got re-dirtied meanwhile.
-	s.sweepShared(th, s.redirtiedPages(), rec, 0)
+	s.sweepShared(th, s.pagesWhere(capDirty), rec, 0)
 	rec.ConcurrentCycles = th.Sim.Now() - t0
 	s.cornucopiaSTW(th, rec)
 }
@@ -632,15 +627,16 @@ func (s *Service) epochReloaded(th *kernel.Thread, rec *EpochRecord) {
 	// who got there first.
 	t1 := th.Sim.Now()
 	newGen := p.AS.CoreGen(th.Sim.CoreID())
-	pages := s.snapshotPages(false)
-	s.sweepShared(th, pages, rec, newGen)
+	s.sweepShared(th, s.pagesWhere(anyPage), rec, newGen)
 
 	// End-of-epoch verify: every mapped page must now be at the new
 	// generation (§7.6 always-trap pages intentionally stay stale). A
 	// failed verify — only reachable under fault injection — aborts and
 	// re-sweeps the stale remainder with simulated-time backoff.
 	for retry := 0; retry < maxEpochRetries; retry++ {
-		stale := s.stalePages(newGen)
+		stale := s.pagesWhere(func(pte *vm.PTE) bool {
+			return pte.Gen != newGen && pte.Bits&vm.PTECapLoadTrap == 0
+		})
 		if len(stale) == 0 {
 			break
 		}
@@ -668,19 +664,6 @@ func (s *Service) verifyShootdown(th *kernel.Thread, rec *EpochRecord) {
 		th.Sim.Tick(uint64(p.M.Eng.Config().Cores) * p.M.Costs.IPI)
 		p.AS.ShootdownAll()
 	}
-}
-
-// stalePages lists mapped pages still behind newGen, excluding §7.6
-// always-trap pages whose staleness is the design.
-func (s *Service) stalePages(newGen uint8) []pageRef {
-	var stale []pageRef
-	s.P.AS.ForEachMappedPage(func(vpn uint64, pte *vm.PTE) bool {
-		if pte.Gen != newGen && pte.Bits&vm.PTECapLoadTrap == 0 {
-			stale = append(stale, pageRef{vpn, pte})
-		}
-		return true
-	})
-	return stale
 }
 
 // traceRecovery emits one KindRecovery instant for an abort-and-retry

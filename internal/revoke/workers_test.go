@@ -28,7 +28,7 @@ func TestSweepSharedWorkersExceedPages(t *testing.T) {
 		if err := th.StoreCap(holder, 0, holder); err != nil {
 			t.Fatal(err)
 		}
-		pages := s.snapshotPages(false)
+		pages := s.pagesWhere(anyPage)
 		if len(pages) == 0 {
 			t.Fatal("no resident pages to sweep")
 		}

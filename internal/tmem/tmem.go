@@ -41,8 +41,7 @@ const NoFrame FrameID = ^FrameID(0)
 // beyond its 64 bytes. Each tag word's values are packed into one block
 // sized by the granules the word has tagged (see capWord). A set bit in
 // tags[w] implies caps[w] holds a slot for it. The color array is
-// allocated lazily too. refs counts the address spaces sharing the frame
-// (copy-on-write fork); it is 1 for private frames.
+// allocated lazily too.
 //
 // summary is a one-bit-per-tag-word digest of tags: bit w is set iff
 // tags[w] != 0. Every tag mutation maintains it (via setTag and clearTag),
@@ -51,10 +50,9 @@ type frame struct {
 	tags    [tagWords]uint64
 	caps    *capDir
 	colors  *[GranulesPerPage]uint8
-	refs    int32
 	summary uint8
 	inUse   bool
-	_       [8]byte // pads the frame to its cache line
+	_       [14]byte // pads the frame to its cache line
 }
 
 // capDir is a frame's capability directory: one entry per tag word.
@@ -239,7 +237,7 @@ func (p *Phys) AllocFrame() (FrameID, error) {
 		p.nframes++
 	}
 	// A freed frame has already returned its capability storage.
-	*p.slot(id) = frame{refs: 1, inUse: true}
+	*p.slot(id) = frame{inUse: true}
 	p.allocated++
 	if p.allocated > p.peakAlloc {
 		p.peakAlloc = p.allocated
@@ -247,35 +245,24 @@ func (p *Phys) AllocFrame() (FrameID, error) {
 	return id, nil
 }
 
-// FreeFrame drops one reference to the frame, returning it to the free
-// pool when the last sharer releases it. Tags are cleared so a later reuse
-// cannot leak capabilities between owners.
+// FreeFrame returns the frame to the free pool. Tags are cleared so a
+// later reuse cannot leak capabilities between owners.
 func (p *Phys) FreeFrame(id FrameID) {
-	f := p.frame(id)
+	if int(id) >= p.nframes {
+		panic(fmt.Sprintf("tmem: frame %d out of range", id))
+	}
+	f := p.slot(id)
 	if !f.inUse {
 		panic(fmt.Sprintf("tmem: double free of frame %d", id))
-	}
-	if f.refs > 1 {
-		f.refs--
-		return
 	}
 	f.inUse = false
 	f.tags = [tagWords]uint64{}
 	f.summary = 0
 	p.recycleCaps(f)
 	f.colors = nil
-	f.refs = 0
 	p.allocated--
 	p.free = append(p.free, id)
 }
-
-// Ref adds a sharer to the frame (copy-on-write fork).
-func (p *Phys) Ref(id FrameID) {
-	p.frame(id).refs++
-}
-
-// Shared reports whether more than one address space references the frame.
-func (p *Phys) Shared(id FrameID) bool { return p.frame(id).refs > 1 }
 
 // Allocated returns the number of frames currently in use.
 func (p *Phys) Allocated() int { return p.allocated }

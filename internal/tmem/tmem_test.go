@@ -1,6 +1,7 @@
 package tmem
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -58,8 +59,9 @@ func TestDoubleFreePanics(t *testing.T) {
 	a := mustAlloc(t, p)
 	p.FreeFrame(a)
 	defer func() {
-		if recover() == nil {
-			t.Fatal("double free did not panic")
+		want := fmt.Sprintf("tmem: double free of frame %d", a)
+		if r := recover(); r != want {
+			t.Fatalf("double free panicked with %v, want %q", r, want)
 		}
 	}()
 	p.FreeFrame(a)

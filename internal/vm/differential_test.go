@@ -220,7 +220,7 @@ func (d *asDiff) step(op, a, b, c byte) {
 		d.as.TLBInvalidate(core, va)
 		d.ref.TLBInvalidate(core, va)
 	case 8: // ShootdownAll, dropping the IPIs of the cores in a's low bits
-		// from now on, including the shootdowns of UnmapRange and CloneCOW
+		// from now on, including the shootdowns of UnmapRange
 		d.drop = a % (1 << diffCores)
 		d.as.ShootdownAll()
 		d.ref.ShootdownAll()
@@ -251,21 +251,14 @@ func (d *asDiff) step(op, a, b, c byte) {
 			pa.Gen = d.as.CoreGen(core)
 			pr.Gen = d.ref.CoreGen(core)
 		}
-	case 11: // Clone or CloneCOW, continuing in the child if b is odd
-		var child *AddressSpace
-		var childRef *mapAddressSpace
-		if a&1 == 0 {
-			var erra, errr error
-			child, erra = d.as.Clone()
-			childRef, errr = d.ref.Clone()
-			if errString(erra) != errString(errr) {
-				d.fail("Clone: %v, reference %v", erra, errr)
-			}
-			if erra != nil {
-				return
-			}
-		} else {
-			child, childRef = d.as.CloneCOW(), d.ref.CloneCOW()
+	case 11: // Clone, continuing in the child if b is odd
+		child, erra := d.as.Clone()
+		childRef, errr := d.ref.Clone()
+		if errString(erra) != errString(errr) {
+			d.fail("Clone: %v, reference %v", erra, errr)
+		}
+		if erra != nil {
+			return
 		}
 		d.compare(child, childRef, "clone")
 		if b&1 != 0 {
@@ -355,9 +348,9 @@ func TestAddressSpaceMatchesMapReference(t *testing.T) {
 // one-MiB sparse, unaligned), demand maps, lookups, partial and whole
 // unmaps, releases of dead reservations, per-core TLB fills, lookups and
 // invalidations, shootdowns that drop chosen cores' IPIs, generation bumps,
-// PTE writes through returned and held pointers, and eager and
-// copy-on-write clones, and requires the leaf directory with its stamped
-// TLBs to answer every one as the map reference does.
+// PTE writes through returned and held pointers, and clones, and requires
+// the leaf directory with its stamped TLBs to answer every one as the map
+// reference does.
 func FuzzAddressSpace(f *testing.F) {
 	// Each operation is four bytes: opcode, reservation, page, argument.
 	f.Add([]byte{0, 0, 3, 0, 1, 0, 0, 0, 1, 0, 2, 0, 5, 0, 0, 2, 6, 0, 0, 1, 8, 0, 0, 0, 6, 0, 0, 1})

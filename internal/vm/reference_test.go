@@ -240,7 +240,7 @@ func (as *mapAddressSpace) ShootdownAll() {
 
 func (as *mapAddressSpace) ShootdownIncomplete() bool { return as.incomplete }
 
-func (as *mapAddressSpace) cloneShell() *mapAddressSpace {
+func (as *mapAddressSpace) Clone() (*mapAddressSpace, error) {
 	c := newMapAddressSpace(as.phys, len(as.coreGen))
 	c.next = as.next
 	copy(c.coreGen, as.coreGen)
@@ -248,32 +248,6 @@ func (as *mapAddressSpace) cloneShell() *mapAddressSpace {
 		nr := *r
 		c.resv = append(c.resv, &nr)
 	}
-	return c
-}
-
-func (as *mapAddressSpace) CloneCOW() *mapAddressSpace {
-	c := as.cloneShell()
-	for i, vpn := range as.vpns {
-		pte := as.ptes[i]
-		np := &PTE{Frame: pte.Frame, Bits: pte.Bits, Gen: as.coreGen[0]}
-		np.Bits &^= PTECapLoadTrap
-		if pte.Bits&PTEGuard == 0 {
-			as.phys.Ref(pte.Frame)
-			pte.Bits |= PTECOW
-			np.Bits |= PTECOW
-			c.stats.MappedPages++
-		}
-		c.pages[vpn] = np
-		c.vpns = append(c.vpns, vpn)
-		c.ptes = append(c.ptes, np)
-	}
-	as.ShootdownAll()
-	c.stats.PeakMappedPages = c.stats.MappedPages
-	return c
-}
-
-func (as *mapAddressSpace) Clone() (*mapAddressSpace, error) {
-	c := as.cloneShell()
 	for i, vpn := range as.vpns {
 		pte := as.ptes[i]
 		np := &PTE{Frame: tmem.NoFrame, Bits: pte.Bits, Gen: as.coreGen[0]}

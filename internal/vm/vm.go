@@ -59,12 +59,6 @@ const (
 	// generation bits every epoch; the trap is resolved by installing a
 	// PTE with the current generation.
 	PTECapLoadTrap
-	// PTECOW marks a page whose frame is shared copy-on-write with another
-	// address space (fork, §4.3): the first write resolves it to a private
-	// copy. Aliased frames are exactly the case the paper's implementation
-	// mishandled (footnote 20); here every mutation — including a
-	// revocation write — must break the sharing first.
-	PTECOW
 )
 
 // FaultKind classifies memory faults.
@@ -575,59 +569,6 @@ func (as *AddressSpace) restartStamp(c int) {
 // any core's TLB stale (a dropped IPI). The revoker verifies this after
 // arming the load barrier and re-issues the broadcast (abort-and-retry).
 func (as *AddressSpace) ShootdownIncomplete() bool { return as.incomplete }
-
-// CloneCOW clones the address space for fork with copy-on-write sharing:
-// resident pages share their frames (reference counted); both sides'
-// PTEs are marked PTECOW so the first write by either resolves to a
-// private copy. Dirty-summary bits are inherited, so the child's revoker
-// never skips a page whose shared frame carries capabilities.
-func (as *AddressSpace) CloneCOW() *AddressSpace {
-	c := NewAddressSpace(as.phys, len(as.coreGen))
-	c.next = as.next
-	copy(c.coreGen, as.coreGen)
-	for _, r := range as.resv {
-		nr := *r
-		c.resv = append(c.resv, &nr)
-	}
-	as.walk(func(vpn uint64, pte *PTE) bool {
-		np := c.slot(vpn)
-		*np = PTE{Frame: pte.Frame, Bits: pte.Bits &^ PTECapLoadTrap, Gen: as.coreGen[0]}
-		if pte.Bits&PTEGuard == 0 {
-			as.phys.Ref(pte.Frame)
-			pte.Bits |= PTECOW
-			np.Bits |= PTECOW
-			c.stats.MappedPages++
-		}
-		return true
-	})
-	as.ShootdownAll() // parents' cached writable translations are stale
-	c.stats.PeakMappedPages = c.stats.MappedPages
-	return c
-}
-
-// ResolveCOW gives the page a private frame: if the frame is still shared,
-// its contents (tags, capabilities, colors) are copied into a fresh frame
-// and the sharing reference dropped. Idempotent; reports whether a copy
-// happened.
-func (as *AddressSpace) ResolveCOW(pte *PTE) (bool, error) {
-	if pte.Bits&PTECOW == 0 {
-		return false, nil
-	}
-	if !as.phys.Shared(pte.Frame) {
-		// Last sharer: the frame is already effectively private.
-		pte.Bits &^= PTECOW
-		return false, nil
-	}
-	nf, err := as.phys.AllocFrame()
-	if err != nil {
-		return false, err
-	}
-	as.phys.CopyFrame(nf, pte.Frame)
-	as.phys.FreeFrame(pte.Frame) // drops our shared reference
-	pte.Frame = nf
-	pte.Bits &^= PTECOW
-	return true, nil
-}
 
 // Clone eagerly copies the address space for fork: same reservations and
 // virtual layout, fresh frames holding copies of every resident page's
